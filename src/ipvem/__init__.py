@@ -28,7 +28,9 @@ from .system import DiscreteSolution, GlobalDofMap, SparseSystem, assemble, numb
 from .verify import (
     ConvergenceReport,
     ErrorRecord,
+    ErrorData,
     ManufacturedSolution,
+    build_error_data,
     energy_error,
     example_solution,
     fit_rate,

@@ -8,6 +8,7 @@ systems well conditioned independently of the element size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,35 +176,43 @@ def gauss_legendre_01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+@functools.lru_cache(maxsize=None)
 def triangle_quadrature(order):
     """Quadrature on the reference triangle (0,0)-(1,0)-(0,1), exact to ``order``.
 
     Orders 1 and 2 are the classical centroid and three-point rules; higher
-    orders use a collapsed tensor Gauss-Legendre rule.
+    orders use a collapsed tensor Gauss-Legendre rule.  Each rule is built
+    once; every call returns the same read-only arrays.
     """
     if order < 1 or order > MAX_TRIANGLE_ORDER:
         raise ValueError(f"triangle quadrature order {order} unsupported")
     if order == 1:
-        return np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5])
-    if order == 2:
+        pts, w = np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5])
+    elif order == 2:
         pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-        return pts, np.full(3, 1.0 / 6.0)
-    # x = u, y = v(1-u): the Jacobian (1-u) raises the u-degree by one
-    nu = (order + 3) // 2
-    nv = (order + 2) // 2
-    u, wu = gauss_legendre_01(nu)
-    v, wv = gauss_legendre_01(nv)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    W = np.outer(wu, wv) * (1.0 - U)
-    pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
-    return pts, W.ravel()
+        w = np.full(3, 1.0 / 6.0)
+    else:
+        # x = u, y = v(1-u): the Jacobian (1-u) raises the u-degree by one
+        nu = (order + 3) // 2
+        nv = (order + 2) // 2
+        u, wu = gauss_legendre_01(nu)
+        v, wv = gauss_legendre_01(nv)
+        U, V = np.meshgrid(u, v, indexing="ij")
+        w = (np.outer(wu, wv) * (1.0 - U)).ravel()
+        pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
+    pts.flags.writeable = False
+    w.flags.writeable = False
+    return pts, w
 
 
 def map_to_triangle(points, weights, tri):
-    """Map a reference-triangle rule onto the physical triangle ``tri`` (3x2)."""
+    """Map a reference-triangle rule onto the physical triangle ``tri`` (3x2).
+
+    The weights carry the signed area, so a clockwise triangle subtracts.
+    """
     v0, v1, v2 = np.asarray(tri, dtype=float)
     jac = np.column_stack([v1 - v0, v2 - v0])
-    area2 = abs(np.linalg.det(jac))
+    area2 = np.linalg.det(jac)
     phys = v0 + points @ jac.T
     return phys, weights * area2
 
@@ -295,7 +304,12 @@ def integrate_monomial(geometry, exponent):
 
 
 def polygon_quadrature(geometry, order):
-    """Quadrature on a star-shaped polygon via the centroid fan."""
+    """Quadrature on a simple polygon via the centroid fan.
+
+    Fan triangles are weighted by their signed areas, so the rule stays
+    exact for polynomials of degree <= ``order`` when the polygon is not
+    star-shaped with respect to its centroid.
+    """
     ref_pts, ref_w = triangle_quadrature(order)
     verts = geometry.vertices
     m = len(verts)
@@ -306,3 +320,28 @@ def polygon_quadrature(geometry, order):
         pts.append(p)
         wts.append(w)
     return np.vstack(pts), np.concatenate(wts)
+
+
+def fan_quadrature(geometries, order):
+    """Centroid-fan quadrature on every polygon of ``geometries`` at once.
+
+    Returns ``(points, weights, owner)``: all quadrature points, polygon by
+    polygon and fan triangle by fan triangle as ``polygon_quadrature`` orders
+    them, their weights, and the position in ``geometries`` of the polygon
+    each point belongs to.  Weights carry the signed fan areas, so the rule
+    is exact to ``order`` on any simple polygon.
+    """
+    ref_pts, ref_w = triangle_quadrature(order)
+    counts = [g.n_edges for g in geometries]
+    tri_owner = np.repeat(np.arange(len(geometries)), counts)
+    apex = np.array([g.centroid for g in geometries])[tri_owner]
+    tail = np.concatenate([g.vertices for g in geometries]) - apex
+    head = np.concatenate([np.roll(g.vertices, -1, axis=0) for g in geometries]) - apex
+    fan2 = 2.0 * np.concatenate([g.fan_areas for g in geometries])
+    points = (
+        apex[:, None, :]
+        + ref_pts[None, :, 0, None] * tail[:, None, :]
+        + ref_pts[None, :, 1, None] * head[:, None, :]
+    )
+    weights = fan2[:, None] * ref_w[None, :]
+    return points.reshape(-1, 2), weights.ravel(), np.repeat(tri_owner, len(ref_w))

@@ -83,12 +83,26 @@ class StudyOutput:
     report: verify.ConvergenceReport
     rows: list
     failures: list
+    meshes: list = field(default_factory=list)
     csv_path: str = ""
     report_path: str = ""
 
     @property
     def exit_code(self):
         return EXIT_RUN_FAILED if self.failures else EXIT_OK
+
+
+class _StageClock:
+    """Wall seconds of consecutive stages: each ``lap`` closes one."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
 
 
 def _mesh_from_file(path):
@@ -111,36 +125,48 @@ def _study_meshes(config):
 def run_study(config, progress=None):
     """Run the configured sweep; failures are recorded, not propagated.
 
-    The element contexts, local forms and edge stencils of each mesh are
-    reused across the eps values (only the eps^2-scaling and the load differ,
-    and the load splits into two eps-independent densities).
+    The element contexts, local forms, edge stencils and error data of each
+    mesh are reused across the eps values (only the eps^2-scaling and the
+    load differ, and the load splits into two eps-independent densities).
+    Each mesh's set-up stages are timed into ``StudyOutput.meshes``.
     """
     config.validate()
     msol = verify.example_solution(config.example)
     f4, f2 = verify.forcing_parts(msol)
     records = {e: [] for e in config.eps}
-    rows, failures = [], []
+    rows, failures, meshes = [], [], []
 
     for label, factory in _study_meshes(config):
+        # drop the previous mesh's error data before this mesh builds its own
+        err_data = None
+        clock = _StageClock()
         try:
             m = factory()
+            clock.lap("mesh")
             elements = projectors.build_elements(m, config.k)
+            clock.lap("elements")
             dof_map = system.number_dofs(m, config.k)
             lf = forms.build_local_forms(
                 m, elements, None, config.quad_order, config.gradient_projector
             )
             stencils = forms.build_edge_stencils(m, elements, config.penalty_a, config.k)
+            clock.lap("forms_stencils")
             parts = system.build_operator_parts(m, dof_map, lf, stencils)
+            clock.lap("operator_parts")
             rhs4 = system.load_vector(
                 m, dof_map, [forms.local_load(el, f4, config.quad_order) for el in elements]
             )
             rhs2 = system.load_vector(
                 m, dof_map, [forms.local_load(el, f2, config.quad_order) for el in elements]
             )
+            clock.lap("loads")
+            err_data = verify.build_error_data(m, dof_map, elements, msol, config.quad_order)
+            clock.lap("error_data")
         except Exception as exc:  # noqa: BLE001 - study must survive bad runs
             failures.append({"mesh": label, "eps": None, "error": repr(exc)})
             log.error("mesh stage failed for %s: %r", label, exc)
             continue
+        meshes.append({"label": label, "n_cells": m.n_cells, "seconds": clock.seconds})
 
         for eps in config.eps:
             t0 = time.perf_counter()
@@ -149,17 +175,9 @@ def run_study(config, progress=None):
                     parts.hess, parts.grad, eps**2 * rhs4 + rhs2, eps, dof_map
                 )
                 sol = system.solve(sys_)
-                rec = verify.energy_error(
-                    m,
-                    dof_map,
-                    elements,
-                    sol,
-                    msol,
-                    parts=parts,
-                    quad_order=config.quad_order,
-                    norm=config.error_norm,
-                )
+                rec = verify.energy_error(err_data, sol, parts=parts, norm=config.error_norm)
                 rec.j1_energy = verify.j1_energy(sol, parts.j1)
+                rec.solve = sol.diagnostics
             except Exception as exc:  # noqa: BLE001
                 failures.append({"mesh": label, "eps": eps, "error": repr(exc)})
                 log.error("run failed for %s, eps=%g: %r", label, eps, exc)
@@ -190,7 +208,7 @@ def run_study(config, progress=None):
     report = verify.ConvergenceReport(
         records=records, seed=config.seed, penalty_a=config.penalty_a, k=config.k
     ).finalize()
-    return StudyOutput(config=config, report=report, rows=rows, failures=failures)
+    return StudyOutput(config=config, report=report, rows=rows, failures=failures, meshes=meshes)
 
 
 def write_outputs(output, out_dir=None):
@@ -213,6 +231,7 @@ def write_outputs(output, out_dir=None):
     payload = {
         "config": asdict(output.config),
         "failures": output.failures,
+        "meshes": output.meshes,
         "rates_vs_h": {repr(k): v for k, v in rep.rates_h.items()},
         "rates_vs_sqrt_cells": {repr(k): v for k, v in rep.rates_n.items()},
         "records": {
@@ -228,6 +247,9 @@ def write_outputs(output, out_dir=None):
                     "proj_h2": r.proj_h2,
                     "proj_h1": r.proj_h1,
                     "proj_h1_via_h2": r.proj_h1_via_h2,
+                    "solve_method": r.solve.get("method"),
+                    "solve_residual": r.solve.get("residual"),
+                    "refine_steps": r.solve.get("refine_steps"),
                 }
                 for r in recs
             ]

@@ -7,7 +7,9 @@ whose components are the assembled Hessian-form-plus-penalty energy and the
 gradient-form energy; that is the norm the penalty parameter controls and it
 matches the reference convergence figures.  Broken seminorm errors of the
 element solution polynomials are computed alongside so both readings of the
-error are always reported.
+error are always reported.  Everything that does not depend on eps (the
+quadrature points, the exact solution there and its DoFs) is gathered once
+per mesh in an :class:`ErrorData`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import derivative_matrix, polygon_quadrature
+from .basis import fan_quadrature
 from .projectors import SUPPORTED_ORDER
 from .system import cell_dof_indices
 
@@ -114,6 +116,7 @@ class ErrorRecord:
     comparison: ``proj_h2`` measures |u - p2|_{2,h} with p2 the h2-projected
     solution polynomial, ``proj_h1`` measures |u - p1|_{1,h} with the
     h1-projected one, and ``proj_h1_via_h2`` the gradient error of p2.
+    ``solve`` holds the diagnostics of the solve that produced the record.
     """
 
     eps: float
@@ -127,73 +130,145 @@ class ErrorRecord:
     proj_h2: float = float("nan")
     proj_h1: float = float("nan")
     proj_h1_via_h2: float = float("nan")
+    solve: dict = field(default_factory=dict)
 
     @property
     def decomposition_residual(self):
         return abs(self.e_total**2 - (self.eps**2 * self.h2_part**2 + self.h1_part**2))
 
 
-def interpolation_dofs(mesh, dof_map, elements, msol, quad_order=8):
-    """Global DoF vector of the exact solution: point values and cell means."""
-    chi = np.zeros(dof_map.n_dofs)
-    for el in elements:
-        idx = cell_dof_indices(dof_map, mesh, el.cell_id)
-        pts = el.layout.points
-        chi[idx[: len(pts)]] = msol(pts[:, 0], pts[:, 1])
-        qp, qw = polygon_quadrature(el.geometry, quad_order)
-        chi[idx[-1]] = float(qw @ msol(qp[:, 0], qp[:, 1])) / el.geometry.area
+def _exact_dofs(mesh, dof_map, msol, owner, weights, values, areas):
+    """DoF vector of the exact solution.
+
+    Point DoFs are evaluations at the mesh vertices and edge midpoints; the
+    moment of each cell is the fan-quadrature mean of ``values``, the exact
+    solution at the points described by ``owner`` and ``weights``.
+    """
+    verts = mesh.vertices
+    mid = 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])
+    n_points = dof_map.n_vertices + dof_map.n_edges
+    chi = np.empty(dof_map.n_dofs)
+    chi[: dof_map.n_vertices] = msol(verts[:, 0], verts[:, 1])
+    chi[dof_map.n_vertices : n_points] = msol(mid[:, 0], mid[:, 1])
+    chi[n_points:] = np.bincount(owner, weights=weights * values, minlength=len(areas)) / areas
     return chi
 
 
-def projection_errors(mesh, dof_map, elements, solution, msol, quad_order=8):
+def interpolation_dofs(mesh, dof_map, elements, msol, quad_order=8):
+    """Global DoF vector of the exact solution: point values and cell means."""
+    geoms = [el.geometry for el in elements]
+    pts, w, owner = fan_quadrature(geoms, quad_order)
+    areas = np.array([g.area for g in geoms])
+    return _exact_dofs(mesh, dof_map, msol, owner, w, msol(pts[:, 0], pts[:, 1]), areas)
+
+
+@dataclass(eq=False)
+class ErrorData:
+    """The eps-independent part of the error evaluation on one mesh.
+
+    The centroid-fan quadrature points of all cells are stored flat: the
+    weight, the owning cell, the coordinates scaled by that cell's centroid
+    and diameter, and the exact first and second partials.  ``groups``
+    holds, per cell valence, the cell ids, their global DoF indices and the
+    stacked h2 and h1 projector coefficient matrices (rows 0-5 and 6-11).
+    """
+
+    n_cells: int
+    h_max: float
+    weights: np.ndarray         # (Q,)
+    cell: np.ndarray            # (Q,) owning cell of each point
+    xi: np.ndarray              # (Q,) scaled coordinates
+    eta: np.ndarray
+    ux: np.ndarray              # (Q,) exact partials
+    uy: np.ndarray
+    uxx: np.ndarray
+    uxy: np.ndarray
+    uyy: np.ndarray
+    inv_h: np.ndarray           # (n_cells,) reciprocal cell diameters
+    exact_dofs: np.ndarray      # (n_dofs,) DoFs of the exact solution
+    groups: list                # [(cells (G,), dofs (G, n), projectors (G, 12, n))]
+
+
+def build_error_data(mesh, dof_map, elements, msol, quad_order=8):
+    """Error data of one mesh, built once and shared by every eps."""
+    geoms = [el.geometry for el in elements]
+    pts, w, cell = fan_quadrature(geoms, quad_order)
+    x, y = pts[:, 0], pts[:, 1]
+    centroids = np.array([g.centroid for g in geoms])
+    diameters = np.array([g.diameter for g in geoms])
+    areas = np.array([g.area for g in geoms])
+    scaled = (pts - centroids[cell]) / diameters[cell, None]
+
+    by_valence = {}
+    for el in elements:
+        by_valence.setdefault(el.layout.n_vertices, []).append(el)
+    groups = [
+        (
+            np.array([el.cell_id for el in els]),
+            np.stack([cell_dof_indices(dof_map, mesh, el.cell_id) for el in els]),
+            np.stack([np.vstack([el.projectors.h2_coeff, el.projectors.h1_coeff]) for el in els]),
+        )
+        for _, els in sorted(by_valence.items())
+    ]
+
+    return ErrorData(
+        n_cells=mesh.n_cells,
+        h_max=float(diameters.max()),
+        weights=w,
+        cell=cell,
+        xi=scaled[:, 0],
+        eta=scaled[:, 1],
+        ux=msol.partial(1, 0, x, y),
+        uy=msol.partial(0, 1, x, y),
+        uxx=msol.partial(2, 0, x, y),
+        uxy=msol.partial(1, 1, x, y),
+        uyy=msol.partial(0, 2, x, y),
+        inv_h=1.0 / diameters,
+        exact_dofs=_exact_dofs(mesh, dof_map, msol, cell, w, msol(x, y), areas),
+        groups=groups,
+    )
+
+
+def _projection_errors(data, values):
     """Broken seminorm errors of the element solution polynomials.
 
     Returns (|u - p2|_{2,h}, |u - p1|_{1,h}, |u - p2|_{1,h}) with p2 and p1
-    the h2- and h1-projected polynomials, integrated by fan-triangle
-    quadrature of the requested order.
+    the h2- and h1-projected polynomials of the DoF vector ``values``.  On
+    the k = 2 basis 1, xi, eta, xi^2, xi eta, eta^2 the polynomial c has the
+    gradient (c1 + 2 c3 xi + c4 eta, c2 + c4 xi + 2 c5 eta) / h and the
+    constant Hessian (2 c3, c4, 2 c5) / h^2.
     """
-    h2_sq = 0.0
-    h1_h1_sq = 0.0
-    h1_h2_sq = 0.0
-    for el in elements:
-        chi = solution.values[cell_dof_indices(dof_map, mesh, el.cell_id)]
-        p_h2 = el.projectors.h2_coeff @ chi
-        p_h1 = el.projectors.h1_coeff @ chi
-        pts, w = polygon_quadrature(el.geometry, quad_order)
-        x, y = pts[:, 0], pts[:, 1]
-        Dx = derivative_matrix(el.basis, "x")
-        Dy = derivative_matrix(el.basis, "y")
-        vals = el.basis.evaluate(pts)
-        ux = msol.partial(1, 0, x, y)
-        uy = msol.partial(0, 1, x, y)
-        h1_h2_sq += float(w @ ((ux - vals @ (Dx @ p_h2)) ** 2 + (uy - vals @ (Dy @ p_h2)) ** 2))
-        h1_h1_sq += float(w @ ((ux - vals @ (Dx @ p_h1)) ** 2 + (uy - vals @ (Dy @ p_h1)) ** 2))
-        # second derivatives of the h2 polynomial are constants
-        pxx = (Dx @ Dx @ p_h2)[0]
-        pxy = (Dx @ Dy @ p_h2)[0]
-        pyy = (Dy @ Dy @ p_h2)[0]
-        uxx = msol.partial(2, 0, x, y)
-        uxy = msol.partial(1, 1, x, y)
-        uyy = msol.partial(0, 2, x, y)
-        h2_sq += float(w @ ((uxx - pxx) ** 2 + 2.0 * (uxy - pxy) ** 2 + (uyy - pyy) ** 2))
+    coeffs = np.empty((data.n_cells, 12))
+    for cells, dofs, proj in data.groups:
+        coeffs[cells] = np.einsum("gkn,gn->gk", proj, values[dofs])
+    # columns 1-5 of each half become (c1, c2, 2 c3, c4, 2 c5) / h
+    coeffs *= np.tile([1.0, 1.0, 1.0, 2.0, 1.0, 2.0], 2) * data.inv_h[:, None]
+    w, cell, xi, eta = data.weights, data.cell, data.xi, data.eta
+
+    def gradient_error_sq(c):
+        gx = c[:, 0] + c[:, 2] * xi + c[:, 3] * eta
+        gy = c[:, 1] + c[:, 3] * xi + c[:, 4] * eta
+        return float(w @ ((data.ux - gx) ** 2 + (data.uy - gy) ** 2))
+
+    hess = coeffs[:, 3:6] * data.inv_h[:, None]
+    h2_sq = float(
+        w
+        @ (
+            (data.uxx - hess[cell, 0]) ** 2
+            + 2.0 * (data.uxy - hess[cell, 1]) ** 2
+            + (data.uyy - hess[cell, 2]) ** 2
+        )
+    )
+    h1_h2_sq = gradient_error_sq(coeffs[cell, 1:6])
+    h1_h1_sq = gradient_error_sq(coeffs[cell, 7:12])
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 
-def energy_error(
-    mesh,
-    dof_map,
-    elements,
-    solution,
-    msol,
-    parts=None,
-    quad_order=8,
-    norm="interp-energy",
-    h1_projection="h1",
-    with_projection_parts=True,
-):
+def energy_error(data, solution, parts=None, norm="interp-energy", h1_projection="h1"):
     """Error record of a discrete solution against the exact one.
 
-    The default norm is the discrete energy of the DoF interpolation error
+    ``data`` is the mesh's :class:`ErrorData`.  The default norm is the
+    discrete energy of the DoF interpolation error
     delta = dofs(u) - dofs(u_h): the Hessian component is the a-form energy
     plus the penalty energy of delta, the gradient component the b-form
     energy, mirroring the norm the penalty parameter is designed to control.
@@ -203,16 +278,13 @@ def energy_error(
     """
     if norm not in ("interp-energy", "projection"):
         raise ValueError("norm must be 'interp-energy' or 'projection'")
+    if norm == "interp-energy" and parts is None:
+        raise ValueError("interp-energy norm needs the assembled operator parts")
     eps = solution.eps
-
-    proj = (float("nan"),) * 3
-    if with_projection_parts or norm == "projection":
-        proj = projection_errors(mesh, dof_map, elements, solution, msol, quad_order)
+    proj = _projection_errors(data, solution.values)
 
     if norm == "interp-energy":
-        if parts is None:
-            raise ValueError("interp-energy norm needs the assembled operator parts")
-        delta = interpolation_dofs(mesh, dof_map, elements, msol, quad_order) - solution.values
+        delta = data.exact_dofs - solution.values
         h2_sq = float(delta @ (parts.a_only @ delta)) + float(delta @ (parts.j1 @ delta))
         h1_sq = float(delta @ (parts.grad @ delta))
     else:
@@ -221,8 +293,8 @@ def energy_error(
 
     return ErrorRecord(
         eps=eps,
-        n_cells=mesh.n_cells,
-        h_max=mesh.max_diameter(),
+        n_cells=data.n_cells,
+        h_max=data.h_max,
         e_total=math.sqrt(eps**2 * h2_sq + h1_sq),
         h2_part=math.sqrt(h2_sq),
         h1_part=math.sqrt(h1_sq),

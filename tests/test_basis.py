@@ -11,6 +11,7 @@ from ipvem.basis import (
     PolyCoeffs,
     ScaledMonomialBasis,
     edge_trace,
+    fan_quadrature,
     gauss_lobatto,
     integrate_edge_poly,
     integrate_monomial,
@@ -224,6 +225,15 @@ class TestTriangleQuadrature:
         with pytest.raises(ValueError):
             triangle_quadrature(0)
 
+    def test_rule_is_cached_and_read_only(self):
+        pts, w = triangle_quadrature(8)
+        again = triangle_quadrature(8)
+        assert again[0] is pts and again[1] is w
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     def test_map_to_triangle_scales_weights(self):
         pts, w = triangle_quadrature(4)
         tri = np.array([[1.0, 1.0], [3.0, 1.5], [1.5, 4.0]])
@@ -231,6 +241,33 @@ class TestTriangleQuadrature:
         area = 0.5 * abs(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
         assert np.sum(pw) == pytest.approx(area, rel=1e-14)
         assert phys.shape == pts.shape
+
+
+# C-shaped cell of area 0.52 whose centroid lies in the notch, outside the
+# cell: three of its centroid-fan triangles are clockwise
+C_SHAPE = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
+
+
+class TestFanQuadrature:
+    def test_non_star_shaped_cell_integrates_one_to_its_area(self):
+        geom = geometry_of(C_SHAPE)
+        assert not geom.star_shaped
+        _, w = polygon_quadrature(geom, 8)
+        assert abs(w.sum() - 0.52) <= 1e-14
+        _, w, _ = fan_quadrature([geom], 8)
+        assert abs(w.sum() - 0.52) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batched_rule_integrates_monomials_to_degree_eight(self, seed):
+        rng = np.random.default_rng(seed)
+        geoms = [geometry_of(random_star_polygon(rng)) for _ in range(3)]
+        pts, w, owner = fan_quadrature(geoms, 8)
+        for i, geom in enumerate(geoms):
+            b = ScaledMonomialBasis(geom.centroid, geom.diameter, 8)
+            mine = owner == i
+            got = w[mine] @ b.evaluate(pts[mine])
+            assert np.max(np.abs(got - monomial_integral_table(geom, 8, b))) <= 1e-12
 
 
 class TestPolyCoeffs:

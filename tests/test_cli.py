@@ -80,6 +80,21 @@ class TestRunStudy:
         report = json.loads(open(report_path).read())
         assert "records" in report and "rates_vs_h" in report
 
+    def test_report_has_solve_diagnostics_and_stage_seconds(self, tmp_path):
+        out = run_study(tiny_config(eps=[1e-2, 1e-6]))
+        report = json.loads(open(write_outputs(out, str(tmp_path))[1]).read())
+        for recs in report["records"].values():
+            for rec in recs:
+                assert rec["solve_method"] in ("splu", "cg")
+                assert 0.0 <= rec["solve_residual"] <= system.RESIDUAL_TARGET
+                assert rec["refine_steps"] >= 0
+        stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
+        assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
+        assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]
+        for entry in report["meshes"]:
+            assert list(entry["seconds"]) == stages
+            assert all(t >= 0.0 for t in entry["seconds"].values())
+
     def test_rerun_bit_identical_except_walltime(self, tmp_path):
         cfg = tiny_config(mesh_kind="cvt", sizes=[8, 16], eps=[1e-1, 1e-3], seed=5, lloyd_iters=20)
         out1 = run_study(cfg)
@@ -185,7 +200,7 @@ class TestExportSolutionFields:
         parts = system.build_operator_parts(m, dof_map, lf, stencils)
         rhs = system.load_vector(m, dof_map, [x.load for x in lf])
         sol = system.solve(system.reduce_system(parts.hess, parts.grad, rhs, eps, dof_map))
-        rec = verify.energy_error(m, dof_map, elements, sol, msol, parts=parts)
+        rec = verify.energy_error(verify.build_error_data(m, dof_map, elements, msol), sol, parts=parts)
         path = tmp_path / "field.vtk"
         export_solution_fields(m, dof_map, elements, sol, str(path), msol=msol)
         text = path.read_text()

@@ -131,7 +131,7 @@ class TestSolve:
             matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(n)
         )
         # the full-size scatter uses dof_map sizes; bypass by direct check
-        x, residual = system._refine(mat, rhs, sp.linalg.spsolve(mat.tocsc(), rhs), sp.linalg.splu(mat.tocsc()), 1e-10)
+        x, residual, _ = system._refine(mat, rhs, sp.linalg.spsolve(mat.tocsc(), rhs), sp.linalg.splu(mat.tocsc()), 1e-10)
         assert residual <= 1e-10
 
     def test_cg_fallback_reaches_target(self):

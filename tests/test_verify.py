@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from ipvem import forms, mesh, projectors, system, verify
+from ipvem.basis import derivative_matrix, polygon_quadrature
 from ipvem.verify import (
     ManufacturedSolution,
+    build_error_data,
     energy_error,
     example_solution,
     fit_rate,
     forcing,
     interpolation_dofs,
     j1_energy,
-    projection_errors,
 )
 
 PI = math.pi
@@ -124,35 +125,39 @@ class TestEnergyError:
         parts = system.build_operator_parts(cvt32, dof_map, lf, stencils)
         values = interpolation_dofs(cvt32, dof_map, cvt32_elements, msol)
         sol = system.DiscreteSolution(values=values, eps=0.5, residual=0.0)
+        data = build_error_data(cvt32, dof_map, cvt32_elements, msol)
         for norm in ("interp-energy", "projection"):
-            rec = energy_error(cvt32, dof_map, cvt32_elements, sol, msol, parts=parts, norm=norm)
+            rec = energy_error(data, sol, parts=parts, norm=norm)
             assert rec.e_total <= 1e-10
 
     def test_decomposition_identity(self, cvt32):
         msol = example_solution(2)
         elements, dof_map, parts, sol = solve_case(cvt32, 1e-2, msol)
-        rec = energy_error(cvt32, dof_map, elements, sol, msol, parts=parts)
+        rec = energy_error(build_error_data(cvt32, dof_map, elements, msol), sol, parts=parts)
         assert rec.decomposition_residual <= 1e-12 * rec.e_total**2
 
     def test_quadrature_order_insensitivity(self, cvt32):
         msol = example_solution(2)
         elements, dof_map, parts, sol = solve_case(cvt32, 1e-1, msol)
-        a = energy_error(cvt32, dof_map, elements, sol, msol, parts=parts, quad_order=8, norm="projection")
-        b = energy_error(cvt32, dof_map, elements, sol, msol, parts=parts, quad_order=16, norm="projection")
+        a, b = (
+            energy_error(build_error_data(cvt32, dof_map, elements, msol, order), sol, norm="projection")
+            for order in (8, 16)
+        )
         assert a.e_total == pytest.approx(b.e_total, rel=1e-8)
 
     def test_eps_zero_gives_pure_gradient_error(self, cvt32):
         msol = example_solution(2)
         elements, dof_map, parts, sol = solve_case(cvt32, 1e-3, msol)
         sol.eps = 0.0
-        rec = energy_error(cvt32, dof_map, elements, sol, msol, parts=parts)
+        rec = energy_error(build_error_data(cvt32, dof_map, elements, msol), sol, parts=parts)
         assert rec.e_total == rec.h1_part
 
     def test_projection_norm_uses_selected_projector(self, cvt32):
         msol = example_solution(2)
         elements, dof_map, parts, sol = solve_case(cvt32, 1e-2, msol)
-        rec1 = energy_error(cvt32, dof_map, elements, sol, msol, norm="projection", h1_projection="h1")
-        rec2 = energy_error(cvt32, dof_map, elements, sol, msol, norm="projection", h1_projection="h2")
+        data = build_error_data(cvt32, dof_map, elements, msol)
+        rec1 = energy_error(data, sol, norm="projection", h1_projection="h1")
+        rec2 = energy_error(data, sol, norm="projection", h1_projection="h2")
         assert rec1.h1_part == rec1.proj_h1
         assert rec2.h1_part == rec2.proj_h1_via_h2
 
@@ -160,8 +165,78 @@ class TestEnergyError:
         msol = example_solution(2)
         dof_map = system.number_dofs(cvt32)
         sol = system.DiscreteSolution(values=np.zeros(dof_map.n_dofs), eps=1.0, residual=0.0)
+        data = build_error_data(cvt32, dof_map, cvt32_elements, msol)
         with pytest.raises(ValueError):
-            energy_error(cvt32, dof_map, cvt32_elements, sol, msol, parts=None)
+            energy_error(data, sol, parts=None)
+
+
+def oracle_interpolation_dofs(m, dof_map, elements, msol, quad_order=8):
+    """Per-cell reference for the exact-solution DoFs."""
+    chi = np.zeros(dof_map.n_dofs)
+    for el in elements:
+        idx = system.cell_dof_indices(dof_map, m, el.cell_id)
+        pts = el.layout.points
+        chi[idx[: len(pts)]] = msol(pts[:, 0], pts[:, 1])
+        qp, qw = polygon_quadrature(el.geometry, quad_order)
+        chi[idx[-1]] = float(qw @ msol(qp[:, 0], qp[:, 1])) / el.geometry.area
+    return chi
+
+
+def oracle_projection_errors(m, dof_map, elements, values, msol, quad_order=8):
+    """Per-cell reference for (|u - p2|_{2,h}, |u - p1|_{1,h}, |u - p2|_{1,h})."""
+    h2_sq = h1_h1_sq = h1_h2_sq = 0.0
+    for el in elements:
+        chi = values[system.cell_dof_indices(dof_map, m, el.cell_id)]
+        p_h2 = el.projectors.h2_coeff @ chi
+        p_h1 = el.projectors.h1_coeff @ chi
+        pts, w = polygon_quadrature(el.geometry, quad_order)
+        x, y = pts[:, 0], pts[:, 1]
+        Dx = derivative_matrix(el.basis, "x")
+        Dy = derivative_matrix(el.basis, "y")
+        vals = el.basis.evaluate(pts)
+        ux = msol.partial(1, 0, x, y)
+        uy = msol.partial(0, 1, x, y)
+        h1_h2_sq += float(w @ ((ux - vals @ (Dx @ p_h2)) ** 2 + (uy - vals @ (Dy @ p_h2)) ** 2))
+        h1_h1_sq += float(w @ ((ux - vals @ (Dx @ p_h1)) ** 2 + (uy - vals @ (Dy @ p_h1)) ** 2))
+        pxx = (Dx @ Dx @ p_h2)[0]
+        pxy = (Dx @ Dy @ p_h2)[0]
+        pyy = (Dy @ Dy @ p_h2)[0]
+        uxx = msol.partial(2, 0, x, y)
+        uxy = msol.partial(1, 1, x, y)
+        uyy = msol.partial(0, 2, x, y)
+        h2_sq += float(w @ ((uxx - pxx) ** 2 + 2.0 * (uxy - pxy) ** 2 + (uyy - pyy) ** 2))
+    return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
+
+
+class TestBatchedErrorsMatchPerCellOracle:
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("mesh_name", ["cvt32", "uniform4"])
+    def test_records_and_dofs_match(self, request, mesh_name, which):
+        m = request.getfixturevalue("cvt32") if mesh_name == "cvt32" else mesh.generate_uniform_squares(4)
+        msol = example_solution(which)
+        elements = projectors.build_elements(m)
+        dof_map = system.number_dofs(m)
+        lf = forms.build_local_forms(m, elements)
+        parts = system.build_operator_parts(m, dof_map, lf, forms.build_edge_stencils(m, elements))
+        f4, f2 = verify.forcing_parts(msol)
+        rhs4 = system.load_vector(m, dof_map, [forms.local_load(el, f4) for el in elements])
+        rhs2 = system.load_vector(m, dof_map, [forms.local_load(el, f2) for el in elements])
+        data = build_error_data(m, dof_map, elements, msol)
+        chi = oracle_interpolation_dofs(m, dof_map, elements, msol)
+        assert np.max(np.abs(data.exact_dofs - chi)) <= 1e-13
+        assert np.max(np.abs(interpolation_dofs(m, dof_map, elements, msol) - chi)) <= 1e-13
+        for eps in (1.0, 1e-3, 1e-10):
+            sol = system.solve(system.reduce_system(parts.hess, parts.grad, eps**2 * rhs4 + rhs2, eps, dof_map))
+            rec = energy_error(data, sol, parts=parts)
+            delta = chi - sol.values
+            h2 = math.sqrt(delta @ (parts.a_only @ delta) + delta @ (parts.j1 @ delta))
+            h1 = math.sqrt(delta @ (parts.grad @ delta))
+            expected = (math.sqrt(eps**2 * h2**2 + h1**2), h2, h1) + oracle_projection_errors(
+                m, dof_map, elements, sol.values, msol
+            )
+            got = (rec.e_total, rec.h2_part, rec.h1_part, rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert rec.h_max == m.max_diameter()
 
 
 class TestJ1Energy:
@@ -269,6 +344,6 @@ class TestConvergenceTrend:
         for n in (4, 8, 16):
             m = mesh.generate_uniform_squares(n)
             elements, dof_map, parts, sol = solve_case(m, eps, msol)
-            rec = energy_error(m, dof_map, elements, sol, msol, parts=parts)
+            rec = energy_error(build_error_data(m, dof_map, elements, msol), sol, parts=parts)
             totals.append(rec.e_total)
         assert totals[0] > totals[1] > totals[2]
