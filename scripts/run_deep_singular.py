@@ -6,8 +6,7 @@ VTK format for plotting."""
 import os
 import sys
 
-from ipvem import cli, forms, projectors, system, verify
-from ipvem.mesh import generate_cvt
+from ipvem import cli, verify
 
 
 def main():
@@ -27,15 +26,14 @@ def main():
     print(f"fitted rate vs h: {output.report.rates_h[eps]:.3f}")
 
     # re-solve the finest mesh to export the field alongside the exact one
-    msol = verify.example_solution(2)
-    m = generate_cvt(config.sizes[-1], seed=config.seed, lloyd_iters=config.lloyd_iters)
-    elements = projectors.build_elements(m)
-    dof_map = system.number_dofs(m)
-    lf = forms.build_local_forms(m, elements, lambda x, y: verify.forcing(msol, eps, x, y))
-    stencils = forms.build_edge_stencils(m, elements)
-    sol = system.solve(system.assemble(m, dof_map, eps, lf, stencils))
-    path = os.path.join(out_dir, "solution-512.vtk")
-    cli.export_solution_fields(m, dof_map, elements, sol, path, msol=msol)
+    final = output.final
+    if final is None:
+        print("finest mesh failed; no field exported", file=sys.stderr)
+        return cli.EXIT_RUN_FAILED
+    path = os.path.join(out_dir, f"solution-{final.mesh.n_cells}.vtk")
+    cli.export_solution_fields(
+        final.mesh, final.dof_map, final.elements, final.solve(eps), path, msol=verify.example_solution(2)
+    )
     print(f"wrote {path}")
     return output.exit_code
 

@@ -7,8 +7,6 @@ from .basis import (
     PolyCoeffs,
     ScaledMonomialBasis,
     gauss_lobatto,
-    integrate_monomial,
-    poly_derivative,
     triangle_quadrature,
 )
 from .forms import EdgeStencil, LocalForms, PenaltyConfig, penalty_parameter
@@ -24,7 +22,7 @@ from .mesh import (
     mesh_quality,
 )
 from .projectors import DofLayout, ElementContext, ProjectorSet, build_element, build_elements
-from .system import DiscreteSolution, GlobalDofMap, SparseSystem, assemble, number_dofs, solve
+from .system import DiscreteSolution, GlobalDofMap, SparseSystem, number_dofs, solve
 from .verify import (
     ConvergenceReport,
     ErrorRecord,
@@ -34,7 +32,7 @@ from .verify import (
     energy_error,
     example_solution,
     fit_rate,
-    forcing,
+    forcing_parts,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,9 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as npoly
 
+#: polynomial order k of the method: the eps-uniform analysis, and this
+#: code, cover the lowest order k = 2 only
+ORDER = 2
 MAX_TRIANGLE_ORDER = 20
 
 
@@ -25,10 +28,6 @@ def monomial_exponents(degree):
     are 1, xi, eta, xi^2, xi*eta, eta^2.
     """
     return [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-
-
-def monomial_dim(degree):
-    return (degree + 1) * (degree + 2) // 2
 
 
 @dataclass(eq=False)
@@ -66,24 +65,6 @@ class ScaledMonomialBasis:
         for j, (p, q) in enumerate(self.exponents):
             out[:, j] = xi**p * eta**q
         return out
-
-
-@dataclass(eq=False)
-class EdgeMonomialBasis:
-    """1D scaled monomials sigma^j on an edge, sigma = (s - s_mid)/|e|."""
-
-    midpoint: np.ndarray
-    length: float
-    degree: int
-
-    def __post_init__(self):
-        self.midpoint = np.asarray(self.midpoint, dtype=float)
-        if self.length <= 0.0:
-            raise ValueError("edge length must be positive")
-
-    @property
-    def dim(self):
-        return self.degree + 1
 
 
 @dataclass(eq=False)
@@ -126,15 +107,6 @@ def laplacian_matrix(basis):
     Dx = derivative_matrix(basis, "x")
     Dy = derivative_matrix(basis, "y")
     return Dx @ Dx + Dy @ Dy
-
-
-def poly_derivative(poly, which):
-    """Differentiate a cell polynomial; ``which`` is 'x', 'y' or 'laplacian'."""
-    if which == "laplacian":
-        mat = laplacian_matrix(poly.basis)
-    else:
-        mat = derivative_matrix(poly.basis, which)
-    return PolyCoeffs(poly.basis, mat @ poly.values)
 
 
 @dataclass(frozen=True)
@@ -249,21 +221,6 @@ def edge_trace_matrix(basis, a, b, out_degree=None):
     return T
 
 
-def edge_trace(poly, a, b):
-    """Restrict a cell polynomial to the edge a->b as an edge polynomial."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    T = edge_trace_matrix(poly.basis, a, b)
-    ebasis = EdgeMonomialBasis(0.5 * (a + b), float(np.linalg.norm(b - a)), poly.basis.degree)
-    return PolyCoeffs(ebasis, T @ poly.values)
-
-
-def integrate_edge_poly(coeffs, length):
-    """Integral over the edge of a polynomial given by sigma-coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return length * float(coeffs @ sigma_integrals(len(coeffs) - 1))
-
-
 def monomial_integral_table(geometry, max_degree, basis=None):
     """Exact integrals of every scaled monomial of degree <= max_degree.
 
@@ -294,13 +251,6 @@ def monomial_integral_table(geometry, max_degree, basis=None):
         total += dist * h_e * (wt @ vals)
     degrees = np.array([p + q for p, q in exps])
     return total / (degrees + 2)
-
-
-def integrate_monomial(geometry, exponent):
-    """Exact integral over the cell of one scaled monomial."""
-    p, q = exponent
-    table = monomial_integral_table(geometry, p + q)
-    return float(table[monomial_exponents(p + q).index((p, q))])
 
 
 def polygon_quadrature(geometry, order):

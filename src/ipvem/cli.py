@@ -39,18 +39,14 @@ class StudyConfig:
     mesh_kind: str = "cvt"          # cvt | uniform | files
     sizes: list = field(default_factory=lambda: [32, 64, 128])
     mesh_files: list = field(default_factory=list)
-    k: int = 2
     penalty_a: float = 2.0
     seed: int = 7
     lloyd_iters: int = 100
     out_dir: str = "study-out"
     quad_order: int = 8
     error_norm: str = "interp-energy"   # or "projection"
-    gradient_projector: str = "h2"      # or "h1"
 
     def validate(self):
-        if self.k != 2:
-            raise ConfigError(f"only k = 2 is supported, got k = {self.k}")
         if not self.eps:
             raise ConfigError("eps list must not be empty")
         for e in self.eps:
@@ -70,8 +66,6 @@ class StudyConfig:
             raise ConfigError(f"penalty constant must exceed 1, got {self.penalty_a}")
         if self.error_norm not in ("interp-energy", "projection"):
             raise ConfigError(f"unknown error norm {self.error_norm!r}")
-        if self.gradient_projector not in ("h1", "h2"):
-            raise ConfigError(f"unknown gradient projector {self.gradient_projector!r}")
         if int(self.example) not in verify.EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}")
         return self
@@ -84,6 +78,7 @@ class StudyOutput:
     rows: list
     failures: list
     meshes: list = field(default_factory=list)
+    final: Discretization | None = None     # the last mesh's, if it was built
     csv_path: str = ""
     report_path: str = ""
 
@@ -103,6 +98,63 @@ class _StageClock:
         now = time.perf_counter()
         self.seconds[stage] = now - self._last
         self._last = now
+
+
+@dataclass(eq=False)
+class Discretization:
+    """Everything of one mesh that does not depend on eps.
+
+    The operator is eps^2 * parts.hess + parts.grad and the load vector
+    eps^2 * rhs4 + rhs2, so every eps costs one reduction, one solve and one
+    error evaluation.  ``seconds`` holds the wall time of each set-up stage.
+    """
+
+    mesh: mesh.PolygonalMesh
+    elements: list
+    dof_map: system.GlobalDofMap
+    parts: system.OperatorParts
+    rhs4: np.ndarray
+    rhs2: np.ndarray
+    error_data: verify.ErrorData
+    seconds: dict
+
+    def reduced(self, eps):
+        """The boundary-reduced linear system at ``eps``."""
+        rhs = eps**2 * self.rhs4 + self.rhs2
+        return system.reduce_system(self.parts.hess, self.parts.grad, rhs, eps, self.dof_map)
+
+    def solve(self, eps):
+        return system.solve(self.reduced(eps))
+
+    def error(self, solution, norm="interp-energy"):
+        """Error record of ``solution`` with its penalty energy and solve
+        diagnostics filled in."""
+        rec = verify.energy_error(self.error_data, solution, parts=self.parts, norm=norm)
+        rec.j1_energy = verify.j1_energy(solution, self.parts.j1)
+        rec.solve = solution.diagnostics
+        return rec
+
+
+def discretize(mesh_obj, msol, penalty_a=2.0, quad_order=8):
+    """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
+    solution ``msol``, timing each stage."""
+    clock = _StageClock()
+    elements = projectors.build_elements(mesh_obj)
+    clock.lap("elements")
+    dof_map = system.number_dofs(mesh_obj)
+    lf = forms.build_local_forms(mesh_obj, elements)
+    stencils = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
+    clock.lap("forms_stencils")
+    parts = system.build_operator_parts(mesh_obj, dof_map, lf, stencils)
+    clock.lap("operator_parts")
+    rhs4, rhs2 = (
+        system.load_vector(mesh_obj, dof_map, [forms.local_load(el, f, quad_order) for el in elements])
+        for f in verify.forcing_parts(msol)
+    )
+    clock.lap("loads")
+    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol, quad_order)
+    clock.lap("error_data")
+    return Discretization(mesh_obj, elements, dof_map, parts, rhs4, rhs2, error_data, clock.seconds)
 
 
 def _mesh_from_file(path):
@@ -125,59 +177,41 @@ def _study_meshes(config):
 def run_study(config, progress=None):
     """Run the configured sweep; failures are recorded, not propagated.
 
-    The element contexts, local forms, edge stencils and error data of each
-    mesh are reused across the eps values (only the eps^2-scaling and the
-    load differ, and the load splits into two eps-independent densities).
-    Each mesh's set-up stages are timed into ``StudyOutput.meshes``.
+    Each mesh is discretized once and the discretization is reused across
+    the eps values; its set-up stages are timed into ``StudyOutput.meshes``
+    and the last mesh's discretization is kept as ``StudyOutput.final``.
     """
     config.validate()
     msol = verify.example_solution(config.example)
-    f4, f2 = verify.forcing_parts(msol)
     records = {e: [] for e in config.eps}
     rows, failures, meshes = [], [], []
 
     for label, factory in _study_meshes(config):
-        # drop the previous mesh's error data before this mesh builds its own
-        err_data = None
-        clock = _StageClock()
+        # release the previous mesh's discretization before building this one
+        disc = None
+        t0 = time.perf_counter()
         try:
             m = factory()
-            clock.lap("mesh")
-            elements = projectors.build_elements(m, config.k)
-            clock.lap("elements")
-            dof_map = system.number_dofs(m, config.k)
-            lf = forms.build_local_forms(
-                m, elements, None, config.quad_order, config.gradient_projector
-            )
-            stencils = forms.build_edge_stencils(m, elements, config.penalty_a, config.k)
-            clock.lap("forms_stencils")
-            parts = system.build_operator_parts(m, dof_map, lf, stencils)
-            clock.lap("operator_parts")
-            rhs4 = system.load_vector(
-                m, dof_map, [forms.local_load(el, f4, config.quad_order) for el in elements]
-            )
-            rhs2 = system.load_vector(
-                m, dof_map, [forms.local_load(el, f2, config.quad_order) for el in elements]
-            )
-            clock.lap("loads")
-            err_data = verify.build_error_data(m, dof_map, elements, msol, config.quad_order)
-            clock.lap("error_data")
+            mesh_s = time.perf_counter() - t0
+            disc = discretize(m, msol, config.penalty_a, config.quad_order)
         except Exception as exc:  # noqa: BLE001 - study must survive bad runs
             failures.append({"mesh": label, "eps": None, "error": repr(exc)})
             log.error("mesh stage failed for %s: %r", label, exc)
             continue
-        meshes.append({"label": label, "n_cells": m.n_cells, "seconds": clock.seconds})
+        seconds = {"mesh": mesh_s, **disc.seconds}
+        meshes.append({"label": label, "n_cells": m.n_cells, "seconds": seconds})
+        log.info(
+            "%s: %d cells, %d free DoFs, set-up %s",
+            label,
+            m.n_cells,
+            np.count_nonzero(disc.dof_map.free),
+            " ".join(f"{stage} {t:.3f}s" for stage, t in seconds.items()),
+        )
 
         for eps in config.eps:
             t0 = time.perf_counter()
             try:
-                sys_ = system.reduce_system(
-                    parts.hess, parts.grad, eps**2 * rhs4 + rhs2, eps, dof_map
-                )
-                sol = system.solve(sys_)
-                rec = verify.energy_error(err_data, sol, parts=parts, norm=config.error_norm)
-                rec.j1_energy = verify.j1_energy(sol, parts.j1)
-                rec.solve = sol.diagnostics
+                rec = disc.error(disc.solve(eps), config.error_norm)
             except Exception as exc:  # noqa: BLE001
                 failures.append({"mesh": label, "eps": eps, "error": repr(exc)})
                 log.error("run failed for %s, eps=%g: %r", label, eps, exc)
@@ -206,9 +240,11 @@ def run_study(config, progress=None):
                 progress(rows[-1])
 
     report = verify.ConvergenceReport(
-        records=records, seed=config.seed, penalty_a=config.penalty_a, k=config.k
+        records=records, seed=config.seed, penalty_a=config.penalty_a
     ).finalize()
-    return StudyOutput(config=config, report=report, rows=rows, failures=failures, meshes=meshes)
+    return StudyOutput(
+        config=config, report=report, rows=rows, failures=failures, meshes=meshes, final=disc
+    )
 
 
 def write_outputs(output, out_dir=None):
@@ -250,6 +286,8 @@ def write_outputs(output, out_dir=None):
                     "solve_method": r.solve.get("method"),
                     "solve_residual": r.solve.get("residual"),
                     "refine_steps": r.solve.get("refine_steps"),
+                    "n_free": r.solve.get("n_free"),
+                    "nnz": r.solve.get("nnz"),
                 }
                 for r in recs
             ]

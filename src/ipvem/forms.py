@@ -2,12 +2,11 @@
 
 The Hessian-energy form pairs the consistency part through the h2 projector
 with a DoF-difference stabilization scaled by 1/h_K^2; the gradient form has
-the same structure with a dimensionless stabilization and a selectable
-projector (h2 by default, h1 for the gradient-projector variant).  Edge
-stencils couple the normal-derivative traces of the h1-projected polynomials
-of the two incident elements: a penalty block scaled by the automated edge
-parameter, plus the symmetric pair of consistency blocks built from the
-constant normal-normal second derivatives.
+the same structure, through the same projector, with a dimensionless
+stabilization.  Edge stencils couple the normal-derivative traces of the
+h1-projected polynomials of the two incident elements: a penalty block
+scaled by the automated edge parameter, plus the symmetric pair of
+consistency blocks built from the constant normal-normal second derivatives.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import derivative_matrix, edge_trace_matrix, polygon_quadrature, sigma_integrals
+from .basis import ORDER, derivative_matrix, edge_trace_matrix, polygon_quadrature, sigma_integrals
 from .mesh import BOUNDARY, virtual_triangles
-from .projectors import SUPPORTED_ORDER
 
 
 @dataclass(frozen=True)
@@ -37,12 +35,11 @@ class PenaltyConfig:
 
 @dataclass(eq=False)
 class LocalForms:
-    """Hessian-energy and gradient-energy blocks plus the local load."""
+    """Hessian-energy and gradient-energy blocks of one element."""
 
     cell_id: int
     a_matrix: np.ndarray
     b_matrix: np.ndarray
-    load: np.ndarray
 
 
 @dataclass(eq=False)
@@ -70,24 +67,12 @@ def local_a_form(element):
     return P.T @ element.hess_gram @ P + stab.T @ stab / element.geometry.diameter**2
 
 
-def local_b_form(element, gradient_projector="h2"):
-    """Gradient-energy consistency plus dimensionless stabilization.
-
-    Both projector choices reproduce quadratics exactly, so k-consistency is
-    identical; they differ on the non-polynomial part of the space.  The
-    default routes the form through the h2 projector, which is what the
-    reference convergence figures correspond to; 'h1' selects the
-    gradient-projector variant instead.
-    """
-    if gradient_projector == "h2":
-        P = element.projectors.h2_coeff
-        Pd = element.projectors.h2_dof
-    elif gradient_projector == "h1":
-        P = element.projectors.h1_coeff
-        Pd = element.projectors.h1_dof
-    else:
-        raise ValueError("gradient_projector must be 'h1' or 'h2'")
-    stab = np.eye(element.n_dofs) - Pd
+def local_b_form(element):
+    """Gradient-energy consistency through the h2 projector (the form the
+    reference convergence figures correspond to) plus dimensionless
+    stabilization."""
+    P = element.projectors.h2_coeff
+    stab = np.eye(element.n_dofs) - element.projectors.h2_dof
     return P.T @ element.grad_gram @ P + stab.T @ stab
 
 
@@ -103,7 +88,7 @@ def local_load(element, f, quad_order=8):
     return element.projectors.l2_coeff.T @ moments
 
 
-def penalty_parameter(h_e, triangle_areas, config, k=SUPPORTED_ORDER):
+def penalty_parameter(h_e, triangle_areas, config, k=ORDER):
     """Automated edge penalty from the areas of the adjacent virtual triangles."""
     areas = [float(t) for t in triangle_areas]
     if any(a <= 0.0 for a in areas):
@@ -185,27 +170,21 @@ def edge_stencil(mesh, edge_id, elements, lam):
     )
 
 
-def build_local_forms(mesh, elements, f=None, quad_order=8, gradient_projector="h2"):
-    out = []
-    for el in elements:
-        load = local_load(el, f, quad_order) if f is not None else np.zeros(el.n_dofs)
-        out.append(
-            LocalForms(el.cell_id, local_a_form(el), local_b_form(el, gradient_projector), load)
-        )
-    return out
+def build_local_forms(mesh, elements):
+    return [LocalForms(el.cell_id, local_a_form(el), local_b_form(el)) for el in elements]
 
 
 def max_edges_per_cell(mesh):
     return max(len(cell) for cell in mesh.cells)
 
 
-def build_edge_stencils(mesh, elements, penalty_a=2.0, k=SUPPORTED_ORDER):
+def build_edge_stencils(mesh, elements, penalty_a=2.0):
     """Stencils for every edge with the automated penalty parameter."""
     config = PenaltyConfig(a=penalty_a, n_k=max_edges_per_cell(mesh))
     out = []
     for e in range(mesh.n_edges):
         tris = virtual_triangles(mesh, e)
         h_e = float(np.linalg.norm(np.diff(mesh.vertices[mesh.edges[e]], axis=0)))
-        lam = penalty_parameter(h_e, [t.area for t in tris], config, k)
+        lam = penalty_parameter(h_e, [t.area for t in tris], config)
         out.append(edge_stencil(mesh, e, elements, lam))
     return out

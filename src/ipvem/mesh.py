@@ -233,6 +233,8 @@ def build_mesh(vertices, cells, fix_orientation=False):
     interior edges shared by exactly two cells with opposite orientation, and
     the Euler relation V - E + F = 1 of a simply connected meshed domain.
     """
+    if not cells:
+        raise MeshError("a mesh needs at least one cell")
     vertices = np.asarray(vertices, dtype=float)
     loops = []
     for ci, cell in enumerate(cells):
@@ -440,8 +442,12 @@ def export_mesh(mesh):
 def import_mesh(text):
     """Parse the ``vem-mesh 1`` text format.
 
-    Clockwise cells are reoriented with a warning; structural errors raise
-    :class:`MeshFormatError` carrying the offending line number.
+    Clockwise cells are reoriented with a warning.  Input the method cannot
+    handle raises :class:`MeshFormatError`, with the offending line number
+    where there is one: a malformed, truncated or negative count, a vertex
+    that is not a finite point of the unit square, a structural error, cell
+    areas that do not sum to one, or a cell that is not star-shaped with
+    respect to its centroid.
     """
     lines = text.splitlines()
 
@@ -463,28 +469,32 @@ def import_mesh(text):
             count = int(parts[1])
         except ValueError:
             fail(pos + 1, f"bad {keyword} count {parts[1]!r}")
+        if count < 0:
+            fail(pos + 1, f"negative {keyword} count {count}")
         pos += 1
+        if count > len(lines) - pos:
+            fail(len(lines), f"unexpected end of payload within the {count} {keyword}")
         return count
 
     n_vertices = expect_count("vertices")
     vertices = np.empty((n_vertices, 2))
     for i in range(n_vertices):
-        if pos >= len(lines):
-            fail(len(lines), "unexpected end of vertex list")
         parts = lines[pos].split()
         if len(parts) != 2:
             fail(pos + 1, "expected 'x y'")
         try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             fail(pos + 1, f"bad coordinate in {lines[pos]!r}")
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            fail(pos + 1, f"vertex {i} at ({x!r}, {y!r}) is not a finite point of the unit square")
+        vertices[i] = x, y
         pos += 1
 
     n_cells = expect_count("cells")
+    first_cell_line = pos + 1
     cells = []
     for i in range(n_cells):
-        if pos >= len(lines):
-            fail(len(lines), "unexpected end of cell list")
         parts = lines[pos].split()
         try:
             values = [int(p) for p in parts]
@@ -499,6 +509,11 @@ def import_mesh(text):
         pos += 1
 
     try:
-        return build_mesh(vertices, cells, fix_orientation=True)
+        m = build_mesh(vertices, cells, fix_orientation=True)
+        validate_tiling(m, 1.0)
     except MeshError as exc:
         raise MeshFormatError(str(exc)) from exc
+    for c in range(m.n_cells):
+        if not m.geometry(c).star_shaped:
+            fail(first_cell_line + c, f"cell {c} is not star-shaped with respect to its centroid")
+    return m

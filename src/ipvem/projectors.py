@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    ORDER,
     PolyCoeffs,
     ScaledMonomialBasis,
     derivative_matrix,
@@ -33,47 +34,25 @@ from .basis import (
     sigma_integrals,
 )
 
-SUPPORTED_ORDER = 2
-
-
-class UnsupportedOrderError(ValueError):
-    """Requested polynomial order is outside the implemented range."""
-
-
-def _require_k2(k):
-    if k != SUPPORTED_ORDER:
-        raise UnsupportedOrderError(
-            f"only the lowest order k = {SUPPORTED_ORDER} is implemented, got k = {k}"
-        )
-
 
 @dataclass(eq=False)
 class DofLayout:
     """Local DoF layout of one element: vertices, edge nodes, then moments."""
 
-    k: int
     n_vertices: int
     points: np.ndarray          # (2m, 2) vertex coords then edge midpoints
 
     @property
     def n_edge_nodes(self):
-        return self.n_vertices * (self.k - 1)
+        return self.n_vertices  # k - 1 = 1 node per edge
 
     @property
     def n_moments(self):
-        return 1  # dim P_{k-2} at k = 2
+        return 1  # dim P_{k-2}
 
     @property
     def n_dofs(self):
         return self.n_vertices + self.n_edge_nodes + self.n_moments
-
-    @property
-    def vertex_slice(self):
-        return slice(0, self.n_vertices)
-
-    @property
-    def edge_slice(self):
-        return slice(self.n_vertices, self.n_vertices + self.n_edge_nodes)
 
     @property
     def moment_index(self):
@@ -118,11 +97,10 @@ class ElementContext:
         return self.projectors.dof_matrix @ np.asarray(coeffs, dtype=float)
 
 
-def build_dof_layout(geometry, k=2):
+def build_dof_layout(geometry):
     """Vertex values, interior Gauss-Lobatto edge values, interior moments."""
-    _require_k2(k)
     points = np.vstack([geometry.vertices, geometry.edge_midpoints])
-    return DofLayout(k=k, n_vertices=geometry.n_edges, points=points)
+    return DofLayout(n_vertices=geometry.n_edges, points=points)
 
 
 def dofs_of_polynomial(element, coeffs):
@@ -154,7 +132,7 @@ def _mass_matrix(basis, integrals, table_exponents):
     return M
 
 
-def build_h1_projector(geometry, basis, layout, mass, dof_matrix):
+def build_h1_projector(geometry, basis, layout, grad_gram, dof_matrix):
     """Gradient projector from moment and Gauss-Lobatto boundary data.
 
     For each monomial test function the right-hand side is the exact cell
@@ -164,24 +142,21 @@ def build_h1_projector(geometry, basis, layout, mass, dof_matrix):
     """
     Dx = derivative_matrix(basis, "x")
     Dy = derivative_matrix(basis, "y")
-    G = Dx.T @ mass @ Dx + Dy.T @ mass @ Dy
-
     m = layout.n_vertices
-    rule = gauss_lobatto(layout.k)
+    rule = gauss_lobatto(ORDER)
     B = np.zeros((basis.dim, layout.n_dofs))
     lap = laplacian_matrix(basis)
     # -(v, lap q)_K: lap q is constant at k = 2, so only the moment DoF enters
     B[:, layout.moment_index] = -lap[0, :] * geometry.area
     verts = geometry.vertices
-    grads = np.stack([Dx, Dy])  # (2, dim, dim)
     for j in range(m):
         a, b = verts[j], verts[(j + 1) % m]
         h_e = geometry.edge_lengths[j]
         n_e = geometry.normals[j]
         nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
-        # dn(q) at the Gauss-Lobatto nodes for every monomial q
-        vals = element_gradient_values(basis, grads, nodes)
-        dn = n_e[0] * vals[0] + n_e[1] * vals[1]  # (n_nodes, dim)
+        # dn(q) at the Gauss-Lobatto nodes for every monomial q, (n_nodes, dim)
+        vals = basis.evaluate(nodes)
+        dn = n_e[0] * (vals @ Dx) + n_e[1] * (vals @ Dy)
         cols = (j, m + j, (j + 1) % m)  # tail vertex, midpoint, head vertex
         for node, col in enumerate(cols):
             B[:, col] += h_e * rule.weights[node] * dn[node]
@@ -189,22 +164,15 @@ def build_h1_projector(geometry, basis, layout, mass, dof_matrix):
     # vertex-average constraint replaces the (identically zero) constant row
     constraint_poly = basis.evaluate(verts).mean(axis=0)
     constraint_dof = np.zeros(layout.n_dofs)
-    constraint_dof[layout.vertex_slice] = 1.0 / m
-    G_mod = G.copy()
-    B_mod = B.copy()
-    G_mod[0] = constraint_poly
-    B_mod[0] = constraint_dof
+    constraint_dof[:m] = 1.0 / m
+    G = grad_gram.copy()
+    G[0] = constraint_poly
+    B[0] = constraint_dof
     try:
-        coeff = np.linalg.solve(G_mod, B_mod)
+        coeff = np.linalg.solve(G, B)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"singular gradient-projector system on cell {geometry.cell_id}") from exc
     return coeff, dof_matrix @ coeff, (constraint_poly, constraint_dof)
-
-
-def element_gradient_values(basis, grads, points):
-    """Gradient of every monomial at ``points``; shape (2, npts, dim)."""
-    vals = basis.evaluate(points)
-    return np.stack([vals @ grads[0], vals @ grads[1]])
 
 
 def _edge_monomial_integrals(geometry, basis):
@@ -220,7 +188,7 @@ def _edge_monomial_integrals(geometry, basis):
     return rows
 
 
-def build_h2_projector(geometry, basis, layout, mass, hess_gram, dof_matrix, h1_coeff, edge_normal_flux):
+def build_h2_projector(geometry, basis, layout, hess_gram, dof_matrix, edge_normal_flux):
     """Hessian-energy projector closed by boundary quasi-averages.
 
     Working edge by edge, the Hessian energy against a quadratic test
@@ -236,11 +204,8 @@ def build_h2_projector(geometry, basis, layout, mass, hess_gram, dof_matrix, h1_
     perimeter = geometry.perimeter
     Dx = derivative_matrix(basis, "x")
     Dy = derivative_matrix(basis, "y")
-    hess = {
-        (0, 0): Dx @ Dx,
-        (0, 1): Dx @ Dy,
-        (1, 1): Dy @ Dy,
-    }
+    # constant second derivatives of every test monomial
+    hxx, hxy, hyy = (Dx @ Dx)[0], (Dx @ Dy)[0], (Dy @ Dy)[0]
 
     rhs = np.zeros((basis.dim, layout.n_dofs))
     grad_hat_dof = np.zeros((2, layout.n_dofs))
@@ -252,14 +217,9 @@ def build_h2_projector(geometry, basis, layout, mass, hess_gram, dof_matrix, h1_
         endpoint_diff[head] += 1.0
         endpoint_diff[tail] -= 1.0
         flux = edge_normal_flux[j]
-        for alpha in range(basis.dim):
-            # constant second derivatives of the test monomial
-            hxx = hess[(0, 0)][0, alpha]
-            hxy = hess[(0, 1)][0, alpha]
-            hyy = hess[(1, 1)][0, alpha]
-            q_nn = n_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + n_e[1] * (hxy * n_e[0] + hyy * n_e[1])
-            q_nt = t_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + t_e[1] * (hxy * n_e[0] + hyy * n_e[1])
-            rhs[alpha] += q_nn * flux + q_nt * endpoint_diff
+        q_nn = n_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + n_e[1] * (hxy * n_e[0] + hyy * n_e[1])
+        q_nt = t_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + t_e[1] * (hxy * n_e[0] + hyy * n_e[1])
+        rhs += np.outer(q_nn, flux) + np.outer(q_nt, endpoint_diff)
         grad_hat_dof[0] += n_e[0] * flux + t_e[0] * endpoint_diff
         grad_hat_dof[1] += n_e[1] * flux + t_e[1] * endpoint_diff
     grad_hat_dof /= perimeter
@@ -268,7 +228,7 @@ def build_h2_projector(geometry, basis, layout, mass, hess_gram, dof_matrix, h1_
     # point sums on the DoF side (exact whenever the trace has degree <= 3)
     edge_int = _edge_monomial_integrals(geometry, basis)
     hat_poly = edge_int.sum(axis=0) / perimeter
-    rule = gauss_lobatto(layout.k)
+    rule = gauss_lobatto(ORDER)
     hat_dof = np.zeros(layout.n_dofs)
     for j in range(m):
         h_e = geometry.edge_lengths[j]
@@ -281,25 +241,20 @@ def build_h2_projector(geometry, basis, layout, mass, hess_gram, dof_matrix, h1_
     boundary_rows = edge_int.sum(axis=0)
     grad_hat_poly = np.vstack([boundary_rows @ Dx, boundary_rows @ Dy]) / perimeter
 
-    H_mod = hess_gram.copy()
-    rhs_mod = rhs.copy()
-    # the three affine test rows are identically zero on both sides
-    H_mod[0] = hat_poly
-    H_mod[1] = grad_hat_poly[0]
-    H_mod[2] = grad_hat_poly[1]
-    rhs_mod[0] = hat_dof
-    rhs_mod[1] = grad_hat_dof[0]
-    rhs_mod[2] = grad_hat_dof[1]
-    try:
-        coeff = np.linalg.solve(H_mod, rhs_mod)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"singular hessian-projector system on cell {geometry.cell_id}") from exc
     constraint_poly = np.vstack([hat_poly, grad_hat_poly])
     constraint_dof = np.vstack([hat_dof, grad_hat_dof])
+    # the three affine test rows are identically zero on both sides
+    H = hess_gram.copy()
+    H[:3] = constraint_poly
+    rhs[:3] = constraint_dof
+    try:
+        coeff = np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"singular hessian-projector system on cell {geometry.cell_id}") from exc
     return coeff, dof_matrix @ coeff, (constraint_poly, constraint_dof)
 
 
-def build_l2_projector(geometry, basis, layout, mass, h1_coeff):
+def build_l2_projector(geometry, layout, mass, h1_coeff):
     """Value projector: interior moment for the constant, gradient projection
     for the higher test functions (the usual computability substitution)."""
     C = mass @ h1_coeff
@@ -316,15 +271,14 @@ def quasi_average(element, coeffs):
     return float(rows.sum(axis=0) @ poly) / element.geometry.perimeter
 
 
-def build_element(mesh, cell_id, k=2):
+def build_element(mesh, cell_id):
     """Assemble the full per-element context with all three projectors."""
-    _require_k2(k)
     geometry = mesh.geometry(cell_id)
-    basis = ScaledMonomialBasis(geometry.centroid, geometry.diameter, k)
-    layout = build_dof_layout(geometry, k)
+    basis = ScaledMonomialBasis(geometry.centroid, geometry.diameter, ORDER)
+    layout = build_dof_layout(geometry)
     # products of two basis members need integrals up to degree 2k
-    integrals = monomial_integral_table(geometry, 2 * k)
-    table_index = {e: i for i, e in enumerate(monomial_exponents(2 * k))}
+    integrals = monomial_integral_table(geometry, 2 * ORDER)
+    table_index = {e: i for i, e in enumerate(monomial_exponents(2 * ORDER))}
     mass = _mass_matrix(basis, integrals, table_index)
     Dx = derivative_matrix(basis, "x")
     Dy = derivative_matrix(basis, "y")
@@ -333,7 +287,7 @@ def build_element(mesh, cell_id, k=2):
     hess_gram = Dxx.T @ mass @ Dxx + 2.0 * Dxy.T @ mass @ Dxy + Dyy.T @ mass @ Dyy
 
     dof_matrix = _dof_matrix(geometry, basis, layout, integrals)
-    h1_coeff, h1_dof, vertex_average = build_h1_projector(geometry, basis, layout, mass, dof_matrix)
+    h1_coeff, h1_dof, vertex_average = build_h1_projector(geometry, basis, layout, grad_gram, dof_matrix)
 
     # per-edge integrals of the normal derivative of the projected polynomial
     m = layout.n_vertices
@@ -346,10 +300,8 @@ def build_element(mesh, cell_id, k=2):
         normal_deriv = n_e[0] * Dx + n_e[1] * Dy
         edge_flux[j] = geometry.edge_lengths[j] * (sig @ T @ normal_deriv @ h1_coeff)
 
-    h2_coeff, h2_dof, quasi = build_h2_projector(
-        geometry, basis, layout, mass, hess_gram, dof_matrix, h1_coeff, edge_flux
-    )
-    l2_coeff = build_l2_projector(geometry, basis, layout, mass, h1_coeff)
+    h2_coeff, h2_dof, quasi = build_h2_projector(geometry, basis, layout, hess_gram, dof_matrix, edge_flux)
+    l2_coeff = build_l2_projector(geometry, layout, mass, h1_coeff)
 
     projectors = ProjectorSet(
         h1_coeff=h1_coeff,
@@ -375,6 +327,6 @@ def build_element(mesh, cell_id, k=2):
     )
 
 
-def build_elements(mesh, k=2):
+def build_elements(mesh):
     """Element contexts for every cell; independent pure computations."""
-    return [build_element(mesh, c, k) for c in range(mesh.n_cells)]
+    return [build_element(mesh, c) for c in range(mesh.n_cells)]

@@ -14,8 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .projectors import SUPPORTED_ORDER, _require_k2
-
 
 class SolveError(RuntimeError):
     """Linear solve failed to reach the residual target."""
@@ -25,7 +23,6 @@ class SolveError(RuntimeError):
 class GlobalDofMap:
     """Vertex, edge-node and moment numbering plus the boundary DoF set."""
 
-    k: int
     n_vertices: int
     n_edges: int
     n_cells: int
@@ -39,23 +36,16 @@ class GlobalDofMap:
     def free(self):
         return ~self.boundary
 
-    def vertex_dof(self, v):
-        return v
-
-    def edge_dof(self, e):
-        return self.n_vertices + e
-
     def moment_dof(self, c):
         return self.n_vertices + self.n_edges + c
 
 
-def number_dofs(mesh, k=SUPPORTED_ORDER):
-    _require_k2(k)
+def number_dofs(mesh):
     n_v, n_e, n_c = mesh.n_vertices, mesh.n_edges, mesh.n_cells
     boundary = np.zeros(n_v + n_e + n_c, dtype=bool)
     boundary[:n_v] = mesh.boundary_vertex
     boundary[n_v : n_v + n_e] = mesh.boundary_edge
-    return GlobalDofMap(k=k, n_vertices=n_v, n_edges=n_e, n_cells=n_c, boundary=boundary)
+    return GlobalDofMap(n_vertices=n_v, n_edges=n_e, n_cells=n_c, boundary=boundary)
 
 
 def cell_dof_indices(dof_map, mesh, cell_id):
@@ -76,7 +66,6 @@ class SparseSystem:
     eps: float
     dof_map: GlobalDofMap
     free_indices: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_free(self):
@@ -93,47 +82,12 @@ class DiscreteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _coo_accumulate(mesh, dof_map, cell_blocks, edge_blocks):
-    rows, cols, vals = [], [], []
-
-    def scatter(idx, block):
-        n = len(idx)
-        rows.append(np.repeat(idx, n))
-        cols.append(np.tile(idx, n))
-        vals.append(np.asarray(block, dtype=float).ravel())
-
-    if cell_blocks is not None:
-        for cid, block in enumerate(cell_blocks):
-            if block is None:
-                continue
-            scatter(cell_dof_indices(dof_map, mesh, cid), block)
-    if edge_blocks is not None:
-        for stencil in edge_blocks:
-            idx = np.concatenate(
-                [cell_dof_indices(dof_map, mesh, c) for c in stencil.cells]
-            )
-            scatter(idx, stencil.block)
-    n = dof_map.n_dofs
-    if not rows:
-        return sp.csr_matrix((n, n))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return mat.tocsr()
-
-
-def assemble_matrix(mesh, dof_map, cell_blocks=None, edge_blocks=None):
-    """Scatter-add cell blocks and edge stencils into a full-size matrix."""
-    return _coo_accumulate(mesh, dof_map, cell_blocks, edge_blocks)
-
-
-def assemble_j1(mesh, dof_map, stencils):
-    """Full-size matrix of the penalty part alone (no boundary elimination)."""
-    j1_only = [
-        type(s)(s.edge_id, s.lam, s.j1_block, s.j1_block, s.cells, s.n_dofs)
-        for s in stencils
-    ]
-    return _coo_accumulate(mesh, dof_map, None, j1_only)
+def _scatter(index_sets, blocks, n):
+    """Scatter-add dense blocks into an n x n matrix at the given index sets."""
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in index_sets])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx in index_sets])
+    vals = np.concatenate([np.asarray(block, dtype=float).ravel() for block in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 @dataclass(eq=False)
@@ -152,14 +106,20 @@ class OperatorParts:
 
 
 def build_operator_parts(mesh, dof_map, local_forms, stencils):
-    a_only = assemble_matrix(mesh, dof_map, cell_blocks=[lf.a_matrix for lf in local_forms])
-    j_all = assemble_matrix(mesh, dof_map, edge_blocks=stencils)
-    grad = assemble_matrix(mesh, dof_map, cell_blocks=[lf.b_matrix for lf in local_forms])
+    """Scatter the cell forms and edge stencils into the operator parts.
+
+    Each cell's global DoF indices are computed once and shared by its two
+    cell blocks and by the stencil blocks of every edge it touches.
+    """
+    cell_idx = [cell_dof_indices(dof_map, mesh, c) for c in range(mesh.n_cells)]
+    edge_idx = [np.concatenate([cell_idx[c] for c in s.cells]) for s in stencils]
+    n = dof_map.n_dofs
+    a_only = _scatter(cell_idx, [lf.a_matrix for lf in local_forms], n)
     return OperatorParts(
-        hess=(a_only + j_all).tocsr(),
-        grad=grad,
+        hess=(a_only + _scatter(edge_idx, [s.block for s in stencils], n)).tocsr(),
+        grad=_scatter(cell_idx, [lf.b_matrix for lf in local_forms], n),
         a_only=a_only,
-        j1=assemble_j1(mesh, dof_map, stencils),
+        j1=_scatter(edge_idx, [s.j1_block for s in stencils], n),
     )
 
 
@@ -169,13 +129,6 @@ def load_vector(mesh, dof_map, loads):
     for cid, load in enumerate(loads):
         np.add.at(rhs, cell_dof_indices(dof_map, mesh, cid), load)
     return rhs
-
-
-def assemble(mesh, dof_map, eps, local_forms, stencils):
-    """Assemble eps^2 (A + J) + B over the free DoFs with the load vector."""
-    parts = build_operator_parts(mesh, dof_map, local_forms, stencils)
-    rhs = load_vector(mesh, dof_map, [lf.load for lf in local_forms])
-    return reduce_system(parts.hess, parts.grad, rhs, eps, dof_map)
 
 
 def reduce_system(hess_part, grad_part, rhs, eps, dof_map):
@@ -190,7 +143,6 @@ def reduce_system(hess_part, grad_part, rhs, eps, dof_map):
         eps=eps,
         dof_map=dof_map,
         free_indices=free,
-        diagnostics={"n_total": dof_map.n_dofs},
     )
 
 
@@ -201,7 +153,7 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     """Direct sparse solve with a residual check and a CG fallback."""
     mat, rhs = system.matrix, system.rhs
     rhs_norm = float(np.linalg.norm(rhs))
-    diagnostics = {"method": "splu", "refine_steps": 0}
+    diagnostics = {"method": "splu", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if rhs_norm == 0.0:
         x = np.zeros_like(rhs)
         residual = 0.0
@@ -231,21 +183,19 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4):
     bottoms out near u * ||M|| * ||x|| / ||b||, which for the stiff
     small-mesh-size systems sits right at the residual target.  Returns the
     refined solution, its relative residual and the number of corrections
-    applied.
+    applied; the residual is always that of the returned solution.
     """
     mat_ld = mat.astype(np.longdouble)
     rhs_ld = rhs.astype(np.longdouble)
     rhs_norm = float(np.linalg.norm(rhs))
-    residual = np.inf
     steps = 0
-    for _ in range(max_steps):
+    while True:
         r = rhs_ld - mat_ld @ x.astype(np.longdouble)
         residual = float(np.linalg.norm(r.astype(float))) / rhs_norm
-        if residual <= residual_target / 10.0:
-            break
+        if residual <= residual_target / 10.0 or steps == max_steps:
+            return x, residual, steps
         x = x + lu.solve(r.astype(float))
         steps += 1
-    return x, residual, steps
 
 
 def _cg_solve(mat, rhs, residual_target):

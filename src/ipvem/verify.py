@@ -21,7 +21,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .basis import fan_quadrature
-from .projectors import SUPPORTED_ORDER
 from .system import cell_dof_indices
 
 
@@ -87,15 +86,9 @@ def example_solution(which):
         raise ValueError(f"unknown example {which!r}; available: {sorted(EXAMPLES)}")
 
 
-def forcing(msol, eps, x, y):
-    """Source of the perturbed problem: eps^2 biharmonic(u) - laplacian(u)."""
-    bih = msol.partial(4, 0, x, y) + 2.0 * msol.partial(2, 2, x, y) + msol.partial(0, 4, x, y)
-    lap = msol.partial(2, 0, x, y) + msol.partial(0, 2, x, y)
-    return eps**2 * bih - lap
-
-
 def forcing_parts(msol):
-    """The two eps-independent load densities: (biharmonic u, -laplacian u)."""
+    """The two eps-independent load densities (biharmonic u, -laplacian u):
+    the source of the perturbed problem is ``eps**2 * f4 + f2``."""
 
     def f4(x, y):
         return msol.partial(4, 0, x, y) + 2.0 * msol.partial(2, 2, x, y) + msol.partial(0, 4, x, y)
@@ -264,7 +257,7 @@ def _projection_errors(data, values):
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 
-def energy_error(data, solution, parts=None, norm="interp-energy", h1_projection="h1"):
+def energy_error(data, solution, parts=None, norm="interp-energy"):
     """Error record of a discrete solution against the exact one.
 
     ``data`` is the mesh's :class:`ErrorData`.  The default norm is the
@@ -273,8 +266,8 @@ def energy_error(data, solution, parts=None, norm="interp-energy", h1_projection
     plus the penalty energy of delta, the gradient component the b-form
     energy, mirroring the norm the penalty parameter is designed to control.
     ``norm='projection'`` uses the broken seminorms of the element solution
-    polynomials instead (h2 projection for the Hessian part and the
-    projection chosen by ``h1_projection`` for the gradient part).
+    polynomials instead (h2 projection for the Hessian part, h1 projection
+    for the gradient part).
     """
     if norm not in ("interp-energy", "projection"):
         raise ValueError("norm must be 'interp-energy' or 'projection'")
@@ -289,7 +282,7 @@ def energy_error(data, solution, parts=None, norm="interp-energy", h1_projection
         h1_sq = float(delta @ (parts.grad @ delta))
     else:
         h2_sq = proj[0] ** 2
-        h1_sq = proj[1] ** 2 if h1_projection == "h1" else proj[2] ** 2
+        h1_sq = proj[1] ** 2
 
     return ErrorRecord(
         eps=eps,
@@ -335,7 +328,6 @@ class ConvergenceReport:
     records: dict                   # eps -> list[ErrorRecord], sorted by decreasing h
     seed: int
     penalty_a: float
-    k: int = SUPPORTED_ORDER
     rates_h: dict = field(default_factory=dict)
     rates_n: dict = field(default_factory=dict)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ipvem import cli, forms, mesh, projectors, system, verify
+from ipvem import cli, mesh, projectors, system, verify
 from ipvem.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -47,9 +47,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(penalty_a=1.0).validate()
 
-    def test_order_must_be_two(self):
-        with pytest.raises(ConfigError):
-            tiny_config(k=3).validate()
+    def test_order_must_be_two(self, tmp_path):
+        # the order is fixed at k = 2, so neither it nor a projector
+        # variant is a config key
+        for key, value in (("k", 2), ("k", 3), ("gradient_projector", "h1")):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"example": 1, key: value}))
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                load_config(str(path))
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -80,20 +85,45 @@ class TestRunStudy:
         report = json.loads(open(report_path).read())
         assert "records" in report and "rates_vs_h" in report
 
-    def test_report_has_solve_diagnostics_and_stage_seconds(self, tmp_path):
-        out = run_study(tiny_config(eps=[1e-2, 1e-6]))
-        report = json.loads(open(write_outputs(out, str(tmp_path))[1]).read())
+    def test_report_has_solve_diagnostics_and_stage_seconds(self, tmp_path, caplog):
+        with caplog.at_level("INFO", logger="ipvem.cli"):
+            out = run_study(tiny_config(eps=[1e-2, 1e-6]))
+        csv_path, report_path = write_outputs(out, str(tmp_path))
+        report = json.loads(open(report_path).read())
+        # uniform-2 has 9 free DoFs and uniform-4 has 49 (interior vertices,
+        # interior edges and cell moments)
         for recs in report["records"].values():
+            assert [rec["n_free"] for rec in recs] == [9, 49]
             for rec in recs:
                 assert rec["solve_method"] in ("splu", "cg")
                 assert 0.0 <= rec["solve_residual"] <= system.RESIDUAL_TARGET
                 assert rec["refine_steps"] >= 0
+                assert rec["n_free"] <= rec["nnz"] <= rec["n_free"] ** 2
         stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
         assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
         assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]
         for entry in report["meshes"]:
             assert list(entry["seconds"]) == stages
             assert all(t >= 0.0 for t in entry["seconds"].values())
+        mesh_lines = [r.getMessage() for r in caplog.records if r.name == "ipvem.cli"]
+        assert len(mesh_lines) == 2
+        for line, label, n_cells, n_free in zip(mesh_lines, ["uniform-2", "uniform-4"], [4, 16], [9, 49]):
+            assert line.startswith(f"{label}: {n_cells} cells, {n_free} free DoFs, set-up mesh ")
+            assert all(f" {stage} " in line for stage in stages)
+        # the CSV keeps its columns
+        assert open(csv_path).readline().strip() == cli.CSV_HEADER
+
+    def test_final_discretization_reproduces_last_row(self):
+        out = run_study(tiny_config(eps=[1e-1, 1e-4]))
+        final = out.final
+        assert final.mesh.n_cells == 16
+        rec = final.error(final.solve(1e-4))
+        last = out.rows[-1]
+        assert (rec.eps, rec.n_cells, rec.h_max, rec.e_total, rec.h2_part, rec.h1_part, rec.j1_energy) == (
+            last["eps"], last["n_cells"], last["h_max"], last["E_I"], last["H2_part"], last["H1_part"],
+            last["J1_energy"],
+        )
+        assert rec.solve == out.report.records[1e-4][-1].solve
 
     def test_rerun_bit_identical_except_walltime(self, tmp_path):
         cfg = tiny_config(mesh_kind="cvt", sizes=[8, 16], eps=[1e-1, 1e-3], seed=5, lloyd_iters=20)
@@ -189,20 +219,12 @@ class TestExportSolutionFields:
     def test_deep_singular_field_matches_exact_solution(self, cvt_sequence, tmp_path):
         # sampled discrete field tracks the exact solution to within a few
         # multiples of the energy error (sanity heuristic)
-        m = cvt_sequence[256]
         msol = verify.example_solution(2)
-        eps = 1e-10
-        elements = projectors.build_elements(m)
-        dof_map = system.number_dofs(m)
-        f = lambda x, y: verify.forcing(msol, eps, x, y)  # noqa: E731
-        lf = forms.build_local_forms(m, elements, f)
-        stencils = forms.build_edge_stencils(m, elements)
-        parts = system.build_operator_parts(m, dof_map, lf, stencils)
-        rhs = system.load_vector(m, dof_map, [x.load for x in lf])
-        sol = system.solve(system.reduce_system(parts.hess, parts.grad, rhs, eps, dof_map))
-        rec = verify.energy_error(verify.build_error_data(m, dof_map, elements, msol), sol, parts=parts)
+        d = cli.discretize(cvt_sequence[256], msol)
+        sol = d.solve(1e-10)
+        rec = d.error(sol)
         path = tmp_path / "field.vtk"
-        export_solution_fields(m, dof_map, elements, sol, str(path), msol=msol)
+        export_solution_fields(d.mesh, d.dof_map, d.elements, sol, str(path), msol=msol)
         text = path.read_text()
         n_points, n_cells, scalars = parse_vtk_counts(text)
         assert scalars == ["u_h", "u_exact", "u_h_centroid", "u_exact_centroid"]

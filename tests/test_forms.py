@@ -99,10 +99,9 @@ class TestLocalAForm:
 
 
 class TestLocalBForm:
-    @pytest.mark.parametrize("variant", ["h1", "h2"])
-    def test_k_consistency_both_variants(self, cvt32, variant):
+    def test_k_consistency(self, cvt32):
         el = build_element(cvt32, 19)
-        B = local_b_form(el, gradient_projector=variant)
+        B = local_b_form(el)
         D = el.projectors.dof_matrix
         exact = gradient_gram_quadrature(el)
         got = D.T @ B @ D
@@ -125,10 +124,6 @@ class TestLocalBForm:
         for _ in range(20):
             v = rng.standard_normal(el.n_dofs)
             assert v @ B @ v >= -1e-12 * eig[-1] * (v @ v)
-
-    def test_invalid_variant_rejected(self, unit_square_element):
-        with pytest.raises(ValueError):
-            local_b_form(unit_square_element, gradient_projector="l2")
 
 
 class TestLocalLoad:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipvem import mesh
 from ipvem.mesh import (
@@ -221,3 +223,56 @@ class TestMeshIo:
     def test_bad_coordinate(self):
         with pytest.raises(MeshFormatError, match="line 4"):
             import_mesh("vem-mesh 1\nvertices 2\n0 0\n1 spam\ncells 0\n")
+
+    def test_negative_count(self):
+        with pytest.raises(MeshFormatError, match="line 2: negative vertices count"):
+            import_mesh("vem-mesh 1\nvertices -1\ncells 0\n")
+
+    def test_non_finite_coordinate(self):
+        text = "vem-mesh 1\nvertices 4\n0 0\n1 nan\n1 1\n0 1\ncells 1\n4 0 1 2 3\n"
+        with pytest.raises(MeshFormatError, match="line 4: .*not a finite point"):
+            import_mesh(text)
+
+    def test_vertex_outside_unit_square(self):
+        text = "vem-mesh 1\nvertices 4\n0 0\n2 0\n2 2\n0 2\ncells 1\n4 0 1 2 3\n"
+        with pytest.raises(MeshFormatError, match="line 4: .*unit square"):
+            import_mesh(text)
+
+    def test_partial_tiling(self):
+        # the lower half of the unit square: inside the box, but area 1/2
+        text = "vem-mesh 1\nvertices 4\n0 0\n1 0\n1 0.5\n0 0.5\ncells 1\n4 0 1 2 3\n"
+        with pytest.raises(MeshFormatError, match="areas sum to 0.5"):
+            import_mesh(text)
+
+    def test_cell_not_star_shaped(self):
+        # a C-shaped cell (area 0.52) around a rectangular notch cell; the
+        # C's centroid lies in the notch
+        c_shape = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
+        lines = ["vem-mesh 1", "vertices 8"] + [f"{x} {y}" for x, y in c_shape]
+        lines += ["cells 2", "4 3 2 5 4", "8 0 1 2 3 4 5 6 7"]
+        with pytest.raises(MeshFormatError, match="line 13: cell 1 is not star-shaped"):
+            import_mesh("\n".join(lines) + "\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_payload_imports_or_raises_format_error(self, data):
+        lines = export_mesh(generate_uniform_squares(2)).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        token = st.sampled_from(["-1", "0", "1", "3", "4", "9", "12", "0.5", "2", "-0.5", "nan", "inf", "x", ""])
+        action = data.draw(st.sampled_from(["drop", "duplicate", "replace", "token"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "replace":
+            lines[i] = data.draw(st.text(max_size=12))
+        else:
+            parts = lines[i].split() or [""]
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(token)
+            lines[i] = " ".join(parts)
+        try:
+            m = import_mesh("\n".join(lines) + "\n")
+        except MeshFormatError:
+            return
+        assert m.total_area() == pytest.approx(1.0, rel=1e-12)
+        assert all(m.geometry(c).star_shaped for c in range(m.n_cells))

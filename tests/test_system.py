@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ipvem import forms, mesh, projectors, system, verify
+from ipvem import cli, forms, mesh, projectors, system, verify
 from ipvem.forms import EdgeStencil
 from ipvem.system import (
     SolveError,
     SparseSystem,
-    assemble,
-    assemble_matrix,
     cell_dof_indices,
     export_matrix,
     is_positive_definite,
@@ -16,16 +14,13 @@ from ipvem.system import (
     solve,
 )
 
+# u = 0: zero forcing
+ZERO = verify.ManufacturedSolution("zero", lambda i, j, x, y: np.zeros_like(np.asarray(x, dtype=float)))
 
-def pipeline(m, eps, msol=None, penalty_a=2.0):
-    elements = projectors.build_elements(m)
-    dof_map = number_dofs(m)
-    f = None
-    if msol is not None:
-        f = lambda x, y: verify.forcing(msol, eps, x, y)  # noqa: E731
-    lf = forms.build_local_forms(m, elements, f)
-    stencils = forms.build_edge_stencils(m, elements, penalty_a)
-    return elements, dof_map, lf, stencils, assemble(m, dof_map, eps, lf, stencils)
+
+def pipeline(m, eps, msol=ZERO, penalty_a=2.0):
+    d = cli.discretize(m, msol, penalty_a)
+    return d, d.reduced(eps)
 
 
 class TestNumberDofs:
@@ -60,10 +55,6 @@ class TestNumberDofs:
             seen[cell_dof_indices(dm, cvt32, c)] = True
         assert np.all(seen)
 
-    def test_k_not_two_rejected(self, cvt32):
-        with pytest.raises(projectors.UnsupportedOrderError):
-            number_dofs(cvt32, k=3)
-
 
 class TestAssemble:
     def test_zero_forcing_gives_zero_solution(self):
@@ -83,31 +74,31 @@ class TestAssemble:
         # zeroing the edge blocks at eps = 0 must reproduce the plain
         # gradient-form matrix assembled independently
         m = mesh.generate_uniform_squares(2)
-        elements = projectors.build_elements(m)
-        dof_map = number_dofs(m)
-        lf = forms.build_local_forms(m, elements)
-        stencils = forms.build_edge_stencils(m, elements)
+        d = cli.discretize(m, ZERO)
+        lf = forms.build_local_forms(m, d.elements)
         zeroed = [
             EdgeStencil(s.edge_id, s.lam, np.zeros_like(s.block), np.zeros_like(s.j1_block), s.cells, s.n_dofs)
-            for s in stencils
+            for s in forms.build_edge_stencils(m, d.elements)
         ]
-        sys_zero = assemble(m, dof_map, 0.0, lf, zeroed)
-        b_full = assemble_matrix(m, dof_map, cell_blocks=[x.b_matrix for x in lf])
-        free = np.flatnonzero(dof_map.free)
-        expected = b_full[free][:, free]
-        diff = (sys_zero.matrix - 0.5 * (expected + expected.T)).tocoo()
-        scale = np.max(np.abs(expected.toarray()))
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) < 1e-14 * scale
+        parts = system.build_operator_parts(m, d.dof_map, lf, zeroed)
+        sys_zero = system.reduce_system(parts.hess, parts.grad, d.rhs2, 0.0, d.dof_map)
+        b_full = np.zeros((d.dof_map.n_dofs, d.dof_map.n_dofs))
+        for cid, x in enumerate(lf):
+            idx = cell_dof_indices(d.dof_map, m, cid)
+            b_full[np.ix_(idx, idx)] += x.b_matrix
+        free = np.flatnonzero(d.dof_map.free)
+        expected = b_full[np.ix_(free, free)]
+        diff = sys_zero.matrix.toarray() - 0.5 * (expected + expected.T)
+        assert np.max(np.abs(diff)) < 1e-14 * np.max(np.abs(expected))
 
     def test_dimension_mismatch_aborts(self):
         m = mesh.generate_uniform_squares(2)
         elements = projectors.build_elements(m)
-        dof_map = number_dofs(m)
         lf = forms.build_local_forms(m, elements)
         lf[0].a_matrix = np.zeros((3, 3))
         stencils = forms.build_edge_stencils(m, elements)
         with pytest.raises(ValueError):
-            assemble(m, dof_map, 1.0, lf, stencils)
+            system.build_operator_parts(m, number_dofs(m), lf, stencils)
 
 
 class TestSolve:
@@ -134,6 +125,21 @@ class TestSolve:
         x, residual, _ = system._refine(mat, rhs, sp.linalg.spsolve(mat.tocsc(), rhs), sp.linalg.splu(mat.tocsc()), 1e-10)
         assert residual <= 1e-10
 
+    def test_refine_reports_residual_of_returned_solution(self):
+        # a factorization that halves every correction never reaches the
+        # target, so all corrections run; the residual must still be the
+        # returned iterate's, not the one before the last correction
+        mat = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        rhs = np.ones(3)
+
+        class HalvingLU:
+            def solve(self, r):
+                return 0.5 * r / mat.diagonal()
+
+        x, residual, steps = system._refine(mat, rhs, np.zeros(3), HalvingLU(), 1e-10, max_steps=4)
+        assert steps == 4
+        assert residual == np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs) == 0.0625
+
     def test_cg_fallback_reaches_target(self):
         rng = np.random.default_rng(2)
         n = 40
@@ -145,43 +151,42 @@ class TestSolve:
 
     def test_smoke_example2_cvt32(self, cvt32):
         msol = verify.example_solution(2)
-        elements, dof_map, lf, stencils, sys_ = pipeline(cvt32, 1e-5, msol)
+        d, sys_ = pipeline(cvt32, 1e-5, msol)
         sol = solve(sys_)
         assert np.isfinite(sol.values).all()
-        assert np.allclose(sol.values[dof_map.boundary], 0.0)
+        assert np.allclose(sol.values[d.dof_map.boundary], 0.0)
         assert sol.residual <= 1e-10
+        assert sol.diagnostics["n_free"] == sys_.n_free == np.count_nonzero(d.dof_map.free)
+        assert sol.diagnostics["nnz"] == sys_.matrix.nnz
 
     def test_solution_invariant_under_cell_permutation(self, cvt32):
-        msol = verify.example_solution(1)
         eps = 1e-2
-        elements = projectors.build_elements(cvt32)
-        dof_map = number_dofs(cvt32)
-        f = lambda x, y: verify.forcing(msol, eps, x, y)  # noqa: E731
-        lf = forms.build_local_forms(cvt32, elements, f)
-        stencils = forms.build_edge_stencils(cvt32, elements)
-        sol_a = solve(assemble(cvt32, dof_map, eps, lf, stencils))
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        sol_a = d.solve(eps)
         # permute edge processing order (cells are keyed by id, edges are not)
+        lf = forms.build_local_forms(cvt32, d.elements)
+        stencils = forms.build_edge_stencils(cvt32, d.elements)
         rng = np.random.default_rng(3)
         order = rng.permutation(len(stencils))
-        sol_b = solve(assemble(cvt32, dof_map, eps, lf, [stencils[i] for i in order]))
+        parts = system.build_operator_parts(cvt32, d.dof_map, lf, [stencils[i] for i in order])
+        rhs = eps**2 * d.rhs4 + d.rhs2
+        sol_b = solve(system.reduce_system(parts.hess, parts.grad, rhs, eps, d.dof_map))
         scale = np.max(np.abs(sol_a.values))
         assert np.max(np.abs(sol_a.values - sol_b.values)) <= 1e-9 * scale
 
     def test_linearity_in_forcing(self, cvt32):
         eps = 1e-1
-        elements = projectors.build_elements(cvt32)
-        dof_map = number_dofs(cvt32)
-        stencils = forms.build_edge_stencils(cvt32, elements)
-        sols = []
-        for f in (
-            lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-            lambda x, y: x * y,
-        ):
-            lf = forms.build_local_forms(cvt32, elements, f)
-            sols.append(solve(assemble(cvt32, dof_map, eps, lf, stencils)).values)
-        f_sum = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) + x * y  # noqa: E731
-        lf = forms.build_local_forms(cvt32, elements, f_sum)
-        combined = solve(assemble(cvt32, dof_map, eps, lf, stencils)).values
+        d = cli.discretize(cvt32, verify.example_solution(1))
+
+        def solve_for(f):
+            rhs = system.load_vector(cvt32, d.dof_map, [forms.local_load(el, f) for el in d.elements])
+            return solve(system.reduce_system(d.parts.hess, d.parts.grad, rhs, eps, d.dof_map)).values
+
+        sols = [
+            solve_for(f)
+            for f in (lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), lambda x, y: x * y)
+        ]
+        combined = solve_for(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) + x * y)
         scale = np.max(np.abs(combined))
         assert np.max(np.abs(combined - sols[0] - sols[1])) <= 1e-9 * scale
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ipvem import forms, mesh, projectors, system, verify
+from ipvem import cli, forms, mesh, system, verify
 from ipvem.basis import derivative_matrix, polygon_quadrature
 from ipvem.verify import (
     ManufacturedSolution,
@@ -11,7 +11,7 @@ from ipvem.verify import (
     energy_error,
     example_solution,
     fit_rate,
-    forcing,
+    forcing_parts,
     interpolation_dofs,
     j1_energy,
 )
@@ -19,16 +19,15 @@ from ipvem.verify import (
 PI = math.pi
 
 
+def forcing(msol, eps, x, y):
+    """Source of the perturbed problem: eps^2 biharmonic(u) - laplacian(u)."""
+    f4, f2 = forcing_parts(msol)
+    return eps**2 * f4(x, y) + f2(x, y)
+
+
 def solve_case(m, eps, msol, quad_order=8):
-    elements = projectors.build_elements(m)
-    dof_map = system.number_dofs(m)
-    f = lambda x, y: forcing(msol, eps, x, y)  # noqa: E731
-    lf = forms.build_local_forms(m, elements, f, quad_order)
-    stencils = forms.build_edge_stencils(m, elements)
-    parts = system.build_operator_parts(m, dof_map, lf, stencils)
-    rhs = system.load_vector(m, dof_map, [x.load for x in lf])
-    sol = system.solve(system.reduce_system(parts.hess, parts.grad, rhs, eps, dof_map))
-    return elements, dof_map, parts, sol
+    d = cli.discretize(m, msol, quad_order=quad_order)
+    return d, d.solve(eps)
 
 
 class TestManufacturedSolutions:
@@ -99,7 +98,7 @@ class TestForcing:
 
 
 class TestEnergyError:
-    def test_polynomial_dofs_have_zero_error(self, cvt32, cvt32_elements):
+    def test_polynomial_dofs_have_zero_error(self, cvt32):
         # dofs of a global quadratic compared against itself as the exact
         # solution: the projections reproduce it, so every measure vanishes
         coeffs = (0.3, -0.2, 0.5, 0.15, -0.4, 0.25)
@@ -119,47 +118,40 @@ class TestEnergyError:
             return table.get((i, j), np.zeros_like(x))
 
         msol = ManufacturedSolution("quadratic", partial, clamped=False)
-        dof_map = system.number_dofs(cvt32)
-        lf = forms.build_local_forms(cvt32, cvt32_elements)
-        stencils = forms.build_edge_stencils(cvt32, cvt32_elements)
-        parts = system.build_operator_parts(cvt32, dof_map, lf, stencils)
-        values = interpolation_dofs(cvt32, dof_map, cvt32_elements, msol)
+        d = cli.discretize(cvt32, msol)
+        values = interpolation_dofs(cvt32, d.dof_map, d.elements, msol)
         sol = system.DiscreteSolution(values=values, eps=0.5, residual=0.0)
-        data = build_error_data(cvt32, dof_map, cvt32_elements, msol)
         for norm in ("interp-energy", "projection"):
-            rec = energy_error(data, sol, parts=parts, norm=norm)
-            assert rec.e_total <= 1e-10
+            assert d.error(sol, norm).e_total <= 1e-10
 
     def test_decomposition_identity(self, cvt32):
-        msol = example_solution(2)
-        elements, dof_map, parts, sol = solve_case(cvt32, 1e-2, msol)
-        rec = energy_error(build_error_data(cvt32, dof_map, elements, msol), sol, parts=parts)
+        d, sol = solve_case(cvt32, 1e-2, example_solution(2))
+        rec = d.error(sol)
         assert rec.decomposition_residual <= 1e-12 * rec.e_total**2
 
     def test_quadrature_order_insensitivity(self, cvt32):
         msol = example_solution(2)
-        elements, dof_map, parts, sol = solve_case(cvt32, 1e-1, msol)
+        d, sol = solve_case(cvt32, 1e-1, msol)
         a, b = (
-            energy_error(build_error_data(cvt32, dof_map, elements, msol, order), sol, norm="projection")
+            energy_error(build_error_data(cvt32, d.dof_map, d.elements, msol, order), sol, norm="projection")
             for order in (8, 16)
         )
         assert a.e_total == pytest.approx(b.e_total, rel=1e-8)
 
     def test_eps_zero_gives_pure_gradient_error(self, cvt32):
-        msol = example_solution(2)
-        elements, dof_map, parts, sol = solve_case(cvt32, 1e-3, msol)
+        d, sol = solve_case(cvt32, 1e-3, example_solution(2))
         sol.eps = 0.0
-        rec = energy_error(build_error_data(cvt32, dof_map, elements, msol), sol, parts=parts)
+        rec = d.error(sol)
         assert rec.e_total == rec.h1_part
 
     def test_projection_norm_uses_selected_projector(self, cvt32):
-        msol = example_solution(2)
-        elements, dof_map, parts, sol = solve_case(cvt32, 1e-2, msol)
-        data = build_error_data(cvt32, dof_map, elements, msol)
-        rec1 = energy_error(data, sol, norm="projection", h1_projection="h1")
-        rec2 = energy_error(data, sol, norm="projection", h1_projection="h2")
-        assert rec1.h1_part == rec1.proj_h1
-        assert rec2.h1_part == rec2.proj_h1_via_h2
+        # the projection norm reads the h2 projection for the Hessian part
+        # and the h1 projection for the gradient part
+        d, sol = solve_case(cvt32, 1e-2, example_solution(2))
+        rec = d.error(sol, norm="projection")
+        assert rec.h2_part == rec.proj_h2
+        assert rec.h1_part == rec.proj_h1
+        assert rec.proj_h1 != rec.proj_h1_via_h2
 
     def test_interp_energy_requires_parts(self, cvt32, cvt32_elements):
         msol = example_solution(2)
@@ -214,20 +206,14 @@ class TestBatchedErrorsMatchPerCellOracle:
     def test_records_and_dofs_match(self, request, mesh_name, which):
         m = request.getfixturevalue("cvt32") if mesh_name == "cvt32" else mesh.generate_uniform_squares(4)
         msol = example_solution(which)
-        elements = projectors.build_elements(m)
-        dof_map = system.number_dofs(m)
-        lf = forms.build_local_forms(m, elements)
-        parts = system.build_operator_parts(m, dof_map, lf, forms.build_edge_stencils(m, elements))
-        f4, f2 = verify.forcing_parts(msol)
-        rhs4 = system.load_vector(m, dof_map, [forms.local_load(el, f4) for el in elements])
-        rhs2 = system.load_vector(m, dof_map, [forms.local_load(el, f2) for el in elements])
-        data = build_error_data(m, dof_map, elements, msol)
+        d = cli.discretize(m, msol)
+        elements, dof_map, parts = d.elements, d.dof_map, d.parts
         chi = oracle_interpolation_dofs(m, dof_map, elements, msol)
-        assert np.max(np.abs(data.exact_dofs - chi)) <= 1e-13
+        assert np.max(np.abs(d.error_data.exact_dofs - chi)) <= 1e-13
         assert np.max(np.abs(interpolation_dofs(m, dof_map, elements, msol) - chi)) <= 1e-13
         for eps in (1.0, 1e-3, 1e-10):
-            sol = system.solve(system.reduce_system(parts.hess, parts.grad, eps**2 * rhs4 + rhs2, eps, dof_map))
-            rec = energy_error(data, sol, parts=parts)
+            sol = d.solve(eps)
+            rec = energy_error(d.error_data, sol, parts=parts)
             delta = chi - sol.values
             h2 = math.sqrt(delta @ (parts.a_only @ delta) + delta @ (parts.j1 @ delta))
             h1 = math.sqrt(delta @ (parts.grad @ delta))
@@ -278,9 +264,8 @@ class TestJ1Energy:
         msol = example_solution(2)
         energies = []
         for n in (32, 64, 128):
-            m = cvt_sequence[n]
-            elements, dof_map, parts, sol = solve_case(m, 1.0, msol)
-            energies.append(j1_energy(sol, parts.j1))
+            d, sol = solve_case(cvt_sequence[n], 1.0, msol)
+            energies.append(j1_energy(sol, d.parts.j1))
         assert all(e > 0.0 for e in energies)
         assert energies[0] > energies[1] > energies[2]
 
@@ -342,8 +327,6 @@ class TestConvergenceTrend:
         msol = example_solution(2)
         totals = []
         for n in (4, 8, 16):
-            m = mesh.generate_uniform_squares(n)
-            elements, dof_map, parts, sol = solve_case(m, eps, msol)
-            rec = energy_error(build_error_data(m, dof_map, elements, msol), sol, parts=parts)
-            totals.append(rec.e_total)
+            d, sol = solve_case(mesh.generate_uniform_squares(n), eps, msol)
+            totals.append(d.error(sol).e_total)
         assert totals[0] > totals[1] > totals[2]
