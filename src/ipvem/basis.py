@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as npoly
 
 #: polynomial order k of the method: the eps-uniform analysis, and this
 #: code, cover the lowest order k = 2 only
 ORDER = 2
+#: order of the centroid-fan rule for loads, exact-solution moments and errors
+QUAD_ORDER = 8
 MAX_TRIANGLE_ORDER = 20
 
 
@@ -103,12 +104,6 @@ def derivative_matrix(basis, axis):
     return D
 
 
-def laplacian_matrix(basis):
-    Dx = derivative_matrix(basis, "x")
-    Dy = derivative_matrix(basis, "y")
-    return Dx @ Dx + Dy @ Dy
-
-
 @dataclass(frozen=True)
 class EdgeRule:
     """Quadrature rule on the reference interval [0, 1], weights sum to one."""
@@ -140,6 +135,12 @@ def gauss_lobatto(k):
         weights=tuple(weights / 2.0),
         degree=2 * k - 1,
     )
+
+
+#: Simpson's rule, the k = 2 Gauss-Lobatto weights at an edge's tail vertex,
+#: midpoint and head vertex: exact for every edge integrand at k = 2
+SIMPSON = np.array(gauss_lobatto(ORDER).weights)
+SIMPSON.flags.writeable = False
 
 
 def gauss_legendre_01(n):
@@ -187,38 +188,6 @@ def map_to_triangle(points, weights, tri):
     area2 = np.linalg.det(jac)
     phys = v0 + points @ jac.T
     return phys, weights * area2
-
-
-def sigma_integrals(max_power):
-    """Moments of sigma^j over [-1/2, 1/2] for j = 0..max_power."""
-    out = np.zeros(max_power + 1)
-    for j in range(0, max_power + 1, 2):
-        out[j] = (0.5**j) / (j + 1)
-    return out
-
-
-def edge_trace_matrix(basis, a, b, out_degree=None):
-    """Trace of every cell-basis monomial on the segment a->b.
-
-    Returns a matrix T of shape (out_degree+1, basis.dim): column j holds the
-    coefficients, in powers of sigma = (s - s_mid)/|e|, of monomial j
-    restricted to the edge.  Exact for the polynomial degree.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if out_degree is None:
-        out_degree = basis.degree
-    mid = 0.5 * (a + b)
-    # xi(sigma) = alpha_x + beta_x sigma with beta = (b - a)/h_D
-    alpha = (mid - basis.center) / basis.diameter
-    beta = (b - a) / basis.diameter
-    T = np.zeros((out_degree + 1, basis.dim))
-    for j, (p, q) in enumerate(basis.exponents):
-        cx = npoly.polypow([alpha[0], beta[0]], p) if p else np.array([1.0])
-        cy = npoly.polypow([alpha[1], beta[1]], q) if q else np.array([1.0])
-        c = npoly.polymul(cx, cy)
-        T[: len(c), j] = c
-    return T
 
 
 def monomial_integral_table(geometry, max_degree, basis=None):

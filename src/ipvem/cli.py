@@ -43,7 +43,6 @@ class StudyConfig:
     seed: int = 7
     lloyd_iters: int = 100
     out_dir: str = "study-out"
-    quad_order: int = 8
     error_norm: str = "interp-energy"   # or "projection"
 
     def validate(self):
@@ -66,7 +65,11 @@ class StudyConfig:
             raise ConfigError(f"penalty constant must exceed 1, got {self.penalty_a}")
         if self.error_norm not in ("interp-energy", "projection"):
             raise ConfigError(f"unknown error norm {self.error_norm!r}")
-        if int(self.example) not in verify.EXAMPLES:
+        for name in ("example", "seed", "lloyd_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+        if self.example not in verify.EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}")
         return self
 
@@ -135,7 +138,7 @@ class Discretization:
         return rec
 
 
-def discretize(mesh_obj, msol, penalty_a=2.0, quad_order=8):
+def discretize(mesh_obj, msol, penalty_a=2.0):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
     solution ``msol``, timing each stage."""
     clock = _StageClock()
@@ -148,11 +151,11 @@ def discretize(mesh_obj, msol, penalty_a=2.0, quad_order=8):
     parts = system.build_operator_parts(mesh_obj, dof_map, lf, stencils)
     clock.lap("operator_parts")
     rhs4, rhs2 = (
-        system.load_vector(mesh_obj, dof_map, [forms.local_load(el, f, quad_order) for el in elements])
+        system.load_vector(mesh_obj, dof_map, [forms.local_load(el, f) for el in elements])
         for f in verify.forcing_parts(msol)
     )
     clock.lap("loads")
-    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol, quad_order)
+    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol)
     clock.lap("error_data")
     return Discretization(mesh_obj, elements, dof_map, parts, rhs4, rhs2, error_data, clock.seconds)
 
@@ -193,7 +196,7 @@ def run_study(config, progress=None):
         try:
             m = factory()
             mesh_s = time.perf_counter() - t0
-            disc = discretize(m, msol, config.penalty_a, config.quad_order)
+            disc = discretize(m, msol, config.penalty_a)
         except Exception as exc:  # noqa: BLE001 - study must survive bad runs
             failures.append({"mesh": label, "eps": None, "error": repr(exc)})
             log.error("mesh stage failed for %s: %r", label, exc)

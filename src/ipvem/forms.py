@@ -7,6 +7,9 @@ stabilization.  Edge stencils couple the normal-derivative traces of the
 h1-projected polynomials of the two incident elements: a penalty block
 scaled by the automated edge parameter, plus the symmetric pair of
 consistency blocks built from the constant normal-normal second derivatives.
+Both are Simpson sums of the traces' values at the edge's tail vertex,
+midpoint and head vertex, which each element stores; at k = 2 a trace is
+linear along the edge, so its square has degree 2 and the sums are exact.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ORDER, derivative_matrix, edge_trace_matrix, polygon_quadrature, sigma_integrals
+from .basis import ORDER, QUAD_ORDER, SIMPSON, polygon_quadrature
 from .mesh import BOUNDARY, virtual_triangles
 
 
@@ -47,7 +50,7 @@ class EdgeStencil:
     """Coupling block of one edge over the stacked DoFs of its elements.
 
     ``cells`` lists the incident cell ids in column order (left, then right
-    when present); ``n_dofs`` gives the per-cell column counts.
+    when present).
     """
 
     edge_id: int
@@ -55,7 +58,6 @@ class EdgeStencil:
     block: np.ndarray
     j1_block: np.ndarray
     cells: tuple
-    n_dofs: tuple
 
 
 def local_a_form(element):
@@ -76,13 +78,13 @@ def local_b_form(element):
     return P.T @ element.grad_gram @ P + stab.T @ stab
 
 
-def local_load(element, f, quad_order=8):
+def local_load(element, f):
     """Load vector (f, l2-projection of each DoF basis function).
 
     ``f`` maps (x, y) arrays to values; the cell integrals use the centroid
-    fan with a rule of the requested order.
+    fan with a rule of order ``QUAD_ORDER``.
     """
-    pts, w = polygon_quadrature(element.geometry, quad_order)
+    pts, w = polygon_quadrature(element.geometry, QUAD_ORDER)
     fvals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     moments = (w * fvals) @ element.basis.evaluate(pts)
     return element.projectors.l2_coeff.T @ moments
@@ -101,23 +103,19 @@ def penalty_parameter(h_e, triangle_areas, config, k=ORDER):
     raise ValueError("an edge has one or two virtual triangles")
 
 
-def _side_trace_maps(element, tail_pt, head_pt, normal):
-    """Normal-derivative trace (as sigma-coefficients) and the constant
-    normal-normal second derivative of the h1-projected polynomial."""
-    basis = element.basis
+def _local_edge(mesh, cell, edge_id):
+    return next(j for j, (e, _) in enumerate(mesh.cell_edges[cell]) if e == edge_id)
+
+
+def _second_normal_derivative(element, normal):
+    """Constant d^2/dn^2 of the h1-projected polynomial, one entry per DoF.
+
+    On the scaled basis 1, xi, eta, xi^2, xi eta, eta^2 the Hessian of the
+    polynomial c is (2 c3, c4, 2 c5) / h^2.
+    """
     P = element.projectors.h1_coeff
-    Dx = derivative_matrix(basis, "x")
-    Dy = derivative_matrix(basis, "y")
-    normal_deriv = normal[0] * Dx + normal[1] * Dy
-    T = edge_trace_matrix(basis, tail_pt, head_pt)
-    jump_map = T @ normal_deriv @ P                      # (deg+1, n_dof)
-    hess_nn = (
-        normal[0] ** 2 * (Dx @ Dx)[0]
-        + 2.0 * normal[0] * normal[1] * (Dx @ Dy)[0]
-        + normal[1] ** 2 * (Dy @ Dy)[0]
-    )
-    second = hess_nn @ P                                # (n_dof,)
-    return jump_map, second
+    nx, ny = normal
+    return 2.0 * (nx * nx * P[3] + nx * ny * P[4] + ny * ny * P[5]) / element.basis.diameter**2
 
 
 def edge_stencil(mesh, edge_id, elements, lam):
@@ -125,49 +123,30 @@ def edge_stencil(mesh, edge_id, elements, lam):
 
     Jump means left trace minus right trace and the average is the arithmetic
     mean, both taken with the left cell's outward normal; on boundary edges
-    both reduce to the single trace.  The trace polynomials have degree at
-    most k, so the closed-form sigma-moments integrate everything exactly.
+    both reduce to the single trace.  Each side reads the normal derivative
+    of its h1 projection at the edge's tail, midpoint and head, which is
+    linear along the edge, so Simpson sums of those values integrate the
+    jump and its square exactly.
     """
-    tail, head = mesh.edges[edge_id]
-    a_pt, b_pt = mesh.vertices[tail], mesh.vertices[head]
-    h_e = float(np.linalg.norm(b_pt - a_pt))
-    left, right = mesh.edge_cells[edge_id]
+    left, right = (int(c) for c in mesh.edge_cells[edge_id])
     el_left = elements[left]
-    j_left = next(j for j, (e, _) in enumerate(mesh.cell_edges[left]) if e == edge_id)
-    normal = el_left.geometry.normals[j_left]
-
-    jump_l, second_l = _side_trace_maps(el_left, a_pt, b_pt, normal)
-    if right == BOUNDARY:
-        jump = jump_l
-        avg = second_l
-        cells = (int(left),)
-        n_dofs = (el_left.n_dofs,)
-    else:
+    j = _local_edge(mesh, left, edge_id)
+    h_e = el_left.geometry.edge_lengths[j]
+    normal = el_left.geometry.normals[j]
+    jump = el_left.edge_normal_trace[j]                 # (3, n_dof)
+    avg = _second_normal_derivative(el_left, normal)
+    cells = (left,)
+    if right != BOUNDARY:
         el_right = elements[right]
-        jump_r, second_r = _side_trace_maps(el_right, a_pt, b_pt, normal)
-        jump = np.hstack([jump_l, -jump_r])
-        avg = 0.5 * np.hstack([second_l, second_r])
-        cells = (int(left), int(right))
-        n_dofs = (el_left.n_dofs, el_right.n_dofs)
+        # the right cell walks the edge head to tail with the opposite normal
+        jump = np.hstack([jump, el_right.edge_normal_trace[_local_edge(mesh, right, edge_id)][::-1]])
+        avg = 0.5 * np.concatenate([avg, _second_normal_derivative(el_right, normal)])
+        cells = (left, right)
 
-    deg = jump.shape[0] - 1
-    sig = sigma_integrals(2 * deg)
-    mass = h_e * np.array([[sig[i + j] for j in range(deg + 1)] for i in range(deg + 1)])
-    moments = h_e * sig[: deg + 1]
-
-    j1 = (lam / h_e) * jump.T @ mass @ jump
-    jump_integral = moments @ jump
+    j1 = lam * jump.T @ (SIMPSON[:, None] * jump)
     # rows test the average, columns carry the trial jump
-    j2 = -np.outer(avg, jump_integral)
-    block = j1 + j2 + j2.T
-    return EdgeStencil(
-        edge_id=int(edge_id),
-        lam=float(lam),
-        block=block,
-        j1_block=j1,
-        cells=cells,
-        n_dofs=n_dofs,
-    )
+    j2 = -np.outer(avg, h_e * SIMPSON @ jump)
+    return EdgeStencil(edge_id=int(edge_id), lam=float(lam), block=j1 + j2 + j2.T, j1_block=j1, cells=cells)
 
 
 def build_local_forms(mesh, elements):

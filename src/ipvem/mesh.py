@@ -392,6 +392,8 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
     """
     if n_cells < 2:
         raise ValueError("need at least two generators")
+    if lloyd_iters < 0:
+        raise ValueError(f"lloyd_iters must be nonnegative, got {lloyd_iters}")
     if initial_points is not None:
         points = np.array(initial_points, dtype=float)
         if points.shape != (n_cells, 2):

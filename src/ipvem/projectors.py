@@ -5,14 +5,20 @@ value per edge midpoint (the interior Gauss-Lobatto node) and one constant
 moment.  Three polynomial images of a DoF vector are available:
 
 * ``h1`` - the gradient projector, assembled from the divergence-theorem
-  right-hand side with Gauss-Lobatto edge sums and closed by the
-  vertex-average constraint;
+  right-hand side with Simpson edge sums and closed by the vertex-average
+  constraint;
 * ``h2`` - the Hessian-energy projector, whose right-hand side is computable
   from the DoFs because the space constrains edge normal-derivative moments
   to match those of the gradient projection, and which is closed by boundary
   quasi-averages of the value and the gradient;
 * ``l2`` - the value projector, using the interior moment for the constant
   test function and the gradient projection for the higher ones.
+
+Every edge integral is Simpson's rule at the edge's tail vertex, midpoint
+and head vertex, which are DoF points.  At k = 2 no edge integrand has
+degree above 3 (a quadratic trace times a linear normal derivative), so the
+rule is exact, and all edge data of an element comes from one tensor: the
+normal derivatives of the monomials at those three points.
 """
 
 from __future__ import annotations
@@ -23,15 +29,12 @@ import numpy as np
 
 from .basis import (
     ORDER,
+    SIMPSON,
     PolyCoeffs,
     ScaledMonomialBasis,
     derivative_matrix,
-    edge_trace_matrix,
-    gauss_lobatto,
-    laplacian_matrix,
     monomial_exponents,
     monomial_integral_table,
-    sigma_integrals,
 )
 
 
@@ -41,6 +44,7 @@ class DofLayout:
 
     n_vertices: int
     points: np.ndarray          # (2m, 2) vertex coords then edge midpoints
+    edge_nodes: np.ndarray      # (m, 3) DoFs of each edge's tail vertex, midpoint, head vertex
 
     @property
     def n_edge_nodes(self):
@@ -85,7 +89,7 @@ class ElementContext:
     mass: np.ndarray            # (m_a, m_b)_K
     grad_gram: np.ndarray       # (grad m_a, grad m_b)_K
     hess_gram: np.ndarray       # (hess m_a : hess m_b)_K
-    edge_normal_flux: np.ndarray  # (m, n_dof): int_e dn(h1 proj .) ds per edge
+    edge_normal_trace: np.ndarray  # (m, 3, n_dof): dn(h1 proj .) at edge tail, midpoint, head
     projectors: ProjectorSet
 
     @property
@@ -99,8 +103,10 @@ class ElementContext:
 
 def build_dof_layout(geometry):
     """Vertex values, interior Gauss-Lobatto edge values, interior moments."""
+    m = geometry.n_edges
     points = np.vstack([geometry.vertices, geometry.edge_midpoints])
-    return DofLayout(n_vertices=geometry.n_edges, points=points)
+    j = np.arange(m)
+    return DofLayout(n_vertices=m, points=points, edge_nodes=np.column_stack([j, m + j, (j + 1) % m]))
 
 
 def dofs_of_polynomial(element, coeffs):
@@ -132,37 +138,25 @@ def _mass_matrix(basis, integrals, table_exponents):
     return M
 
 
-def build_h1_projector(geometry, basis, layout, grad_gram, dof_matrix):
-    """Gradient projector from moment and Gauss-Lobatto boundary data.
+def build_h1_projector(geometry, layout, grad_gram, laplacian, dof_matrix, edge_weights, edge_dn):
+    """Gradient projector from moment and boundary point data.
 
-    For each monomial test function the right-hand side is the exact cell
-    term -(v, lap q) read off the moment DoF plus per-edge Gauss-Lobatto sums
-    of v dn(q), which involve only the point DoFs.  The constant-ambiguity of
+    For each monomial test function q the right-hand side is
+    -(v, lap q)_K + sum_e int_e v dn(q) ds.  ``laplacian`` holds the constant
+    lap q of every monomial, so the cell term reads only the moment DoF; the
+    edge terms are Simpson sums of the point DoFs against ``edge_dn``, the
+    (m, 3, dim) normal derivatives of the monomials at each edge's nodes,
+    weighted by ``edge_weights`` = h_e * SIMPSON.  The constant ambiguity of
     the gradient system is removed by matching the vertex average.
     """
-    Dx = derivative_matrix(basis, "x")
-    Dy = derivative_matrix(basis, "y")
     m = layout.n_vertices
-    rule = gauss_lobatto(ORDER)
-    B = np.zeros((basis.dim, layout.n_dofs))
-    lap = laplacian_matrix(basis)
-    # -(v, lap q)_K: lap q is constant at k = 2, so only the moment DoF enters
-    B[:, layout.moment_index] = -lap[0, :] * geometry.area
-    verts = geometry.vertices
-    for j in range(m):
-        a, b = verts[j], verts[(j + 1) % m]
-        h_e = geometry.edge_lengths[j]
-        n_e = geometry.normals[j]
-        nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
-        # dn(q) at the Gauss-Lobatto nodes for every monomial q, (n_nodes, dim)
-        vals = basis.evaluate(nodes)
-        dn = n_e[0] * (vals @ Dx) + n_e[1] * (vals @ Dy)
-        cols = (j, m + j, (j + 1) % m)  # tail vertex, midpoint, head vertex
-        for node, col in enumerate(cols):
-            B[:, col] += h_e * rule.weights[node] * dn[node]
+    B = np.zeros((layout.n_dofs, len(laplacian)))
+    np.add.at(B, layout.edge_nodes, edge_weights[:, :, None] * edge_dn)
+    B[layout.moment_index] = -laplacian * geometry.area
+    B = B.T
 
     # vertex-average constraint replaces the (identically zero) constant row
-    constraint_poly = basis.evaluate(verts).mean(axis=0)
+    constraint_poly = dof_matrix[:m].mean(axis=0)
     constraint_dof = np.zeros(layout.n_dofs)
     constraint_dof[:m] = 1.0 / m
     G = grad_gram.copy()
@@ -175,74 +169,31 @@ def build_h1_projector(geometry, basis, layout, grad_gram, dof_matrix):
     return coeff, dof_matrix @ coeff, (constraint_poly, constraint_dof)
 
 
-def _edge_monomial_integrals(geometry, basis):
-    """Per-edge exact integrals of each basis monomial."""
-    m = geometry.n_edges
-    sig = sigma_integrals(basis.degree)
-    rows = np.empty((m, basis.dim))
-    verts = geometry.vertices
-    for j in range(m):
-        a, b = verts[j], verts[(j + 1) % m]
-        T = edge_trace_matrix(basis, a, b)
-        rows[j] = geometry.edge_lengths[j] * (sig @ T)
-    return rows
-
-
-def build_h2_projector(geometry, basis, layout, hess_gram, dof_matrix, edge_normal_flux):
+def build_h2_projector(geometry, layout, hess_gram, hessian, Dx, Dy, dof_matrix, edge_weights, edge_flux):
     """Hessian-energy projector closed by boundary quasi-averages.
 
-    Working edge by edge, the Hessian energy against a quadratic test
-    function reduces to boundary terms: the constant normal-normal second
-    derivative of the test function times the edge integral of the normal
-    derivative (shared with the gradient projection by construction of the
-    space), plus the constant normal-tangential one times the difference of
-    the endpoint values.  The three-dimensional affine kernel is pinned by
-    the boundary mean of the value and of the gradient.
+    The Hessian of a quadratic test function q is the constant ``hessian``
+    (2, 2, dim), so (D^2 q, D^2 v)_K = sum_e (D^2 q n_e) . int_e grad v ds
+    with int_e grad v ds = n_e int_e dn v ds + t_e (v(head) - v(tail)); the
+    space makes int_e dn v ds equal to ``edge_flux``, that of the gradient
+    projection.  The three-dimensional affine kernel is pinned by the
+    boundary means of the value and of the gradient; the value's is a
+    Simpson sum, exact on both the DoF and the polynomial side.
     """
-    m = layout.n_vertices
-    verts = geometry.vertices
-    perimeter = geometry.perimeter
-    Dx = derivative_matrix(basis, "x")
-    Dy = derivative_matrix(basis, "y")
-    # constant second derivatives of every test monomial
-    hxx, hxy, hyy = (Dx @ Dx)[0], (Dx @ Dy)[0], (Dy @ Dy)[0]
+    m, n = layout.n_vertices, layout.n_dofs
+    nodes = layout.edge_nodes
+    normals, tangents = geometry.normals, geometry.tangents
+    endpoint_diff = np.zeros((m, n))
+    endpoint_diff[np.arange(m), nodes[:, 2]] += 1.0
+    endpoint_diff[np.arange(m), nodes[:, 0]] -= 1.0
+    # int_e grad v ds for every DoF basis function v, (m, 2, n)
+    edge_grad = normals[:, :, None] * edge_flux[:, None, :] + tangents[:, :, None] * endpoint_diff[:, None, :]
+    rhs = np.einsum("abk,ea,ebn->kn", hessian, normals, edge_grad)
 
-    rhs = np.zeros((basis.dim, layout.n_dofs))
-    grad_hat_dof = np.zeros((2, layout.n_dofs))
-    for j in range(m):
-        n_e = geometry.normals[j]
-        t_e = geometry.tangents[j]
-        tail, head = j, (j + 1) % m
-        endpoint_diff = np.zeros(layout.n_dofs)
-        endpoint_diff[head] += 1.0
-        endpoint_diff[tail] -= 1.0
-        flux = edge_normal_flux[j]
-        q_nn = n_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + n_e[1] * (hxy * n_e[0] + hyy * n_e[1])
-        q_nt = t_e[0] * (hxx * n_e[0] + hxy * n_e[1]) + t_e[1] * (hxy * n_e[0] + hyy * n_e[1])
-        rhs += np.outer(q_nn, flux) + np.outer(q_nt, endpoint_diff)
-        grad_hat_dof[0] += n_e[0] * flux + t_e[0] * endpoint_diff
-        grad_hat_dof[1] += n_e[1] * flux + t_e[1] * endpoint_diff
-    grad_hat_dof /= perimeter
-
-    # boundary mean of the value: exact on the polynomial side, Gauss-Lobatto
-    # point sums on the DoF side (exact whenever the trace has degree <= 3)
-    edge_int = _edge_monomial_integrals(geometry, basis)
-    hat_poly = edge_int.sum(axis=0) / perimeter
-    rule = gauss_lobatto(ORDER)
-    hat_dof = np.zeros(layout.n_dofs)
-    for j in range(m):
-        h_e = geometry.edge_lengths[j]
-        hat_dof[j] += h_e * rule.weights[0]
-        hat_dof[m + j] += h_e * rule.weights[1]
-        hat_dof[(j + 1) % m] += h_e * rule.weights[2]
-    hat_dof /= perimeter
-
-    # exact boundary mean of each gradient component of the monomials
-    boundary_rows = edge_int.sum(axis=0)
-    grad_hat_poly = np.vstack([boundary_rows @ Dx, boundary_rows @ Dy]) / perimeter
-
-    constraint_poly = np.vstack([hat_poly, grad_hat_poly])
-    constraint_dof = np.vstack([hat_dof, grad_hat_dof])
+    hat_dof = np.bincount(nodes.ravel(), weights=edge_weights.ravel(), minlength=n) / geometry.perimeter
+    hat_poly = hat_dof @ dof_matrix
+    constraint_poly = np.vstack([hat_poly, hat_poly @ Dx, hat_poly @ Dy])
+    constraint_dof = np.vstack([hat_dof, edge_grad.sum(axis=0) / geometry.perimeter])
     # the three affine test rows are identically zero on both sides
     H = hess_gram.copy()
     H[:3] = constraint_poly
@@ -264,13 +215,6 @@ def build_l2_projector(geometry, layout, mass, h1_coeff):
     return np.linalg.solve(mass, C)
 
 
-def quasi_average(element, coeffs):
-    """Perimeter-weighted boundary mean of a cell polynomial."""
-    poly = coeffs.values if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=float)
-    rows = _edge_monomial_integrals(element.geometry, element.basis)
-    return float(rows.sum(axis=0) @ poly) / element.geometry.perimeter
-
-
 def build_element(mesh, cell_id):
     """Assemble the full per-element context with all three projectors."""
     geometry = mesh.geometry(cell_id)
@@ -285,22 +229,24 @@ def build_element(mesh, cell_id):
     grad_gram = Dx.T @ mass @ Dx + Dy.T @ mass @ Dy
     Dxx, Dxy, Dyy = Dx @ Dx, Dx @ Dy, Dy @ Dy
     hess_gram = Dxx.T @ mass @ Dxx + 2.0 * Dxy.T @ mass @ Dxy + Dyy.T @ mass @ Dyy
+    # constant second derivatives of every monomial, (2, 2, dim)
+    hessian = np.array([[Dxx[0], Dxy[0]], [Dxy[0], Dyy[0]]])
 
     dof_matrix = _dof_matrix(geometry, basis, layout, integrals)
-    h1_coeff, h1_dof, vertex_average = build_h1_projector(geometry, basis, layout, grad_gram, dof_matrix)
+    # the monomials' normal derivatives at each edge's DoF points, (m, 3, dim)
+    values = dof_matrix[layout.edge_nodes]
+    nx, ny = geometry.normals.T[:, :, None, None]
+    edge_dn = nx * (values @ Dx) + ny * (values @ Dy)
+    edge_weights = geometry.edge_lengths[:, None] * SIMPSON
 
-    # per-edge integrals of the normal derivative of the projected polynomial
-    m = layout.n_vertices
-    edge_flux = np.empty((m, layout.n_dofs))
-    sig = sigma_integrals(basis.degree)
-    for j in range(m):
-        a, b = geometry.vertices[j], geometry.vertices[(j + 1) % m]
-        n_e = geometry.normals[j]
-        T = edge_trace_matrix(basis, a, b)
-        normal_deriv = n_e[0] * Dx + n_e[1] * Dy
-        edge_flux[j] = geometry.edge_lengths[j] * (sig @ T @ normal_deriv @ h1_coeff)
-
-    h2_coeff, h2_dof, quasi = build_h2_projector(geometry, basis, layout, hess_gram, dof_matrix, edge_flux)
+    h1_coeff, h1_dof, vertex_average = build_h1_projector(
+        geometry, layout, grad_gram, hessian[0, 0] + hessian[1, 1], dof_matrix, edge_weights, edge_dn
+    )
+    edge_normal_trace = edge_dn @ h1_coeff
+    edge_flux = np.einsum("ek,ekn->en", edge_weights, edge_normal_trace)
+    h2_coeff, h2_dof, quasi = build_h2_projector(
+        geometry, layout, hess_gram, hessian, Dx, Dy, dof_matrix, edge_weights, edge_flux
+    )
     l2_coeff = build_l2_projector(geometry, layout, mass, h1_coeff)
 
     projectors = ProjectorSet(
@@ -322,7 +268,7 @@ def build_element(mesh, cell_id):
         mass=mass,
         grad_gram=grad_gram,
         hess_gram=hess_gram,
-        edge_normal_flux=edge_flux,
+        edge_normal_trace=edge_normal_trace,
         projectors=projectors,
     )
 

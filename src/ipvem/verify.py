@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import fan_quadrature
+from .basis import QUAD_ORDER, fan_quadrature
 from .system import cell_dof_indices
 
 
@@ -147,10 +147,10 @@ def _exact_dofs(mesh, dof_map, msol, owner, weights, values, areas):
     return chi
 
 
-def interpolation_dofs(mesh, dof_map, elements, msol, quad_order=8):
+def interpolation_dofs(mesh, dof_map, elements, msol):
     """Global DoF vector of the exact solution: point values and cell means."""
     geoms = [el.geometry for el in elements]
-    pts, w, owner = fan_quadrature(geoms, quad_order)
+    pts, w, owner = fan_quadrature(geoms, QUAD_ORDER)
     areas = np.array([g.area for g in geoms])
     return _exact_dofs(mesh, dof_map, msol, owner, w, msol(pts[:, 0], pts[:, 1]), areas)
 
@@ -182,10 +182,10 @@ class ErrorData:
     groups: list                # [(cells (G,), dofs (G, n), projectors (G, 12, n))]
 
 
-def build_error_data(mesh, dof_map, elements, msol, quad_order=8):
+def build_error_data(mesh, dof_map, elements, msol):
     """Error data of one mesh, built once and shared by every eps."""
     geoms = [el.geometry for el in elements]
-    pts, w, cell = fan_quadrature(geoms, quad_order)
+    pts, w, cell = fan_quadrature(geoms, QUAD_ORDER)
     x, y = pts[:, 0], pts[:, 1]
     centroids = np.array([g.centroid for g in geoms])
     diameters = np.array([g.diameter for g in geoms])

@@ -48,13 +48,33 @@ class TestConfigValidation:
             tiny_config(penalty_a=1.0).validate()
 
     def test_order_must_be_two(self, tmp_path):
-        # the order is fixed at k = 2, so neither it nor a projector
-        # variant is a config key
-        for key, value in (("k", 2), ("k", 3), ("gradient_projector", "h1")):
+        # the order is fixed at k = 2 and the cell quadrature order at
+        # basis.QUAD_ORDER, so neither they nor a projector variant is a
+        # config key
+        for key, value in (("k", 2), ("k", 3), ("gradient_projector", "h1"), ("quad_order", 8)):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"example": 1, key: value}))
             with pytest.raises(ConfigError, match="unknown config keys"):
                 load_config(str(path))
+
+    def test_negative_lloyd_iters_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="lloyd_iters"):
+            tiny_config(lloyd_iters=-3).validate()
+        argv = ["study", "--lloyd-iters", "-3", "--mesh-kind", "uniform", "--sizes", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_BAD_CONFIG
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_config(seed=-1).validate()
+        argv = ["study", "--seed", "-1", "--sizes", "8", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_BAD_CONFIG
+
+    def test_non_integer_example_rejected(self, tmp_path):
+        # int(1.7) is 1: a fractional example must not run example 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": 1.7, "mesh_kind": "uniform", "sizes": [2]}))
+        with pytest.raises(ConfigError, match="example"):
+            load_config(str(path))
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipvem import forms, mesh, projectors, system
-from ipvem.basis import derivative_matrix, polygon_quadrature
+from ipvem.basis import derivative_matrix, gauss_legendre_01, polygon_quadrature
 from ipvem.forms import (
     PenaltyConfig,
     build_edge_stencils,
@@ -247,9 +247,51 @@ class TestEdgeStencil:
         stencils = build_edge_stencils(cvt32, cvt32_elements, penalty_a=2.0)
         assert len(stencils) == cvt32.n_edges
         for st in stencils:
-            n_cols = sum(st.n_dofs)
+            n_cols = sum(cvt32_elements[c].n_dofs for c in st.cells)
             assert st.block.shape == (n_cols, n_cols)
             assert st.lam > 0.0
+
+
+def edge_traces(m, edge_id, elements, chi, t):
+    """Jump of dn of the h1 projections at the edge points tail + t (head - tail)
+    and the average of their constant d^2/dn^2, with the left cell's normal,
+    from each side's polynomial differentiated and evaluated directly;
+    ``chi`` stacks the DoFs of the cells in ``edge_cells`` order."""
+    tail, head = m.vertices[m.edges[edge_id]]
+    pts = tail[None, :] + t[:, None] * (head - tail)[None, :]
+    left = int(m.edge_cells[edge_id][0])
+    j = next(jj for jj, (e, _) in enumerate(m.cell_edges[left]) if e == edge_id)
+    nx, ny = elements[left].geometry.normals[j]
+    sides = [int(c) for c in m.edge_cells[edge_id] if c != BOUNDARY]
+    jump, avg, start = np.zeros(len(t)), 0.0, 0
+    for sign, cid in zip((1.0, -1.0), sides):
+        el = elements[cid]
+        poly = el.projectors.h1_coeff @ chi[start : start + el.n_dofs]
+        Dx, Dy = derivative_matrix(el.basis, "x"), derivative_matrix(el.basis, "y")
+        jump += sign * (el.basis.evaluate(pts) @ ((nx * Dx + ny * Dy) @ poly))
+        avg += ((nx * nx * Dx @ Dx + 2.0 * nx * ny * Dx @ Dy + ny * ny * Dy @ Dy) @ poly)[0] / len(sides)
+        start += el.n_dofs
+    return jump, avg
+
+
+class TestEdgeStencilAgainstGaussLegendre:
+    def test_penalty_energy_and_jump_integral_on_every_edge(self, cvt32, cvt32_elements):
+        # on every interior and boundary edge, against a 4-point rule:
+        # chi^T j1 chi = lam/h_e int_e jump^2 ds, and j2 = -avg (x) int_e jump ds,
+        # read through the symmetric consistency block j2 + j2^T
+        t, w = gauss_legendre_01(4)
+        rng = np.random.default_rng(12)
+        for e in range(cvt32.n_edges):
+            st = edge_stencil(cvt32, e, cvt32_elements, lam=7.0)
+            h_e = float(np.linalg.norm(np.diff(cvt32.vertices[cvt32.edges[e]], axis=0)))
+            chi, psi = rng.standard_normal((2, len(st.block)))
+            jump_chi, avg_chi = edge_traces(cvt32, e, cvt32_elements, chi, t)
+            jump_psi, avg_psi = edge_traces(cvt32, e, cvt32_elements, psi, t)
+            energy = 7.0 / h_e * (h_e * (w @ jump_chi**2))
+            assert chi @ st.j1_block @ chi == pytest.approx(energy, rel=1e-12)
+            consistency = -(avg_chi * h_e * (w @ jump_psi) + avg_psi * h_e * (w @ jump_chi))
+            scale = np.max(np.abs(st.block)) * np.linalg.norm(chi) * np.linalg.norm(psi)
+            assert abs(chi @ (st.block - st.j1_block) @ psi - consistency) <= 1e-12 * scale
 
 
 class TestGlobalCoercivity:

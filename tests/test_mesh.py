@@ -180,6 +180,10 @@ class TestCvt:
         with pytest.raises(ValueError):
             generate_cvt(1)
 
+    def test_negative_lloyd_iters_rejected(self):
+        with pytest.raises(ValueError, match="lloyd_iters"):
+            generate_cvt(8, seed=1, lloyd_iters=-3)
+
 
 class TestMeshQuality:
     def test_report_fields(self, cvt32):

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipvem import mesh, projectors
-from ipvem.basis import PolyCoeffs, edge_trace_matrix, gauss_lobatto, sigma_integrals
-from ipvem.projectors import (
-    build_element,
-    dofs_of_polynomial,
-    quasi_average,
-)
+from ipvem.basis import PolyCoeffs, derivative_matrix, gauss_legendre_01, gauss_lobatto
+from ipvem.projectors import build_element, dofs_of_polynomial
+
+from conftest import random_star_polygon
+
+# C-shaped cell whose centroid lies in the notch, outside the cell
+C_SHAPE = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
 
 
 def element_on(points):
@@ -105,13 +106,11 @@ class TestH1Projector:
 
 def _rhs_matrix(el):
     """Re-derive the gradient projector right-hand side independently."""
-    from ipvem.basis import derivative_matrix, laplacian_matrix
-
     geom, bas, layout = el.geometry, el.basis, el.layout
     rule = gauss_lobatto(2)
     B = np.zeros((6, layout.n_dofs))
-    B[:, layout.moment_index] = -laplacian_matrix(bas)[0, :] * geom.area
     Dx, Dy = derivative_matrix(bas, "x"), derivative_matrix(bas, "y")
+    B[:, layout.moment_index] = -(Dx @ Dx + Dy @ Dy)[0, :] * geom.area
     m = layout.n_vertices
     for j in range(m):
         a, b = geom.vertices[j], geom.vertices[(j + 1) % m]
@@ -186,15 +185,26 @@ class TestL2Projector:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
+def boundary_mean(el, coeffs):
+    """Gauss-Legendre perimeter mean of a cell polynomial."""
+    t, w = gauss_legendre_01(3)
+    geom, total = el.geometry, 0.0
+    for j in range(geom.n_edges):
+        a, b = geom.vertices[j], geom.vertices[(j + 1) % geom.n_edges]
+        pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        total += geom.edge_lengths[j] * float(w @ (el.basis.evaluate(pts) @ coeffs))
+    return total / geom.perimeter
+
+
 class TestQuasiAverage:
     def test_constant(self, unit_square_element):
         el = unit_square_element
-        assert quasi_average(el, [1.0, 0, 0, 0, 0, 0]) == pytest.approx(1.0, rel=1e-14)
+        assert el.projectors.quasi_averages[0][0] @ [1.0, 0, 0, 0, 0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_x(self, unit_square_element):
         el = unit_square_element
         h = el.basis.diameter
-        assert quasi_average(el, [0.5, h, 0, 0, 0, 0]) == pytest.approx(0.5, rel=1e-14)
+        assert el.projectors.quasi_averages[0][0] @ [0.5, h, 0, 0, 0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_quadratic_x_squared(self, unit_square_element):
         # edge-by-edge: (1/3 + 1 + 1/3 + 0) / 4 = 5/12
@@ -202,7 +212,7 @@ class TestQuasiAverage:
         h = el.basis.diameter
         # x^2 = (0.5 + h xi)^2 = 0.25 + h xi * 1.0 ... expressed on the local basis
         coeffs = np.array([0.25, h, 0.0, h * h, 0.0, 0.0])
-        assert quasi_average(el, coeffs) == pytest.approx(5.0 / 12.0, rel=1e-13)
+        assert el.projectors.quasi_averages[0][0] @ coeffs == pytest.approx(5.0 / 12.0, rel=1e-13)
 
 
 class TestGaussLobattoConsistency:
@@ -211,10 +221,9 @@ class TestGaussLobattoConsistency:
         # integrand degree is at most three
         el = cvt_cell_element
         geom, bas = el.geometry, el.basis
-        from ipvem.basis import derivative_matrix
-
         rng = np.random.default_rng(8)
         rule = gauss_lobatto(2)
+        t, w = gauss_legendre_01(3)
         Dx, Dy = derivative_matrix(bas, "x"), derivative_matrix(bas, "y")
         for _ in range(10):
             p = rng.uniform(-2, 2, 6)
@@ -229,12 +238,24 @@ class TestGaussLobattoConsistency:
                 gl_sum = geom.edge_lengths[j] * float(
                     np.dot(rule.weights, (vals @ p) * (vals @ dq))
                 )
-                T = edge_trace_matrix(bas, a, b, out_degree=4)
-                from numpy.polynomial import polynomial as npoly
-
-                prod = npoly.polymul(T[:3, :] @ p, T[:2, :] @ dq)
-                exact = geom.edge_lengths[j] * float(prod @ sigma_integrals(len(prod) - 1))
+                vals = bas.evaluate(a[None, :] + t[:, None] * (b - a)[None, :])
+                exact = geom.edge_lengths[j] * float(w @ ((vals @ p) * (vals @ dq)))
                 assert gl_sum == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+class TestRandomPolygons:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_projectors_reproduce_quadratics_and_boundary_mean(self, seed, c_shape):
+        # random star-shaped cells, and a cell that is not star-shaped
+        rng = np.random.default_rng(seed)
+        el = element_on(C_SHAPE if c_shape else random_star_polygon(rng))
+        coeffs = rng.uniform(-3, 3, 6)
+        chi = el.dof_vector(coeffs)
+        for mat in (el.projectors.h1_coeff, el.projectors.h2_coeff, el.projectors.l2_coeff):
+            assert np.max(np.abs(mat @ chi - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+        mean = el.projectors.quasi_averages[0][0] @ coeffs
+        assert mean == pytest.approx(boundary_mean(el, coeffs), rel=1e-12, abs=1e-12)
 
 
 class TestReproductionAcrossCells:

@@ -77,7 +77,7 @@ class TestAssemble:
         d = cli.discretize(m, ZERO)
         lf = forms.build_local_forms(m, d.elements)
         zeroed = [
-            EdgeStencil(s.edge_id, s.lam, np.zeros_like(s.block), np.zeros_like(s.j1_block), s.cells, s.n_dofs)
+            EdgeStencil(s.edge_id, s.lam, np.zeros_like(s.block), np.zeros_like(s.j1_block), s.cells)
             for s in forms.build_edge_stencils(m, d.elements)
         ]
         parts = system.build_operator_parts(m, d.dof_map, lf, zeroed)
