@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Stage timings of the pipeline on CVT meshes, written to BENCH_<label>.json.
+
+For each mesh size: ``mesh.generate_cvt`` (seed 7, 100 Lloyd steps), the
+set-up stages of ``cli.discretize`` (its per-stage ``seconds``), then one
+solve and one error evaluation of example 1 at eps = 1e-3.  Each record
+holds the stage seconds, ``n_free``, ``nnz``, the solve method and its
+residual.  Only the public API is used, so the same file runs against
+another checkout of the package:
+
+    python3 scripts/bench.py --label cvt --sizes 32,128,512,2048
+    PYTHONPATH=/path/to/other/src python3 scripts/bench.py --label other
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from ipvem import cli, mesh, verify
+
+EXAMPLE = 1
+EPS = 1e-3
+SEED = 7
+LLOYD_ITERS = 100
+
+
+def bench_size(n_cells):
+    """One pass of the pipeline on a CVT mesh of ``n_cells`` cells."""
+    t0 = time.perf_counter()
+    m = mesh.generate_cvt(n_cells, seed=SEED, lloyd_iters=LLOYD_ITERS)
+    seconds = {"mesh": time.perf_counter() - t0}
+    disc = cli.discretize(m, verify.example_solution(EXAMPLE))
+    seconds.update(disc.seconds)
+    t0 = time.perf_counter()
+    solution = disc.solve(EPS)
+    seconds["solve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    rec = disc.error(solution)
+    seconds["error"] = time.perf_counter() - t0
+    return {
+        "n_cells": m.n_cells,
+        "seconds": seconds,
+        "total_s": sum(seconds.values()),
+        "n_free": rec.solve.get("n_free"),
+        "nnz": rec.solve.get("nnz"),
+        "solve_method": rec.solve.get("method"),
+        "solve_residual": rec.solve.get("residual"),
+        "E_I": rec.e_total,
+    }
+
+
+def provenance():
+    """Where the timed package came from and what it ran on."""
+    package_dir = Path(cli.__file__).resolve().parent
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=package_dir, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="output file is BENCH_<label>.json")
+    parser.add_argument("--sizes", default="32,128,512,2048", help="comma-separated CVT cell counts")
+    parser.add_argument("--out-dir", default=".", help="directory for the output file")
+    args = parser.parse_args(argv)
+
+    payload = {
+        "label": args.label,
+        "example": EXAMPLE,
+        "eps": EPS,
+        "seed": SEED,
+        "lloyd_iters": LLOYD_ITERS,
+        "provenance": provenance(),
+        "runs": [],
+    }
+    for n in (int(s) for s in args.sizes.split(",")):
+        run = bench_size(n)
+        payload["runs"].append(run)
+        stages = " ".join(f"{k} {v:.3f}s" for k, v in run["seconds"].items())
+        print(f"cvt-{n}: n_free {run['n_free']}, {run['solve_method']}, {stages}", flush=True)
+    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

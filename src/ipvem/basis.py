@@ -143,10 +143,17 @@ SIMPSON = np.array(gauss_lobatto(ORDER).weights)
 SIMPSON.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre_01(n):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1].
+
+    Each rule is built once; every call returns the same read-only arrays.
+    """
     x, w = npleg.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, wt = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = False
+    wt.flags.writeable = False
+    return t, wt
 
 
 @functools.lru_cache(maxsize=None)

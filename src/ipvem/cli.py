@@ -402,11 +402,14 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
 
     if args.command == "genmesh":
-        if args.kind == "uniform":
-            n = int(round(args.cells**0.5))
-            m = mesh.generate_uniform_squares(n)
-        else:
-            m = mesh.generate_cvt(args.cells, seed=args.seed, lloyd_iters=args.lloyd_iters)
+        try:
+            if args.kind == "uniform":
+                m = mesh.generate_uniform_squares(int(round(max(args.cells, 0) ** 0.5)))
+            else:
+                m = mesh.generate_cvt(args.cells, seed=args.seed, lloyd_iters=args.lloyd_iters)
+        except (ValueError, mesh.MeshError) as exc:
+            print(f"genmesh error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         with open(args.output, "w") as fh:
             fh.write(mesh.export_mesh(m))
         print(f"wrote {args.output}: {m.n_cells} cells, {m.n_vertices} vertices")

@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Voronoi, cKDTree
 
 log = logging.getLogger(__name__)
@@ -19,6 +21,8 @@ BOUNDARY = -1
 
 #: relative tolerance for the tiling-area check of generated meshes
 AREA_RTOL = 1e-12
+#: distance within which Voronoi corners merge and snap onto the boundary
+SNAP_TOL = 1e-9
 
 
 class MeshError(Exception):
@@ -313,73 +317,104 @@ def generate_uniform_squares(n):
     return mesh
 
 
-def _voronoi_cells_unit_square(points):
-    """Clipped Voronoi cells of generators inside (0,1)^2.
+def _next_corner(offsets):
+    """Index of each corner's successor within its own polygon of a CSR pair."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
 
-    Generators are mirrored across the four domain edges, so the bisectors
-    with the mirror images are exactly the domain boundary and every original
-    cell comes out clipped to the square.
+
+def _centroids(xy, offsets):
+    """Areas and centroids of every polygon of a CSR pair at once.
+
+    Polygon ``i`` has the CCW corners ``xy[offsets[i]:offsets[i + 1]]``; the
+    shoelace sums run over all corners together and ``np.add.reduceat``
+    splits them by polygon.
+    """
+    starts = offsets[:-1]
+    nxt = _next_corner(offsets)
+    x, y = xy[:, 0], xy[:, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    area = 0.5 * np.add.reduceat(cross, starts)
+    cx = np.add.reduceat((x + xn) * cross, starts) / (6.0 * area)
+    cy = np.add.reduceat((y + yn) * cross, starts) / (6.0 * area)
+    return area, np.column_stack([cx, cy])
+
+
+def _voronoi_cells_unit_square(points):
+    """Clipped Voronoi cells of generators inside (0,1)^2, as one CSR pair.
+
+    Returns ``(xy, offsets)``: the CCW corners of generator ``i``'s cell are
+    ``xy[offsets[i]:offsets[i + 1]]``.  A generator is mirrored across a side
+    of the square when it lies within ``reach`` of it (PolyMesher's
+    reflection), so the bisectors with the mirror images are the domain
+    boundary.  Leaving out far mirrors can only make a cell larger than its
+    true clipped cell, never smaller, and the true cells tile the square: so
+    if every computed cell is bounded and lies inside the square (within
+    ``SNAP_TOL``), each one is exact.  Otherwise ``reach`` doubles; at
+    ``reach >= 1`` every generator is mirrored across all four sides.
     """
     n = len(points)
-    mirrored = np.vstack(
-        [
-            points,
-            np.column_stack([-points[:, 0], points[:, 1]]),
-            np.column_stack([2.0 - points[:, 0], points[:, 1]]),
-            np.column_stack([points[:, 0], -points[:, 1]]),
-            np.column_stack([points[:, 0], 2.0 - points[:, 1]]),
-        ]
-    )
-    vor = Voronoi(mirrored)
-    cells = []
-    for i in range(n):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshGenerationError(f"unbounded Voronoi cell for generator {i}")
-        poly = vor.vertices[region]
-        ang = np.arctan2(poly[:, 1] - points[i, 1], poly[:, 0] - points[i, 0])
-        cells.append(poly[np.argsort(ang)])
-    return cells
+    reach = 1.5 / np.sqrt(n)
+    while True:
+        mirrors = [points]
+        for d in (0, 1):
+            for side in (0.0, 1.0):
+                image = points[np.abs(points[:, d] - side) < reach].copy()
+                image[:, d] = 2.0 * side - image[:, d]
+                mirrors.append(image)
+        vor = Voronoi(np.vstack(mirrors))
+        # each ridge between two generators gives both of them its two corners
+        owner = np.repeat(vor.ridge_points, 2, axis=1).ravel()
+        corner = np.tile(np.asarray(vor.ridge_vertices), (1, 2)).ravel()
+        mine = owner < n
+        owner, corner = owner[mine], corner[mine]
+        if corner.min() >= 0:
+            n_vor = len(vor.vertices)
+            owner, corner = np.divmod(np.unique(owner * n_vor + corner), n_vor)
+            xy = vor.vertices[corner]
+            if reach >= 1.0 or np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)):
+                break
+        elif reach >= 1.0:
+            raise MeshGenerationError(f"unbounded Voronoi cell for generator {owner[corner.argmin()]}")
+        reach *= 2.0
+    counts = np.bincount(owner, minlength=n)
+    if counts.min() < 3:
+        raise MeshGenerationError("Voronoi cell with fewer than 3 corners")
+    rel = xy - points[owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return xy[order], offsets
 
 
-def _cells_to_mesh(polys, snap_tol=1e-9):
+def _cells_to_mesh(xy, offsets):
     """Merge shared polygon corners into a global vertex set and build the mesh.
 
+    ``(xy, offsets)`` is the CSR pair of :func:`_voronoi_cells_unit_square`.
     Near-coincident corners (degenerate Voronoi vertices from cocircular
-    generator/mirror groups) are unified within ``snap_tol``; coordinates
+    generator/mirror groups) are unified within ``SNAP_TOL`` and take the
+    coordinates of the lowest-numbered corner of their group; coordinates
     within the tolerance of the domain boundary snap onto it exactly.
     """
-    all_pts = np.vstack(polys)
-    for val in (0.0, 1.0):
-        for d in (0, 1):
-            close = np.abs(all_pts[:, d] - val) < snap_tol
-            all_pts[close, d] = val
-    tree = cKDTree(all_pts)
-    parent = np.arange(len(all_pts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(snap_tol):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(len(all_pts))])
-    unique_roots, canonical = np.unique(roots, return_inverse=True)
+    all_pts = xy.copy()
+    all_pts[np.abs(all_pts) < SNAP_TOL] = 0.0
+    all_pts[np.abs(all_pts - 1.0) < SNAP_TOL] = 1.0
+    pairs = cKDTree(all_pts).query_pairs(SNAP_TOL, output_type="ndarray")
+    n_pts = len(all_pts)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_pts, n_pts))
+    n_groups, group = connected_components(graph, directed=False)
+    lowest = np.full(n_groups, n_pts)
+    np.minimum.at(lowest, group, np.arange(n_pts))
+    unique_roots, canonical = np.unique(lowest[group], return_inverse=True)
     vertices = all_pts[unique_roots]
 
-    cells = []
-    offset = 0
-    for poly in polys:
-        ids = canonical[offset : offset + len(poly)]
-        offset += len(poly)
-        keep = [int(ids[k]) for k in range(len(ids)) if ids[k] != ids[(k + 1) % len(ids)]]
-        if len(keep) < 3:
-            raise MeshGenerationError("cell degenerated to fewer than 3 vertices")
-        cells.append(keep)
+    # drop a corner merged into the next one of its own cell
+    keep = canonical != canonical[_next_corner(offsets)]
+    kept = np.add.reduceat(keep, offsets[:-1])
+    if kept.min() < 3:
+        raise MeshGenerationError("cell degenerated to fewer than 3 vertices")
+    cells = np.split(canonical[keep], np.cumsum(kept)[:-1])
     return build_mesh(vertices, cells)
 
 
@@ -398,7 +433,7 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
         points = np.array(initial_points, dtype=float)
         if points.shape != (n_cells, 2):
             raise MeshGenerationError("initial_points shape does not match n_cells")
-        if np.any(points <= 0.0) or np.any(points >= 1.0):
+        if not np.all((points > 0.0) & (points < 1.0)):
             raise MeshGenerationError("initial generators must lie strictly inside (0,1)^2")
     else:
         rng = np.random.default_rng(seed)
@@ -409,13 +444,8 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
 
     movements = []
     for it in range(lloyd_iters):
-        polys = _voronoi_cells_unit_square(points)
-        new_points = np.empty_like(points)
-        for i, poly in enumerate(polys):
-            area = _signed_area(poly)
-            new_points[i] = _polygon_centroid(poly, area)
-        move = float(np.max(np.linalg.norm(new_points - points, axis=1)))
-        movements.append(move)
+        _, new_points = _centroids(*_voronoi_cells_unit_square(points))
+        movements.append(float(np.max(np.linalg.norm(new_points - points, axis=1))))
         points = new_points
     if movements:
         log.info(
@@ -424,7 +454,7 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
             movements[-1],
         )
 
-    mesh = _cells_to_mesh(_voronoi_cells_unit_square(points))
+    mesh = _cells_to_mesh(*_voronoi_cells_unit_square(points))
     mesh.lloyd_movement = movements
     validate_tiling(mesh, 1.0)
     return mesh

@@ -206,6 +206,16 @@ class TestTriangleQuadrature:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
+    def test_gauss_legendre_is_cached_and_read_only(self):
+        t, w = basis.gauss_legendre_01(5)
+        again = basis.gauss_legendre_01(5)
+        assert again[0] is t and again[1] is w
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert w.sum() == pytest.approx(1.0, rel=1e-15)
+
     def test_map_to_triangle_scales_weights(self):
         pts, w = triangle_quadrature(4)
         tri = np.array([[1.0, 1.0], [3.0, 1.5], [1.5, 4.0]])

@@ -205,6 +205,23 @@ class TestMain:
         m = mesh.import_mesh(out.read_text())
         assert m.n_cells == 16
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cells", "8", "--lloyd-iters", "-3"], "lloyd_iters"),
+            (["--cells", "1"], "two generators"),
+            (["--kind", "uniform", "--cells", "0"], "at least one cell"),
+        ],
+        ids=["negative-lloyd-iters", "one-cvt-cell", "zero-uniform-cells"],
+    )
+    def test_genmesh_bad_input_exits_bad_config(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "mesh.txt"
+        assert main(["genmesh", *argv, "-o", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("genmesh error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 def parse_vtk_counts(text):
     lines = text.splitlines()

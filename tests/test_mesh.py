@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Voronoi
 
 from ipvem import mesh
 from ipvem.mesh import (
@@ -183,6 +185,123 @@ class TestCvt:
     def test_negative_lloyd_iters_rejected(self):
         with pytest.raises(ValueError, match="lloyd_iters"):
             generate_cvt(8, seed=1, lloyd_iters=-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_point_rejected(self, bad):
+        pts = [[0.25, 0.5], [0.75, 0.5], [bad, 0.5]]
+        with pytest.raises(MeshGenerationError, match="strictly inside"):
+            generate_cvt(3, initial_points=pts, lloyd_iters=0)
+
+
+def full_mirror_voronoi_cells(points):
+    """Oracle: every generator mirrored across all four sides, then scipy's
+    Voronoi regions of the original generators, one corner array per cell."""
+    x, y = points[:, 0], points[:, 1]
+    mirrored = np.vstack(
+        [
+            points,
+            np.column_stack([-x, y]),
+            np.column_stack([2.0 - x, y]),
+            np.column_stack([x, -y]),
+            np.column_stack([x, 2.0 - y]),
+        ]
+    )
+    vor = Voronoi(mirrored)
+    cells = []
+    for i in range(len(points)):
+        region = vor.regions[vor.point_region[i]]
+        assert -1 not in region
+        cells.append(vor.vertices[region])
+    return cells
+
+
+def exact_area_centroid(loop):
+    """Shoelace area and centroid of a float polygon in rational arithmetic."""
+    x = [Fraction(v) for v in loop[:, 0]]
+    y = [Fraction(v) for v in loop[:, 1]]
+    m = len(x)
+    area = cx = cy = Fraction(0)
+    for i in range(m):
+        j = (i + 1) % m
+        cross = x[i] * y[j] - x[j] * y[i]
+        area += cross / 2
+        cx += (x[i] + x[j]) * cross
+        cy += (y[i] + y[j]) * cross
+    return float(area), np.array([float(cx / (6 * area)), float(cy / (6 * area))])
+
+
+def random_generators(seed, n, clustered):
+    """Distinct random generators, spread over (0,1)^2 or clustered in
+    [0.4, 0.6]^2 (where no generator is near a side)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.4, 0.6) if clustered else (0.01, 0.99)
+    return rng.uniform(lo, hi, size=(n, 2))
+
+
+class TestLloydStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        clustered=st.booleans(),
+    )
+    def test_reduced_mirror_cells_equal_full_mirror_cells(self, seed, n, clustered):
+        points = random_generators(seed, n, clustered)
+        xy, offsets = mesh._voronoi_cells_unit_square(points)
+        assert offsets[0] == 0 and offsets[-1] == len(xy) and len(offsets) == n + 1
+        for i, want in enumerate(full_mirror_voronoi_cells(points)):
+            got = xy[offsets[i] : offsets[i + 1]]
+            # equal as sets of corners: every corner has a partner within 1e-12
+            dist = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+            assert dist.min(axis=1).max() < 1e-12
+            assert dist.min(axis=0).max() < 1e-12
+            # counter-clockwise about the generator
+            assert mesh._signed_area(got) > 0.0
+
+    def test_clustered_generators_widen_the_reach(self, monkeypatch):
+        # no generator of [0.4, 0.6]^2 lies within 1.5/sqrt(64) of a side, so
+        # the first diagram has unbounded cells and the reach must double
+        sizes = []
+        real_voronoi = mesh.Voronoi
+
+        def counting_voronoi(pts, *args, **kwargs):
+            sizes.append(len(pts))
+            return real_voronoi(pts, *args, **kwargs)
+
+        monkeypatch.setattr(mesh, "Voronoi", counting_voronoi)
+        points = random_generators(5, 64, clustered=True)
+        xy, offsets = mesh._voronoi_cells_unit_square(points)
+        assert len(sizes) > 1 and sizes[0] == 64
+        area, _ = mesh._centroids(xy, offsets)
+        assert area.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_centroids_match_per_cell_formulas(self, cvt64):
+        # against exact rational shoelace sums to 1e-14, and against the
+        # per-cell float formulas to 3e-14: their two-dot-product area
+        # cancels more and is itself up to 1.8e-14 off the exact value
+        loops = [cvt64.vertices[c] for c in cvt64.cells]
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in loops])])
+        area, centroid = mesh._centroids(np.vstack(loops), offsets)
+        for i, loop in enumerate(loops):
+            exact_area, exact_centroid = exact_area_centroid(loop)
+            assert abs(area[i] - exact_area) <= 1e-14 * exact_area
+            assert np.linalg.norm(centroid[i] - exact_centroid) <= 1e-14 * np.linalg.norm(exact_centroid)
+            a = mesh._signed_area(loop)
+            c = mesh._polygon_centroid(loop, a)
+            assert abs(area[i] - a) <= 3e-14 * a
+            assert np.linalg.norm(centroid[i] - c) <= 3e-14 * np.linalg.norm(c)
+
+    def test_merged_corners_take_the_lowest_index(self):
+        # two squares whose shared corners are off by less than SNAP_TOL
+        d = 1e-12
+        xy = np.array(
+            [[0, 0], [0.5, 0], [0.5, 1], [0, 1], [0.5 + d, 0], [1, 0], [1, 1], [0.5, 1 - d]],
+            dtype=float,
+        )
+        m = mesh._cells_to_mesh(xy, np.array([0, 4, 8]))
+        assert m.n_vertices == 6
+        assert np.array_equal(m.vertices, xy[[0, 1, 2, 3, 5, 6]])
+        assert [list(c) for c in m.cells] == [[0, 1, 2, 3], [1, 4, 5, 2]]
 
 
 class TestMeshQuality:
