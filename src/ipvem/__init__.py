@@ -4,7 +4,6 @@ boundary conditions on polygonal meshes, plus a convergence-study driver."""
 
 from .basis import (
     EdgeRule,
-    PolyCoeffs,
     ScaledMonomialBasis,
     gauss_lobatto,
     triangle_quadrature,
@@ -12,16 +11,13 @@ from .basis import (
 from .forms import EdgeStencil, LocalForms, PenaltyConfig, penalty_parameter
 from .mesh import (
     CellGeometry,
-    MeshQualityReport,
     PolygonalMesh,
-    VirtualTriangle,
     export_mesh,
     generate_cvt,
     generate_uniform_squares,
     import_mesh,
-    mesh_quality,
 )
-from .projectors import DofLayout, ElementContext, ProjectorSet, build_element, build_elements
+from .projectors import DofLayout, ElementContext, Elements, ProjectorSet, build_element, build_elements
 from .system import DiscreteSolution, GlobalDofMap, SparseSystem, number_dofs, solve
 from .verify import (
     ConvergenceReport,

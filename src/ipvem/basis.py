@@ -54,36 +54,16 @@ class ScaledMonomialBasis:
     def index_of(self, exponent):
         return self._index[tuple(exponent)]
 
-    def scaled_coords(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.center) / self.diameter
-
     def evaluate(self, points):
         """Values of every basis member at ``points``, shape (npts, dim)."""
-        sc = self.scaled_coords(points)
-        xi, eta = sc[:, 0], sc[:, 1]
-        out = np.empty((sc.shape[0], self.dim))
-        for j, (p, q) in enumerate(self.exponents):
-            out[:, j] = xi**p * eta**q
-        return out
+        sc = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center) / self.diameter
+        return monomials(sc[:, 0], sc[:, 1], self.degree)
 
 
-@dataclass(eq=False)
-class PolyCoeffs:
-    """Coefficient vector over a scaled monomial basis."""
-
-    basis: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.basis.dim,):
-            raise ValueError(
-                f"coefficient length {self.values.shape} does not match basis dim {self.basis.dim}"
-            )
-
-    def __call__(self, points):
-        return self.basis.evaluate(points) @ self.values
+def monomials(xi, eta, degree):
+    """Every monomial xi^p eta^q of total degree <= ``degree`` at the scaled
+    points ``(xi, eta)`` of any shape, stacked on a new last axis."""
+    return np.stack([xi**p * eta**q for p, q in monomial_exponents(degree)], axis=-1)
 
 
 def derivative_matrix(basis, axis):
@@ -160,114 +140,84 @@ def gauss_legendre_01(n):
 def triangle_quadrature(order):
     """Quadrature on the reference triangle (0,0)-(1,0)-(0,1), exact to ``order``.
 
-    Orders 1 and 2 are the classical centroid and three-point rules; higher
-    orders use a collapsed tensor Gauss-Legendre rule.  Each rule is built
-    once; every call returns the same read-only arrays.
+    A collapsed tensor Gauss-Legendre rule.  Each rule is built once; every
+    call returns the same read-only arrays.
     """
     if order < 1 or order > MAX_TRIANGLE_ORDER:
         raise ValueError(f"triangle quadrature order {order} unsupported")
-    if order == 1:
-        pts, w = np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5])
-    elif order == 2:
-        pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-        w = np.full(3, 1.0 / 6.0)
-    else:
-        # x = u, y = v(1-u): the Jacobian (1-u) raises the u-degree by one
-        nu = (order + 3) // 2
-        nv = (order + 2) // 2
-        u, wu = gauss_legendre_01(nu)
-        v, wv = gauss_legendre_01(nv)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        w = (np.outer(wu, wv) * (1.0 - U)).ravel()
-        pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
+    # x = u, y = v(1-u): the Jacobian (1-u) raises the u-degree by one
+    u, wu = gauss_legendre_01((order + 3) // 2)
+    v, wv = gauss_legendre_01((order + 2) // 2)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    w = (np.outer(wu, wv) * (1.0 - U)).ravel()
+    pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w
 
 
-def map_to_triangle(points, weights, tri):
-    """Map a reference-triangle rule onto the physical triangle ``tri`` (3x2).
+def monomial_integrals(geometry, degree):
+    """Exact integrals of every scaled monomial of degree <= ``degree`` over
+    every cell of a :class:`~ipvem.mesh.StackedGeometry`, shape (C, dim).
 
-    The weights carry the signed area, so a clockwise triangle subtracts.
+    Divergence theorem: a monomial m of degree d centered at the centroid
+    satisfies div((x - x_D) m) = (d + 2) m, and (x - x_D) . n is constant
+    along each straight edge; one exact Gauss-Legendre evaluation covers
+    all edges of all cells (padded edges have zero length).
     """
-    v0, v1, v2 = np.asarray(tri, dtype=float)
-    jac = np.column_stack([v1 - v0, v2 - v0])
-    area2 = np.linalg.det(jac)
-    phys = v0 + points @ jac.T
-    return phys, weights * area2
-
-
-def monomial_integral_table(geometry, max_degree, basis=None):
-    """Exact integrals of every scaled monomial of degree <= max_degree.
-
-    Uses the divergence theorem: a monomial m of degree d centered at the
-    centroid satisfies div((x - x_D) m) = (d + 2) m, and (x - x_D) . n is
-    constant along each straight edge.  Edge integrals are done with
-    Gauss-Legendre of sufficient order, so the values are exact up to
-    roundoff.  Returns an array indexed like ``monomial_exponents``.
-    """
-    if basis is None:
-        basis = ScaledMonomialBasis(geometry.centroid, geometry.diameter, max_degree)
-    if basis.degree < max_degree:
-        raise ValueError("basis degree too small for requested table")
-    exps = monomial_exponents(max_degree)
-    n = len(exps)
-    ngl = max_degree // 2 + 2
-    t, wt = gauss_legendre_01(ngl)
-    total = np.zeros(n)
-    verts = geometry.vertices
-    m = len(verts)
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        normal = geometry.normals[i]
-        h_e = geometry.edge_lengths[i]
-        dist = float((a - geometry.centroid) @ normal)
-        pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        vals = basis.evaluate(pts)[:, :n]
-        total += dist * h_e * (wt @ vals)
-    degrees = np.array([p + q for p, q in exps])
+    t, wt = gauss_legendre_01(degree // 2 + 2)
+    tails = geometry.vertices
+    pts = tails[:, :, None, :] + t[:, None] * (geometry.heads - tails)[:, :, None, :]
+    scaled = (pts - geometry.centroid[:, None, None, :]) / geometry.diameter[:, None, None, None]
+    edge_means = np.einsum("q,cpqd->cpd", wt, monomials(scaled[..., 0], scaled[..., 1], degree))
+    dist = ((tails - geometry.centroid[:, None, :]) * geometry.normals).sum(axis=2)
+    total = np.einsum("cp,cpd->cd", dist * geometry.edge_lengths, edge_means)
+    degrees = np.array([p + q for p, q in monomial_exponents(degree)])
     return total / (degrees + 2)
 
 
-def polygon_quadrature(geometry, order):
-    """Quadrature on a simple polygon via the centroid fan.
+@dataclass(eq=False)
+class FanRule:
+    """Centroid-fan quadrature points of many cells, flat, cell by cell and
+    fan triangle by fan triangle; ``cell`` is each point's row in the
+    geometry and ``xi``/``eta`` the point scaled by that cell's centroid and
+    diameter."""
 
-    Fan triangles are weighted by their signed areas, so the rule stays
-    exact for polynomials of degree <= ``order`` when the polygon is not
-    star-shaped with respect to its centroid.
+    points: np.ndarray          # (Q, 2)
+    weights: np.ndarray         # (Q,) signed: fan area times reference weight
+    cell: np.ndarray            # (Q,)
+    xi: np.ndarray              # (Q,)
+    eta: np.ndarray             # (Q,)
+    n_cells: int
+
+    def cell_moments(self, values, degree):
+        """Integrals of ``values`` (at the points) against every scaled
+        monomial of degree <= ``degree`` on every cell, shape (C, dim)."""
+        weighted = (self.weights * values)[:, None] * monomials(self.xi, self.eta, degree)
+        dim = weighted.shape[1]
+        slots = (self.cell[:, None] * dim + np.arange(dim)).ravel()
+        return np.bincount(slots, weights=weighted.ravel(), minlength=self.n_cells * dim).reshape(self.n_cells, dim)
+
+
+def fan_quadrature(geometry, order):
+    """Centroid-fan quadrature on every cell of a
+    :class:`~ipvem.mesh.StackedGeometry` at once, as a :class:`FanRule`.
+
+    Weights carry the signed fan areas, so the rule is exact to ``order``
+    on any simple polygon.
     """
     ref_pts, ref_w = triangle_quadrature(order)
-    verts = geometry.vertices
-    m = len(verts)
-    pts, wts = [], []
-    for i in range(m):
-        tri = np.array([geometry.centroid, verts[i], verts[(i + 1) % m]])
-        p, w = map_to_triangle(ref_pts, ref_w, tri)
-        pts.append(p)
-        wts.append(w)
-    return np.vstack(pts), np.concatenate(wts)
-
-
-def fan_quadrature(geometries, order):
-    """Centroid-fan quadrature on every polygon of ``geometries`` at once.
-
-    Returns ``(points, weights, owner)``: all quadrature points, polygon by
-    polygon and fan triangle by fan triangle as ``polygon_quadrature`` orders
-    them, their weights, and the position in ``geometries`` of the polygon
-    each point belongs to.  Weights carry the signed fan areas, so the rule
-    is exact to ``order`` on any simple polygon.
-    """
-    ref_pts, ref_w = triangle_quadrature(order)
-    counts = [g.n_edges for g in geometries]
-    tri_owner = np.repeat(np.arange(len(geometries)), counts)
-    apex = np.array([g.centroid for g in geometries])[tri_owner]
-    tail = np.concatenate([g.vertices for g in geometries]) - apex
-    head = np.concatenate([np.roll(g.vertices, -1, axis=0) for g in geometries]) - apex
-    fan2 = 2.0 * np.concatenate([g.fan_areas for g in geometries])
+    valid = geometry.valid
+    tri_owner = np.nonzero(valid)[0]
+    apex = geometry.centroid[tri_owner]
+    tail = geometry.vertices[valid] - apex
+    head = geometry.heads[valid] - apex
     points = (
         apex[:, None, :]
         + ref_pts[None, :, 0, None] * tail[:, None, :]
         + ref_pts[None, :, 1, None] * head[:, None, :]
-    )
-    weights = fan2[:, None] * ref_w[None, :]
-    return points.reshape(-1, 2), weights.ravel(), np.repeat(tri_owner, len(ref_w))
+    ).reshape(-1, 2)
+    weights = (2.0 * geometry.fan_areas[valid])[:, None] * ref_w[None, :]
+    cell = np.repeat(tri_owner, len(ref_w))
+    scaled = (points - geometry.centroid[cell]) / geometry.diameter[cell, None]
+    return FanRule(points, weights.ravel(), cell, scaled[:, 0], scaled[:, 1], len(valid))

@@ -6,8 +6,10 @@ after ``build_mesh``) and safe to share across threads for read-only queries.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,7 @@ class MeshGenerationError(MeshError):
 
 @dataclass(eq=False)
 class CellGeometry:
-    """Geometric data of one polygonal cell.
+    """Geometric data of one polygonal cell (a view of a :class:`StackedGeometry` row).
 
     Normals point outward; tangents follow the counter-clockwise loop, so
     n.t = 0 with both unit length, and the centroid fan triangles all have
@@ -73,49 +75,17 @@ class CellGeometry:
         return 0.5 * (self.vertices + np.roll(self.vertices, -1, axis=0))
 
 
-@dataclass(frozen=True)
-class VirtualTriangle:
-    """Edge endpoints joined to the centroid of one incident cell."""
-
-    edge_id: int
-    cell_id: int
-    vertices: np.ndarray
-    area: float
-
-
-@dataclass
-class MeshQualityReport:
-    min_diameter: float
-    max_diameter: float
-    min_edge_ratio: float          # min over cells of (shortest edge)/h_K
-    min_fan_aspect: float          # min over fan triangles of 2|T|/longest_side^2
-    max_edges_per_cell: int
-    star_shaped: np.ndarray        # per-cell flag
-
-    @property
-    def all_star_shaped(self):
-        return bool(np.all(self.star_shaped))
-
-
 def _signed_area(loop):
     x, y = loop[:, 0], loop[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _polygon_centroid(loop, area):
-    x, y = loop[:, 0], loop[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    cx = float(np.dot(x + xn, cross)) / (6.0 * area)
-    cy = float(np.dot(y + yn, cross)) / (6.0 * area)
-    return np.array([cx, cy])
 
 
 class PolygonalMesh:
     """Vertices, CCW cell loops, and oriented edges with cell adjacency.
 
     ``edges[e] = (tail, head)`` as traversed by the left cell; the right cell
-    (``BOUNDARY`` if none) traverses head->tail.  Geometry is cached per cell.
+    (``BOUNDARY`` if none) traverses head->tail.  The geometry of all cells
+    is computed together on first use.
     """
 
     def __init__(self, vertices, cells, edges, edge_cells, cell_edges):
@@ -124,7 +94,6 @@ class PolygonalMesh:
         self.edges = edges
         self.edge_cells = edge_cells
         self.cell_edges = cell_edges
-        self._geometry = [None] * len(cells)
         self.boundary_edge = edge_cells[:, 1] == BOUNDARY
         bvert = np.zeros(len(vertices), dtype=bool)
         bvert[self.edges[self.boundary_edge].ravel()] = True
@@ -143,90 +112,117 @@ class PolygonalMesh:
     def n_edges(self):
         return len(self.edges)
 
+    @functools.cached_property
+    def stacked_geometry(self):
+        """The :class:`StackedGeometry` of every cell, computed once."""
+        return stacked_geometry(self)
+
     def geometry(self, cell_id):
-        geom = self._geometry[cell_id]
-        if geom is None:
-            geom = cell_geometry(self, cell_id)
-            self._geometry[cell_id] = geom
-        return geom
+        return self.stacked_geometry.cell(cell_id)
 
     def total_area(self):
-        return sum(self.geometry(c).area for c in range(self.n_cells))
+        return float(self.stacked_geometry.area.sum())
 
     def max_diameter(self):
-        return max(self.geometry(c).diameter for c in range(self.n_cells))
+        return float(self.stacked_geometry.diameter.max())
 
 
-def cell_geometry(mesh, cell_id):
-    """Diameter, area, centroid and per-edge frames of one cell."""
-    loop = mesh.vertices[mesh.cells[cell_id]]
-    area = _signed_area(loop)
-    if area <= 0.0:
-        raise MeshError(f"cell {cell_id} is not counter-clockwise or has nonpositive area")
-    centroid = _polygon_centroid(loop, area)
-    diffs = loop[:, None, :] - loop[None, :, :]
-    diameter = float(np.sqrt((diffs**2).sum(axis=2).max()))
-    edge_vec = np.roll(loop, -1, axis=0) - loop
-    lengths = np.linalg.norm(edge_vec, axis=1)
-    if np.any(lengths <= 0.0):
-        raise MeshError(f"cell {cell_id} has a zero-length edge")
-    tangents = edge_vec / lengths[:, None]
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    rel = loop - centroid
-    rel_next = np.roll(rel, -1, axis=0)
-    fan = 0.5 * (rel[:, 0] * rel_next[:, 1] - rel_next[:, 0] * rel[:, 1])
-    return CellGeometry(
-        cell_id=cell_id,
-        vertices=loop,
-        diameter=diameter,
-        area=area,
-        centroid=centroid,
-        edge_lengths=lengths,
-        normals=normals,
-        tangents=tangents,
-        fan_areas=fan,
-    )
+def virtual_triangle_areas(mesh):
+    """Areas of the virtual triangles of every edge, (E, 2): the edge joined
+    to the centroid of its left cell, and to that of its right cell (NaN
+    on a boundary edge)."""
+    g = mesh.stacked_geometry
+    c, j = np.nonzero(g.valid)
+    e = g.edge_ids[c, j]
+    tail, head = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
+    d, r = head - tail, g.centroid[c] - tail
+    areas = np.full((mesh.n_edges, 2), np.nan)
+    areas[e, np.where(g.left[c, j], 0, 1)] = 0.5 * np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0])
+    return areas
 
 
-def virtual_triangles(mesh, edge_id):
-    """One triangle per incident cell: edge endpoints plus the cell centroid."""
-    tail, head = mesh.edges[edge_id]
-    a, b = mesh.vertices[tail], mesh.vertices[head]
-    tris = []
-    for cid in mesh.edge_cells[edge_id]:
-        if cid == BOUNDARY:
-            continue
-        apex = mesh.geometry(cid).centroid
-        area = 0.5 * abs((b - a)[0] * (apex - a)[1] - (b - a)[1] * (apex - a)[0])
-        if area <= 0.0:
-            raise MeshError(f"degenerate virtual triangle on edge {edge_id}, cell {cid}")
-        tris.append(VirtualTriangle(edge_id, int(cid), np.array([a, b, apex]), float(area)))
-    return tris
+@dataclass(eq=False)
+class StackedGeometry:
+    """Geometry of many cells at once, padded to their largest valence P.
+
+    Row ``i`` describes cell ``cells[i]``.  Corner ``j < valence[i]`` is the
+    cell's j-th vertex, and edge ``j`` runs from it to corner
+    ``next_corner[i, j]``.  Past a cell's valence, ``vertices`` repeat the
+    cell's first vertex and every per-edge array is zero, so padded edges
+    drop out of every sum.
+    """
+
+    cells: np.ndarray           # (C,) cell ids
+    valence: np.ndarray         # (C,) vertices (= edges) of each cell
+    valid: np.ndarray           # (C, P) corner j < valence
+    next_corner: np.ndarray     # (C, P) the corner each edge runs to
+    vertex_ids: np.ndarray      # (C, P) mesh vertex of each corner
+    edge_ids: np.ndarray        # (C, P) mesh edge leaving each corner
+    left: np.ndarray            # (C, P) the cell is that edge's left cell
+    vertices: np.ndarray        # (C, P, 2)
+    diameter: np.ndarray        # (C,)
+    area: np.ndarray            # (C,)
+    centroid: np.ndarray        # (C, 2)
+    edge_lengths: np.ndarray    # (C, P)
+    normals: np.ndarray         # (C, P, 2) outward unit normals
+    tangents: np.ndarray        # (C, P, 2) unit tangents along the loop
+    fan_areas: np.ndarray       # (C, P) signed areas of centroid fan triangles
+
+    @property
+    def heads(self):
+        """(C, P, 2) the vertex each edge runs to."""
+        return np.take_along_axis(self.vertices, self.next_corner[..., None], axis=1)
+
+    def take(self, rows):
+        """The stacked geometry of the given rows only."""
+        return StackedGeometry(**{f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(self)})
+
+    def cell(self, i):
+        """The :class:`CellGeometry` of row ``i``, made of views of the stacks."""
+        m = self.valence[i]
+        return CellGeometry(
+            int(self.cells[i]), self.vertices[i, :m], float(self.diameter[i]), float(self.area[i]),
+            self.centroid[i], self.edge_lengths[i, :m], self.normals[i, :m], self.tangents[i, :m],
+            self.fan_areas[i, :m],
+        )
 
 
-def mesh_quality(mesh):
-    """Quality census; flags star-shapedness violations instead of failing."""
-    diams, edge_ratio, fan_aspect, star = [], [], [], []
-    max_edges = 0
-    for c in range(mesh.n_cells):
-        g = mesh.geometry(c)
-        diams.append(g.diameter)
-        edge_ratio.append(g.edge_lengths.min() / g.diameter)
-        star.append(g.star_shaped)
-        max_edges = max(max_edges, g.n_edges)
-        loop = g.vertices
-        nxt = np.roll(loop, -1, axis=0)
-        for i in range(g.n_edges):
-            tri = np.array([g.centroid, loop[i], nxt[i]])
-            sides = np.linalg.norm(np.roll(tri, -1, axis=0) - tri, axis=1)
-            fan_aspect.append(2.0 * abs(g.fan_areas[i]) / sides.max() ** 2)
-    return MeshQualityReport(
-        min_diameter=min(diams),
-        max_diameter=max(diams),
-        min_edge_ratio=min(edge_ratio),
-        min_fan_aspect=min(fan_aspect),
-        max_edges_per_cell=max_edges,
-        star_shaped=np.array(star),
+def stacked_geometry(mesh):
+    """:class:`StackedGeometry` of every cell, on all corners at once; each
+    corner's edge is found by its sorted vertex pair."""
+    valence = np.fromiter(map(len, mesh.cells), dtype=np.intp, count=mesh.n_cells)
+    offsets = np.concatenate([[0], np.cumsum(valence)])
+    flat = np.concatenate(mesh.cells)
+    area, centroid = _centroids(mesh.vertices[flat], offsets)
+    if np.any(area <= 0.0):
+        raise MeshError(f"cell {np.argmax(area <= 0.0)} is not counter-clockwise or has nonpositive area")
+    j = np.arange(valence.max())
+    valid = j < valence[:, None]
+    vertex_ids = flat[offsets[:-1, None] + np.where(valid, j, 0)]
+    next_corner = np.where(j + 1 < valence[:, None], j + 1, 0)
+    head_ids = np.take_along_axis(vertex_ids, next_corner, axis=1)
+
+    nv = mesh.n_vertices
+    edge_keys = mesh.edges.min(axis=1) * nv + mesh.edges.max(axis=1)
+    order = np.argsort(edge_keys)
+    corner_keys = np.minimum(vertex_ids, head_ids) * nv + np.maximum(vertex_ids, head_ids)
+    found = np.minimum(np.searchsorted(edge_keys[order], corner_keys), len(order) - 1)
+    edge_ids = np.where(valid, order[found], 0)
+    left = valid & (mesh.edges[edge_ids, 0] == vertex_ids)
+
+    loop, heads = mesh.vertices[vertex_ids], mesh.vertices[head_ids]
+    diameter = np.sqrt(((loop[:, :, None, :] - loop[:, None, :, :]) ** 2).sum(axis=3).max(axis=(1, 2)))
+    edge_vec = heads - loop
+    lengths = np.sqrt((edge_vec**2).sum(axis=2))
+    if np.any(valid & (lengths <= 0.0)):
+        raise MeshError(f"cell {np.argmax((valid & (lengths <= 0.0)).any(axis=1))} has a zero-length edge")
+    tangents = edge_vec / np.where(valid, lengths, 1.0)[..., None]
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=2)
+    rel, rel_next = loop - centroid[:, None], heads - centroid[:, None]
+    fan = 0.5 * (rel[..., 0] * rel_next[..., 1] - rel_next[..., 0] * rel[..., 1])
+    return StackedGeometry(
+        np.arange(mesh.n_cells), valence, valid, next_corner, vertex_ids, edge_ids, left,
+        loop, diameter, area, centroid, lengths, normals, tangents, fan,
     )
 
 
@@ -545,7 +541,9 @@ def import_mesh(text):
         validate_tiling(m, 1.0)
     except MeshError as exc:
         raise MeshFormatError(str(exc)) from exc
-    for c in range(m.n_cells):
-        if not m.geometry(c).star_shaped:
-            fail(first_cell_line + c, f"cell {c} is not star-shaped with respect to its centroid")
+    g = m.stacked_geometry
+    not_star = np.any(g.valid & (g.fan_areas <= 0.0), axis=1)
+    if np.any(not_star):
+        c = int(np.argmax(not_star))
+        fail(first_cell_line + c, f"cell {c} is not star-shaped with respect to its centroid")
     return m

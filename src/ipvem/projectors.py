@@ -1,40 +1,49 @@
-"""Per-element DoF layout and the three computable projectors.
+"""Per-element DoF layout and the three computable projectors, built for
+every cell of a mesh at once.
 
 For the lowest order (k = 2) every element carries one value per vertex, one
 value per edge midpoint (the interior Gauss-Lobatto node) and one constant
-moment.  Three polynomial images of a DoF vector are available:
+moment.  Three polynomial images of a DoF vector are available: ``h1``, the
+gradient projector; ``h2``, the Hessian-energy projector; and ``l2``, the
+value projector.  Every edge integral is Simpson's rule at the edge's tail
+vertex, midpoint and head vertex, which are DoF points; at k = 2 no edge
+integrand has degree above 3, so the rule is exact.
 
-* ``h1`` - the gradient projector, assembled from the divergence-theorem
-  right-hand side with Simpson edge sums and closed by the vertex-average
-  constraint;
-* ``h2`` - the Hessian-energy projector, whose right-hand side is computable
-  from the DoFs because the space constrains edge normal-derivative moments
-  to match those of the gradient projection, and which is closed by boundary
-  quasi-averages of the value and the gradient;
-* ``l2`` - the value projector, using the interior moment for the constant
-  test function and the gradient projection for the higher ones.
-
-Every edge integral is Simpson's rule at the edge's tail vertex, midpoint
-and head vertex, which are DoF points.  At k = 2 no edge integrand has
-degree above 3 (a quadratic trace times a linear normal derivative), so the
-rule is exact, and all edge data of an element comes from one tensor: the
-normal derivatives of the monomials at those three points.
+Each projector system is 6 x 6 (dim P_2 = 6) with one right-hand-side
+column per local DoF, so each cell is padded to the mesh's largest DoF
+count, 2 * (max valence) + 1, with zero columns.  A zero column solves to
+exactly zero, so one batched ``np.linalg.solve`` per projector covers every
+cell.  Local DoFs keep their per-cell order (vertices, edge midpoints,
+moment): a cell with n DoFs owns columns ``:n`` of its row, and
+:class:`ElementContext` is a view of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (
     ORDER,
+    QUAD_ORDER,
     SIMPSON,
-    PolyCoeffs,
     ScaledMonomialBasis,
     derivative_matrix,
+    fan_quadrature,
     monomial_exponents,
-    monomial_integral_table,
+    monomial_integrals,
+    monomials,
+)
+from .mesh import StackedGeometry
+
+_UNIT = ScaledMonomialBasis(np.zeros(2), 1.0, ORDER)
+#: derivative matrices of the basis on a cell of unit diameter
+_DX, _DY = derivative_matrix(_UNIT, "x"), derivative_matrix(_UNIT, "y")
+#: position of each product of two basis members in the degree-2k integrals
+_PRODUCT = np.array(
+    [[monomial_exponents(2 * ORDER).index((a + c, b + d)) for c, d in _UNIT.exponents] for a, b in _UNIT.exponents]
 )
 
 
@@ -109,170 +118,178 @@ def build_dof_layout(geometry):
     return DofLayout(n_vertices=m, points=points, edge_nodes=np.column_stack([j, m + j, (j + 1) % m]))
 
 
-def dofs_of_polynomial(element, coeffs):
-    """Evaluate the DoF functionals on a known polynomial (the test oracle).
+@dataclass(eq=False)
+class Elements:
+    """Stacked element data of many cells of one mesh.
 
-    Point DoFs are plain evaluations; the moment is the exact cell average.
+    Row ``i`` is cell ``geometry.cells[i]`` with ``n_dofs[i]`` local DoFs;
+    DoF columns past that are zero padding (``dofs`` holds 0 there).
+    ``elements[i]`` is row ``i``'s :class:`ElementContext` view.
     """
-    poly = coeffs.values if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=float)
-    values = np.empty(element.layout.n_dofs)
-    pts = element.layout.points
-    values[: len(pts)] = element.basis.evaluate(pts) @ poly
-    values[element.layout.moment_index] = (element.integrals[: len(poly)] @ poly) / element.geometry.area
-    return values
+
+    geometry: StackedGeometry
+    n_dofs: np.ndarray              # (C,)
+    dofs: np.ndarray                # (C, N) global DoF indices
+    integrals: np.ndarray           # (C, 15) scaled-monomial integrals, degree <= 4
+    mass: np.ndarray                # (C, 6, 6)
+    grad_gram: np.ndarray
+    hess_gram: np.ndarray
+    dof_matrix: np.ndarray          # (C, N, 6)
+    h1_coeff: np.ndarray            # (C, 6, N)
+    h2_coeff: np.ndarray
+    l2_coeff: np.ndarray
+    edge_normal_trace: np.ndarray   # (C, P, 3, N)
+    vertex_average: tuple           # ((C, 6), (C, N))
+    quasi_averages: tuple           # ((C, 3, 6), (C, 3, N))
+
+    @functools.cached_property
+    def fan_rule(self):
+        """The centroid-fan :class:`~ipvem.basis.FanRule` of order
+        ``QUAD_ORDER`` on every cell, built once and shared by the loads,
+        the exact-solution DoFs and the error evaluation."""
+        return fan_quadrature(self.geometry, QUAD_ORDER)
+
+    @property
+    def dof_mask(self):
+        """(C, N) True on each cell's own DoF columns."""
+        return np.arange(self.dofs.shape[1]) < self.n_dofs[:, None]
+
+    def __len__(self):
+        return len(self.n_dofs)
+
+    def __getitem__(self, i):
+        n, m = int(self.n_dofs[i]), int(self.geometry.valence[i])
+        geometry = self.geometry.cell(i)
+        D = self.dof_matrix[i, :n]
+        h1, h2 = self.h1_coeff[i, :, :n], self.h2_coeff[i, :, :n]
+        (vp, vd), (qp, qd) = self.vertex_average, self.quasi_averages
+        projectors = ProjectorSet(
+            h1, D @ h1, h2, D @ h2, self.l2_coeff[i, :, :n], D, (vp[i], vd[i, :n]), (qp[i], qd[i, :, :n])
+        )
+        return ElementContext(
+            geometry.cell_id, geometry, ScaledMonomialBasis(geometry.centroid, geometry.diameter, ORDER),
+            build_dof_layout(geometry), self.integrals[i], self.mass[i], self.grad_gram[i], self.hess_gram[i],
+            self.edge_normal_trace[i, :m, :, :n], projectors,
+        )
 
 
-def _dof_matrix(geometry, basis, layout, integrals):
-    D = np.empty((layout.n_dofs, basis.dim))
-    D[: 2 * layout.n_vertices] = basis.evaluate(layout.points)
-    D[layout.moment_index] = integrals[: basis.dim] / geometry.area
-    return D
-
-
-def _mass_matrix(basis, integrals, table_exponents):
-    dim = basis.dim
-    M = np.empty((dim, dim))
-    for a, ea in enumerate(basis.exponents):
-        for b, eb in enumerate(basis.exponents):
-            M[a, b] = integrals[table_exponents[(ea[0] + eb[0], ea[1] + eb[1])]]
-    return M
-
-
-def build_h1_projector(geometry, layout, grad_gram, laplacian, dof_matrix, edge_weights, edge_dn):
-    """Gradient projector from moment and boundary point data.
-
-    For each monomial test function q the right-hand side is
-    -(v, lap q)_K + sum_e int_e v dn(q) ds.  ``laplacian`` holds the constant
-    lap q of every monomial, so the cell term reads only the moment DoF; the
-    edge terms are Simpson sums of the point DoFs against ``edge_dn``, the
-    (m, 3, dim) normal derivatives of the monomials at each edge's nodes,
-    weighted by ``edge_weights`` = h_e * SIMPSON.  The constant ambiguity of
-    the gradient system is removed by matching the vertex average.
-    """
-    m = layout.n_vertices
-    B = np.zeros((layout.n_dofs, len(laplacian)))
-    np.add.at(B, layout.edge_nodes, edge_weights[:, :, None] * edge_dn)
-    B[layout.moment_index] = -laplacian * geometry.area
-    B = B.T
-
-    # vertex-average constraint replaces the (identically zero) constant row
-    constraint_poly = dof_matrix[:m].mean(axis=0)
-    constraint_dof = np.zeros(layout.n_dofs)
-    constraint_dof[:m] = 1.0 / m
-    G = grad_gram.copy()
-    G[0] = constraint_poly
-    B[0] = constraint_dof
+def _solve(mats, rhs, geometry, name):
     try:
-        coeff = np.linalg.solve(G, B)
+        return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"singular gradient-projector system on cell {geometry.cell_id}") from exc
-    return coeff, dof_matrix @ coeff, (constraint_poly, constraint_dof)
+        bad = geometry.cells[np.argmin(np.linalg.matrix_rank(mats) == mats.shape[-1])]
+        raise ArithmeticError(f"singular {name}-projector system on cell {bad}") from exc
 
 
-def build_h2_projector(geometry, layout, hess_gram, hessian, Dx, Dy, dof_matrix, edge_weights, edge_flux):
-    """Hessian-energy projector closed by boundary quasi-averages.
+def _build(mesh, g):
+    """Every element of the stacked geometry ``g``, in one batched kernel.
 
-    The Hessian of a quadratic test function q is the constant ``hessian``
-    (2, 2, dim), so (D^2 q, D^2 v)_K = sum_e (D^2 q n_e) . int_e grad v ds
-    with int_e grad v ds = n_e int_e dn v ds + t_e (v(head) - v(tail)); the
-    space makes int_e dn v ds equal to ``edge_flux``, that of the gradient
-    projection.  The three-dimensional affine kernel is pinned by the
-    boundary means of the value and of the gradient; the value's is a
-    Simpson sum, exact on both the DoF and the polynomial side.
+    For a monomial test function q the h1 right-hand side is
+    -(v, lap q)_K + sum_e int_e v dn(q) ds, closed by the vertex average.
+    The h2 right-hand side is sum_e (D^2 q n_e) . int_e grad v ds, with
+    int_e grad v ds = n_e int_e dn(h1 v) ds + t_e (v(head) - v(tail)),
+    closed by the boundary means of the value and the gradient.  The l2
+    projector uses the moment for the constant and h1 for the others.
     """
-    m, n = layout.n_vertices, layout.n_dofs
-    nodes = layout.edge_nodes
-    normals, tangents = geometry.normals, geometry.tangents
-    endpoint_diff = np.zeros((m, n))
-    endpoint_diff[np.arange(m), nodes[:, 2]] += 1.0
-    endpoint_diff[np.arange(m), nodes[:, 0]] -= 1.0
-    # int_e grad v ds for every DoF basis function v, (m, 2, n)
-    edge_grad = normals[:, :, None] * edge_flux[:, None, :] + tangents[:, :, None] * endpoint_diff[:, None, :]
-    rhs = np.einsum("abk,ea,ebn->kn", hessian, normals, edge_grad)
+    C, P = g.valid.shape
+    N = 2 * P + 1
+    m = g.valence
+    rows, cells, j = np.arange(C)[:, None], np.arange(C), np.arange(P)
+    # local positions: vertex j, then edge node j at m + j, the moment at 2m;
+    # padded corners take the padded columns
+    vpos = np.where(g.valid, j, 2 * j + 1)
+    mpos = np.where(g.valid, m[:, None] + j, 2 * j + 2)
+    nodes = np.stack([vpos, mpos, np.take_along_axis(vpos, g.next_corner, axis=1)], axis=2)
+    prev = np.where(j == 0, m[:, None] - 1, j - 1)
 
-    hat_dof = np.bincount(nodes.ravel(), weights=edge_weights.ravel(), minlength=n) / geometry.perimeter
-    hat_poly = hat_dof @ dof_matrix
-    constraint_poly = np.vstack([hat_poly, hat_poly @ Dx, hat_poly @ Dy])
-    constraint_dof = np.vstack([hat_dof, edge_grad.sum(axis=0) / geometry.perimeter])
+    def node_sum(per_node):
+        """(C, P, 3, ...) values at each edge's nodes summed into DoF columns."""
+        out = np.zeros((C, N) + per_node.shape[3:])
+        mask = g.valid.reshape(g.valid.shape + (1,) * (per_node.ndim - 3))
+        out[rows, vpos] = np.where(mask, per_node[:, :, 0] + per_node[rows, prev, 2], 0.0)
+        out[rows, mpos] = per_node[:, :, 1]
+        return out
+
+    dofs = np.zeros((C, N), dtype=np.intp)
+    dofs[rows, vpos] = np.where(g.valid, g.vertex_ids, 0)
+    dofs[rows, mpos] = np.where(g.valid, mesh.n_vertices + g.edge_ids, 0)
+    dofs[cells, 2 * m] = mesh.n_vertices + mesh.n_edges + g.cells
+
+    # products of two basis members need integrals up to degree 2k
+    integrals = monomial_integrals(g, 2 * ORDER)
+    mass = integrals[:, _PRODUCT]
+    h = g.diameter[:, None, None]
+    Dx, Dy = _DX / h, _DY / h
+    Dxx, Dxy, Dyy = Dx @ Dx, Dx @ Dy, Dy @ Dy
+
+    def gram(*Ds):
+        return sum(np.swapaxes(D, 1, 2) @ mass @ D for D in Ds)
+
+    grad_gram = gram(Dx, Dy)
+    hess_gram = gram(Dxx) + 2.0 * gram(Dxy) + gram(Dyy)
+    # constant second derivatives of every monomial, (C, 2, 2, 6)
+    hessian = np.stack([np.stack([Dxx[:, 0], Dxy[:, 0]], 1), np.stack([Dxy[:, 0], Dyy[:, 0]], 1)], 1)
+
+    def basis_at(points):
+        scaled = (points - g.centroid[:, None]) / h
+        return monomials(scaled[..., 0], scaled[..., 1], ORDER) * g.valid[..., None]
+
+    D = np.zeros((C, N, 6))
+    D[rows, vpos] = basis_at(g.vertices)
+    D[rows, mpos] = basis_at(0.5 * (g.vertices + g.heads))
+    D[cells, 2 * m] = integrals[:, :6] / g.area[:, None]
+
+    # the monomials' normal derivatives at each edge's DoF points, (C, P, 3, 6)
+    values = D[rows[..., None], nodes]
+    nx, ny = g.normals[..., 0, None, None], g.normals[..., 1, None, None]
+    edge_dn = nx * (values @ Dx[:, None]) + ny * (values @ Dy[:, None])
+    edge_weights = g.edge_lengths[..., None] * SIMPSON
+
+    B = node_sum(edge_weights[..., None] * edge_dn)
+    B[cells, 2 * m] = -(hessian[:, 0, 0] + hessian[:, 1, 1]) * g.area[:, None]
+    B = np.swapaxes(B, 1, 2)
+    # vertex-average constraint replaces the (identically zero) constant row
+    vertex_poly = D[rows, vpos].sum(axis=1) / m[:, None]
+    vertex_dof = np.zeros((C, N))
+    vertex_dof[rows, vpos] = np.where(g.valid, 1.0 / m[:, None], 0.0)
+    G = grad_gram.copy()
+    G[:, 0], B[:, 0] = vertex_poly, vertex_dof
+    h1 = _solve(G, B, g, "gradient")
+
+    trace = edge_dn @ h1[:, None]
+    flux = np.einsum("cpk,cpkn->cpn", edge_weights, trace)
+    ends = np.zeros((C, P, N))
+    ends[rows, j, nodes[..., 2]] = 1.0
+    ends[rows, j, nodes[..., 0]] = -1.0
+    # int_e grad v ds for every DoF basis function v, (C, P, 2, N)
+    edge_grad = g.normals[..., None] * flux[:, :, None] + g.tangents[..., None] * ends[:, :, None]
+    rhs = np.einsum("cebk,cebn->ckn", np.einsum("cabk,cea->cebk", hessian, g.normals), edge_grad)
+    perimeter = g.edge_lengths.sum(axis=1)[:, None]
+    hat_dof = node_sum(edge_weights) / perimeter
+    hat_poly = np.einsum("cn,cnk->ck", hat_dof, D)
+    quasi_poly = np.stack([hat_poly, np.einsum("ck,ckl->cl", hat_poly, Dx), np.einsum("ck,ckl->cl", hat_poly, Dy)], 1)
+    quasi_dof = np.concatenate([hat_dof[:, None], edge_grad.sum(axis=1) / perimeter[..., None]], axis=1)
     # the three affine test rows are identically zero on both sides
     H = hess_gram.copy()
-    H[:3] = constraint_poly
-    rhs[:3] = constraint_dof
-    try:
-        coeff = np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"singular hessian-projector system on cell {geometry.cell_id}") from exc
-    return coeff, dof_matrix @ coeff, (constraint_poly, constraint_dof)
+    H[:, :3], rhs[:, :3] = quasi_poly, quasi_dof
+    h2 = _solve(H, rhs, g, "hessian")
 
+    moments = mass @ h1
+    moments[:, 0] = 0.0
+    moments[cells, 0, 2 * m] = g.area
+    l2 = np.linalg.solve(mass, moments)
 
-def build_l2_projector(geometry, layout, mass, h1_coeff):
-    """Value projector: interior moment for the constant, gradient projection
-    for the higher test functions (the usual computability substitution)."""
-    C = mass @ h1_coeff
-    moment_row = np.zeros(layout.n_dofs)
-    moment_row[layout.moment_index] = geometry.area
-    C[0] = moment_row
-    return np.linalg.solve(mass, C)
+    return Elements(
+        g, 2 * m + 1, dofs, integrals, mass, grad_gram, hess_gram, D, h1, h2, l2, trace,
+        (vertex_poly, vertex_dof), (quasi_poly, quasi_dof),
+    )
 
 
 def build_element(mesh, cell_id):
-    """Assemble the full per-element context with all three projectors."""
-    geometry = mesh.geometry(cell_id)
-    basis = ScaledMonomialBasis(geometry.centroid, geometry.diameter, ORDER)
-    layout = build_dof_layout(geometry)
-    # products of two basis members need integrals up to degree 2k
-    integrals = monomial_integral_table(geometry, 2 * ORDER)
-    table_index = {e: i for i, e in enumerate(monomial_exponents(2 * ORDER))}
-    mass = _mass_matrix(basis, integrals, table_index)
-    Dx = derivative_matrix(basis, "x")
-    Dy = derivative_matrix(basis, "y")
-    grad_gram = Dx.T @ mass @ Dx + Dy.T @ mass @ Dy
-    Dxx, Dxy, Dyy = Dx @ Dx, Dx @ Dy, Dy @ Dy
-    hess_gram = Dxx.T @ mass @ Dxx + 2.0 * Dxy.T @ mass @ Dxy + Dyy.T @ mass @ Dyy
-    # constant second derivatives of every monomial, (2, 2, dim)
-    hessian = np.array([[Dxx[0], Dxy[0]], [Dxy[0], Dyy[0]]])
-
-    dof_matrix = _dof_matrix(geometry, basis, layout, integrals)
-    # the monomials' normal derivatives at each edge's DoF points, (m, 3, dim)
-    values = dof_matrix[layout.edge_nodes]
-    nx, ny = geometry.normals.T[:, :, None, None]
-    edge_dn = nx * (values @ Dx) + ny * (values @ Dy)
-    edge_weights = geometry.edge_lengths[:, None] * SIMPSON
-
-    h1_coeff, h1_dof, vertex_average = build_h1_projector(
-        geometry, layout, grad_gram, hessian[0, 0] + hessian[1, 1], dof_matrix, edge_weights, edge_dn
-    )
-    edge_normal_trace = edge_dn @ h1_coeff
-    edge_flux = np.einsum("ek,ekn->en", edge_weights, edge_normal_trace)
-    h2_coeff, h2_dof, quasi = build_h2_projector(
-        geometry, layout, hess_gram, hessian, Dx, Dy, dof_matrix, edge_weights, edge_flux
-    )
-    l2_coeff = build_l2_projector(geometry, layout, mass, h1_coeff)
-
-    projectors = ProjectorSet(
-        h1_coeff=h1_coeff,
-        h1_dof=h1_dof,
-        h2_coeff=h2_coeff,
-        h2_dof=h2_dof,
-        l2_coeff=l2_coeff,
-        dof_matrix=dof_matrix,
-        vertex_average=vertex_average,
-        quasi_averages=quasi,
-    )
-    return ElementContext(
-        cell_id=cell_id,
-        geometry=geometry,
-        basis=basis,
-        layout=layout,
-        integrals=integrals,
-        mass=mass,
-        grad_gram=grad_gram,
-        hess_gram=hess_gram,
-        edge_normal_trace=edge_normal_trace,
-        projectors=projectors,
-    )
+    """The :class:`ElementContext` of one cell: the batched kernel on a batch of one."""
+    return _build(mesh, mesh.stacked_geometry.take([cell_id]))[0]
 
 
 def build_elements(mesh):
-    """Element contexts for every cell; independent pure computations."""
-    return [build_element(mesh, c) for c in range(mesh.n_cells)]
+    """Stacked :class:`Elements` of every cell, row ``i`` being cell ``i``."""
+    return _build(mesh, mesh.stacked_geometry)

@@ -82,14 +82,6 @@ class DiscreteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scatter(index_sets, blocks, n):
-    """Scatter-add dense blocks into an n x n matrix at the given index sets."""
-    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in index_sets])
-    cols = np.concatenate([np.tile(idx, len(idx)) for idx in index_sets])
-    vals = np.concatenate([np.asarray(block, dtype=float).ravel() for block in blocks])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
 @dataclass(eq=False)
 class OperatorParts:
     """Full-size eps-independent pieces of the discrete operator.
@@ -106,68 +98,105 @@ class OperatorParts:
 
 
 def build_operator_parts(mesh, dof_map, local_forms, stencils):
-    """Scatter the cell forms and edge stencils into the operator parts.
+    """Assemble the operator parts from the stacked cell forms and the
+    edge-trace operators.  Both cell forms share one sorted index set of
+    every cell's (row, column) DoF pairs; the edge coupling is a product of
+    sparse matrices (``stencils.coupling()``)."""
+    elements = local_forms.elements
+    mask = elements.dof_mask
+    pair = mask[:, :, None] & mask[:, None, :]
+    if local_forms.a.shape != pair.shape or local_forms.b.shape != pair.shape:
+        raise ValueError("cell forms do not match the elements' DoF layout")
+    n, dofs = dof_map.n_dofs, elements.dofs
+    slots, index = np.unique((dofs[:, :, None] * n + dofs[:, None, :])[pair], return_inverse=True)
+    indptr = np.searchsorted(slots, np.arange(n + 1) * n)
 
-    Each cell's global DoF indices are computed once and shared by its two
-    cell blocks and by the stencil blocks of every edge it touches.
-    """
-    cell_idx = [cell_dof_indices(dof_map, mesh, c) for c in range(mesh.n_cells)]
-    edge_idx = [np.concatenate([cell_idx[c] for c in s.cells]) for s in stencils]
-    n = dof_map.n_dofs
-    a_only = _scatter(cell_idx, [lf.a_matrix for lf in local_forms], n)
+    def cell_matrix(blocks):
+        data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
+        return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
+
+    a_only = cell_matrix(local_forms.a)
+    j1, j2 = stencils.coupling()
     return OperatorParts(
-        hess=(a_only + _scatter(edge_idx, [s.block for s in stencils], n)).tocsr(),
-        grad=_scatter(cell_idx, [lf.b_matrix for lf in local_forms], n),
+        hess=(a_only + j1 + j2 + j2.T).tocsr(),
+        grad=cell_matrix(local_forms.b),
         a_only=a_only,
-        j1=_scatter(edge_idx, [s.j1_block for s in stencils], n),
+        j1=j1,
     )
 
 
-def load_vector(mesh, dof_map, loads):
-    """Scatter per-cell load vectors into the global right-hand side."""
-    rhs = np.zeros(dof_map.n_dofs)
-    for cid, load in enumerate(loads):
-        np.add.at(rhs, cell_dof_indices(dof_map, mesh, cid), load)
-    return rhs
+def load_vector(elements, f):
+    """Global load vector (f, l2 projection of each DoF basis function),
+    with ``f`` evaluated once at all points of the elements' fan rule."""
+    rule = elements.fan_rule
+    moments = rule.cell_moments(np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float), 2)
+    loads = np.einsum("ckn,ck->cn", elements.l2_coeff, moments)
+    return np.bincount(elements.dofs.ravel(), weights=loads.ravel(), minlength=elements.dofs.max() + 1)
+
+
+@dataclass(eq=False)
+class FreeParts:
+    """The operator parts restricted to the free DoFs and symmetrized."""
+
+    hess: sp.csr_matrix
+    grad: sp.csr_matrix
+    free: np.ndarray
+    dof_map: GlobalDofMap
+
+
+def restrict(hess_part, grad_part, dof_map):
+    """Eliminate the boundary rows and columns of both parts and symmetrize
+    them, removing accumulation-order roundoff; done once per mesh."""
+    free = np.flatnonzero(dof_map.free)
+
+    def symmetric_free(part):
+        reduced = part[free][:, free]
+        return ((reduced + reduced.T) * 0.5).tocsr()
+
+    return FreeParts(symmetric_free(hess_part), symmetric_free(grad_part), free, dof_map)
+
+
+def combine(parts, rhs, eps):
+    """The reduced system eps^2 * hess + grad at one eps: one sparse sum,
+    exactly symmetric because both terms are."""
+    return SparseSystem(
+        matrix=((eps**2) * parts.hess + parts.grad).tocsr(),
+        rhs=rhs[parts.free],
+        eps=eps,
+        dof_map=parts.dof_map,
+        free_indices=parts.free,
+    )
 
 
 def reduce_system(hess_part, grad_part, rhs, eps, dof_map):
-    """Combine the eps-scaled parts and eliminate the boundary rows/columns."""
-    full = (eps**2) * hess_part + grad_part
-    full = (full + full.T) * 0.5  # remove accumulation-order roundoff
-    free = np.flatnonzero(dof_map.free)
-    reduced = full[free][:, free].tocsr()
-    return SparseSystem(
-        matrix=reduced,
-        rhs=rhs[free],
-        eps=eps,
-        dof_map=dof_map,
-        free_indices=free,
-    )
+    """Restrict the eps-independent parts to the free DoFs, then combine them."""
+    return combine(restrict(hess_part, grad_part, dof_map), rhs, eps)
 
 
 RESIDUAL_TARGET = 1e-10
+#: unit roundoff of double precision
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def solve(system, residual_target=RESIDUAL_TARGET):
-    """Direct sparse solve with a residual check and a CG fallback."""
+    """Direct sparse solve with extended-precision refinement and a residual
+    check.  Besides the relative residual, the diagnostics hold the
+    componentwise backward error max_i |r_i| / (|A||x| + |b|)_i
+    (Oettli-Prager) and the residual floor u || |A||x| || / ||b||."""
     mat, rhs = system.matrix, system.rhs
-    rhs_norm = float(np.linalg.norm(rhs))
     diagnostics = {"method": "splu", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
-    if rhs_norm == 0.0:
+    if not np.any(rhs):
         x = np.zeros_like(rhs)
         residual = 0.0
+        diagnostics.update(backward_error=0.0, residual_floor=0.0)
     else:
-        x = None
         try:
             lu = spla.splu(mat.tocsc())
-            x = lu.solve(rhs)
-            x, residual, diagnostics["refine_steps"] = _refine(mat, rhs, x, lu, residual_target)
-        except RuntimeError:
-            residual = np.inf
-        if x is None or not np.isfinite(residual) or residual > residual_target:
-            x, residual = _cg_solve(mat, rhs, residual_target)
-            diagnostics["method"] = "cg"
+        except RuntimeError as exc:
+            raise SolveError(f"sparse LU failed: {exc}") from exc
+        x, residual, diagnostics["refine_steps"] = _refine(
+            mat, rhs, lu.solve(rhs), lu, residual_target, accuracy=diagnostics
+        )
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
     values = np.zeros(system.dof_map.n_dofs)
@@ -176,35 +205,34 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 
 
-def _refine(mat, rhs, x, lu, residual_target, max_steps=4):
+def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None):
     """Mixed-precision iterative refinement.
 
     Residuals are evaluated in extended precision; plain double evaluation
     bottoms out near u * ||M|| * ||x|| / ||b||, which for the stiff
     small-mesh-size systems sits right at the residual target.  Returns the
     refined solution, its relative residual and the number of corrections
-    applied; the residual is always that of the returned solution.
+    applied; the residual is always that of the returned solution, and the
+    backward error and residual floor written into ``accuracy`` are its too.
     """
     mat_ld = mat.astype(np.longdouble)
     rhs_ld = rhs.astype(np.longdouble)
     rhs_norm = float(np.linalg.norm(rhs))
     steps = 0
     while True:
-        r = rhs_ld - mat_ld @ x.astype(np.longdouble)
-        residual = float(np.linalg.norm(r.astype(float))) / rhs_norm
+        r = (rhs_ld - mat_ld @ x.astype(np.longdouble)).astype(float)
+        residual = float(np.linalg.norm(r)) / rhs_norm
         if residual <= residual_target / 10.0 or steps == max_steps:
-            return x, residual, steps
-        x = x + lu.solve(r.astype(float))
+            break
+        x = x + lu.solve(r)
         steps += 1
-
-
-def _cg_solve(mat, rhs, residual_target):
-    diag = mat.diagonal().copy()
-    diag[diag <= 0.0] = 1.0
-    precond = sp.diags(1.0 / diag)
-    x, info = spla.cg(mat, rhs, rtol=residual_target / 10.0, atol=0.0, maxiter=20 * mat.shape[0], M=precond)
-    residual = float(np.linalg.norm(mat @ x - rhs)) / float(np.linalg.norm(rhs))
-    return x, residual
+    if accuracy is not None:
+        scale = abs(mat) @ np.abs(x)
+        bound = scale + np.abs(rhs)
+        ratio = np.divide(np.abs(r), bound, out=np.zeros_like(r), where=bound > 0.0)
+        accuracy["backward_error"] = float(ratio.max())
+        accuracy["residual_floor"] = UNIT_ROUNDOFF * float(np.linalg.norm(scale)) / rhs_norm
+    return x, residual, steps
 
 
 def is_positive_definite(system):
@@ -220,12 +248,3 @@ def is_positive_definite(system):
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(dense)[0])
         return False, smallest
-
-
-def export_matrix(system, path):
-    """Write the reduced matrix in coordinate text format: row col value."""
-    coo = system.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

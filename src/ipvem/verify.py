@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import QUAD_ORDER, fan_quadrature
-from .system import cell_dof_indices
-
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
@@ -130,48 +127,26 @@ class ErrorRecord:
         return abs(self.e_total**2 - (self.eps**2 * self.h2_part**2 + self.h1_part**2))
 
 
-def _exact_dofs(mesh, dof_map, msol, owner, weights, values, areas):
-    """DoF vector of the exact solution.
-
-    Point DoFs are evaluations at the mesh vertices and edge midpoints; the
-    moment of each cell is the fan-quadrature mean of ``values``, the exact
-    solution at the points described by ``owner`` and ``weights``.
-    """
-    verts = mesh.vertices
-    mid = 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])
-    n_points = dof_map.n_vertices + dof_map.n_edges
-    chi = np.empty(dof_map.n_dofs)
-    chi[: dof_map.n_vertices] = msol(verts[:, 0], verts[:, 1])
-    chi[dof_map.n_vertices : n_points] = msol(mid[:, 0], mid[:, 1])
-    chi[n_points:] = np.bincount(owner, weights=weights * values, minlength=len(areas)) / areas
-    return chi
-
-
 def interpolation_dofs(mesh, dof_map, elements, msol):
-    """Global DoF vector of the exact solution: point values and cell means."""
-    geoms = [el.geometry for el in elements]
-    pts, w, owner = fan_quadrature(geoms, QUAD_ORDER)
-    areas = np.array([g.area for g in geoms])
-    return _exact_dofs(mesh, dof_map, msol, owner, w, msol(pts[:, 0], pts[:, 1]), areas)
+    """Global DoF vector of the exact solution: its values at the mesh
+    vertices and edge midpoints, and its fan-quadrature cell means."""
+    verts, rule = mesh.vertices, elements.fan_rule
+    points = np.vstack([verts, 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])])
+    values = rule.weights * msol(rule.points[:, 0], rule.points[:, 1])
+    means = np.bincount(rule.cell, weights=values, minlength=rule.n_cells) / elements.geometry.area
+    return np.concatenate([np.broadcast_to(msol(points[:, 0], points[:, 1]), len(points)), means])
 
 
 @dataclass(eq=False)
 class ErrorData:
-    """The eps-independent part of the error evaluation on one mesh.
-
-    The centroid-fan quadrature points of all cells are stored flat: the
-    weight, the owning cell, the coordinates scaled by that cell's centroid
-    and diameter, and the exact first and second partials.  ``groups``
-    holds, per cell valence, the cell ids, their global DoF indices and the
-    stacked h2 and h1 projector coefficient matrices (rows 0-5 and 6-11).
-    """
+    """The eps-independent part of the error evaluation on one mesh: the
+    elements' fan rule with the exact partials at its points, and the
+    padded global DoF indices with the stacked h2 and h1 projector
+    coefficients (rows 0-5 and 6-11)."""
 
     n_cells: int
     h_max: float
-    weights: np.ndarray         # (Q,)
-    cell: np.ndarray            # (Q,) owning cell of each point
-    xi: np.ndarray              # (Q,) scaled coordinates
-    eta: np.ndarray
+    rule: object                # basis.FanRule
     ux: np.ndarray              # (Q,) exact partials
     uy: np.ndarray
     uxx: np.ndarray
@@ -179,46 +154,27 @@ class ErrorData:
     uyy: np.ndarray
     inv_h: np.ndarray           # (n_cells,) reciprocal cell diameters
     exact_dofs: np.ndarray      # (n_dofs,) DoFs of the exact solution
-    groups: list                # [(cells (G,), dofs (G, n), projectors (G, 12, n))]
+    dofs: np.ndarray            # (n_cells, N)
+    projectors: np.ndarray      # (n_cells, 12, N)
 
 
 def build_error_data(mesh, dof_map, elements, msol):
     """Error data of one mesh, built once and shared by every eps."""
-    geoms = [el.geometry for el in elements]
-    pts, w, cell = fan_quadrature(geoms, QUAD_ORDER)
-    x, y = pts[:, 0], pts[:, 1]
-    centroids = np.array([g.centroid for g in geoms])
-    diameters = np.array([g.diameter for g in geoms])
-    areas = np.array([g.area for g in geoms])
-    scaled = (pts - centroids[cell]) / diameters[cell, None]
-
-    by_valence = {}
-    for el in elements:
-        by_valence.setdefault(el.layout.n_vertices, []).append(el)
-    groups = [
-        (
-            np.array([el.cell_id for el in els]),
-            np.stack([cell_dof_indices(dof_map, mesh, el.cell_id) for el in els]),
-            np.stack([np.vstack([el.projectors.h2_coeff, el.projectors.h1_coeff]) for el in els]),
-        )
-        for _, els in sorted(by_valence.items())
-    ]
-
+    g, rule = elements.geometry, elements.fan_rule
+    x, y = rule.points[:, 0], rule.points[:, 1]
     return ErrorData(
         n_cells=mesh.n_cells,
-        h_max=float(diameters.max()),
-        weights=w,
-        cell=cell,
-        xi=scaled[:, 0],
-        eta=scaled[:, 1],
+        h_max=float(g.diameter.max()),
+        rule=rule,
         ux=msol.partial(1, 0, x, y),
         uy=msol.partial(0, 1, x, y),
         uxx=msol.partial(2, 0, x, y),
         uxy=msol.partial(1, 1, x, y),
         uyy=msol.partial(0, 2, x, y),
-        inv_h=1.0 / diameters,
-        exact_dofs=_exact_dofs(mesh, dof_map, msol, cell, w, msol(x, y), areas),
-        groups=groups,
+        inv_h=1.0 / g.diameter,
+        exact_dofs=interpolation_dofs(mesh, dof_map, elements, msol),
+        dofs=elements.dofs,
+        projectors=np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1),
     )
 
 
@@ -231,12 +187,11 @@ def _projection_errors(data, values):
     gradient (c1 + 2 c3 xi + c4 eta, c2 + c4 xi + 2 c5 eta) / h and the
     constant Hessian (2 c3, c4, 2 c5) / h^2.
     """
-    coeffs = np.empty((data.n_cells, 12))
-    for cells, dofs, proj in data.groups:
-        coeffs[cells] = np.einsum("gkn,gn->gk", proj, values[dofs])
+    coeffs = np.einsum("ckn,cn->ck", data.projectors, values[data.dofs])
     # columns 1-5 of each half become (c1, c2, 2 c3, c4, 2 c5) / h
     coeffs *= np.tile([1.0, 1.0, 1.0, 2.0, 1.0, 2.0], 2) * data.inv_h[:, None]
-    w, cell, xi, eta = data.weights, data.cell, data.xi, data.eta
+    rule = data.rule
+    w, cell, xi, eta = rule.weights, rule.cell, rule.xi, rule.eta
 
     def gradient_error_sq(c):
         gx = c[:, 0] + c[:, 2] * xi + c[:, 3] * eta

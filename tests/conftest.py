@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ipvem import mesh, projectors
 
@@ -56,3 +57,111 @@ def geometry_of(points):
     """CellGeometry of a standalone polygon (single-cell mesh)."""
     m = mesh.build_mesh(np.asarray(points, dtype=float), [list(range(len(points)))])
     return m.geometry(0)
+
+
+def stack_of(points):
+    """StackedGeometry of a standalone polygon (single-cell mesh)."""
+    m = mesh.build_mesh(np.asarray(points, dtype=float), [list(range(len(points)))])
+    return m.stacked_geometry
+
+
+def polygon_rule(geom, order):
+    """Test-local centroid-fan rule on one CellGeometry: each fan triangle
+    carries the reference-triangle rule scaled by its signed area."""
+    from ipvem.basis import triangle_quadrature
+
+    ref_pts, ref_w = triangle_quadrature(order)
+    verts, m = geom.vertices, geom.n_edges
+    pts, wts = [], []
+    for i in range(m):
+        v0, v1, v2 = geom.centroid, verts[i], verts[(i + 1) % m]
+        jac = np.column_stack([v1 - v0, v2 - v0])
+        pts.append(v0 + ref_pts @ jac.T)
+        wts.append(ref_w * np.linalg.det(jac))
+    return np.vstack(pts), np.concatenate(wts)
+
+
+class PolyCoeffs:
+    """Coefficient vector over a scaled monomial basis (a test oracle)."""
+
+    def __init__(self, basis, values):
+        self.basis = basis
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (basis.dim,):
+            raise ValueError(f"coefficient length {self.values.shape} does not match basis dim {basis.dim}")
+
+    def __call__(self, points):
+        return self.basis.evaluate(points) @ self.values
+
+
+def dofs_of_polynomial(element, coeffs):
+    """Evaluate the DoF functionals on a known polynomial (a test oracle).
+
+    Point DoFs are plain evaluations; the moment is the exact cell average.
+    """
+    poly = coeffs.values if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=float)
+    values = np.empty(element.layout.n_dofs)
+    pts = element.layout.points
+    values[: len(pts)] = element.basis.evaluate(pts) @ poly
+    values[element.layout.moment_index] = (element.integrals[: len(poly)] @ poly) / element.geometry.area
+    return values
+
+
+def _segments_cross(p, q, r, s):
+    """Closed segments pq and rs intersect."""
+
+    def orient(a, b, c):
+        return np.sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+    if orient(p, q, r) != orient(p, q, s) and orient(r, s, p) != orient(r, s, q):
+        return True
+    return False
+
+
+def random_non_star_polygon(rng, n_min=5, n_max=10):
+    """Random simple polygon that is not star-shaped with respect to its
+    centroid: a star polygon whose vertices are pushed around at random,
+    rejected when it self-intersects, is clockwise or nearly degenerate, or
+    is still star-shaped."""
+    while True:
+        n = int(rng.integers(n_min, n_max + 1))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radii = rng.uniform(0.2, 1.0, n)
+        pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        pts += rng.uniform(-0.6, 0.6, (n, 2))
+        edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+        if any(
+            _segments_cross(*edges[i], *edges[k])
+            for i in range(n)
+            for k in range(i + 2, n)
+            if not (i == 0 and k == n - 1)
+        ):
+            continue
+        area = 0.5 * float(pts[:, 0] @ np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) @ pts[:, 1])
+        if area <= 0.0:
+            continue
+        lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        diameter = np.max(np.linalg.norm(pts[:, None] - pts[None], axis=2))
+        # no sliver: every vertex keeps clear of every edge not its own
+        clearance = min(
+            _point_segment_distance(pts[v], *edges[i])
+            for v in range(n)
+            for i in range(n)
+            if v != i and v != (i + 1) % n
+        )
+        if lengths.min() < 0.05 * diameter or clearance < 0.05 * diameter:
+            continue
+        if not geometry_of(pts).star_shaped:
+            return pts
+
+
+def _point_segment_distance(p, a, b):
+    t = np.clip((p - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * (b - a))))
+
+
+@st.composite
+def non_star_polygons(draw):
+    """Hypothesis strategy: simple polygons not star-shaped with respect to
+    their centroid (see :func:`random_non_star_polygon`)."""
+    return random_non_star_polygon(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))

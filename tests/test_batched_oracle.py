@@ -1,0 +1,245 @@
+"""The whole-mesh kernels against a per-cell oracle.
+
+The oracle below builds every element, local form, edge stencil, load and
+operator part one cell or one edge at a time: a Gauss-Legendre loop over
+the edges for the monomial integrals, one 6 x 6 solve per cell and
+projector, one dense block per edge scattered into the global matrices,
+and one fan rule per cell for the loads.  Both sides read the same mesh
+geometry, so they agree to roundoff (relative to each matrix's largest
+entry).
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from ipvem import cli, forms, mesh, system, verify
+from ipvem.basis import (
+    QUAD_ORDER,
+    SIMPSON,
+    ScaledMonomialBasis,
+    derivative_matrix,
+    gauss_legendre_01,
+    monomial_exponents,
+    triangle_quadrature,
+)
+from ipvem.mesh import BOUNDARY
+
+TOL = 1e-13
+
+
+def integral_table(geom, basis, degree):
+    """Scaled-monomial integrals by the divergence theorem, edge by edge."""
+    t, wt = gauss_legendre_01(degree // 2 + 2)
+    total = np.zeros(len(monomial_exponents(degree)))
+    verts, m = geom.vertices, geom.n_edges
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        dist = float((a - geom.centroid) @ geom.normals[i])
+        sc = (a[None, :] + t[:, None] * (b - a)[None, :] - basis.center) / basis.diameter
+        vals = np.column_stack([sc[:, 0] ** p * sc[:, 1] ** q for p, q in monomial_exponents(degree)])
+        total += dist * geom.edge_lengths[i] * (wt @ vals)
+    return total / (np.array([p + q for p, q in monomial_exponents(degree)]) + 2)
+
+
+def oracle_element(m, cid):
+    """Projectors and Gram matrices of one cell, from its own 6 x 6 systems."""
+    geom = m.geometry(cid)
+    basis = ScaledMonomialBasis(geom.centroid, geom.diameter, 2)
+    nv = geom.n_edges
+    n = 2 * nv + 1
+    j = np.arange(nv)
+    nodes = np.column_stack([j, nv + j, (j + 1) % nv])
+    integrals = integral_table(geom, basis, 4)
+    index = {e: i for i, e in enumerate(monomial_exponents(4))}
+    mass = np.array([[integrals[index[(a + c, b + d)]] for c, d in basis.exponents] for a, b in basis.exponents])
+    Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
+    grad_gram = Dx.T @ mass @ Dx + Dy.T @ mass @ Dy
+    Dxx, Dxy, Dyy = Dx @ Dx, Dx @ Dy, Dy @ Dy
+    hess_gram = Dxx.T @ mass @ Dxx + 2.0 * Dxy.T @ mass @ Dxy + Dyy.T @ mass @ Dyy
+    hessian = np.array([[Dxx[0], Dxy[0]], [Dxy[0], Dyy[0]]])
+
+    D = np.empty((n, 6))
+    D[: 2 * nv] = basis.evaluate(np.vstack([geom.vertices, geom.edge_midpoints]))
+    D[2 * nv] = integrals[:6] / geom.area
+    values = D[nodes]
+    edge_dn = geom.normals[:, 0, None, None] * (values @ Dx) + geom.normals[:, 1, None, None] * (values @ Dy)
+    weights = geom.edge_lengths[:, None] * SIMPSON
+
+    B = np.zeros((n, 6))
+    np.add.at(B, nodes, weights[:, :, None] * edge_dn)
+    B[2 * nv] = -(hessian[0, 0] + hessian[1, 1]) * geom.area
+    B = B.T
+    G = grad_gram.copy()
+    G[0] = D[:nv].mean(axis=0)
+    B[0] = np.where(np.arange(n) < nv, 1.0 / nv, 0.0)
+    h1 = np.linalg.solve(G, B)
+
+    trace = edge_dn @ h1
+    flux = np.einsum("ek,ekn->en", weights, trace)
+    ends = np.zeros((nv, n))
+    ends[j, nodes[:, 2]] += 1.0
+    ends[j, nodes[:, 0]] -= 1.0
+    edge_grad = geom.normals[:, :, None] * flux[:, None, :] + geom.tangents[:, :, None] * ends[:, None, :]
+    rhs = np.einsum("abk,ea,ebn->kn", hessian, geom.normals, edge_grad)
+    hat = np.bincount(nodes.ravel(), weights=weights.ravel(), minlength=n) / geom.perimeter
+    H = hess_gram.copy()
+    H[:3] = np.vstack([hat @ D, hat @ D @ Dx, hat @ D @ Dy])
+    rhs[:3] = np.vstack([hat, edge_grad.sum(axis=0) / geom.perimeter])
+    h2 = np.linalg.solve(H, rhs)
+
+    C = mass @ h1
+    C[0] = np.where(np.arange(n) == 2 * nv, geom.area, 0.0)
+    l2 = np.linalg.solve(mass, C)
+    return dict(
+        geom=geom, basis=basis, n=n, dof_matrix=D, mass=mass, grad_gram=grad_gram, hess_gram=hess_gram,
+        h1=h1, h2=h2, l2=l2, trace=trace,
+    )
+
+
+def oracle_forms(el):
+    P, stab = el["h2"], np.eye(el["n"]) - el["dof_matrix"] @ el["h2"]
+    a = P.T @ el["hess_gram"] @ P + stab.T @ stab / el["geom"].diameter ** 2
+    b = P.T @ el["grad_gram"] @ P + stab.T @ stab
+    return a, b
+
+
+def local_edge(m, cell, edge_id):
+    return next(j for j, (e, _) in enumerate(m.cell_edges[cell]) if e == edge_id)
+
+
+def oracle_stencil(m, e, els, lam):
+    """(cells, block, j1 block) of one edge over its cells' stacked DoFs."""
+    left, right = (int(c) for c in m.edge_cells[e])
+    j = local_edge(m, left, e)
+    h_e = els[left]["geom"].edge_lengths[j]
+    nx, ny = els[left]["geom"].normals[j]
+
+    def second(el):
+        P = el["h1"]
+        return 2.0 * (nx * nx * P[3] + nx * ny * P[4] + ny * ny * P[5]) / el["geom"].diameter ** 2
+
+    jump, avg, cells = els[left]["trace"][j], second(els[left]), (left,)
+    if right != BOUNDARY:
+        # the right cell walks the edge head to tail with the opposite normal
+        jump = np.hstack([jump, els[right]["trace"][local_edge(m, right, e)][::-1]])
+        avg = 0.5 * np.concatenate([avg, second(els[right])])
+        cells = (left, right)
+    j1 = lam * jump.T @ (SIMPSON[:, None] * jump)
+    j2 = -np.outer(avg, h_e * SIMPSON @ jump)
+    return cells, j1 + j2 + j2.T, j1
+
+
+def oracle_penalty(m, e, n_k, a=2.0):
+    h_e = float(np.linalg.norm(np.diff(m.vertices[m.edges[e]], axis=0)))
+    tail, head = m.vertices[m.edges[e]]
+    areas = []
+    for cid in m.edge_cells[e]:
+        if cid != BOUNDARY:
+            apex = m.geometry(cid).centroid
+            areas.append(0.5 * abs((head - tail)[0] * (apex - tail)[1] - (head - tail)[1] * (apex - tail)[0]))
+    scale = a * n_k * 2 * h_e**2
+    return scale / 4.0 * (1.0 / areas[0] + 1.0 / areas[-1])
+
+
+def oracle_load(el, f):
+    """(f, l2 projection of each DoF basis function) on one cell's fan."""
+    ref_pts, ref_w = triangle_quadrature(QUAD_ORDER)
+    geom = el["geom"]
+    verts = geom.vertices
+    moments = np.zeros(6)
+    for i in range(geom.n_edges):
+        v0, v1, v2 = geom.centroid, verts[i], verts[(i + 1) % geom.n_edges]
+        jac = np.column_stack([v1 - v0, v2 - v0])
+        pts = v0 + ref_pts @ jac.T
+        w = ref_w * np.linalg.det(jac)
+        moments += (w * f(pts[:, 0], pts[:, 1])) @ el["basis"].evaluate(pts)
+    return el["l2"].T @ moments
+
+
+def scatter(index_sets, blocks, n):
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in index_sets])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx in index_sets])
+    vals = np.concatenate([b.ravel() for b in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def rel(got, expected):
+    got = got.toarray() if sp.issparse(got) else np.asarray(got)
+    expected = expected.toarray() if sp.issparse(expected) else np.asarray(expected)
+    assert got.shape == expected.shape
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+@pytest.fixture(scope="module", params=["cvt64", "uniform4"])
+def case(request):
+    m = request.getfixturevalue("cvt64") if request.param == "cvt64" else mesh.generate_uniform_squares(4)
+    msol = verify.example_solution(1)
+    els = [oracle_element(m, c) for c in range(m.n_cells)]
+    n_k = max(len(c) for c in m.cells)
+    lams = [oracle_penalty(m, e, n_k) for e in range(m.n_edges)]
+    stencils = [oracle_stencil(m, e, els, lams[e]) for e in range(m.n_edges)]
+    dof_map = system.number_dofs(m)
+    cell_idx = [system.cell_dof_indices(dof_map, m, c) for c in range(m.n_cells)]
+    edge_idx = [np.concatenate([cell_idx[c] for c in cells]) for cells, _, _ in stencils]
+    ab = [oracle_forms(el) for el in els]
+    n = dof_map.n_dofs
+    a_only = scatter(cell_idx, [a for a, _ in ab], n)
+    parts = dict(
+        hess=a_only + scatter(edge_idx, [blk for _, blk, _ in stencils], n),
+        grad=scatter(cell_idx, [b for _, b in ab], n),
+        a_only=a_only,
+        j1=scatter(edge_idx, [j1 for _, _, j1 in stencils], n),
+    )
+    rhs = []
+    for f in verify.forcing_parts(msol):
+        r = np.zeros(n)
+        for c, el in enumerate(els):
+            np.add.at(r, cell_idx[c], oracle_load(el, f))
+        rhs.append(r)
+    oracle = dict(els=els, lams=lams, stencils=stencils, ab=ab, parts=parts, rhs=rhs)
+    return m, cli.discretize(m, msol), oracle
+
+
+class TestBatchedKernelsMatchPerCellOracle:
+    def test_elements(self, case):
+        m, d, oracle = case
+        worst = 0.0
+        for el, ref in zip(d.elements, oracle["els"]):
+            pr = el.projectors
+            for got, name in [
+                (pr.dof_matrix, "dof_matrix"), (pr.h1_coeff, "h1"), (pr.h2_coeff, "h2"), (pr.l2_coeff, "l2"),
+                (el.mass, "mass"), (el.grad_gram, "grad_gram"), (el.hess_gram, "hess_gram"),
+                (el.edge_normal_trace, "trace"),
+            ]:
+                worst = max(worst, rel(got, ref[name]))
+        assert worst <= TOL
+
+    def test_local_forms(self, case):
+        m, d, oracle = case
+        lf = forms.build_local_forms(m, d.elements)
+        worst = 0.0
+        for c, (a, b) in enumerate(oracle["ab"]):
+            worst = max(worst, rel(lf[c].a_matrix, a), rel(lf[c].b_matrix, b))
+            worst = max(worst, rel(forms.local_a_form(d.elements[c]), a), rel(forms.local_b_form(d.elements[c]), b))
+        assert worst <= TOL
+
+    def test_edge_stencils(self, case):
+        m, d, oracle = case
+        traces = forms.build_edge_stencils(m, d.elements)
+        assert rel(traces.lam, np.array(oracle["lams"])) <= TOL
+        worst = 0.0
+        for e, (cells, block, j1) in enumerate(oracle["stencils"]):
+            st = traces[e]
+            assert st.cells == cells
+            worst = max(worst, rel(st.block, block), rel(st.j1_block, j1))
+        assert worst <= TOL
+
+    def test_loads(self, case):
+        m, d, oracle = case
+        assert max(rel(d.rhs4, oracle["rhs"][0]), rel(d.rhs2, oracle["rhs"][1])) <= TOL
+
+    def test_operator_parts(self, case):
+        m, d, oracle = case
+        worst = max(rel(getattr(d.parts, name), oracle["parts"][name]) for name in ("hess", "grad", "a_only", "j1"))
+        assert worst <= TOL

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from ipvem import forms, mesh, projectors, system
-from ipvem.basis import derivative_matrix, gauss_legendre_01, polygon_quadrature
+from ipvem.basis import derivative_matrix, gauss_legendre_01
 from ipvem.forms import (
     PenaltyConfig,
     build_edge_stencils,
     edge_stencil,
     local_a_form,
     local_b_form,
-    local_load,
     penalty_parameter,
 )
-from ipvem.mesh import BOUNDARY, virtual_triangles
+from ipvem.mesh import BOUNDARY
 from ipvem.projectors import build_element, build_elements
+
+from conftest import polygon_rule
 
 
 def two_squares():
@@ -28,7 +29,7 @@ def hessian_gram_quadrature(el):
     """Independent (quadrature) route to the Hessian-energy pairing."""
     Dx = derivative_matrix(el.basis, "x")
     Dy = derivative_matrix(el.basis, "y")
-    pts, w = polygon_quadrature(el.geometry, 6)
+    pts, w = polygon_rule(el.geometry, 6)
     vals = el.basis.evaluate(pts)
     out = np.zeros((6, 6))
     for dd in (Dx @ Dx, Dy @ Dy):
@@ -42,7 +43,7 @@ def hessian_gram_quadrature(el):
 def gradient_gram_quadrature(el):
     Dx = derivative_matrix(el.basis, "x")
     Dy = derivative_matrix(el.basis, "y")
-    pts, w = polygon_quadrature(el.geometry, 6)
+    pts, w = polygon_rule(el.geometry, 6)
     vals = el.basis.evaluate(pts)
     gx, gy = vals @ Dx, vals @ Dy
     return (gx.T * w) @ gx + (gy.T * w) @ gy
@@ -126,29 +127,42 @@ class TestLocalBForm:
             assert v @ B @ v >= -1e-12 * eig[-1] * (v @ v)
 
 
+def local_coeffs(el, f):
+    """Coefficients on the element's scaled basis of a global quadratic f,
+    from its values at six points of the cell."""
+    pts = el.geometry.centroid + 0.2 * el.geometry.diameter * np.array(
+        [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.6]]
+    )
+    return np.linalg.solve(el.basis.evaluate(pts), f(pts[:, 0], pts[:, 1]))
+
+
+def scattered(m, elements, local):
+    """Global vector of the per-cell vectors ``local(el)``."""
+    dof_map = system.number_dofs(m)
+    out = np.zeros(dof_map.n_dofs)
+    for el in elements:
+        np.add.at(out, system.cell_dof_indices(dof_map, m, el.cell_id), local(el))
+    return out
+
+
 class TestLocalLoad:
-    def test_zero_forcing(self, unit_square_element):
-        F = local_load(unit_square_element, lambda x, y: np.zeros_like(x))
-        assert np.allclose(F, 0.0)
+    def test_zero_forcing(self):
+        elements = build_elements(mesh.generate_uniform_squares(1))
+        assert np.allclose(system.load_vector(elements, lambda x, y: np.zeros_like(x)), 0.0)
 
-    def test_constant_forcing_two_paths(self, cvt32):
+    def test_constant_forcing_two_paths(self, cvt32, cvt32_elements):
         # quadrature route equals the exact-integral route for f = 1
-        el = build_element(cvt32, 5)
-        F = local_load(el, lambda x, y: np.ones_like(x))
-        exact = el.projectors.l2_coeff.T @ el.integrals[:6]
-        assert np.allclose(F, exact, rtol=1e-12, atol=1e-14)
+        got = system.load_vector(cvt32_elements, lambda x, y: np.ones_like(x))
+        exact = scattered(cvt32, cvt32_elements, lambda el: el.projectors.l2_coeff.T @ el.integrals[:6])
+        assert np.allclose(got, exact, rtol=1e-12, atol=1e-14)
 
-    def test_projector_reproducible_quadratic(self, cvt32):
-        el = build_element(cvt32, 9)
-        coeffs = np.array([0.7, -1.2, 0.4, 2.0, -0.8, 1.5])
-
+    def test_projector_reproducible_quadratic(self, cvt32, cvt32_elements):
         def f(x, y):
-            return el.basis.evaluate(np.column_stack([x, y])) @ coeffs
+            return 0.7 - 1.2 * x + 0.4 * y + 2.0 * x * x - 0.8 * x * y + 1.5 * y * y
 
-        F = local_load(el, f)
-        exact = el.projectors.l2_coeff.T @ (el.mass @ coeffs)
-        scale = np.max(np.abs(exact))
-        assert np.max(np.abs(F - exact)) <= 1e-10 * scale
+        got = system.load_vector(cvt32_elements, f)
+        exact = scattered(cvt32, cvt32_elements, lambda el: el.projectors.l2_coeff.T @ (el.mass @ local_coeffs(el, f)))
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 class TestPenaltyParameter:
@@ -203,7 +217,7 @@ class TestEdgeStencil:
                 el = elements[cid]
                 pts = el.layout.points
                 vals = list(g(pts[:, 0], pts[:, 1]))
-                pq, pw = polygon_quadrature(el.geometry, 4)
+                pq, pw = polygon_rule(el.geometry, 4)
                 vals.append(float(pw @ g(pq[:, 0], pq[:, 1])) / el.geometry.area)
                 chi.extend(vals)
             chis.append(np.array(chi))

@@ -18,8 +18,7 @@ from ipvem.mesh import (
     generate_cvt,
     generate_uniform_squares,
     import_mesh,
-    mesh_quality,
-    virtual_triangles,
+    virtual_triangle_areas,
 )
 
 
@@ -91,23 +90,21 @@ class TestCellGeometry:
 class TestVirtualTriangles:
     def test_square_edge_area(self):
         m = generate_uniform_squares(1)
-        tris = virtual_triangles(m, 0)
-        assert len(tris) == 1
-        assert tris[0].area == pytest.approx(0.25, rel=1e-15)
+        areas = virtual_triangle_areas(m)
+        assert areas[0, 0] == pytest.approx(0.25, rel=1e-15)
+        assert np.isnan(areas[0, 1])
 
     def test_interior_edge_two_triangles(self):
         m = two_squares_mesh()
         interior = np.flatnonzero(~m.boundary_edge)
         assert len(interior) == 1
-        tris = virtual_triangles(m, interior[0])
-        assert len(tris) == 2
-        for t in tris:
-            assert t.area == pytest.approx(0.25, rel=1e-15)
+        assert virtual_triangle_areas(m)[interior[0]] == pytest.approx([0.25, 0.25], rel=1e-15)
 
     def test_boundary_edge_single_triangle(self):
         m = two_squares_mesh()
-        for e in np.flatnonzero(m.boundary_edge):
-            assert len(virtual_triangles(m, e)) == 1
+        areas = virtual_triangle_areas(m)
+        assert np.all(np.isnan(areas[m.boundary_edge, 1]))
+        assert np.all(areas[m.boundary_edge, 0] > 0.0)
 
 
 class TestBuildMesh:
@@ -149,9 +146,9 @@ class TestCvt:
         assert m.n_cells == 32
         assert m.n_vertices - m.n_edges + m.n_cells == 1
         assert m.total_area() == pytest.approx(1.0, rel=1e-12)
-        report = mesh_quality(m)
-        assert report.all_star_shaped
-        assert report.max_edges_per_cell >= 3
+        g = m.stacked_geometry
+        assert all(m.geometry(c).star_shaped for c in range(m.n_cells))
+        assert g.valence.min() >= 3
 
     def test_cvt512_diameter_scale(self, cvt_sequence):
         # near-uniform cells: max diameter about 2/sqrt(n), within a factor 2
@@ -287,7 +284,10 @@ class TestLloydStep:
             assert abs(area[i] - exact_area) <= 1e-14 * exact_area
             assert np.linalg.norm(centroid[i] - exact_centroid) <= 1e-14 * np.linalg.norm(exact_centroid)
             a = mesh._signed_area(loop)
-            c = mesh._polygon_centroid(loop, a)
+            x, y = loop[:, 0], loop[:, 1]
+            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            cross = x * yn - xn * y
+            c = np.array([np.dot(x + xn, cross), np.dot(y + yn, cross)]) / (6.0 * a)
             assert abs(area[i] - a) <= 3e-14 * a
             assert np.linalg.norm(centroid[i] - c) <= 3e-14 * np.linalg.norm(c)
 
@@ -304,13 +304,33 @@ class TestLloydStep:
         assert [list(c) for c in m.cells] == [[0, 1, 2, 3], [1, 4, 5, 2]]
 
 
-class TestMeshQuality:
-    def test_report_fields(self, cvt32):
-        report = mesh_quality(cvt32)
-        assert 0 < report.min_diameter <= report.max_diameter
-        assert 0 < report.min_edge_ratio < 1
-        assert 0 < report.min_fan_aspect <= 1
-        assert report.star_shaped.shape == (32,)
+class TestStackedGeometry:
+    def test_corners_know_their_edges_and_sides(self, cvt32):
+        g = cvt32.stacked_geometry
+        for c in range(cvt32.n_cells):
+            m = g.valence[c]
+            assert np.array_equal(g.edge_ids[c, :m], [e for e, _ in cvt32.cell_edges[c]])
+            assert np.array_equal(g.left[c, :m], [s == 1 for _, s in cvt32.cell_edges[c]])
+            assert np.array_equal(g.vertex_ids[c, :m], cvt32.cells[c])
+        assert not np.any(g.left[~g.valid])
+
+    def test_padding_drops_out(self, cvt32):
+        g = cvt32.stacked_geometry
+        pad = ~g.valid
+        assert pad.any()
+        for arr in (g.edge_lengths, g.fan_areas, g.normals[..., 0], g.normals[..., 1], g.tangents[..., 0]):
+            assert not np.any(arr[pad])
+
+    def test_frames_against_per_cell_formulas(self, cvt32):
+        g = cvt32.stacked_geometry
+        for c in range(cvt32.n_cells):
+            loop = cvt32.vertices[cvt32.cells[c]]
+            edge_vec = np.roll(loop, -1, axis=0) - loop
+            lengths = np.linalg.norm(edge_vec, axis=1)
+            geom = cvt32.geometry(c)
+            assert np.allclose(geom.edge_lengths, lengths, rtol=1e-15)
+            assert np.allclose(geom.tangents, edge_vec / lengths[:, None], rtol=0, atol=1e-15)
+            assert geom.diameter == np.max(np.linalg.norm(loop[:, None] - loop[None], axis=2))
 
 
 class TestMeshIo:

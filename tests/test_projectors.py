@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipvem import mesh, projectors
-from ipvem.basis import PolyCoeffs, derivative_matrix, gauss_legendre_01, gauss_lobatto
-from ipvem.projectors import build_element, dofs_of_polynomial
+from ipvem.basis import derivative_matrix, gauss_legendre_01, gauss_lobatto
+from ipvem.projectors import build_element, build_elements
 
-from conftest import random_star_polygon
+from conftest import PolyCoeffs, dofs_of_polynomial, non_star_polygons, random_star_polygon
 
 # C-shaped cell whose centroid lies in the notch, outside the cell
 C_SHAPE = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
@@ -256,6 +256,44 @@ class TestRandomPolygons:
             assert np.max(np.abs(mat @ chi - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
         mean = el.projectors.quasi_averages[0][0] @ coeffs
         assert mean == pytest.approx(boundary_mean(el, coeffs), rel=1e-12, abs=1e-12)
+
+
+class TestPolygonsThatAreNotStarShaped:
+    @settings(max_examples=40, deadline=None)
+    @given(non_star_polygons(), st.integers(0, 2**32 - 1))
+    def test_projectors_reproduce_random_quadratics(self, points, seed):
+        el = element_on(points)
+        assert not el.geometry.star_shaped
+        coeffs = np.random.default_rng(seed).uniform(-3, 3, 6)
+        chi = el.dof_vector(coeffs)
+        for mat in (el.projectors.h1_coeff, el.projectors.h2_coeff, el.projectors.l2_coeff):
+            assert np.max(np.abs(mat @ chi - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+
+
+class TestBatchedElements:
+    def test_padded_columns_are_exactly_zero(self, cvt32):
+        elements = build_elements(cvt32)
+        pad = ~elements.dof_mask[:, None, :]
+        for stack in (elements.h1_coeff, elements.h2_coeff, elements.l2_coeff):
+            assert not np.any(stack[np.broadcast_to(pad, stack.shape)])
+        assert elements.dofs.shape[1] == 2 * elements.geometry.valence.max() + 1
+
+    def test_batch_of_one_is_the_row_of_the_batch(self, cvt32):
+        elements = build_elements(cvt32)
+        for cid in (0, 13, 31):
+            one, row = build_element(cvt32, cid), elements[cid]
+            assert one.cell_id == row.cell_id == cid
+            for name in ("h1_coeff", "h2_coeff", "l2_coeff", "dof_matrix"):
+                assert np.allclose(getattr(one.projectors, name), getattr(row.projectors, name), rtol=0, atol=1e-12)
+
+    def test_global_dofs_follow_the_cell_order(self, cvt32):
+        from ipvem import system
+
+        elements = build_elements(cvt32)
+        dof_map = system.number_dofs(cvt32)
+        for cid in range(cvt32.n_cells):
+            n = elements.n_dofs[cid]
+            assert np.array_equal(elements.dofs[cid, :n], system.cell_dof_indices(dof_map, cvt32, cid))
 
 
 class TestReproductionAcrossCells:

@@ -1,14 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ipvem import cli, forms, mesh, projectors, system, verify
-from ipvem.forms import EdgeStencil
 from ipvem.system import (
     SolveError,
     SparseSystem,
     cell_dof_indices,
-    export_matrix,
     is_positive_definite,
     number_dofs,
     solve,
@@ -76,10 +76,8 @@ class TestAssemble:
         m = mesh.generate_uniform_squares(2)
         d = cli.discretize(m, ZERO)
         lf = forms.build_local_forms(m, d.elements)
-        zeroed = [
-            EdgeStencil(s.edge_id, s.lam, np.zeros_like(s.block), np.zeros_like(s.j1_block), s.cells)
-            for s in forms.build_edge_stencils(m, d.elements)
-        ]
+        traces = forms.build_edge_stencils(m, d.elements)
+        zeroed = dataclasses.replace(traces, jump=0.0 * traces.jump, average=0.0 * traces.average)
         parts = system.build_operator_parts(m, d.dof_map, lf, zeroed)
         sys_zero = system.reduce_system(parts.hess, parts.grad, d.rhs2, 0.0, d.dof_map)
         b_full = np.zeros((d.dof_map.n_dofs, d.dof_map.n_dofs))
@@ -95,7 +93,7 @@ class TestAssemble:
         m = mesh.generate_uniform_squares(2)
         elements = projectors.build_elements(m)
         lf = forms.build_local_forms(m, elements)
-        lf[0].a_matrix = np.zeros((3, 3))
+        lf.a = np.zeros((len(elements), 3, 3))
         stencils = forms.build_edge_stencils(m, elements)
         with pytest.raises(ValueError):
             system.build_operator_parts(m, number_dofs(m), lf, stencils)
@@ -140,15 +138,6 @@ class TestSolve:
         assert steps == 4
         assert residual == np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs) == 0.0625
 
-    def test_cg_fallback_reaches_target(self):
-        rng = np.random.default_rng(2)
-        n = 40
-        R = rng.standard_normal((n, n))
-        mat = sp.csr_matrix(R @ R.T + n * np.eye(n))
-        rhs = rng.standard_normal(n)
-        x, residual = system._cg_solve(mat, rhs, 1e-10)
-        assert residual <= 1e-10
-
     def test_smoke_example2_cvt32(self, cvt32):
         msol = verify.example_solution(2)
         d, sys_ = pipeline(cvt32, 1e-5, msol)
@@ -163,12 +152,20 @@ class TestSolve:
         eps = 1e-2
         d = cli.discretize(cvt32, verify.example_solution(1))
         sol_a = d.solve(eps)
-        # permute edge processing order (cells are keyed by id, edges are not)
+        # permute the edge order of the edge-trace operators (cells are
+        # keyed by id, edges are not)
         lf = forms.build_local_forms(cvt32, d.elements)
-        stencils = forms.build_edge_stencils(cvt32, d.elements)
+        traces = forms.build_edge_stencils(cvt32, d.elements)
         rng = np.random.default_rng(3)
-        order = rng.permutation(len(stencils))
-        parts = system.build_operator_parts(cvt32, d.dof_map, lf, [stencils[i] for i in order])
+        order = rng.permutation(len(traces))
+        permuted = dataclasses.replace(
+            traces,
+            jump=traces.jump[(3 * order[:, None] + np.arange(3)).ravel()],
+            average=traces.average[order],
+            lam=traces.lam[order],
+            h=traces.h[order],
+        )
+        parts = system.build_operator_parts(cvt32, d.dof_map, lf, permuted)
         rhs = eps**2 * d.rhs4 + d.rhs2
         sol_b = solve(system.reduce_system(parts.hess, parts.grad, rhs, eps, d.dof_map))
         scale = np.max(np.abs(sol_a.values))
@@ -179,7 +176,7 @@ class TestSolve:
         d = cli.discretize(cvt32, verify.example_solution(1))
 
         def solve_for(f):
-            rhs = system.load_vector(cvt32, d.dof_map, [forms.local_load(el, f) for el in d.elements])
+            rhs = system.load_vector(d.elements, f)
             return solve(system.reduce_system(d.parts.hess, d.parts.grad, rhs, eps, d.dof_map)).values
 
         sols = [
@@ -220,19 +217,60 @@ class TestPositiveDefinite:
         assert smallest == pytest.approx(-2.0)
 
 
-class TestExportMatrix:
-    def test_round_trip(self, tmp_path):
-        m = mesh.generate_uniform_squares(2)
-        msol = verify.example_solution(2)
-        *_, sys_ = pipeline(m, 0.5, msol)
-        path = tmp_path / "matrix.txt"
-        export_matrix(sys_, path)
-        lines = path.read_text().splitlines()
-        nr, nc, nnz = (int(v) for v in lines[0].split())
-        assert (nr, nc) == sys_.matrix.shape
-        assert nnz == sys_.matrix.nnz
-        rebuilt = np.zeros((nr, nc))
-        for line in lines[1:]:
-            r, c, v = line.split()
-            rebuilt[int(r), int(c)] = float(v)
-        assert np.array_equal(rebuilt, sys_.matrix.toarray())
+class TestSolveDiagnostics:
+    def test_backward_error_after_refinement_is_a_few_roundoffs(self):
+        n = 30
+        rng = np.random.default_rng(4)
+        R = rng.standard_normal((n, n))
+        dm = system.GlobalDofMap(n_vertices=n, n_edges=0, n_cells=0, boundary=np.zeros(n, dtype=bool))
+        sys_ = SparseSystem(
+            matrix=sp.csr_matrix(R @ R.T + n * np.eye(n)), rhs=rng.standard_normal(n), eps=1.0, dof_map=dm,
+            free_indices=np.arange(n),
+        )
+        diag = solve(sys_).diagnostics
+        assert 0.0 <= diag["backward_error"] <= 10 * system.UNIT_ROUNDOFF
+
+    def test_backward_error_and_floor_by_hand(self):
+        # x = (1, 1) with a residual of (1e-12, 0) against b = A x + r
+        mat = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+        x = np.array([1.0, 1.0])
+        rhs = mat @ x + np.array([1e-12, 0.0])
+
+        class ExactLU:
+            def solve(self, r):
+                return np.zeros_like(r)
+
+        diag = {}
+        system._refine(mat, rhs, x, ExactLU(), 1e-30, max_steps=0, accuracy=diag)
+        # |A||x| = (3, 4); |b| = (1 + 1e-12, 2)
+        assert diag["backward_error"] == pytest.approx(1e-12 / (3.0 + 1.0 + 1e-12), rel=1e-3)
+        assert diag["residual_floor"] == pytest.approx(2.0**-53 * 5.0 / np.linalg.norm(rhs), rel=1e-14)
+
+    def test_report_json_records_both(self, tmp_path):
+        import json
+
+        cfg = cli.StudyConfig(example=2, eps=[1e-3], mesh_kind="uniform", sizes=[2, 4], out_dir=str(tmp_path))
+        _, report_path = cli.write_outputs(cli.run_study(cfg))
+        for rec in json.loads(open(report_path).read())["records"]["0.001"]:
+            assert 0.0 <= rec["backward_error"] < 1e-12
+            assert 0.0 < rec["residual_floor"] < system.RESIDUAL_TARGET
+
+
+class TestReduceOncePerMesh:
+    def test_cached_restriction_gives_the_reduced_system(self, cvt32):
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        for eps in (1.0, 1e-3, 1e-10):
+            rhs = eps**2 * d.rhs4 + d.rhs2
+            a = d.reduced(eps)
+            b = system.reduce_system(d.parts.hess, d.parts.grad, rhs, eps, d.dof_map)
+            assert (a.matrix != b.matrix).nnz == 0
+            assert np.array_equal(a.rhs, b.rhs)
+            # exactly symmetric: both restricted parts are
+            assert (a.matrix != a.matrix.T).nnz == 0
+
+    def test_restricted_parts_are_the_symmetric_free_blocks(self, cvt32):
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        free = np.flatnonzero(d.dof_map.free)
+        for part, restricted in ((d.parts.hess, d.free_parts.hess), (d.parts.grad, d.free_parts.grad)):
+            full = part.toarray()[np.ix_(free, free)]
+            assert np.max(np.abs(restricted.toarray() - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))

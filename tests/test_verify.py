@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipvem import cli, forms, mesh, system, verify
-from ipvem.basis import QUAD_ORDER, derivative_matrix, polygon_quadrature
+from ipvem.basis import QUAD_ORDER, derivative_matrix
 from ipvem.verify import (
     ManufacturedSolution,
     build_error_data,
@@ -15,6 +15,8 @@ from ipvem.verify import (
     interpolation_dofs,
     j1_energy,
 )
+
+from conftest import polygon_rule
 
 PI = math.pi
 
@@ -168,7 +170,7 @@ def oracle_interpolation_dofs(m, dof_map, elements, msol, quad_order=QUAD_ORDER)
         idx = system.cell_dof_indices(dof_map, m, el.cell_id)
         pts = el.layout.points
         chi[idx[: len(pts)]] = msol(pts[:, 0], pts[:, 1])
-        qp, qw = polygon_quadrature(el.geometry, quad_order)
+        qp, qw = polygon_rule(el.geometry, quad_order)
         chi[idx[-1]] = float(qw @ msol(qp[:, 0], qp[:, 1])) / el.geometry.area
     return chi
 
@@ -180,7 +182,7 @@ def oracle_projection_errors(m, dof_map, elements, values, msol, quad_order=QUAD
         chi = values[system.cell_dof_indices(dof_map, m, el.cell_id)]
         p_h2 = el.projectors.h2_coeff @ chi
         p_h1 = el.projectors.h1_coeff @ chi
-        pts, w = polygon_quadrature(el.geometry, quad_order)
+        pts, w = polygon_rule(el.geometry, quad_order)
         x, y = pts[:, 0], pts[:, 1]
         Dx = derivative_matrix(el.basis, "x")
         Dy = derivative_matrix(el.basis, "y")
