@@ -4,9 +4,11 @@
 For each mesh size: ``mesh.generate_cvt`` (seed 7, 100 Lloyd steps), the
 set-up stages of ``cli.discretize`` (its per-stage ``seconds``), then one
 solve and one error evaluation of example 1 at eps = 1e-3.  Each record
-holds the stage seconds, ``n_free``, ``nnz``, the solve method and its
-residual.  Only the public API is used, so the same file runs against
-another checkout of the package:
+holds the stage seconds, ``n_free``, ``nnz``, the solve method, its
+residual, refinement steps, factor fill (``lu_nnz``) and off-diagonal
+pivots (null where the timed package does not report them).  Only the
+public API is used, so the same file runs against another checkout of the
+package:
 
     python3 scripts/bench.py --label cvt --sizes 32,128,512,2048
     PYTHONPATH=/path/to/other/src python3 scripts/bench.py --label other
@@ -55,6 +57,9 @@ def bench_size(n_cells):
         "nnz": rec.solve.get("nnz"),
         "solve_method": rec.solve.get("method"),
         "solve_residual": rec.solve.get("residual"),
+        "refine_steps": rec.solve.get("refine_steps"),
+        "lu_nnz": rec.solve.get("lu_nnz"),
+        "offdiag_pivots": rec.solve.get("offdiag_pivots"),
         "E_I": rec.e_total,
     }
 

@@ -291,6 +291,8 @@ def write_outputs(output, out_dir=None):
                     "backward_error": r.solve.get("backward_error"),
                     "residual_floor": r.solve.get("residual_floor"),
                     "refine_steps": r.solve.get("refine_steps"),
+                    "lu_nnz": r.solve.get("lu_nnz"),
+                    "offdiag_pivots": r.solve.get("offdiag_pivots"),
                     "n_free": r.solve.get("n_free"),
                     "nnz": r.solve.get("nnz"),
                 }

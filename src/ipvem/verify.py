@@ -38,22 +38,35 @@ class ManufacturedSolution:
         return self.partial(0, 0, x, y)
 
 
-def _leibniz_poly_trig(poly_coeffs, freq, n, x):
-    """n-th derivative of p(x) * sin(freq x) via the product rule."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
+def _poly_sin_derivative(coeffs, n):
+    """Coefficients (s, c) with d^n/dx^n [p(x) sin(pi x)] = s(x) sin(pi x)
+    + c(x) cos(pi x), by the product rule: the m-th derivative of sin(pi x)
+    is pi^m sin(pi x + m pi/2), whose shift cycles through sin, cos, -sin,
+    -cos."""
+    s = c = np.zeros(1)
     for i in range(n + 1):
-        pd = npoly.polyder(poly_coeffs, i) if i else np.asarray(poly_coeffs, dtype=float)
-        trig = np.sin(freq * x + (n - i) * math.pi / 2.0)
-        total += math.comb(n, i) * npoly.polyval(x, pd) * freq ** (n - i) * trig
-    return total
+        m = n - i
+        term = math.comb(n, i) * math.pi**m * (-1.0 if m % 4 >= 2 else 1.0) * npoly.polyder(coeffs, i)
+        if m % 2:
+            c = npoly.polyadd(c, term)
+        else:
+            s = npoly.polyadd(s, term)
+    return s, c
+
+
+# u = 10 x^2 (1-x)^2 sin(pi x) * y^2 (1-y)^2: the coefficients of its x and
+# y factors' partials through order four
+_EX1_X = [_poly_sin_derivative([0.0, 0.0, 10.0, -20.0, 10.0], n) for n in range(5)]
+_EX1_Y = [npoly.polyder([0.0, 0.0, 1.0, -2.0, 1.0], n) for n in range(5)]
 
 
 def _example1_partial(i, j, x, y):
-    # u = 10 x^2 (1-x)^2 sin(pi x) * y^2 (1-y)^2
-    gx = _leibniz_poly_trig([0.0, 0.0, 10.0, -20.0, 10.0], math.pi, i, x)
-    hy = npoly.polyval(np.asarray(y, dtype=float), npoly.polyder([0.0, 0.0, 1.0, -2.0, 1.0], j) if j else [0.0, 0.0, 1.0, -2.0, 1.0])
-    return gx * hy
+    x = np.asarray(x, dtype=float)
+    s, c = _EX1_X[i]
+    gx = npoly.polyval(x, s) * np.sin(math.pi * x)
+    if i:
+        gx += npoly.polyval(x, c) * np.cos(math.pi * x)
+    return gx * npoly.polyval(np.asarray(y, dtype=float), _EX1_Y[j])
 
 
 def _sin_squared_deriv(n, x):

@@ -115,10 +115,12 @@ class TestRunStudy:
         for recs in report["records"].values():
             assert [rec["n_free"] for rec in recs] == [9, 49]
             for rec in recs:
-                assert rec["solve_method"] in ("splu", "cg")
+                assert rec["solve_method"] == "splu"
                 assert 0.0 <= rec["solve_residual"] <= system.RESIDUAL_TARGET
                 assert rec["refine_steps"] >= 0
                 assert rec["n_free"] <= rec["nnz"] <= rec["n_free"] ** 2
+                assert rec["lu_nnz"] >= rec["nnz"]
+                assert rec["offdiag_pivots"] == 0
         stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
         assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
         assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]

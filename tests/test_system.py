@@ -197,6 +197,58 @@ class TestSolve:
             solve(sys_)
 
 
+class TestSymmetricModeFactor:
+    @staticmethod
+    def saddle_system(diagonal):
+        # [[H, B], [B^T, diagonal * I]] with each of the three lower-right
+        # columns coupled to one row of H: the ordering eliminates them
+        # first, where a zero or tiny diagonal pivot must be passed over
+        n, k = 6, 3
+        b = np.zeros((n, k))
+        b[[0, 2, 4], [0, 1, 2]] = 1.0
+        h = np.full((n, n), 1.0) + n * np.eye(n)
+        mat = sp.csr_matrix(np.block([[h, b], [b.T, diagonal * np.eye(k)]]))
+        dm = system.GlobalDofMap(n_vertices=n + k, n_edges=0, n_cells=0, boundary=np.zeros(n + k, dtype=bool))
+        rhs = np.random.default_rng(6).standard_normal(n + k)
+        return SparseSystem(matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(n + k))
+
+    @pytest.mark.parametrize("diagonal", [0.0, 1e-14])
+    def test_threshold_pivoting_passes_over_small_diagonals(self, diagonal):
+        # a pivot-free factor (threshold 0) keeps the 1e-14 diagonal pivots
+        # and reports no off-diagonal pivot
+        sol = solve(self.saddle_system(diagonal))
+        assert sol.residual <= system.RESIDUAL_TARGET
+        assert sol.diagnostics["offdiag_pivots"] > 0
+
+    def test_real_systems_stay_on_the_diagonal(self, cvt32):
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        for eps in (1.0, 1e-3, 1e-10):
+            sys_ = d.reduced(eps)
+            sol = solve(sys_)
+            assert sol.diagnostics["offdiag_pivots"] == 0
+            reference = sp.linalg.splu(sys_.matrix.tocsc()).solve(sys_.rhs)
+            x = sol.values[sys_.free_indices]
+            assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    def test_fill_at_most_the_default_factor(self, cvt32, cvt64):
+        # lu_nnz counts the entries SuperLU stores, explicit zeros padding
+        # its relaxed supernodes included; on CVT-32 that padding makes the
+        # symmetric-mode factor store more than the default one although it
+        # has fewer nonzeros, and from CVT-64 on it stores fewer
+        d32, d64 = (cli.discretize(m, verify.example_solution(1)) for m in (cvt32, cvt64))
+        for eps in (1.0, 1e-3, 1e-10):
+            sys_ = d32.reduced(eps)
+            default = sp.linalg.splu(sys_.matrix.tocsc())
+            ours = sp.linalg.splu(
+                sys_.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=system.DIAG_PIVOT_THRESH,
+                options={"SymmetricMode": True},
+            )
+            assert solve(sys_).diagnostics["lu_nnz"] == ours.nnz
+            assert ours.L.nnz + ours.U.nnz <= default.L.nnz + default.U.nnz
+            sys_ = d64.reduced(eps)
+            assert solve(sys_).diagnostics["lu_nnz"] <= sp.linalg.splu(sys_.matrix.tocsc()).nnz
+
+
 class TestPositiveDefinite:
     def test_detects_spd(self, cvt32):
         msol = verify.example_solution(1)
