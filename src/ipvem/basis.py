@@ -192,11 +192,15 @@ class FanRule:
 
     def cell_moments(self, values, degree):
         """Integrals of ``values`` (at the points) against every scaled
-        monomial of degree <= ``degree`` on every cell, shape (C, dim)."""
-        weighted = (self.weights * values)[:, None] * monomials(self.xi, self.eta, degree)
-        dim = weighted.shape[1]
-        slots = (self.cell[:, None] * dim + np.arange(dim)).ravel()
-        return np.bincount(slots, weights=weighted.ravel(), minlength=self.n_cells * dim).reshape(self.n_cells, dim)
+        monomial of degree <= ``degree`` on every cell, shape (C, dim); one
+        monomial at a time, so no (Q, dim) temporary is made."""
+        weighted = self.weights * values
+        return np.column_stack(
+            [
+                np.bincount(self.cell, weights=weighted * (self.xi**p * self.eta**q), minlength=self.n_cells)
+                for p, q in monomial_exponents(degree)
+            ]
+        )
 
 
 def fan_quadrature(geometry, order):

@@ -142,7 +142,7 @@ class Discretization:
 def discretize(mesh_obj, msol, penalty_a=2.0):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
     solution ``msol``, timing each stage.  The loads and the error data
-    share the elements' fan quadrature points."""
+    share the exact partials at the elements' fan quadrature points."""
     clock = _StageClock()
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
@@ -153,9 +153,11 @@ def discretize(mesh_obj, msol, penalty_a=2.0):
     parts = system.build_operator_parts(mesh_obj, dof_map, lf, stencils)
     free_parts = system.restrict(parts.hess, parts.grad, dof_map)
     clock.lap("operator_parts")
-    rhs4, rhs2 = (system.load_vector(elements, f) for f in verify.forcing_parts(msol))
+    exact = msol.at(*elements.fan_rule.points.T)
+    rhs4 = system.load_vector(elements, verify.biharmonic(exact))
+    rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
     clock.lap("loads")
-    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol)
+    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol, exact)
     clock.lap("error_data")
     return Discretization(mesh_obj, elements, dof_map, parts, free_parts, rhs4, rhs2, error_data, clock.seconds)
 
@@ -202,7 +204,16 @@ def run_study(config, progress=None):
             log.error("mesh stage failed for %s: %r", label, exc)
             continue
         seconds = {"mesh": mesh_s, **disc.seconds}
-        meshes.append({"label": label, "n_cells": m.n_cells, "seconds": seconds})
+        moves = m.lloyd_movement
+        meshes.append(
+            {
+                "label": label,
+                "n_cells": m.n_cells,
+                "seconds": seconds,
+                "lloyd_steps": None if moves is None else len(moves),
+                "lloyd_final_movement": moves[-1] if moves else None,
+            }
+        )
         log.info(
             "%s: %d cells, %d free DoFs, set-up %s",
             label,
@@ -222,9 +233,8 @@ def run_study(config, progress=None):
             wall_ms = (time.perf_counter() - t0) * 1e3
             records[eps].append(rec)
             series = records[eps]
-            rate = 0.0
-            if len(series) >= 2:
-                rate = verify.fit_rate([r.h_max for r in series], [r.e_total for r in series])
+            # fitted in order of decreasing h_max, whatever the mesh order
+            rate = verify.series_rate([r.h_max for r in series], [r.e_total for r in series]) or 0.0
             rows.append(
                 {
                     "example": config.example,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 log = logging.getLogger(__name__)
 
@@ -226,63 +226,92 @@ def stacked_geometry(mesh):
     )
 
 
+def _first(mask):
+    """Index of the first True entry of ``mask``, or its length if none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
 def build_mesh(vertices, cells, fix_orientation=False):
     """Assemble and validate a mesh from vertices and cell loops.
 
     Checks the structural invariants: CCW simple cells with positive area,
     interior edges shared by exactly two cells with opposite orientation, and
     the Euler relation V - E + F = 1 of a simply connected meshed domain.
+    Each check runs on all corners at once and a faulty payload reports the
+    fault that a walk through the cells, corner by corner, meets first.
+    Edges are numbered by first traversal; ``cell_edges[c]`` holds the
+    ``(edge, +1 | -1)`` rows of cell ``c``'s corners, +1 where the cell is
+    the edge's left cell.
     """
-    if not cells:
+    if len(cells) == 0:
         raise MeshError("a mesh needs at least one cell")
     vertices = np.asarray(vertices, dtype=float)
-    loops = []
-    for ci, cell in enumerate(cells):
-        idx = np.asarray(cell, dtype=int)
-        if len(idx) < 3:
-            raise MeshError(f"cell {ci} has fewer than 3 vertices")
-        if len(np.unique(idx)) != len(idx):
-            raise MeshError(f"cell {ci} repeats a vertex")
-        if idx.min() < 0 or idx.max() >= len(vertices):
-            raise MeshError(f"cell {ci} references a vertex outside 0..{len(vertices) - 1}")
-        area = _signed_area(vertices[idx])
-        if area == 0.0:
-            raise MeshError(f"cell {ci} has zero area")
-        if area < 0.0:
-            if not fix_orientation:
-                raise MeshError(f"cell {ci} is clockwise")
-            warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=2)
-            idx = idx[::-1]
-        loops.append(idx)
+    n_cells, n_vertices = len(cells), len(vertices)
+    valence = np.fromiter(map(len, cells), dtype=np.intp, count=n_cells)
+    offsets = np.concatenate([[0], np.cumsum(valence)])
+    flat = np.concatenate(cells).astype(np.intp)
+    owner = np.repeat(np.arange(n_cells), valence)
 
-    edge_key = {}
-    edges, edge_cells = [], []
-    cell_edges = [[] for _ in loops]
-    for ci, idx in enumerate(loops):
-        m = len(idx)
-        for j in range(m):
-            tail, head = int(idx[j]), int(idx[(j + 1) % m])
-            key = (min(tail, head), max(tail, head))
-            if key not in edge_key:
-                edge_key[key] = len(edges)
-                edges.append((tail, head))
-                edge_cells.append([ci, BOUNDARY])
-                cell_edges[ci].append((edge_key[key], +1))
-            else:
-                e = edge_key[key]
-                if edge_cells[e][1] != BOUNDARY:
-                    raise MeshError(f"edge {key} shared by more than two cells")
-                if (head, tail) != edges[e]:
-                    raise MeshError(f"edge {key} traversed twice in the same direction")
-                edge_cells[e][1] = ci
-                cell_edges[ci].append((e, -1))
+    by_vertex = np.lexsort((flat, owner))
+    v, o = flat[by_vertex], owner[by_vertex]
+    repeats = np.zeros(n_cells, dtype=bool)
+    repeats[o[1:][(v[1:] == v[:-1]) & (o[1:] == o[:-1])]] = True
+    outside = np.zeros(n_cells, dtype=bool)
+    outside[owner[(flat < 0) | (flat >= n_vertices)]] = True
+    # the signed areas of the cells before the first structural fault
+    n_sound = _first((valence < 3) | repeats | outside)
+    area = np.zeros(n_cells)
+    if n_sound:
+        loop = vertices[flat[: offsets[n_sound]]]
+        nxt = loop[_next_corner(offsets[: n_sound + 1])]
+        area[:n_sound] = 0.5 * np.add.reduceat(loop[:, 0] * nxt[:, 1] - nxt[:, 0] * loop[:, 1], offsets[:n_sound])
+    sound = np.arange(n_cells) < n_sound
+    faults = [
+        (valence < 3, "has fewer than 3 vertices"),
+        (repeats, "repeats a vertex"),
+        (outside, f"references a vertex outside 0..{n_vertices - 1}"),
+        (sound & (area == 0.0), "has zero area"),
+        (sound & (area < 0.0) & (not fix_orientation), "is clockwise"),
+    ]
+    firsts = [_first(mask) for mask, _ in faults]
+    bad = min(firsts)
+    clockwise = np.flatnonzero(area[:bad] < 0.0)
+    for ci in clockwise:
+        warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=2)
+    if bad < n_cells:
+        raise MeshError(f"cell {bad} {faults[firsts.index(bad)][1]}")
+    if len(clockwise):
+        flip = np.isin(owner, clockwise)
+        corner = np.arange(len(flat))
+        corner[flip] = (offsets[owner] + offsets[owner + 1] - 1 - corner)[flip]
+        flat = flat[corner]
 
+    tail, head = flat, flat[_next_corner(offsets)]
+    keys = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
+    _, first_corner, key_id, count = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    # how many corners before each one traversed its edge
+    occurrence = np.empty_like(key_id)
+    occurrence[np.argsort(key_id, kind="stable")] = np.arange(len(key_id)) - np.repeat(np.cumsum(count) - count, count)
+    same_way = (occurrence == 1) & (tail == tail[first_corner[key_id]])
+    c = _first(same_way | (occurrence == 2))
+    if c < len(flat):
+        key = (int(min(tail[c], head[c])), int(max(tail[c], head[c])))
+        fault = "shared by more than two cells" if occurrence[c] == 2 else "traversed twice in the same direction"
+        raise MeshError(f"edge {key} {fault}")
+
+    left = np.sort(first_corner)
+    edge_of_key = np.argsort(np.argsort(first_corner))
+    corner_edge = edge_of_key[key_id]
+    edge_cells = np.column_stack([owner[left], np.full(len(left), BOUNDARY)])
+    second = occurrence == 1
+    edge_cells[corner_edge[second], 1] = owner[second]
+    cell_edges = np.column_stack([corner_edge, np.where(occurrence == 0, 1, -1)])
     mesh = PolygonalMesh(
         vertices=vertices,
-        cells=loops,
-        edges=np.array(edges, dtype=int),
-        edge_cells=np.array(edge_cells, dtype=int),
-        cell_edges=cell_edges,
+        cells=np.split(flat, offsets[1:-1]),
+        edges=np.column_stack([tail[left], head[left]]),
+        edge_cells=edge_cells,
+        cell_edges=np.split(cell_edges, offsets[1:-1]),
     )
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
     if euler != 1:
@@ -303,12 +332,8 @@ def generate_uniform_squares(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v0 = j * (n + 1) + i
-            cells.append([v0, v0 + 1, v0 + n + 2, v0 + n + 1])
-    mesh = build_mesh(vertices, cells)
+    v0 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    mesh = build_mesh(vertices, np.column_stack([v0, v0 + 1, v0 + n + 2, v0 + n + 1]))
     validate_tiling(mesh, 1.0)
     return mesh
 
@@ -338,6 +363,15 @@ def _centroids(xy, offsets):
     return area, np.column_stack([cx, cy])
 
 
+def _circumcentres(tri):
+    """Circumcentre of every triangle of a ``scipy.spatial.Delaunay``, (T, 2)."""
+    a, b, c = np.moveaxis(tri.points[tri.simplices], 1, 0)
+    b, c = b - a, c - a
+    bb, cc = (b**2).sum(axis=1), (c**2).sum(axis=1)
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+
+
 def _voronoi_cells_unit_square(points):
     """Clipped Voronoi cells of generators inside (0,1)^2, as one CSR pair.
 
@@ -345,9 +379,15 @@ def _voronoi_cells_unit_square(points):
     ``xy[offsets[i]:offsets[i + 1]]``.  A generator is mirrored across a side
     of the square when it lies within ``reach`` of it (PolyMesher's
     reflection), so the bisectors with the mirror images are the domain
-    boundary.  Leaving out far mirrors can only make a cell larger than its
-    true clipped cell, never smaller, and the true cells tile the square: so
-    if every computed cell is bounded and lies inside the square (within
+    boundary.  The Voronoi diagram is the dual of the Delaunay triangulation:
+    a generator's corners are the circumcentres of the triangles it belongs
+    to, and its cell is bounded exactly when it is not a hull vertex.  A
+    cocircular group (a generator and its mirror beside another such pair)
+    gives several triangles with one circumcentre; those repeated corners
+    add nothing to the shoelace sums and merge in :func:`_cells_to_mesh`.
+    Leaving out far mirrors can only make a cell larger than its true
+    clipped cell, never smaller, and the true cells tile the square: so if
+    every computed cell is bounded and lies inside the square (within
     ``SNAP_TOL``), each one is exact.  Otherwise ``reach`` doubles; at
     ``reach >= 1`` every generator is mirrored across all four sides.
     """
@@ -360,20 +400,16 @@ def _voronoi_cells_unit_square(points):
                 image = points[np.abs(points[:, d] - side) < reach].copy()
                 image[:, d] = 2.0 * side - image[:, d]
                 mirrors.append(image)
-        vor = Voronoi(np.vstack(mirrors))
-        # each ridge between two generators gives both of them its two corners
-        owner = np.repeat(vor.ridge_points, 2, axis=1).ravel()
-        corner = np.tile(np.asarray(vor.ridge_vertices), (1, 2)).ravel()
-        mine = owner < n
-        owner, corner = owner[mine], corner[mine]
-        if corner.min() >= 0:
-            n_vor = len(vor.vertices)
-            owner, corner = np.divmod(np.unique(owner * n_vor + corner), n_vor)
-            xy = vor.vertices[corner]
+        tri = Delaunay(np.vstack(mirrors))
+        if tri.convex_hull.min() >= n:
+            # flat entry k of the simplices is a corner of triangle k // 3
+            mine = np.flatnonzero(tri.simplices.ravel() < n)
+            owner = tri.simplices.ravel()[mine]
+            xy = _circumcentres(tri)[mine // 3]
             if reach >= 1.0 or np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)):
                 break
         elif reach >= 1.0:
-            raise MeshGenerationError(f"unbounded Voronoi cell for generator {owner[corner.argmin()]}")
+            raise MeshGenerationError(f"unbounded Voronoi cell for generator {tri.convex_hull.min()}")
         reach *= 2.0
     counts = np.bincount(owner, minlength=n)
     if counts.min() < 3:
@@ -388,8 +424,9 @@ def _cells_to_mesh(xy, offsets):
     """Merge shared polygon corners into a global vertex set and build the mesh.
 
     ``(xy, offsets)`` is the CSR pair of :func:`_voronoi_cells_unit_square`.
-    Near-coincident corners (degenerate Voronoi vertices from cocircular
-    generator/mirror groups) are unified within ``SNAP_TOL`` and take the
+    Near-coincident corners (the corners shared by neighbouring cells, and
+    the repeated circumcentres of cocircular generator/mirror groups) are
+    unified within ``SNAP_TOL`` and take the
     coordinates of the lowest-numbered corner of their group; coordinates
     within the tolerance of the domain boundary snap onto it exactly.
     """

@@ -126,10 +126,12 @@ def build_operator_parts(mesh, dof_map, local_forms, stencils):
 
 
 def load_vector(elements, f):
-    """Global load vector (f, l2 projection of each DoF basis function),
-    with ``f`` evaluated once at all points of the elements' fan rule."""
+    """Global load vector (f, l2 projection of each DoF basis function);
+    ``f`` is a function of (x, y), evaluated once at all points of the
+    elements' fan rule, or its values there."""
     rule = elements.fan_rule
-    moments = rule.cell_moments(np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float), 2)
+    values = f(rule.points[:, 0], rule.points[:, 1]) if callable(f) else f
+    moments = rule.cell_moments(np.asarray(values, dtype=float), 2)
     loads = np.einsum("ckn,ck->cn", elements.l2_coeff, moments)
     return np.bincount(elements.dofs.ravel(), weights=loads.ravel(), minlength=elements.dofs.max() + 1)
 

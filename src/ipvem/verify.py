@@ -14,6 +14,7 @@ per mesh in an :class:`ErrorData`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,15 +28,24 @@ class ManufacturedSolution:
 
     ``partial(i, j, x, y)`` evaluates d^(i+j) u / dx^i dy^j; ``clamped``
     records whether both the value and the normal derivative vanish on the
-    boundary of the unit square.
+    boundary of the unit square.  ``tabulate(x, y)``, if given, returns the
+    partials at fixed points as a function of (i, j), evaluating the work
+    they share (trigonometric factors, factor derivatives) once.
     """
 
     name: str
     partial: object
     clamped: bool = True
+    tabulate: object = None
 
     def __call__(self, x, y):
         return self.partial(0, 0, x, y)
+
+    def at(self, x, y):
+        """The partials at the points ``(x, y)`` as a function of (i, j)."""
+        if self.tabulate is not None:
+            return self.tabulate(x, y)
+        return lambda i, j: self.partial(i, j, x, y)
 
 
 def _poly_sin_derivative(coeffs, n):
@@ -60,13 +70,26 @@ _EX1_X = [_poly_sin_derivative([0.0, 0.0, 10.0, -20.0, 10.0], n) for n in range(
 _EX1_Y = [npoly.polyder([0.0, 0.0, 1.0, -2.0, 1.0], n) for n in range(5)]
 
 
+def _example1_at(x, y):
+    """Example 1's partials at fixed points: sin(pi x), cos(pi x) and each
+    factor derivative are evaluated once."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sin, cos = np.sin(math.pi * x), np.cos(math.pi * x)
+
+    @functools.cache
+    def gx(i):
+        s, c = _EX1_X[i]
+        g = npoly.polyval(x, s) * sin
+        if i:
+            g += npoly.polyval(x, c) * cos
+        return g
+
+    gy = functools.cache(lambda j: npoly.polyval(y, _EX1_Y[j]))
+    return lambda i, j: gx(i) * gy(j)
+
+
 def _example1_partial(i, j, x, y):
-    x = np.asarray(x, dtype=float)
-    s, c = _EX1_X[i]
-    gx = npoly.polyval(x, s) * np.sin(math.pi * x)
-    if i:
-        gx += npoly.polyval(x, c) * np.cos(math.pi * x)
-    return gx * npoly.polyval(np.asarray(y, dtype=float), _EX1_Y[j])
+    return _example1_at(x, y)(i, j)
 
 
 def _sin_squared_deriv(n, x):
@@ -79,13 +102,21 @@ def _sin_squared_deriv(n, x):
     return -0.5 * w**n * np.cos(w * x + n * math.pi / 2.0)
 
 
+def _example2_at(x, y):
+    """Example 2's partials at fixed points, each factor derivative
+    evaluated once."""
+    gx = functools.cache(lambda i: _sin_squared_deriv(i, x))
+    gy = functools.cache(lambda j: _sin_squared_deriv(j, y))
+    return lambda i, j: gx(i) * gy(j)
+
+
 def _example2_partial(i, j, x, y):
     return _sin_squared_deriv(i, x) * _sin_squared_deriv(j, y)
 
 
 EXAMPLES = {
-    1: ManufacturedSolution("example1", _example1_partial),
-    2: ManufacturedSolution("example2", _example2_partial),
+    1: ManufacturedSolution("example1", _example1_partial, tabulate=_example1_at),
+    2: ManufacturedSolution("example2", _example2_partial, tabulate=_example2_at),
 }
 
 
@@ -96,17 +127,21 @@ def example_solution(which):
         raise ValueError(f"unknown example {which!r}; available: {sorted(EXAMPLES)}")
 
 
+def biharmonic(exact):
+    """The biharmonic of u from its partials ``exact(i, j)`` at some points."""
+    return exact(4, 0) + 2.0 * exact(2, 2) + exact(0, 4)
+
+
+def neg_laplacian(exact):
+    """Minus the Laplacian of u from its partials ``exact(i, j)``."""
+    return -(exact(2, 0) + exact(0, 2))
+
+
 def forcing_parts(msol):
-    """The two eps-independent load densities (biharmonic u, -laplacian u):
-    the source of the perturbed problem is ``eps**2 * f4 + f2``."""
-
-    def f4(x, y):
-        return msol.partial(4, 0, x, y) + 2.0 * msol.partial(2, 2, x, y) + msol.partial(0, 4, x, y)
-
-    def f2(x, y):
-        return -(msol.partial(2, 0, x, y) + msol.partial(0, 2, x, y))
-
-    return f4, f2
+    """The two eps-independent load densities (biharmonic u, -laplacian u)
+    as functions of (x, y): the source of the perturbed problem is
+    ``eps**2 * f4 + f2``."""
+    return (lambda x, y: biharmonic(msol.at(x, y))), (lambda x, y: neg_laplacian(msol.at(x, y)))
 
 
 @dataclass(eq=False)
@@ -140,12 +175,13 @@ class ErrorRecord:
         return abs(self.e_total**2 - (self.eps**2 * self.h2_part**2 + self.h1_part**2))
 
 
-def interpolation_dofs(mesh, dof_map, elements, msol):
+def interpolation_dofs(mesh, dof_map, elements, msol, exact=None):
     """Global DoF vector of the exact solution: its values at the mesh
-    vertices and edge midpoints, and its fan-quadrature cell means."""
+    vertices and edge midpoints, and its fan-quadrature cell means.
+    ``exact``, if given, is ``msol.at`` of the fan-rule points."""
     verts, rule = mesh.vertices, elements.fan_rule
     points = np.vstack([verts, 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])])
-    values = rule.weights * msol(rule.points[:, 0], rule.points[:, 1])
+    values = rule.weights * (exact or msol.at(*rule.points.T))(0, 0)
     means = np.bincount(rule.cell, weights=values, minlength=rule.n_cells) / elements.geometry.area
     return np.concatenate([np.broadcast_to(msol(points[:, 0], points[:, 1]), len(points)), means])
 
@@ -171,21 +207,22 @@ class ErrorData:
     projectors: np.ndarray      # (n_cells, 12, N)
 
 
-def build_error_data(mesh, dof_map, elements, msol):
-    """Error data of one mesh, built once and shared by every eps."""
-    g, rule = elements.geometry, elements.fan_rule
-    x, y = rule.points[:, 0], rule.points[:, 1]
+def build_error_data(mesh, dof_map, elements, msol, exact=None):
+    """Error data of one mesh, built once and shared by every eps.
+    ``exact``, if given, is ``msol.at`` of the fan-rule points."""
+    g = elements.geometry
+    exact = exact or msol.at(*elements.fan_rule.points.T)
     return ErrorData(
         n_cells=mesh.n_cells,
         h_max=float(g.diameter.max()),
-        rule=rule,
-        ux=msol.partial(1, 0, x, y),
-        uy=msol.partial(0, 1, x, y),
-        uxx=msol.partial(2, 0, x, y),
-        uxy=msol.partial(1, 1, x, y),
-        uyy=msol.partial(0, 2, x, y),
+        rule=elements.fan_rule,
+        ux=exact(1, 0),
+        uy=exact(0, 1),
+        uxx=exact(2, 0),
+        uxy=exact(1, 1),
+        uyy=exact(0, 2),
         inv_h=1.0 / g.diameter,
-        exact_dofs=interpolation_dofs(mesh, dof_map, elements, msol),
+        exact_dofs=interpolation_dofs(mesh, dof_map, elements, msol, exact),
         dofs=elements.dofs,
         projectors=np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1),
     )
@@ -289,6 +326,17 @@ def fit_rate(h_values, errors):
     return float(slope)
 
 
+def series_rate(x, errors):
+    """:func:`fit_rate` of a series given in any order, fitted on its points
+    sorted by decreasing ``x``; None with fewer than two points or where two
+    points share an ``x``."""
+    x, errors = np.asarray(x, dtype=float), np.asarray(errors, dtype=float)
+    order = np.argsort(-x, kind="stable")
+    if len(x) < 2 or np.any(np.diff(x[order]) == 0.0):
+        return None
+    return fit_rate(x[order], errors[order])
+
+
 @dataclass(eq=False)
 class ConvergenceReport:
     """Error records per eps with fitted rates and run metadata."""
@@ -300,11 +348,16 @@ class ConvergenceReport:
     rates_n: dict = field(default_factory=dict)
 
     def finalize(self):
+        """Sort each eps's records by decreasing h_max and fit its rates; a
+        series of fewer than three records, or with two of one mesh size,
+        gets none."""
         for eps, recs in self.records.items():
             recs.sort(key=lambda r: -r.h_max)
-            if len(recs) >= 3:
-                self.rates_h[eps] = fit_rate([r.h_max for r in recs], [r.e_total for r in recs])
-                self.rates_n[eps] = fit_rate(
-                    [r.n_cells ** -0.5 for r in recs], [r.e_total for r in recs]
-                )
+            if len(recs) < 3:
+                continue
+            errors = [r.e_total for r in recs]
+            rate_h = series_rate([r.h_max for r in recs], errors)
+            rate_n = series_rate([r.n_cells**-0.5 for r in recs], errors)
+            if rate_h is not None and rate_n is not None:
+                self.rates_h[eps], self.rates_n[eps] = rate_h, rate_n
         return self

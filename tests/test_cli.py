@@ -135,6 +135,27 @@ class TestRunStudy:
         # the CSV keeps its columns
         assert open(csv_path).readline().strip() == cli.CSV_HEADER
 
+    def test_report_has_lloyd_diagnostics(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(mesh.export_mesh(mesh.generate_uniform_squares(2)))
+        runs = {
+            "cvt": tiny_config(mesh_kind="cvt", sizes=[8, 16], seed=5, lloyd_iters=20),
+            "cvt0": tiny_config(mesh_kind="cvt", sizes=[8], seed=5, lloyd_iters=0),
+            "uniform": tiny_config(),
+            "files": tiny_config(mesh_kind="files", mesh_files=[str(path)], sizes=[]),
+        }
+        entries = {}
+        for name, cfg in runs.items():
+            report_path = write_outputs(run_study(cfg), str(tmp_path / name))[1]
+            entries[name] = json.loads(open(report_path).read())["meshes"]
+        for entry, n in zip(entries["cvt"], (8, 16)):
+            moves = mesh.generate_cvt(n, seed=5, lloyd_iters=20).lloyd_movement
+            assert entry["lloyd_steps"] == 20
+            assert entry["lloyd_final_movement"] == moves[-1] > 0.0
+        assert (entries["cvt0"][0]["lloyd_steps"], entries["cvt0"][0]["lloyd_final_movement"]) == (0, None)
+        for entry in entries["uniform"] + entries["files"]:
+            assert entry["lloyd_steps"] is None and entry["lloyd_final_movement"] is None
+
     def test_final_discretization_reproduces_last_row(self):
         out = run_study(tiny_config(eps=[1e-1, 1e-4]))
         final = out.final
@@ -172,6 +193,33 @@ class TestRunStudy:
         out = run_study(cfg)
         assert not out.failures
         assert out.rows[0]["n_cells"] == 4
+
+    def test_mesh_files_in_any_order(self, tmp_path):
+        paths = {}
+        for n in (2, 4, 8):
+            paths[n] = tmp_path / f"u{n}.txt"
+            paths[n].write_text(mesh.export_mesh(mesh.generate_uniform_squares(n)))
+
+        def study(*sizes):
+            cfg = tiny_config(mesh_kind="files", mesh_files=[str(paths[n]) for n in sizes], sizes=[])
+            out = run_study(cfg)
+            write_outputs(out, str(tmp_path / "-".join(map(str, sizes))))
+            assert not out.failures
+            return out
+
+        coarse_to_fine = study(2, 4, 8)
+        # fine to coarse: every running rate is fitted in order of decreasing h_max
+        shuffled = study(8, 2, 4)
+        rates = [r["rate_fit"] for r in shuffled.rows]
+        assert rates[0] == 0.0 and np.isfinite(rates[1]) and rates[2] == coarse_to_fine.rows[2]["rate_fit"]
+        assert shuffled.report.rates_h == coarse_to_fine.report.rates_h
+        assert shuffled.report.rates_n == coarse_to_fine.report.rates_n
+        # a mesh listed twice leaves its series without a rate
+        repeated = study(2, 4, 4)
+        assert [r["rate_fit"] for r in repeated.rows] == [0.0, coarse_to_fine.rows[1]["rate_fit"], 0.0]
+        assert repeated.report.rates_h == {} and repeated.report.rates_n == {}
+        report = json.loads((tmp_path / "2-4-4" / "report.json").read_text())
+        assert report["rates_vs_h"] == {} and len(report["records"]["0.01"]) == 3
 
 
 class TestMain:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ipvem.mesh import (
     MeshError,
     MeshFormatError,
     MeshGenerationError,
+    PolygonalMesh,
     build_mesh,
     export_mesh,
     generate_cvt,
@@ -125,6 +127,14 @@ class TestBuildMesh:
     def test_clockwise_cell_rejected_without_fix(self):
         with pytest.raises(MeshError):
             build_mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 3, 2, 1]])
+
+    def test_cells_as_one_array(self):
+        # a 2-D array of equal-valence loops, and an empty one
+        vertices = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        m = build_mesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))
+        assert_same_mesh(m, per_cell_build_mesh(vertices, [[0, 1, 2], [0, 2, 3]]))
+        with pytest.raises(MeshError, match="at least one cell"):
+            build_mesh(vertices, np.empty((0, 3), dtype=int))
 
     def test_edge_shared_three_times_rejected(self):
         vertices = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0]]
@@ -259,13 +269,13 @@ class TestLloydStep:
         # no generator of [0.4, 0.6]^2 lies within 1.5/sqrt(64) of a side, so
         # the first diagram has unbounded cells and the reach must double
         sizes = []
-        real_voronoi = mesh.Voronoi
+        real_delaunay = mesh.Delaunay
 
-        def counting_voronoi(pts, *args, **kwargs):
+        def counting_delaunay(pts, *args, **kwargs):
             sizes.append(len(pts))
-            return real_voronoi(pts, *args, **kwargs)
+            return real_delaunay(pts, *args, **kwargs)
 
-        monkeypatch.setattr(mesh, "Voronoi", counting_voronoi)
+        monkeypatch.setattr(mesh, "Delaunay", counting_delaunay)
         points = random_generators(5, 64, clustered=True)
         xy, offsets = mesh._voronoi_cells_unit_square(points)
         assert len(sizes) > 1 and sizes[0] == 64
@@ -302,6 +312,184 @@ class TestLloydStep:
         assert m.n_vertices == 6
         assert np.array_equal(m.vertices, xy[[0, 1, 2, 3, 5, 6]])
         assert [list(c) for c in m.cells] == [[0, 1, 2, 3], [1, 4, 5, 2]]
+
+
+def per_cell_build_mesh(vertices, cells, fix_orientation=False):
+    """Oracle: the cell-by-cell, edge-by-edge builder that ``build_mesh``
+    replaced, with the same checks in the same order."""
+    if not cells:
+        raise MeshError("a mesh needs at least one cell")
+    vertices = np.asarray(vertices, dtype=float)
+    loops = []
+    for ci, cell in enumerate(cells):
+        idx = np.asarray(cell, dtype=int)
+        if len(idx) < 3:
+            raise MeshError(f"cell {ci} has fewer than 3 vertices")
+        if len(np.unique(idx)) != len(idx):
+            raise MeshError(f"cell {ci} repeats a vertex")
+        if idx.min() < 0 or idx.max() >= len(vertices):
+            raise MeshError(f"cell {ci} references a vertex outside 0..{len(vertices) - 1}")
+        area = mesh._signed_area(vertices[idx])
+        if area == 0.0:
+            raise MeshError(f"cell {ci} has zero area")
+        if area < 0.0:
+            if not fix_orientation:
+                raise MeshError(f"cell {ci} is clockwise")
+            warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=2)
+            idx = idx[::-1]
+        loops.append(idx)
+
+    edge_key = {}
+    edges, edge_cells = [], []
+    cell_edges = [[] for _ in loops]
+    for ci, idx in enumerate(loops):
+        m = len(idx)
+        for j in range(m):
+            tail, head = int(idx[j]), int(idx[(j + 1) % m])
+            key = (min(tail, head), max(tail, head))
+            if key not in edge_key:
+                edge_key[key] = len(edges)
+                edges.append((tail, head))
+                edge_cells.append([ci, BOUNDARY])
+                cell_edges[ci].append((edge_key[key], +1))
+            else:
+                e = edge_key[key]
+                if edge_cells[e][1] != BOUNDARY:
+                    raise MeshError(f"edge {key} shared by more than two cells")
+                if (head, tail) != edges[e]:
+                    raise MeshError(f"edge {key} traversed twice in the same direction")
+                edge_cells[e][1] = ci
+                cell_edges[ci].append((e, -1))
+
+    m = PolygonalMesh(vertices, loops, np.array(edges, dtype=int), np.array(edge_cells, dtype=int), cell_edges)
+    euler = m.n_vertices - m.n_edges + m.n_cells
+    if euler != 1:
+        raise MeshError(f"Euler relation violated: V - E + F = {euler}, expected 1")
+    return m
+
+
+def assert_same_mesh(got, want):
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.edge_cells, want.edge_cells)
+    assert len(got.cells) == len(want.cells) == len(got.cell_edges)
+    for c in range(len(want.cells)):
+        assert np.array_equal(got.cells[c], want.cells[c])
+        assert np.array_equal(np.asarray(got.cell_edges[c]), np.array(want.cell_edges[c]))
+
+
+def build_both(vertices, cells, fix_orientation=False):
+    """``build_mesh`` and the oracle on one payload: both meshes, or both
+    error messages, with the warnings each gave."""
+    results = []
+    for build in (build_mesh, per_cell_build_mesh):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = build(vertices, cells, fix_orientation)
+            except MeshError as exc:
+                result = str(exc)
+        results.append((result, [str(w.message) for w in caught]))
+    return results
+
+
+class TestBuildMeshAgainstPerCellBuilder:
+    def test_cvt64(self, cvt64):
+        assert_same_mesh(build_mesh(cvt64.vertices, cvt64.cells), per_cell_build_mesh(cvt64.vertices, cvt64.cells))
+
+    def test_uniform(self):
+        m = generate_uniform_squares(4)
+        assert_same_mesh(build_mesh(m.vertices, m.cells), per_cell_build_mesh(m.vertices, m.cells))
+
+    def test_clockwise_fixed_import(self, cvt32):
+        cells = [c[::-1] if i % 3 == 1 else c for i, c in enumerate(cvt32.cells)]
+        (got, got_warned), (want, want_warned) = build_both(cvt32.vertices, cells, fix_orientation=True)
+        assert_same_mesh(got, want)
+        assert got_warned == want_warned and len(got_warned) == len(cells[1::3])
+        lines = ["vem-mesh 1", f"vertices {cvt32.n_vertices}"]
+        lines += [f"{float(x)!r} {float(y)!r}" for x, y in cvt32.vertices]
+        lines += [f"cells {len(cells)}"] + [" ".join(map(str, [len(c), *c])) for c in cells]
+        with pytest.warns(UserWarning, match="was clockwise") as caught:
+            assert_same_mesh(import_mesh("\n".join(lines) + "\n"), want)
+        assert [str(w.message) for w in caught] == want_warned
+
+    def test_next_cell_starting_at_the_last_ones_largest_vertex(self):
+        # four triangles about the centre 2, ordered so that cell 1's
+        # smallest vertex is cell 0's largest: no vertex repeats in a cell
+        vertices = [[0, 0], [1, 0], [0.5, 0.5], [1, 1], [0, 1]]
+        cells = [[0, 1, 2], [3, 4, 2], [1, 3, 2], [4, 0, 2]]
+        assert_same_mesh(build_mesh(vertices, cells), per_cell_build_mesh(vertices, cells))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rotated_and_reversed_loops(self, data, cvt32):
+        n = cvt32.n_cells
+        shifts = data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
+        flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        cells = [np.roll(cvt32.cells[c], shifts[c])[:: -1 if flips[c] else 1] for c in order]
+        (got, got_warned), (want, want_warned) = build_both(cvt32.vertices, cells, fix_orientation=True)
+        assert_same_mesh(got, want)
+        assert got_warned == want_warned
+
+    # one payload per check, each with a sound cell before the faulty one
+    FAULTS = {
+        "valence": ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2]]),
+        "repeat": ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3, 2]]),
+        "range": ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 4]]),
+        "zero area": ([[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]], [[0, 1, 2], [0, 2, 4]]),
+        "clockwise": ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 3, 2]]),
+        "three cells": ([[0, 0], [1, 0], [1, 1], [0, 1], [1, -1]], [[0, 1, 2], [0, 2, 3], [1, 0, 4], [0, 1, 3]]),
+        "same direction": ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 1, 3]]),
+        "euler": ([[0, 0], [1, 0], [1, 1], [2, 0], [3, 0], [3, 1]], [[0, 1, 2], [3, 4, 5]]),
+    }
+    MESSAGES = {
+        "valence": "cell 1 has fewer than 3 vertices",
+        "repeat": "cell 1 repeats a vertex",
+        "range": "cell 1 references a vertex outside 0..3",
+        "zero area": "cell 1 has zero area",
+        "clockwise": "cell 1 is clockwise",
+        "three cells": "edge (0, 1) shared by more than two cells",
+        "same direction": "edge (0, 1) traversed twice in the same direction",
+        "euler": "Euler relation violated: V - E + F = 2, expected 1",
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_one_fault_same_message(self, fault):
+        vertices, cells = self.FAULTS[fault]
+        (got, _), (want, _) = build_both(vertices, cells)
+        assert got == want == self.MESSAGES[fault]
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_first_fault_wins(self, fault, cvt32):
+        # the faulty payload after a clockwise copy of a sound mesh: both
+        # builders reverse the same cells, then report the same fault
+        vertices, cells = self.FAULTS[fault]
+        offset = cvt32.n_vertices
+        cells = [c[::-1] for c in cvt32.cells] + [[v + offset for v in c] for c in cells]
+        results = build_both(np.vstack([cvt32.vertices, np.asarray(vertices, dtype=float)]), cells, True)
+        (got, got_warned), (want, want_warned) = results
+        assert got_warned == want_warned
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_mesh(got, want)
+
+
+class TestCocircularGenerators:
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_grid_centres_give_the_grid(self, k, steps):
+        # every grid square's four generators, and every generator with its
+        # mirror beside another such pair, are cocircular: the triangulation
+        # gives several triangles per square corner
+        centres = (np.arange(k) + 0.5) / k
+        x, y = np.meshgrid(centres, centres)
+        m = generate_cvt(k * k, initial_points=np.column_stack([x.ravel(), y.ravel()]), lloyd_iters=steps)
+        g = m.stacked_geometry
+        assert np.all(g.valence == 4)
+        assert np.allclose(g.area, 1.0 / k**2, rtol=1e-12)
+        assert (m.n_vertices, m.n_edges) == ((k + 1) ** 2, 2 * k * (k + 1))
 
 
 class TestStackedGeometry:

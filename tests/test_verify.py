@@ -71,6 +71,32 @@ class TestManufacturedSolutions:
         with pytest.raises(ValueError):
             example_solution(9)
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_tabulated_partials_match_pointwise_ones(self, which):
+        msol = example_solution(which)
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0.0, 1.0, (2, 500))
+        exact = msol.at(x, y)
+        for i in range(5):
+            for j in range(5 - i):
+                want = msol.partial(i, j, x, y)
+                assert np.max(np.abs(exact(i, j) - want)) <= 5e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_discretize_tabulates_the_fan_points_once(self, which, cvt32):
+        # loads and error data share one table of the exact partials
+        msol = example_solution(which)
+        calls = []
+
+        def counting(x, y):
+            calls.append(len(x))
+            return msol.tabulate(x, y)
+
+        d = cli.discretize(cvt32, ManufacturedSolution(msol.name, msol.partial, tabulate=counting))
+        assert calls == [len(d.elements.fan_rule.weights)]
+        ref = cli.discretize(cvt32, msol)
+        assert np.array_equal(d.rhs4, ref.rhs4) and np.array_equal(d.error_data.exact_dofs, ref.error_data.exact_dofs)
+
 
 class TestForcing:
     def test_linear_solution_has_zero_forcing(self):
