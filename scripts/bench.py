@@ -6,9 +6,13 @@ set-up stages of ``cli.discretize`` (its per-stage ``seconds``), then one
 solve and one error evaluation of example 1 at eps = 1e-3.  Each record
 holds the stage seconds, ``n_free``, ``nnz``, the solve method, its
 residual, refinement steps, factor fill (``lu_nnz``) and off-diagonal
-pivots (null where the timed package does not report them).  Only the
-public API is used, so the same file runs against another checkout of the
-package:
+pivots (null where the timed package does not report them).  Then the same
+discretization solves once at each eps of the robustness sweep, 1 down to
+1e-10, as a study does; ``sweep`` holds each solve's seconds, refinement
+steps, ``factor_eps`` (the eps whose matrix was factored, null where the
+timed package does not report it) and ``error`` (the message of a
+``SolveError``, else null).  Only the public API is used, so
+the same file runs against another checkout of the package:
 
     python3 scripts/bench.py --label cvt --sizes 32,128,512,2048
     PYTHONPATH=/path/to/other/src python3 scripts/bench.py --label other
@@ -28,10 +32,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from ipvem import cli, mesh, verify
+from ipvem import cli, mesh, system, verify
 
 EXAMPLE = 1
 EPS = 1e-3
+SWEEP = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 SEED = 7
 LLOYD_ITERS = 100
 
@@ -49,6 +54,22 @@ def bench_size(n_cells):
     t0 = time.perf_counter()
     rec = disc.error(solution)
     seconds["error"] = time.perf_counter() - t0
+    sweep = []
+    for eps in SWEEP:
+        t0 = time.perf_counter()
+        try:
+            diagnostics, error = disc.solve(eps).diagnostics, None
+        except system.SolveError as exc:
+            diagnostics, error = {}, str(exc)
+        sweep.append(
+            {
+                "eps": eps,
+                "solve_s": time.perf_counter() - t0,
+                "refine_steps": diagnostics.get("refine_steps"),
+                "factor_eps": diagnostics.get("factor_eps"),
+                "error": error,
+            }
+        )
     return {
         "n_cells": m.n_cells,
         "seconds": seconds,
@@ -61,6 +82,8 @@ def bench_size(n_cells):
         "lu_nnz": rec.solve.get("lu_nnz"),
         "offdiag_pivots": rec.solve.get("offdiag_pivots"),
         "E_I": rec.e_total,
+        "sweep": sweep,
+        "sweep_solve_s": sum(r["solve_s"] for r in sweep),
     }
 
 
@@ -94,6 +117,7 @@ def main(argv=None):
         "label": args.label,
         "example": EXAMPLE,
         "eps": EPS,
+        "sweep_eps": SWEEP,
         "seed": SEED,
         "lloyd_iters": LLOYD_ITERS,
         "provenance": provenance(),
@@ -103,7 +127,11 @@ def main(argv=None):
         run = bench_size(n)
         payload["runs"].append(run)
         stages = " ".join(f"{k} {v:.3f}s" for k, v in run["seconds"].items())
-        print(f"cvt-{n}: n_free {run['n_free']}, {run['solve_method']}, {stages}", flush=True)
+        print(
+            f"cvt-{n}: n_free {run['n_free']}, {run['solve_method']}, {stages}, "
+            f"sweep solves {run['sweep_solve_s']:.3f}s",
+            flush=True,
+        )
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {path}")

@@ -111,6 +111,8 @@ class Discretization:
     eps^2 * rhs4 + rhs2; ``free_parts`` holds both parts restricted to the
     free DoFs, so every eps costs one sparse sum, one solve and one error
     evaluation.  ``seconds`` holds the wall time of each set-up stage.
+    ``factor`` holds the LU factor of the last solve that factored, which
+    a solve at an eps no larger refines from (see :func:`system.solve`).
     """
 
     mesh: mesh.PolygonalMesh
@@ -122,13 +124,14 @@ class Discretization:
     rhs2: np.ndarray
     error_data: verify.ErrorData
     seconds: dict
+    factor: system.HeldFactor = field(default_factory=system.HeldFactor)
 
     def reduced(self, eps):
         """The boundary-reduced linear system at ``eps``."""
         return system.combine(self.free_parts, eps**2 * self.rhs4 + self.rhs2, eps)
 
     def solve(self, eps):
-        return system.solve(self.reduced(eps))
+        return system.solve(self.reduced(eps), held=self.factor)
 
     def error(self, solution, norm="interp-energy"):
         """Error record of ``solution`` with its penalty energy and solve
@@ -185,6 +188,7 @@ def run_study(config, progress=None):
     Each mesh is discretized once and the discretization is reused across
     the eps values; its set-up stages are timed into ``StudyOutput.meshes``
     and the last mesh's discretization is kept as ``StudyOutput.final``.
+    The LU factor a mesh's solves share is released after its last solve.
     """
     config.validate()
     msol = verify.example_solution(config.example)
@@ -209,6 +213,7 @@ def run_study(config, progress=None):
             {
                 "label": label,
                 "n_cells": m.n_cells,
+                "min_edge_length": m.min_edge_length(),
                 "seconds": seconds,
                 "lloyd_steps": None if moves is None else len(moves),
                 "lloyd_final_movement": moves[-1] if moves else None,
@@ -222,10 +227,14 @@ def run_study(config, progress=None):
             " ".join(f"{stage} {t:.3f}s" for stage, t in seconds.items()),
         )
 
-        for eps in config.eps:
+        for i, eps in enumerate(config.eps, 1):
             t0 = time.perf_counter()
             try:
-                rec = disc.error(disc.solve(eps), config.error_norm)
+                solution = disc.solve(eps)
+                if i == len(config.eps):
+                    # no later solve on this mesh: free the factor before the error evaluation
+                    disc.factor.release()
+                rec = disc.error(solution, config.error_norm)
             except Exception as exc:  # noqa: BLE001
                 failures.append({"mesh": label, "eps": eps, "error": repr(exc)})
                 log.error("run failed for %s, eps=%g: %r", label, eps, exc)
@@ -251,6 +260,7 @@ def run_study(config, progress=None):
             )
             if progress:
                 progress(rows[-1])
+        disc.factor.release()  # also after a failed last solve
 
     report = verify.ConvergenceReport(
         records=records, seed=config.seed, penalty_a=config.penalty_a
@@ -301,6 +311,7 @@ def write_outputs(output, out_dir=None):
                     "backward_error": r.solve.get("backward_error"),
                     "residual_floor": r.solve.get("residual_floor"),
                     "refine_steps": r.solve.get("refine_steps"),
+                    "factor_eps": r.solve.get("factor_eps"),
                     "lu_nnz": r.solve.get("lu_nnz"),
                     "offdiag_pivots": r.solve.get("offdiag_pivots"),
                     "n_free": r.solve.get("n_free"),

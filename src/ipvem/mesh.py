@@ -7,6 +7,7 @@ after ``build_mesh``) and safe to share across threads for read-only queries.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import warnings
 import dataclasses
@@ -75,11 +76,6 @@ class CellGeometry:
         return 0.5 * (self.vertices + np.roll(self.vertices, -1, axis=0))
 
 
-def _signed_area(loop):
-    x, y = loop[:, 0], loop[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
 class PolygonalMesh:
     """Vertices, CCW cell loops, and oriented edges with cell adjacency.
 
@@ -125,6 +121,10 @@ class PolygonalMesh:
 
     def max_diameter(self):
         return float(self.stacked_geometry.diameter.max())
+
+    def min_edge_length(self):
+        g = self.stacked_geometry
+        return float(g.edge_lengths[g.valid].min())
 
 
 def virtual_triangle_areas(mesh):
@@ -226,6 +226,13 @@ def stacked_geometry(mesh):
     )
 
 
+def _split(flat, offsets):
+    """Views of ``flat`` between consecutive ``offsets``, as np.split gives
+    them but without its per-piece overhead."""
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _first(mask):
     """Index of the first True entry of ``mask``, or its length if none."""
     return int(np.argmax(mask)) if mask.any() else len(mask)
@@ -308,10 +315,10 @@ def build_mesh(vertices, cells, fix_orientation=False):
     cell_edges = np.column_stack([corner_edge, np.where(occurrence == 0, 1, -1)])
     mesh = PolygonalMesh(
         vertices=vertices,
-        cells=np.split(flat, offsets[1:-1]),
+        cells=_split(flat, offsets),
         edges=np.column_stack([tail[left], head[left]]),
         edge_cells=edge_cells,
-        cell_edges=np.split(cell_edges, offsets[1:-1]),
+        cell_edges=_split(cell_edges, offsets),
     )
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
     if euler != 1:
@@ -447,7 +454,7 @@ def _cells_to_mesh(xy, offsets):
     kept = np.add.reduceat(keep, offsets[:-1])
     if kept.min() < 3:
         raise MeshGenerationError("cell degenerated to fewer than 3 vertices")
-    cells = np.split(canonical[keep], np.cumsum(kept)[:-1])
+    cells = _split(canonical[keep], np.concatenate([[0], np.cumsum(kept)]))
     return build_mesh(vertices, cells)
 
 
@@ -504,6 +511,39 @@ def export_mesh(mesh):
     return "\n".join(lines) + "\n"
 
 
+def _vertex_block(lines):
+    """The (n, 2) points of ``n`` lines of two coordinates each, or None if a
+    line has another token count, a coordinate does not parse as a float,
+    or a point is not a finite point of the unit square."""
+    rows = [line.split() for line in lines]
+    if not set(map(len, rows)) <= {2}:
+        return None
+    try:
+        xy = np.array(list(map(float, itertools.chain.from_iterable(rows)))).reshape(-1, 2)
+    except ValueError:
+        return None
+    return xy if np.all((xy >= 0.0) & (xy <= 1.0)) else None
+
+
+def _cell_block(lines, n_vertices):
+    """The vertex loops of cell lines 'k i1 ... ik' as arrays, or None if a
+    token does not parse as an integer, a line's count is not its number
+    of indices, or an index lies outside 0..n_vertices-1."""
+    rows = [line.split() for line in lines]
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    try:
+        flat = np.fromiter(map(int, itertools.chain.from_iterable(rows)), dtype=np.int64, count=counts.sum())
+    except (ValueError, OverflowError):
+        return None
+    heads = np.cumsum(counts) - counts
+    if np.any(counts == 0) or np.any(flat[heads] != counts - 1):
+        return None
+    index = np.delete(flat, heads)
+    if np.any((index < 0) | (index >= n_vertices)):
+        return None
+    return _split(index, np.concatenate([[0], np.cumsum(counts - 1)]))
+
+
 def import_mesh(text):
     """Parse the ``vem-mesh 1`` text format.
 
@@ -542,36 +582,35 @@ def import_mesh(text):
         return count
 
     n_vertices = expect_count("vertices")
-    vertices = np.empty((n_vertices, 2))
-    for i in range(n_vertices):
-        parts = lines[pos].split()
+    vertices = _vertex_block(lines[pos : pos + n_vertices])
+    # a block is parsed line by line only to report its first fault; the
+    # block parsers return None exactly when the line checks find one
+    for i in range(n_vertices if vertices is None else 0):
+        ln = pos + i
+        parts = lines[ln].split()
         if len(parts) != 2:
-            fail(pos + 1, "expected 'x y'")
+            fail(ln + 1, "expected 'x y'")
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            fail(pos + 1, f"bad coordinate in {lines[pos]!r}")
+            fail(ln + 1, f"bad coordinate in {lines[ln]!r}")
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            fail(pos + 1, f"vertex {i} at ({x!r}, {y!r}) is not a finite point of the unit square")
-        vertices[i] = x, y
-        pos += 1
+            fail(ln + 1, f"vertex {i} at ({x!r}, {y!r}) is not a finite point of the unit square")
+    pos += n_vertices
 
     n_cells = expect_count("cells")
     first_cell_line = pos + 1
-    cells = []
-    for i in range(n_cells):
-        parts = lines[pos].split()
+    cells = _cell_block(lines[pos : pos + n_cells], n_vertices)
+    for i in range(n_cells if cells is None else 0):
+        ln = pos + i
         try:
-            values = [int(p) for p in parts]
+            values = [int(p) for p in lines[ln].split()]
         except ValueError:
-            fail(pos + 1, f"bad cell line {lines[pos]!r}")
+            fail(ln + 1, f"bad cell line {lines[ln]!r}")
         if not values or len(values) != values[0] + 1:
-            fail(pos + 1, "cell line must read 'k i1 ... ik'")
-        idx = values[1:]
-        if any(j < 0 or j >= n_vertices for j in idx):
-            fail(pos + 1, f"vertex index out of range in cell {i}")
-        cells.append(idx)
-        pos += 1
+            fail(ln + 1, "cell line must read 'k i1 ... ik'")
+        if any(j < 0 or j >= n_vertices for j in values[1:]):
+            fail(ln + 1, f"vertex index out of range in cell {i}")
 
     try:
         m = build_mesh(vertices, cells, fix_orientation=True)

@@ -61,7 +61,7 @@ def cell_dof_indices(dof_map, mesh, cell_id):
 class SparseSystem:
     """Reduced symmetric system over the free DoFs."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     eps: float
     dof_map: GlobalDofMap
@@ -138,10 +138,12 @@ def load_vector(elements, f):
 
 @dataclass(eq=False)
 class FreeParts:
-    """The operator parts restricted to the free DoFs and symmetrized."""
+    """The operator parts restricted to the free DoFs and symmetrized, stored
+    as CSC so that their sum at each eps is already in the layout SuperLU
+    factors."""
 
-    hess: sp.csr_matrix
-    grad: sp.csr_matrix
+    hess: sp.csc_matrix
+    grad: sp.csc_matrix
     free: np.ndarray
     dof_map: GlobalDofMap
 
@@ -153,7 +155,9 @@ def restrict(hess_part, grad_part, dof_map):
 
     def symmetric_free(part):
         reduced = part[free][:, free]
-        return ((reduced + reduced.T) * 0.5).tocsr()
+        # exactly symmetric, so the transpose (a CSC view of the same arrays)
+        # is the same matrix, stored as CSC without a copy
+        return ((reduced + reduced.T) * 0.5).T
 
     return FreeParts(symmetric_free(hess_part), symmetric_free(grad_part), free, dof_map)
 
@@ -162,7 +166,7 @@ def combine(parts, rhs, eps):
     """The reduced system eps^2 * hess + grad at one eps: one sparse sum,
     exactly symmetric because both terms are."""
     return SparseSystem(
-        matrix=((eps**2) * parts.hess + parts.grad).tocsr(),
+        matrix=(eps**2) * parts.hess + parts.grad,
         rhs=rhs[parts.free],
         eps=eps,
         dof_map=parts.dof_map,
@@ -185,7 +189,19 @@ UNIT_ROUNDOFF = 2.0**-53
 DIAG_PIVOT_THRESH = 0.01
 
 
-def solve(system, residual_target=RESIDUAL_TARGET):
+@dataclass(eq=False)
+class HeldFactor:
+    """A SuperLU factor kept between the solves on one mesh, and the eps
+    whose matrix it factors; empty until the first solve that factors."""
+
+    lu: spla.SuperLU | None = None
+    eps: float | None = None
+
+    def release(self):
+        self.lu = self.eps = None
+
+
+def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     """Direct sparse solve with extended-precision refinement and a residual
     check.  The matrix is symmetric, so SuperLU runs in symmetric mode: the
     columns are ordered on the pattern of A + A^T and diagonal pivots are
@@ -193,30 +209,45 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     definite stable in the same call.  Besides the relative residual, the
     diagnostics hold the componentwise backward error
     max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the residual floor
-    u || |A||x| || / ||b||, the fill of the factors (``lu_nnz``) and the
-    number of pivots taken off the diagonal (``offdiag_pivots``)."""
+    u || |A||x| || / ||b||, the eps whose matrix was factored
+    (``factor_eps``), the fill of that factor (``lu_nnz``) and the number of
+    pivots it took off the diagonal (``offdiag_pivots``).
+
+    ``held`` (a :class:`HeldFactor`) lets solves on one mesh share a factor.
+    A factor held from an eps e0 >= eps is tried first: with A = G + eps^2 H
+    and M = G + e0^2 H, the refinement's iteration matrix
+    I - M^-1 A = (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small
+    when e0^2 H is small against G.  The attempt is given up after its
+    first correction if that correction's contraction, kept for the
+    remaining corrections, cannot reach a tenth of the target, and whenever
+    it ends above the target; the held factor is then released before a
+    fresh one is made and held, so one factor is alive at a time."""
     mat, rhs = system.matrix, system.rhs
     diagnostics = {"method": "splu", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
         x = np.zeros_like(rhs)
         residual = 0.0
-        diagnostics.update(backward_error=0.0, residual_floor=0.0, lu_nnz=0, offdiag_pivots=0)
+        diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, lu_nnz=0, offdiag_pivots=0)
     else:
-        try:
-            lu = spla.splu(
-                mat.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                options={"SymmetricMode": True},
+        refined = None
+        if held is not None and held.lu is not None and held.eps >= system.eps:
+            refined = _refine(
+                mat, rhs, held.lu.solve(rhs), held.lu, residual_target, accuracy=diagnostics, may_abort=True
             )
-        except RuntimeError as exc:
-            raise SolveError(f"sparse LU failed: {exc}") from exc
+        if refined is None:
+            if held is not None:
+                held.release()
+            lu = _factor(mat)
+            refined = _refine(mat, rhs, lu.solve(rhs), lu, residual_target, accuracy=diagnostics)
+            if held is not None:
+                held.lu, held.eps = lu, system.eps
+        else:
+            lu = held.lu
+        diagnostics["factor_eps"] = system.eps if held is None else held.eps
         # entries SuperLU stores for L and U, read without copying the factors
         diagnostics["lu_nnz"] = int(lu.nnz)
         diagnostics["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != lu.perm_c))
-        x, residual, diagnostics["refine_steps"] = _refine(
-            mat, rhs, lu.solve(rhs), lu, residual_target, accuracy=diagnostics
-        )
+        x, residual, diagnostics["refine_steps"] = refined
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
     values = np.zeros(system.dof_map.n_dofs)
@@ -225,7 +256,20 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 
 
-def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None):
+def _factor(mat):
+    """The symmetric-mode SuperLU factor of ``mat`` (no copy if it is CSC)."""
+    try:
+        return spla.splu(
+            mat.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolveError(f"sparse LU failed: {exc}") from exc
+
+
+def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_abort=False):
     """Mixed-precision iterative refinement.
 
     Residuals are evaluated in extended precision; plain double evaluation
@@ -234,6 +278,11 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None):
     refined solution, its relative residual and the number of corrections
     applied; the residual is always that of the returned solution, and the
     backward error and residual floor written into ``accuracy`` are its too.
+    With ``may_abort``, returns None instead when the refinement will not or
+    did not meet the target: after the first correction if the residual,
+    shrinking by that correction's ratio for the remaining steps, would stay
+    above ``residual_target / 10``, and at the end if it is above
+    ``residual_target``.
     """
     mat_ld = mat.astype(np.longdouble)
     rhs_ld = rhs.astype(np.longdouble)
@@ -244,8 +293,15 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None):
         residual = float(np.linalg.norm(r)) / rhs_norm
         if residual <= residual_target / 10.0 or steps == max_steps:
             break
+        if may_abort and steps == 1:
+            projected = residual * (residual / previous) ** (max_steps - 1)
+            if not projected <= residual_target / 10.0:
+                return None
+        previous = residual
         x = x + lu.solve(r)
         steps += 1
+    if may_abort and not residual <= residual_target:
+        return None
     if accuracy is not None:
         scale = abs(mat) @ np.abs(x)
         bound = scale + np.abs(rhs)

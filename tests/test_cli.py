@@ -112,10 +112,11 @@ class TestRunStudy:
         report = json.loads(open(report_path).read())
         # uniform-2 has 9 free DoFs and uniform-4 has 49 (interior vertices,
         # interior edges and cell moments)
-        for recs in report["records"].values():
+        for eps, recs in report["records"].items():
             assert [rec["n_free"] for rec in recs] == [9, 49]
             for rec in recs:
                 assert rec["solve_method"] == "splu"
+                assert rec["factor_eps"] >= float(eps)
                 assert 0.0 <= rec["solve_residual"] <= system.RESIDUAL_TARGET
                 assert rec["refine_steps"] >= 0
                 assert rec["n_free"] <= rec["nnz"] <= rec["n_free"] ** 2
@@ -134,6 +135,29 @@ class TestRunStudy:
             assert all(f" {stage} " in line for stage in stages)
         # the CSV keeps its columns
         assert open(csv_path).readline().strip() == cli.CSV_HEADER
+
+    def test_report_meshes_have_min_edge_length(self, tmp_path):
+        report_path = write_outputs(run_study(tiny_config()), str(tmp_path))[1]
+        meshes = json.loads(open(report_path).read())["meshes"]
+        assert [entry["min_edge_length"] for entry in meshes] == [0.5, 0.25]
+
+    def test_records_do_not_depend_on_eps_order(self):
+        eps = [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
+
+        def study(order):
+            out = run_study(tiny_config(example=1, eps=order, mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=100))
+            assert not out.failures
+            assert out.final.factor.lu is None
+            return out.report.records
+
+        down, up = study(eps), study(eps[::-1])
+        for e in eps:
+            for a, b in zip(down[e], up[e], strict=True):
+                for name in ("e_total", "h2_part", "h1_part", "proj_h2", "proj_h1", "proj_h1_via_h2"):
+                    assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-10, abs=0.0)
+        # going down, the small eps refine from a larger eps's factor; going up never
+        assert any(r.solve["factor_eps"] > r.eps for recs in down.values() for r in recs)
+        assert all(r.solve["factor_eps"] == r.eps for recs in up.values() for r in recs)
 
     def test_report_has_lloyd_diagnostics(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -24,6 +24,12 @@ from ipvem.mesh import (
 )
 
 
+def signed_area(loop):
+    """Shoelace area of one vertex loop, positive when counter-clockwise."""
+    x, y = loop[:, 0], loop[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
 def two_squares_mesh():
     """Two unit squares sharing one interior edge."""
     vertices = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
@@ -263,7 +269,7 @@ class TestLloydStep:
             assert dist.min(axis=1).max() < 1e-12
             assert dist.min(axis=0).max() < 1e-12
             # counter-clockwise about the generator
-            assert mesh._signed_area(got) > 0.0
+            assert signed_area(got) > 0.0
 
     def test_clustered_generators_widen_the_reach(self, monkeypatch):
         # no generator of [0.4, 0.6]^2 lies within 1.5/sqrt(64) of a side, so
@@ -293,7 +299,7 @@ class TestLloydStep:
             exact_area, exact_centroid = exact_area_centroid(loop)
             assert abs(area[i] - exact_area) <= 1e-14 * exact_area
             assert np.linalg.norm(centroid[i] - exact_centroid) <= 1e-14 * np.linalg.norm(exact_centroid)
-            a = mesh._signed_area(loop)
+            a = signed_area(loop)
             x, y = loop[:, 0], loop[:, 1]
             xn, yn = np.roll(x, -1), np.roll(y, -1)
             cross = x * yn - xn * y
@@ -329,7 +335,7 @@ def per_cell_build_mesh(vertices, cells, fix_orientation=False):
             raise MeshError(f"cell {ci} repeats a vertex")
         if idx.min() < 0 or idx.max() >= len(vertices):
             raise MeshError(f"cell {ci} references a vertex outside 0..{len(vertices) - 1}")
-        area = mesh._signed_area(vertices[idx])
+        area = signed_area(vertices[idx])
         if area == 0.0:
             raise MeshError(f"cell {ci} has zero area")
         if area < 0.0:

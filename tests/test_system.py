@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,83 @@ class TestSymmetricModeFactor:
             assert ours.L.nnz + ours.U.nnz <= default.L.nnz + default.U.nnz
             sys_ = d64.reduced(eps)
             assert solve(sys_).diagnostics["lu_nnz"] <= sp.linalg.splu(sys_.matrix.tocsc()).nnz
+
+
+SWEEP = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10)
+
+
+class TestHeldFactor:
+    @staticmethod
+    def discretizations(*meshes):
+        return [cli.discretize(m, verify.example_solution(1)) for m in meshes]
+
+    def test_decreasing_sweep_reuses_and_matches_fresh_factors(self, cvt32, cvt64):
+        for d in self.discretizations(cvt32, cvt64):
+            for eps in SWEEP:
+                sol = d.solve(eps)
+                fresh = solve(d.reduced(eps))
+                assert fresh.diagnostics["factor_eps"] == eps
+                assert sol.diagnostics["factor_eps"] == d.factor.eps >= eps
+                assert sol.residual <= system.RESIDUAL_TARGET
+                assert sol.diagnostics["lu_nnz"] == fresh.diagnostics["lu_nnz"]
+                scale = np.max(np.abs(fresh.values))
+                assert np.max(np.abs(sol.values - fresh.values)) <= 1e-10 * scale
+            assert sol.diagnostics["factor_eps"] > SWEEP[-1]
+
+    def test_increasing_sweep_never_reuses(self, cvt32, cvt64):
+        for d in self.discretizations(cvt32, cvt64):
+            for eps in SWEEP[::-1]:
+                assert d.solve(eps).diagnostics["factor_eps"] == d.factor.eps == eps
+
+    def test_attempt_from_eps_one_aborts_after_one_correction(self, cvt32, cvt64):
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, r):
+                self.solves += 1
+                return self.lu.solve(r)
+
+        for d in self.discretizations(cvt32, cvt64):
+            d.solve(1.0)
+            counting = d.factor.lu = CountingLU(d.factor.lu)
+            sol = d.solve(1e-3)
+            # the first solve and at most one correction, then a fresh factor
+            assert 1 <= counting.solves <= 2
+            assert sol.diagnostics["factor_eps"] == d.factor.eps == 1e-3
+            assert np.array_equal(sol.values, solve(d.reduced(1e-3)).values)
+
+    def test_one_factor_alive(self, cvt32, monkeypatch):
+        real_splu = system.spla.splu
+        made = []
+
+        class Factor:
+            """A weakly referenceable SuperLU stand-in."""
+
+            def __init__(self, lu):
+                self.solve, self.nnz, self.perm_r, self.perm_c = lu.solve, lu.nnz, lu.perm_r, lu.perm_c
+
+        def splu(*args, **kwargs):
+            assert all(ref() is None for ref in made)
+            factor = Factor(real_splu(*args, **kwargs))
+            made.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(system.spla, "splu", splu)
+        (d,) = self.discretizations(cvt32)
+        for eps in SWEEP + SWEEP[::-1]:
+            d.solve(eps)
+        # fresh factors from eps = 1 down to the first reused one, and again
+        # above the reused factor's eps on the way back up
+        assert len(made) >= 5
+        d.factor.release()
+        assert made[-1]() is None
+
+    def test_no_held_factor_no_reuse(self, cvt32):
+        (d,) = self.discretizations(cvt32)
+        for eps in SWEEP:
+            assert solve(d.reduced(eps)).diagnostics["factor_eps"] == eps
+        assert d.factor.lu is None
 
 
 class TestPositiveDefinite:
