@@ -31,9 +31,7 @@ def main():
         print("finest mesh failed; no field exported", file=sys.stderr)
         return cli.EXIT_RUN_FAILED
     path = os.path.join(out_dir, f"solution-{final.mesh.n_cells}.vtk")
-    cli.export_solution_fields(
-        final.mesh, final.dof_map, final.elements, final.solve(eps), path, msol=verify.example_solution(2)
-    )
+    cli.export_solution_fields(final.elements, final.solve(eps), path, msol=verify.example_solution(2))
     print(f"wrote {path}")
     return output.exit_code
 

@@ -8,7 +8,7 @@ from .basis import (
     gauss_lobatto,
     triangle_quadrature,
 )
-from .forms import EdgeStencil, LocalForms, PenaltyConfig, penalty_parameter
+from .forms import PenaltyConfig, penalty_parameter
 from .mesh import (
     CellGeometry,
     PolygonalMesh,
@@ -17,7 +17,7 @@ from .mesh import (
     generate_uniform_squares,
     import_mesh,
 )
-from .projectors import DofLayout, ElementContext, Elements, ProjectorSet, build_element, build_elements
+from .projectors import Elements, build_elements
 from .system import DiscreteSolution, GlobalDofMap, SparseSystem, number_dofs, solve
 from .verify import (
     ConvergenceReport,
@@ -28,7 +28,6 @@ from .verify import (
     energy_error,
     example_solution,
     fit_rate,
-    forcing_parts,
 )
 
 __version__ = "0.1.0"

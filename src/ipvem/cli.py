@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import forms, mesh, projectors, system, verify
+from . import basis, forms, mesh, projectors, system, verify
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,8 @@ class StudyConfig:
         for e in self.eps:
             if not (0.0 < e <= 1.0):
                 raise ConfigError(f"eps must lie in (0, 1], got {e}")
+        if len(set(self.eps)) != len(self.eps):
+            raise ConfigError(f"eps values must be distinct, got {self.eps}")
         if self.mesh_kind not in ("cvt", "uniform", "files"):
             raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}")
         if self.mesh_kind == "files":
@@ -136,7 +138,7 @@ class Discretization:
     def error(self, solution, norm="interp-energy"):
         """Error record of ``solution`` with its penalty energy and solve
         diagnostics filled in."""
-        rec = verify.energy_error(self.error_data, solution, parts=self.parts, norm=norm)
+        rec = verify.energy_error(self.error_data, solution, self.parts, norm=norm)
         rec.j1_energy = verify.j1_energy(solution, self.parts.j1)
         rec.solve = solution.diagnostics
         return rec
@@ -150,17 +152,17 @@ def discretize(mesh_obj, msol, penalty_a=2.0):
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
     dof_map = system.number_dofs(mesh_obj)
-    lf = forms.build_local_forms(mesh_obj, elements)
-    stencils = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
+    cell_forms = forms.build_local_forms(elements)
+    traces = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
     clock.lap("forms_stencils")
-    parts = system.build_operator_parts(mesh_obj, dof_map, lf, stencils)
+    parts = system.build_operator_parts(dof_map, cell_forms, traces)
     free_parts = system.restrict(parts.hess, parts.grad, dof_map)
     clock.lap("operator_parts")
     exact = msol.at(*elements.fan_rule.points.T)
     rhs4 = system.load_vector(elements, verify.biharmonic(exact))
     rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
     clock.lap("loads")
-    error_data = verify.build_error_data(mesh_obj, dof_map, elements, msol, exact)
+    error_data = verify.build_error_data(mesh_obj, elements, msol, exact)
     clock.lap("error_data")
     return Discretization(mesh_obj, elements, dof_map, parts, free_parts, rhs4, rhs2, error_data, clock.seconds)
 
@@ -329,30 +331,27 @@ def write_outputs(output, out_dir=None):
     return csv_path, report_path
 
 
-def export_solution_fields(mesh_obj, dof_map, elements, solution, path, msol=None):
+def export_solution_fields(elements, solution, path, msol=None):
     """Write the solution in legacy VTK unstructured-grid text format.
 
     Each cell gets its own copies of its vertices plus the centroid, sampled
     with the cell's h1-projected polynomial, so the discontinuous field is
     representable; exact-solution samples ride along when ``msol`` is given.
     """
-    points, polys, uh_vals, ex_vals = [], [], [], []
-    cell_uh, cell_ex = [], []
-    for el in elements:
-        chi = solution.values[system.cell_dof_indices(dof_map, mesh_obj, el.cell_id)]
-        poly = el.projectors.h1_coeff @ chi
-        verts = el.geometry.vertices
-        base = len(points)
-        sample = np.vstack([verts, el.geometry.centroid[None, :]])
-        vals = el.basis.evaluate(sample) @ poly
-        points.extend(sample.tolist())
-        uh_vals.extend(vals.tolist())
-        polys.append([base + i for i in range(len(verts))])
-        cell_uh.append(float(vals[-1]))
-        if msol is not None:
-            exact = msol(sample[:, 0], sample[:, 1])
-            ex_vals.extend(np.asarray(exact).tolist())
-            cell_ex.append(float(np.asarray(exact)[-1]))
+    g = elements.geometry
+    poly = np.einsum("ckn,cn->ck", elements.h1_coeff, solution.values[elements.dofs])
+    # every row's corners with its centroid appended, padded corners dropped
+    sample = np.concatenate([g.vertices, g.centroid[:, None]], axis=1)
+    keep = np.concatenate([g.valid, np.ones((len(g.valence), 1), dtype=bool)], axis=1)
+    scaled = (sample - g.centroid[:, None]) / g.diameter[:, None, None]
+    values = np.einsum("cpk,ck->cp", basis.monomials(scaled[..., 0], scaled[..., 1], basis.ORDER), poly)
+    xy = sample[keep]
+    points, uh_vals, cell_uh = xy.tolist(), values[keep].tolist(), values[:, -1].tolist()
+    starts = np.cumsum(g.valence + 1) - (g.valence + 1)
+    polys = [range(start, start + m) for start, m in zip(starts.tolist(), g.valence.tolist())]
+    if msol is not None:
+        exact = np.asarray(msol(xy[:, 0], xy[:, 1]))
+        ex_vals, cell_ex = exact.tolist(), exact[starts + g.valence].tolist()
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

@@ -10,7 +10,6 @@ import functools
 import itertools
 import logging
 import warnings
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +144,13 @@ def virtual_triangle_areas(mesh):
 class StackedGeometry:
     """Geometry of many cells at once, padded to their largest valence P.
 
-    Row ``i`` describes cell ``cells[i]``.  Corner ``j < valence[i]`` is the
+    Row ``i`` describes cell ``i``.  Corner ``j < valence[i]`` is the
     cell's j-th vertex, and edge ``j`` runs from it to corner
     ``next_corner[i, j]``.  Past a cell's valence, ``vertices`` repeat the
     cell's first vertex and every per-edge array is zero, so padded edges
     drop out of every sum.
     """
 
-    cells: np.ndarray           # (C,) cell ids
     valence: np.ndarray         # (C,) vertices (= edges) of each cell
     valid: np.ndarray           # (C, P) corner j < valence
     next_corner: np.ndarray     # (C, P) the corner each edge runs to
@@ -173,15 +171,11 @@ class StackedGeometry:
         """(C, P, 2) the vertex each edge runs to."""
         return np.take_along_axis(self.vertices, self.next_corner[..., None], axis=1)
 
-    def take(self, rows):
-        """The stacked geometry of the given rows only."""
-        return StackedGeometry(**{f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(self)})
-
     def cell(self, i):
         """The :class:`CellGeometry` of row ``i``, made of views of the stacks."""
         m = self.valence[i]
         return CellGeometry(
-            int(self.cells[i]), self.vertices[i, :m], float(self.diameter[i]), float(self.area[i]),
+            int(i), self.vertices[i, :m], float(self.diameter[i]), float(self.area[i]),
             self.centroid[i], self.edge_lengths[i, :m], self.normals[i, :m], self.tangents[i, :m],
             self.fan_areas[i, :m],
         )
@@ -221,7 +215,7 @@ def stacked_geometry(mesh):
     rel, rel_next = loop - centroid[:, None], heads - centroid[:, None]
     fan = 0.5 * (rel[..., 0] * rel_next[..., 1] - rel_next[..., 0] * rel[..., 1])
     return StackedGeometry(
-        np.arange(mesh.n_cells), valence, valid, next_corner, vertex_ids, edge_ids, left,
+        valence, valid, next_corner, vertex_ids, edge_ids, left,
         loop, diameter, area, centroid, lengths, normals, tangents, fan,
     )
 

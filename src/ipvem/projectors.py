@@ -14,8 +14,9 @@ column per local DoF, so each cell is padded to the mesh's largest DoF
 count, 2 * (max valence) + 1, with zero columns.  A zero column solves to
 exactly zero, so one batched ``np.linalg.solve`` per projector covers every
 cell.  Local DoFs keep their per-cell order (vertices, edge midpoints,
-moment): a cell with n DoFs owns columns ``:n`` of its row, and
-:class:`ElementContext` is a view of it.
+moment): a cell with n DoFs owns columns ``:n`` of its row.  The stacked
+:class:`Elements` arrays are the only element interface: the forms, the
+loads, the error data and the field export read their rows directly.
 """
 
 from __future__ import annotations
@@ -48,83 +49,11 @@ _PRODUCT = np.array(
 
 
 @dataclass(eq=False)
-class DofLayout:
-    """Local DoF layout of one element: vertices, edge nodes, then moments."""
-
-    n_vertices: int
-    points: np.ndarray          # (2m, 2) vertex coords then edge midpoints
-    edge_nodes: np.ndarray      # (m, 3) DoFs of each edge's tail vertex, midpoint, head vertex
-
-    @property
-    def n_edge_nodes(self):
-        return self.n_vertices  # k - 1 = 1 node per edge
-
-    @property
-    def n_moments(self):
-        return 1  # dim P_{k-2}
-
-    @property
-    def n_dofs(self):
-        return self.n_vertices + self.n_edge_nodes + self.n_moments
-
-    @property
-    def moment_index(self):
-        return self.n_vertices + self.n_edge_nodes
-
-
-@dataclass(eq=False)
-class ProjectorSet:
-    """Coefficient and DoF forms of the three projectors plus constraint data."""
-
-    h1_coeff: np.ndarray        # (6, n_dof)
-    h1_dof: np.ndarray          # (n_dof, n_dof)
-    h2_coeff: np.ndarray
-    h2_dof: np.ndarray
-    l2_coeff: np.ndarray
-    dof_matrix: np.ndarray      # (n_dof, 6): chi_i(m_beta)
-    vertex_average: tuple       # (row over poly coeffs, row over dofs)
-    quasi_averages: tuple       # ((3, 6) poly rows, (3, n_dof) dof rows)
-
-
-@dataclass(eq=False)
-class ElementContext:
-    """Everything element-local the forms and error evaluation need."""
-
-    cell_id: int
-    geometry: object
-    basis: ScaledMonomialBasis
-    layout: DofLayout
-    integrals: np.ndarray       # exact scaled-monomial integrals, degree <= 4
-    mass: np.ndarray            # (m_a, m_b)_K
-    grad_gram: np.ndarray       # (grad m_a, grad m_b)_K
-    hess_gram: np.ndarray       # (hess m_a : hess m_b)_K
-    edge_normal_trace: np.ndarray  # (m, 3, n_dof): dn(h1 proj .) at edge tail, midpoint, head
-    projectors: ProjectorSet
-
-    @property
-    def n_dofs(self):
-        return self.layout.n_dofs
-
-    def dof_vector(self, coeffs):
-        """DoFs of the polynomial with the given coefficient vector."""
-        return self.projectors.dof_matrix @ np.asarray(coeffs, dtype=float)
-
-
-def build_dof_layout(geometry):
-    """Vertex values, interior Gauss-Lobatto edge values, interior moments."""
-    m = geometry.n_edges
-    points = np.vstack([geometry.vertices, geometry.edge_midpoints])
-    j = np.arange(m)
-    return DofLayout(n_vertices=m, points=points, edge_nodes=np.column_stack([j, m + j, (j + 1) % m]))
-
-
-@dataclass(eq=False)
 class Elements:
     """Stacked element data of many cells of one mesh.
 
-    Row ``i`` is cell ``geometry.cells[i]`` with ``n_dofs[i]`` local DoFs;
+    Row ``i`` is cell ``i``, with ``n_dofs[i]`` local DoFs;
     DoF columns past that are zero padding (``dofs`` holds 0 there).
-    ``elements[i]`` is row ``i``'s :class:`ElementContext` view.
     """
 
     geometry: StackedGeometry
@@ -154,35 +83,18 @@ class Elements:
         """(C, N) True on each cell's own DoF columns."""
         return np.arange(self.dofs.shape[1]) < self.n_dofs[:, None]
 
-    def __len__(self):
-        return len(self.n_dofs)
 
-    def __getitem__(self, i):
-        n, m = int(self.n_dofs[i]), int(self.geometry.valence[i])
-        geometry = self.geometry.cell(i)
-        D = self.dof_matrix[i, :n]
-        h1, h2 = self.h1_coeff[i, :, :n], self.h2_coeff[i, :, :n]
-        (vp, vd), (qp, qd) = self.vertex_average, self.quasi_averages
-        projectors = ProjectorSet(
-            h1, D @ h1, h2, D @ h2, self.l2_coeff[i, :, :n], D, (vp[i], vd[i, :n]), (qp[i], qd[i, :, :n])
-        )
-        return ElementContext(
-            geometry.cell_id, geometry, ScaledMonomialBasis(geometry.centroid, geometry.diameter, ORDER),
-            build_dof_layout(geometry), self.integrals[i], self.mass[i], self.grad_gram[i], self.hess_gram[i],
-            self.edge_normal_trace[i, :m, :, :n], projectors,
-        )
-
-
-def _solve(mats, rhs, geometry, name):
+def _solve(mats, rhs, name):
     try:
         return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
-        bad = geometry.cells[np.argmin(np.linalg.matrix_rank(mats) == mats.shape[-1])]
+        bad = np.argmin(np.linalg.matrix_rank(mats) == mats.shape[-1])
         raise ArithmeticError(f"singular {name}-projector system on cell {bad}") from exc
 
 
-def _build(mesh, g):
-    """Every element of the stacked geometry ``g``, in one batched kernel.
+def build_elements(mesh):
+    """Stacked :class:`Elements` of every cell, row ``i`` being cell ``i``,
+    in one batched kernel.
 
     For a monomial test function q the h1 right-hand side is
     -(v, lap q)_K + sum_e int_e v dn(q) ds, closed by the vertex average.
@@ -191,6 +103,7 @@ def _build(mesh, g):
     closed by the boundary means of the value and the gradient.  The l2
     projector uses the moment for the constant and h1 for the others.
     """
+    g = mesh.stacked_geometry
     C, P = g.valid.shape
     N = 2 * P + 1
     m = g.valence
@@ -213,7 +126,7 @@ def _build(mesh, g):
     dofs = np.zeros((C, N), dtype=np.intp)
     dofs[rows, vpos] = np.where(g.valid, g.vertex_ids, 0)
     dofs[rows, mpos] = np.where(g.valid, mesh.n_vertices + g.edge_ids, 0)
-    dofs[cells, 2 * m] = mesh.n_vertices + mesh.n_edges + g.cells
+    dofs[cells, 2 * m] = mesh.n_vertices + mesh.n_edges + cells
 
     # products of two basis members need integrals up to degree 2k
     integrals = monomial_integrals(g, 2 * ORDER)
@@ -254,7 +167,7 @@ def _build(mesh, g):
     vertex_dof[rows, vpos] = np.where(g.valid, 1.0 / m[:, None], 0.0)
     G = grad_gram.copy()
     G[:, 0], B[:, 0] = vertex_poly, vertex_dof
-    h1 = _solve(G, B, g, "gradient")
+    h1 = _solve(G, B, "gradient")
 
     trace = edge_dn @ h1[:, None]
     flux = np.einsum("cpk,cpkn->cpn", edge_weights, trace)
@@ -272,7 +185,7 @@ def _build(mesh, g):
     # the three affine test rows are identically zero on both sides
     H = hess_gram.copy()
     H[:, :3], rhs[:, :3] = quasi_poly, quasi_dof
-    h2 = _solve(H, rhs, g, "hessian")
+    h2 = _solve(H, rhs, "hessian")
 
     moments = mass @ h1
     moments[:, 0] = 0.0
@@ -284,12 +197,3 @@ def _build(mesh, g):
         (vertex_poly, vertex_dof), (quasi_poly, quasi_dof),
     )
 
-
-def build_element(mesh, cell_id):
-    """The :class:`ElementContext` of one cell: the batched kernel on a batch of one."""
-    return _build(mesh, mesh.stacked_geometry.take([cell_id]))[0]
-
-
-def build_elements(mesh):
-    """Stacked :class:`Elements` of every cell, row ``i`` being cell ``i``."""
-    return _build(mesh, mesh.stacked_geometry)

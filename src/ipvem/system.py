@@ -36,9 +36,6 @@ class GlobalDofMap:
     def free(self):
         return ~self.boundary
 
-    def moment_dof(self, c):
-        return self.n_vertices + self.n_edges + c
-
 
 def number_dofs(mesh):
     n_v, n_e, n_c = mesh.n_vertices, mesh.n_edges, mesh.n_cells
@@ -46,15 +43,6 @@ def number_dofs(mesh):
     boundary[:n_v] = mesh.boundary_vertex
     boundary[n_v : n_v + n_e] = mesh.boundary_edge
     return GlobalDofMap(n_vertices=n_v, n_edges=n_e, n_cells=n_c, boundary=boundary)
-
-
-def cell_dof_indices(dof_map, mesh, cell_id):
-    """Global indices of one cell's DoFs in local order."""
-    verts = np.asarray(mesh.cells[cell_id], dtype=int)
-    edges = np.array([e for e, _ in mesh.cell_edges[cell_id]], dtype=int)
-    return np.concatenate(
-        [verts, dof_map.n_vertices + edges, [dof_map.moment_dof(cell_id)]]
-    )
 
 
 @dataclass(eq=False)
@@ -97,15 +85,15 @@ class OperatorParts:
     j1: sp.csr_matrix
 
 
-def build_operator_parts(mesh, dof_map, local_forms, stencils):
+def build_operator_parts(dof_map, cell_forms, traces):
     """Assemble the operator parts from the stacked cell forms and the
     edge-trace operators.  Both cell forms share one sorted index set of
     every cell's (row, column) DoF pairs; the edge coupling is a product of
-    sparse matrices (``stencils.coupling()``)."""
-    elements = local_forms.elements
+    sparse matrices (``traces.coupling()``)."""
+    elements = cell_forms.elements
     mask = elements.dof_mask
     pair = mask[:, :, None] & mask[:, None, :]
-    if local_forms.a.shape != pair.shape or local_forms.b.shape != pair.shape:
+    if cell_forms.a.shape != pair.shape or cell_forms.b.shape != pair.shape:
         raise ValueError("cell forms do not match the elements' DoF layout")
     n, dofs = dof_map.n_dofs, elements.dofs
     slots, index = np.unique((dofs[:, :, None] * n + dofs[:, None, :])[pair], return_inverse=True)
@@ -115,11 +103,11 @@ def build_operator_parts(mesh, dof_map, local_forms, stencils):
         data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
         return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
 
-    a_only = cell_matrix(local_forms.a)
-    j1, j2 = stencils.coupling()
+    a_only = cell_matrix(cell_forms.a)
+    j1, j2 = traces.coupling()
     return OperatorParts(
         hess=(a_only + j1 + j2 + j2.T).tocsr(),
-        grad=cell_matrix(local_forms.b),
+        grad=cell_matrix(cell_forms.b),
         a_only=a_only,
         j1=j1,
     )
@@ -172,11 +160,6 @@ def combine(parts, rhs, eps):
         dof_map=parts.dof_map,
         free_indices=parts.free,
     )
-
-
-def reduce_system(hess_part, grad_part, rhs, eps, dof_map):
-    """Restrict the eps-independent parts to the free DoFs, then combine them."""
-    return combine(restrict(hess_part, grad_part, dof_map), rhs, eps)
 
 
 RESIDUAL_TARGET = 1e-10
@@ -310,17 +293,3 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_ab
         accuracy["residual_floor"] = UNIT_ROUNDOFF * float(np.linalg.norm(scale)) / rhs_norm
     return x, residual, steps
 
-
-def is_positive_definite(system):
-    """Positive definiteness by a dense symmetric factorization.
-
-    Returns ``(flag, smallest_pivot_or_eigenvalue)``; the matrix sizes in the
-    acceptance runs stay small enough for a dense check.
-    """
-    dense = system.matrix.toarray()
-    try:
-        chol = np.linalg.cholesky(dense)
-        return True, float(np.min(np.diag(chol)) ** 2)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(dense)[0])
-        return False, smallest

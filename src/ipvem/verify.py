@@ -137,13 +137,6 @@ def neg_laplacian(exact):
     return -(exact(2, 0) + exact(0, 2))
 
 
-def forcing_parts(msol):
-    """The two eps-independent load densities (biharmonic u, -laplacian u)
-    as functions of (x, y): the source of the perturbed problem is
-    ``eps**2 * f4 + f2``."""
-    return (lambda x, y: biharmonic(msol.at(x, y))), (lambda x, y: neg_laplacian(msol.at(x, y)))
-
-
 @dataclass(eq=False)
 class ErrorRecord:
     """Energy error of one (mesh, eps) run.
@@ -175,7 +168,7 @@ class ErrorRecord:
         return abs(self.e_total**2 - (self.eps**2 * self.h2_part**2 + self.h1_part**2))
 
 
-def interpolation_dofs(mesh, dof_map, elements, msol, exact=None):
+def interpolation_dofs(mesh, elements, msol, exact=None):
     """Global DoF vector of the exact solution: its values at the mesh
     vertices and edge midpoints, and its fan-quadrature cell means.
     ``exact``, if given, is ``msol.at`` of the fan-rule points."""
@@ -207,7 +200,7 @@ class ErrorData:
     projectors: np.ndarray      # (n_cells, 12, N)
 
 
-def build_error_data(mesh, dof_map, elements, msol, exact=None):
+def build_error_data(mesh, elements, msol, exact=None):
     """Error data of one mesh, built once and shared by every eps.
     ``exact``, if given, is ``msol.at`` of the fan-rule points."""
     g = elements.geometry
@@ -222,7 +215,7 @@ def build_error_data(mesh, dof_map, elements, msol, exact=None):
         uxy=exact(1, 1),
         uyy=exact(0, 2),
         inv_h=1.0 / g.diameter,
-        exact_dofs=interpolation_dofs(mesh, dof_map, elements, msol, exact),
+        exact_dofs=interpolation_dofs(mesh, elements, msol, exact),
         dofs=elements.dofs,
         projectors=np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1),
     )
@@ -262,10 +255,11 @@ def _projection_errors(data, values):
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 
-def energy_error(data, solution, parts=None, norm="interp-energy"):
+def energy_error(data, solution, parts, norm="interp-energy"):
     """Error record of a discrete solution against the exact one.
 
-    ``data`` is the mesh's :class:`ErrorData`.  The default norm is the
+    ``data`` is the mesh's :class:`ErrorData` and ``parts`` its
+    :class:`~ipvem.system.OperatorParts`.  The default norm is the
     discrete energy of the DoF interpolation error
     delta = dofs(u) - dofs(u_h): the Hessian component is the a-form energy
     plus the penalty energy of delta, the gradient component the b-form
@@ -276,8 +270,6 @@ def energy_error(data, solution, parts=None, norm="interp-energy"):
     """
     if norm not in ("interp-energy", "projection"):
         raise ValueError("norm must be 'interp-energy' or 'projection'")
-    if norm == "interp-energy" and parts is None:
-        raise ValueError("interp-energy norm needs the assembled operator parts")
     eps = solution.eps
     proj = _projection_errors(data, solution.values)
 

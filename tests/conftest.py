@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from ipvem import mesh, projectors
+from ipvem.basis import ScaledMonomialBasis
 
 CVT_SEED = 7
 CVT_LLOYD = 100
@@ -28,8 +31,9 @@ def cvt_sequence(cvt32, cvt64):
 
 
 @pytest.fixture(scope="session")
-def unit_square_element():
-    return projectors.build_element(mesh.generate_uniform_squares(1), 0)
+def unit_square():
+    """The elements of the one-cell unit square: row 0, with no padding."""
+    return projectors.build_elements(mesh.generate_uniform_squares(1))
 
 
 @pytest.fixture(scope="session")
@@ -94,17 +98,48 @@ class PolyCoeffs:
         return self.basis.evaluate(points) @ self.values
 
 
-def dofs_of_polynomial(element, coeffs):
-    """Evaluate the DoF functionals on a known polynomial (a test oracle).
+def basis_of(geom):
+    """The scaled monomial basis of one CellGeometry."""
+    return ScaledMonomialBasis(geom.centroid, geom.diameter, 2)
 
-    Point DoFs are plain evaluations; the moment is the exact cell average.
-    """
+
+def dofs_of_polynomial(geom, coeffs):
+    """Evaluate the DoF functionals of one cell on a known polynomial (a test
+    oracle): values at the vertices and edge midpoints, then the cell mean
+    by the cell's own fan rule."""
     poly = coeffs.values if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=float)
-    values = np.empty(element.layout.n_dofs)
-    pts = element.layout.points
-    values[: len(pts)] = element.basis.evaluate(pts) @ poly
-    values[element.layout.moment_index] = (element.integrals[: len(poly)] @ poly) / element.geometry.area
-    return values
+    basis = basis_of(geom)
+    pts, w = polygon_rule(geom, 4)
+    mean = float(w @ (basis.evaluate(pts) @ poly)) / geom.area
+    return np.append(basis.evaluate(np.vstack([geom.vertices, geom.edge_midpoints])) @ poly, mean)
+
+
+def cell_dofs(m, c):
+    """Global indices of one cell's DoFs from the mesh: its vertices, its
+    edge nodes and its moment, each in the cell's own order."""
+    edges = [e for e, _ in m.cell_edges[c]]
+    return np.concatenate([m.cells[c], m.n_vertices + np.array(edges), [m.n_vertices + m.n_edges + c]])
+
+
+def edge_coupling(traces, e, lam=None):
+    """Dense (j1, j1 + j2 + j2^T) of edge ``e`` alone on the global DoFs,
+    from its rows of the stacked edge-trace operators; ``lam`` overrides its
+    penalty."""
+    lam = traces.lam[[e]] if lam is None else np.array([lam], dtype=float)
+    j1, j2 = dataclasses.replace(
+        traces, jump=traces.jump[3 * e : 3 * e + 3], average=traces.average[[e]], lam=lam, h=traces.h[[e]]
+    ).coupling()
+    return j1.toarray(), (j1 + j2 + j2.T).toarray()
+
+
+def is_positive_definite(system):
+    """Positive definiteness of a reduced system by a dense symmetric
+    factorization: ``(flag, smallest pivot or eigenvalue)``."""
+    dense = system.matrix.toarray()
+    try:
+        return True, float(np.min(np.diag(np.linalg.cholesky(dense))) ** 2)
+    except np.linalg.LinAlgError:
+        return False, float(np.linalg.eigvalsh(dense)[0])
 
 
 def _segments_cross(p, q, r, s):

@@ -10,6 +10,8 @@ import pytest
 from ipvem import cli, forms, mesh, projectors, system, verify
 from ipvem.basis import gauss_lobatto as basis_gauss_lobatto
 
+from conftest import edge_coupling, is_positive_definite
+
 SEED = 7
 LLOYD = 100
 SIZES = [32, 64, 128, 256, 512]
@@ -61,20 +63,19 @@ class TestCriterion1Projectors:
     def test_projector_reproduction(self, cvt64):
         t0 = time.perf_counter()
         rng = np.random.default_rng(SEED)
-        cells = [(cvt64, int(c)) for c in rng.choice(cvt64.n_cells, size=20, replace=False)]
+        cvt_elements = projectors.build_elements(cvt64)
+        cells = [(cvt_elements, int(c)) for c in rng.choice(cvt64.n_cells, size=20, replace=False)]
         for n in (1, 2, 4):
-            um = mesh.generate_uniform_squares(n)
-            cells += [(um, c) for c in range(um.n_cells)]
+            um = projectors.build_elements(mesh.generate_uniform_squares(n))
+            cells += [(um, c) for c in range(len(um.n_dofs))]
         worst = 0.0
         checks = 0
-        for m, cid in cells:
-            el = projectors.build_element(m, cid)
-            P = el.projectors
+        for E, cid in cells:
             probes = list(np.eye(6)) + list(rng.uniform(-1, 1, (6, 6)))
             for coeffs in probes:
-                chi = el.dof_vector(coeffs)
+                chi = E.dof_matrix[cid] @ coeffs
                 scale = max(1.0, np.max(np.abs(coeffs)))
-                for mat in (P.h1_coeff, P.h2_coeff, P.l2_coeff):
+                for mat in (E.h1_coeff[cid], E.h2_coeff[cid], E.l2_coeff[cid]):
                     worst = max(worst, np.max(np.abs(mat @ chi - coeffs)) / scale)
                     checks += 1
         elapsed = time.perf_counter() - t0
@@ -88,17 +89,17 @@ class TestCriterion1Projectors:
 
 class TestCriterion2Consistency:
     def test_k_consistency_every_cell_cvt64(self, cvt64):
-        from test_forms import gradient_gram_quadrature, hessian_gram_quadrature
+        from test_forms import gram_quadrature
 
         t0 = time.perf_counter()
         worst = 0.0
+        elements = projectors.build_elements(cvt64)
+        cell_forms = forms.build_local_forms(elements)
         for cid in range(cvt64.n_cells):
-            el = projectors.build_element(cvt64, cid)
-            D = el.projectors.dof_matrix
-            A = forms.local_a_form(el)
-            B = forms.local_b_form(el)
-            exact_a = hessian_gram_quadrature(el)
-            exact_b = gradient_gram_quadrature(el)
+            D = elements.dof_matrix[cid]
+            A = cell_forms.a[cid]
+            B = cell_forms.b[cid]
+            exact_a, exact_b = gram_quadrature(cvt64.geometry(cid))
             scale_a = np.max(np.abs(exact_a))
             scale_b = np.max(np.abs(exact_b))
             worst = max(worst, np.max(np.abs(D.T @ A @ D - exact_a)) / scale_a)
@@ -121,14 +122,14 @@ class TestCriterion3Solvability:
             m = cvt_sequence[n]
             elements = projectors.build_elements(m)
             dof_map = system.number_dofs(m)
-            lf = forms.build_local_forms(m, elements)
+            lf = forms.build_local_forms(elements)
             stencils = forms.build_edge_stencils(m, elements)
-            parts = system.build_operator_parts(m, dof_map, lf, stencils)
+            parts = system.build_operator_parts(dof_map, lf, stencils)
             for eps in EPS_GRID:
-                sys_ = system.reduce_system(
-                    parts.hess, parts.grad, np.zeros(dof_map.n_dofs), eps, dof_map
+                sys_ = system.combine(
+                    system.restrict(parts.hess, parts.grad, dof_map), np.zeros(dof_map.n_dofs), eps
                 )
-                ok, pivot = system.is_positive_definite(sys_)
+                ok, pivot = is_positive_definite(sys_)
                 count += 1
                 worst_pivot = min(worst_pivot, pivot)
                 assert ok, f"not positive definite at N={n}, eps={eps}"
@@ -245,9 +246,7 @@ class TestCriterion7Units:
         m = mesh.build_mesh(vertices, [[0, 1, 4, 3], [1, 2, 5, 4]])
         elements = projectors.build_elements(m)
         interior = int(np.flatnonzero(~m.boundary_edge)[0])
-        stencil = forms.edge_stencil(m, interior, elements, lam=lam_int)
-        dof_map = system.number_dofs(m)
-        idx = np.concatenate([system.cell_dof_indices(dof_map, m, c) for c in stencil.cells])
+        j1_block, block = edge_coupling(forms.build_edge_stencils(m, elements), interior, lam=lam_int)
         monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         chis = []
         for p, q in monomials:
@@ -261,12 +260,12 @@ class TestCriterion7Units:
                 return cf * x ** (p - i) * y ** (q - j)
 
             msol = verify.ManufacturedSolution(f"m{p}{q}", partial, clamped=False)
-            chis.append(verify.interpolation_dofs(m, dof_map, elements, msol)[idx])
-        scale = np.max(np.abs(stencil.block))
+            chis.append(verify.interpolation_dofs(m, elements, msol))
+        scale = np.max(np.abs(block))
         j_defect = max(
-            max(abs(float(cp @ stencil.block @ cq)) for cq in chis) for cp in chis
+            max(abs(float(cp @ block @ cq)) for cq in chis) for cp in chis
         ) / scale
-        jump_defect = max(np.max(np.abs(stencil.j1_block @ cp)) for cp in chis) / scale
+        jump_defect = max(np.max(np.abs(j1_block @ cp)) for cp in chis) / scale
         worst = max(gl_defect, lam_defect, j_defect, jump_defect)
         elapsed = time.perf_counter() - t0
         report(

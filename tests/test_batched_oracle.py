@@ -1,7 +1,7 @@
 """The whole-mesh kernels against a per-cell oracle.
 
-The oracle below builds every element, local form, edge stencil, load and
-operator part one cell or one edge at a time: a Gauss-Legendre loop over
+The oracle below builds every element, local form, edge coupling block, load
+and operator part one cell or one edge at a time: a Gauss-Legendre loop over
 the edges for the monomial integrals, one 6 x 6 solve per cell and
 projector, one dense block per edge scattered into the global matrices,
 and one fan rule per cell for the loads.  Both sides read the same mesh
@@ -24,6 +24,8 @@ from ipvem.basis import (
     triangle_quadrature,
 )
 from ipvem.mesh import BOUNDARY
+
+from conftest import cell_dofs, edge_coupling
 
 TOL = 1e-13
 
@@ -180,7 +182,7 @@ def case(request):
     lams = [oracle_penalty(m, e, n_k) for e in range(m.n_edges)]
     stencils = [oracle_stencil(m, e, els, lams[e]) for e in range(m.n_edges)]
     dof_map = system.number_dofs(m)
-    cell_idx = [system.cell_dof_indices(dof_map, m, c) for c in range(m.n_cells)]
+    cell_idx = [cell_dofs(m, c) for c in range(m.n_cells)]
     edge_idx = [np.concatenate([cell_idx[c] for c in cells]) for cells, _, _ in stencils]
     ab = [oracle_forms(el) for el in els]
     n = dof_map.n_dofs
@@ -192,47 +194,47 @@ def case(request):
         j1=scatter(edge_idx, [j1 for _, _, j1 in stencils], n),
     )
     rhs = []
-    for f in verify.forcing_parts(msol):
+    for density in (verify.biharmonic, verify.neg_laplacian):
         r = np.zeros(n)
         for c, el in enumerate(els):
-            np.add.at(r, cell_idx[c], oracle_load(el, f))
+            np.add.at(r, cell_idx[c], oracle_load(el, lambda x, y: density(msol.at(x, y))))
         rhs.append(r)
-    oracle = dict(els=els, lams=lams, stencils=stencils, ab=ab, parts=parts, rhs=rhs)
+    oracle = dict(els=els, lams=lams, stencils=stencils, edge_idx=edge_idx, ab=ab, parts=parts, rhs=rhs)
     return m, cli.discretize(m, msol), oracle
 
 
 class TestBatchedKernelsMatchPerCellOracle:
     def test_elements(self, case):
         m, d, oracle = case
-        worst = 0.0
-        for el, ref in zip(d.elements, oracle["els"]):
-            pr = el.projectors
+        E, worst = d.elements, 0.0
+        for c, ref in enumerate(oracle["els"]):
+            n, nv = E.n_dofs[c], E.geometry.valence[c]
             for got, name in [
-                (pr.dof_matrix, "dof_matrix"), (pr.h1_coeff, "h1"), (pr.h2_coeff, "h2"), (pr.l2_coeff, "l2"),
-                (el.mass, "mass"), (el.grad_gram, "grad_gram"), (el.hess_gram, "hess_gram"),
-                (el.edge_normal_trace, "trace"),
+                (E.dof_matrix[c, :n], "dof_matrix"), (E.h1_coeff[c, :, :n], "h1"), (E.h2_coeff[c, :, :n], "h2"),
+                (E.l2_coeff[c, :, :n], "l2"), (E.mass[c], "mass"), (E.grad_gram[c], "grad_gram"),
+                (E.hess_gram[c], "hess_gram"), (E.edge_normal_trace[c, :nv, :, :n], "trace"),
             ]:
                 worst = max(worst, rel(got, ref[name]))
         assert worst <= TOL
 
     def test_local_forms(self, case):
         m, d, oracle = case
-        lf = forms.build_local_forms(m, d.elements)
+        lf = forms.build_local_forms(d.elements)
         worst = 0.0
         for c, (a, b) in enumerate(oracle["ab"]):
-            worst = max(worst, rel(lf[c].a_matrix, a), rel(lf[c].b_matrix, b))
-            worst = max(worst, rel(forms.local_a_form(d.elements[c]), a), rel(forms.local_b_form(d.elements[c]), b))
+            n = d.elements.n_dofs[c]
+            worst = max(worst, rel(lf.a[c, :n, :n], a), rel(lf.b[c, :n, :n], b))
         assert worst <= TOL
 
     def test_edge_stencils(self, case):
         m, d, oracle = case
         traces = forms.build_edge_stencils(m, d.elements)
         assert rel(traces.lam, np.array(oracle["lams"])) <= TOL
-        worst = 0.0
-        for e, (cells, block, j1) in enumerate(oracle["stencils"]):
-            st = traces[e]
-            assert st.cells == cells
-            worst = max(worst, rel(st.block, block), rel(st.j1_block, j1))
+        worst, n = 0.0, d.dof_map.n_dofs
+        for e, (_, block, j1) in enumerate(oracle["stencils"]):
+            got_j1, got_block = edge_coupling(traces, e)
+            idx = [oracle["edge_idx"][e]]
+            worst = max(worst, rel(got_block, scatter(idx, [block], n)), rel(got_j1, scatter(idx, [j1], n)))
         assert worst <= TOL
 
     def test_loads(self, case):

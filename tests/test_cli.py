@@ -39,6 +39,14 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 tiny_config(eps=[bad]).validate()
 
+    def test_duplicate_eps_rejected(self, capsys):
+        # a repeated eps would fit its rates on each mesh twice
+        with pytest.raises(ConfigError, match="distinct"):
+            tiny_config(eps=[1e-3, 1e-2, 1e-3]).validate()
+        argv = ["study", "--example", "1", "--eps", "1e-3", "--eps", "1e-3", "--mesh-kind", "uniform", "--sizes", "2,4"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "distinct" in capsys.readouterr().err
+
     def test_sizes_must_increase(self):
         with pytest.raises(ConfigError):
             tiny_config(sizes=[8, 8]).validate()
@@ -318,7 +326,7 @@ class TestExportSolutionFields:
         dof_map = system.number_dofs(m)
         sol = system.DiscreteSolution(values=np.zeros(dof_map.n_dofs), eps=1.0, residual=0.0)
         path = tmp_path / "zero.vtk"
-        export_solution_fields(m, dof_map, elements, sol, str(path))
+        export_solution_fields(elements, sol, str(path))
         text = path.read_text()
         n_points, n_cells, scalars = parse_vtk_counts(text)
         assert n_cells == 4
@@ -335,7 +343,7 @@ class TestExportSolutionFields:
         sol = d.solve(1e-10)
         rec = d.error(sol)
         path = tmp_path / "field.vtk"
-        export_solution_fields(d.mesh, d.dof_map, d.elements, sol, str(path), msol=msol)
+        export_solution_fields(d.elements, sol, str(path), msol=msol)
         text = path.read_text()
         n_points, n_cells, scalars = parse_vtk_counts(text)
         assert scalars == ["u_h", "u_exact", "u_h_centroid", "u_exact_centroid"]
@@ -343,3 +351,26 @@ class TestExportSolutionFields:
         uh = np.array([float(v) for v in blocks[1].splitlines()[:n_points]])
         ue = np.array([float(v) for v in blocks[2].splitlines()[:n_points]])
         assert np.max(np.abs(uh - ue)) <= 10.0 * rec.e_total
+
+    @pytest.mark.parametrize("mesh_name", ["uniform2", "cvt32"])
+    def test_quadratic_interpolant_is_sampled_exactly(self, request, mesh_name, tmp_path):
+        # the h1 projector reproduces P2, so the DoF interpolant of a global
+        # quadratic samples that quadratic at every point
+        m = mesh.generate_uniform_squares(2) if mesh_name == "uniform2" else request.getfixturevalue("cvt32")
+        c = np.random.default_rng(14).uniform(-1, 1, 6)
+
+        def quadratic(x, y):
+            return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+        # the interpolation reads only the values (i = j = 0)
+        msol = verify.ManufacturedSolution("quadratic", lambda i, j, x, y: quadratic(x, y), clamped=False)
+        elements = projectors.build_elements(m)
+        sol = system.DiscreteSolution(values=verify.interpolation_dofs(m, elements, msol), eps=1.0, residual=0.0)
+        path = tmp_path / "quadratic.vtk"
+        export_solution_fields(elements, sol, str(path))
+        lines = path.read_text().splitlines()
+        n_points = int(lines[4].split()[1])
+        assert n_points == sum(len(cell) + 1 for cell in m.cells)
+        x, y = np.array([line.split()[:2] for line in lines[5 : 5 + n_points]], dtype=float).T
+        uh = np.array(lines[lines.index("LOOKUP_TABLE default") + 1 :][:n_points], dtype=float)
+        assert np.max(np.abs(uh - quadratic(x, y))) <= 1e-12

@@ -1,22 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
-from ipvem import forms, mesh, projectors, system
+from ipvem import mesh, system
 from ipvem.basis import derivative_matrix, gauss_legendre_01
-from ipvem.forms import (
-    PenaltyConfig,
-    build_edge_stencils,
-    edge_stencil,
-    local_a_form,
-    local_b_form,
-    penalty_parameter,
-)
+from ipvem.forms import PenaltyConfig, build_edge_stencils, build_local_forms, penalty_parameter
 from ipvem.mesh import BOUNDARY
-from ipvem.projectors import build_element, build_elements
+from ipvem.projectors import build_elements
 
-from conftest import polygon_rule
+from conftest import basis_of, edge_coupling, polygon_rule
 
 
 def two_squares():
@@ -25,143 +16,131 @@ def two_squares():
     return m, build_elements(m)
 
 
-def hessian_gram_quadrature(el):
-    """Independent (quadrature) route to the Hessian-energy pairing."""
-    Dx = derivative_matrix(el.basis, "x")
-    Dy = derivative_matrix(el.basis, "y")
-    pts, w = polygon_rule(el.geometry, 6)
-    vals = el.basis.evaluate(pts)
-    out = np.zeros((6, 6))
-    for dd in (Dx @ Dx, Dy @ Dy):
-        dvals = vals @ dd
-        out += (dvals.T * w) @ dvals
-    dxy = vals @ (Dx @ Dy)
-    out += 2.0 * (dxy.T * w) @ dxy
-    return out
+def gram_quadrature(geom):
+    """Independent (quadrature) route to the Hessian-energy and the
+    gradient-energy pairings of one cell."""
+    basis = basis_of(geom)
+    Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
+    pts, w = polygon_rule(geom, 6)
+    vals = basis.evaluate(pts)
+
+    def pairing(*derivatives):
+        return sum(((vals @ D).T * w) @ (vals @ D) for D in derivatives)
+
+    return pairing(Dx @ Dx, Dy @ Dy) + 2.0 * pairing(Dx @ Dy), pairing(Dx, Dy)
 
 
-def gradient_gram_quadrature(el):
-    Dx = derivative_matrix(el.basis, "x")
-    Dy = derivative_matrix(el.basis, "y")
-    pts, w = polygon_rule(el.geometry, 6)
-    vals = el.basis.evaluate(pts)
-    gx, gy = vals @ Dx, vals @ Dy
-    return (gx.T * w) @ gx + (gy.T * w) @ gy
+@pytest.fixture(scope="module")
+def cvt32_forms(cvt32_elements):
+    return build_local_forms(cvt32_elements)
+
+
+@pytest.fixture(scope="module")
+def square_forms(unit_square):
+    return build_local_forms(unit_square)
 
 
 class TestLocalAForm:
-    def test_k_consistency_against_quadrature_oracle(self, cvt32):
-        el = build_element(cvt32, 11)
-        A = local_a_form(el)
-        D = el.projectors.dof_matrix
-        exact = hessian_gram_quadrature(el)
+    def test_k_consistency_against_quadrature_oracle(self, cvt32, cvt32_elements, cvt32_forms):
+        A, D = cvt32_forms.a[11], cvt32_elements.dof_matrix[11]
+        exact = gram_quadrature(cvt32.geometry(11))[0]
         got = D.T @ A @ D  # chi(p)^T A chi(q) over all monomial pairs
         scale = np.max(np.abs(exact)) + 1.0
         assert np.max(np.abs(got - exact)) <= 1e-10 * scale
 
-    def test_linear_kernel(self, unit_square_element):
-        el = unit_square_element
-        A = local_a_form(el)
+    def test_linear_kernel(self, unit_square, square_forms):
+        A = square_forms.a[0]
         for coeffs in ([1.0, 0, 0, 0, 0, 0], [0.3, 1.0, -2.0, 0, 0, 0]):
-            chi = el.dof_vector(np.asarray(coeffs))
+            chi = unit_square.dof_matrix[0] @ np.asarray(coeffs)
             assert np.max(np.abs(A @ chi)) < 1e-11 * max(1.0, np.max(np.abs(A)))
 
-    def test_nonpolynomial_dof_has_positive_stabilization(self, unit_square_element):
-        el = unit_square_element
-        Pd = el.projectors.h2_dof
-        e = np.zeros(el.n_dofs)
+    def test_nonpolynomial_dof_has_positive_stabilization(self, unit_square, square_forms):
+        Pd = unit_square.dof_matrix[0] @ unit_square.h2_coeff[0]
+        e = np.zeros(unit_square.n_dofs[0])
         e[0] = 1.0
         residual = e - Pd @ e
         assert np.linalg.norm(residual) > 1e-3
-        A = local_a_form(el)
+        A = square_forms.a[0]
         assert e @ A @ e > 0.0
 
-    def test_symmetric_psd(self, cvt32):
-        el = build_element(cvt32, 2)
-        A = local_a_form(el)
+    def test_symmetric_psd(self, cvt32_forms):
+        A = cvt32_forms.a[2]
         assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
         eig = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert eig[0] >= -1e-11 * eig[-1]
 
-    def test_spectral_stability_on_polynomial_subspace(self, cvt32):
+    def test_spectral_stability_on_polynomial_subspace(self, cvt32_elements, cvt32_forms):
         # consistency part: generalized eigenvalues against the exact
         # Hessian stiffness equal one on the degree-two subspace
-        el = build_element(cvt32, 7)
-        A = local_a_form(el)
-        D = el.projectors.dof_matrix
+        E, n = cvt32_elements, cvt32_elements.n_dofs[7]
+        A, D = cvt32_forms.a[7, :n, :n], E.dof_matrix[7, :n]
         restricted = (D.T @ A @ D)[3:, 3:]
-        exact = el.hess_gram[3:, 3:]
+        exact = E.hess_gram[7, 3:, 3:]
         vals = np.linalg.eigvals(np.linalg.solve(exact, restricted))
         assert np.all(np.abs(vals.real - 1.0) < 1e-9)
         assert np.all(np.abs(vals.imag) < 1e-9)
         # stabilization vanishes identically on polynomial DoF vectors
-        stab = np.eye(el.n_dofs) - el.projectors.h2_dof
+        stab = np.eye(n) - D @ E.h2_coeff[7, :, :n]
         assert np.max(np.abs(stab @ D)) < 1e-11
 
 
 class TestLocalBForm:
-    def test_k_consistency(self, cvt32):
-        el = build_element(cvt32, 19)
-        B = local_b_form(el)
-        D = el.projectors.dof_matrix
-        exact = gradient_gram_quadrature(el)
+    def test_k_consistency(self, cvt32, cvt32_elements, cvt32_forms):
+        B, D = cvt32_forms.b[19], cvt32_elements.dof_matrix[19]
+        exact = gram_quadrature(cvt32.geometry(19))[1]
         got = D.T @ B @ D
         scale = np.max(np.abs(exact)) + 1.0
         assert np.max(np.abs(got - exact)) <= 1e-10 * scale
 
-    def test_constants_give_exact_zero(self, unit_square_element):
-        el = unit_square_element
-        B = local_b_form(el)
-        chi = el.dof_vector([1.0, 0, 0, 0, 0, 0])
+    def test_constants_give_exact_zero(self, unit_square, square_forms):
+        B = square_forms.b[0]
+        chi = unit_square.dof_matrix[0] @ [1.0, 0, 0, 0, 0, 0]
         assert np.max(np.abs(B @ chi)) < 1e-12 * np.max(np.abs(B))
 
-    def test_symmetric_psd_random_vectors(self, cvt32):
-        el = build_element(cvt32, 23)
-        B = local_b_form(el)
+    def test_symmetric_psd_random_vectors(self, cvt32_elements, cvt32_forms):
+        n = cvt32_elements.n_dofs[23]
+        B = cvt32_forms.b[23, :n, :n]
         assert np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))
         eig = np.linalg.eigvalsh(0.5 * (B + B.T))
         assert eig[0] >= -1e-12 * eig[-1]
         rng = np.random.default_rng(0)
         for _ in range(20):
-            v = rng.standard_normal(el.n_dofs)
+            v = rng.standard_normal(n)
             assert v @ B @ v >= -1e-12 * eig[-1] * (v @ v)
 
 
-def local_coeffs(el, f):
-    """Coefficients on the element's scaled basis of a global quadratic f,
-    from its values at six points of the cell."""
-    pts = el.geometry.centroid + 0.2 * el.geometry.diameter * np.array(
-        [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.6]]
-    )
-    return np.linalg.solve(el.basis.evaluate(pts), f(pts[:, 0], pts[:, 1]))
+def local_coeffs(geom, f):
+    """Coefficients on the cell's scaled basis of a global quadratic f, from
+    its values at six points of the cell."""
+    pts = geom.centroid + 0.2 * geom.diameter * np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.6]])
+    return np.linalg.solve(basis_of(geom).evaluate(pts), f(pts[:, 0], pts[:, 1]))
 
 
-def scattered(m, elements, local):
-    """Global vector of the per-cell vectors ``local(el)``."""
-    dof_map = system.number_dofs(m)
-    out = np.zeros(dof_map.n_dofs)
-    for el in elements:
-        np.add.at(out, system.cell_dof_indices(dof_map, m, el.cell_id), local(el))
-    return out
+def scattered(elements, local):
+    """Global vector of the per-cell vectors ``local[c]`` over the padded DoF
+    columns (zero past each cell's DoFs)."""
+    return np.bincount(elements.dofs.ravel(), weights=(local * elements.dof_mask).ravel())
 
 
 class TestLocalLoad:
-    def test_zero_forcing(self):
-        elements = build_elements(mesh.generate_uniform_squares(1))
-        assert np.allclose(system.load_vector(elements, lambda x, y: np.zeros_like(x)), 0.0)
+    def test_zero_forcing(self, unit_square):
+        assert np.allclose(system.load_vector(unit_square, lambda x, y: np.zeros_like(x)), 0.0)
 
-    def test_constant_forcing_two_paths(self, cvt32, cvt32_elements):
+    def test_constant_forcing_two_paths(self, cvt32_elements):
         # quadrature route equals the exact-integral route for f = 1
-        got = system.load_vector(cvt32_elements, lambda x, y: np.ones_like(x))
-        exact = scattered(cvt32, cvt32_elements, lambda el: el.projectors.l2_coeff.T @ el.integrals[:6])
+        E = cvt32_elements
+        got = system.load_vector(E, lambda x, y: np.ones_like(x))
+        exact = scattered(E, np.einsum("ckn,ck->cn", E.l2_coeff, E.integrals[:, :6]))
         assert np.allclose(got, exact, rtol=1e-12, atol=1e-14)
 
     def test_projector_reproducible_quadratic(self, cvt32, cvt32_elements):
         def f(x, y):
             return 0.7 - 1.2 * x + 0.4 * y + 2.0 * x * x - 0.8 * x * y + 1.5 * y * y
 
-        got = system.load_vector(cvt32_elements, f)
-        exact = scattered(cvt32, cvt32_elements, lambda el: el.projectors.l2_coeff.T @ (el.mass @ local_coeffs(el, f)))
+        E = cvt32_elements
+        coeffs = np.array([local_coeffs(cvt32.geometry(c), f) for c in range(cvt32.n_cells)])
+        got = system.load_vector(E, f)
+        exact = scattered(E, np.einsum("ckn,ckl,cl->cn", E.l2_coeff, E.mass, coeffs))
         assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
@@ -192,99 +171,96 @@ class TestPenaltyParameter:
             penalty_parameter(1.0, [0.0, 0.25], config)
 
 
+def global_dofs(m, g):
+    """Global DoF vector of the function g: values at the vertices and edge
+    midpoints, and cell means by each cell's own fan rule."""
+    pts = np.vstack([m.vertices, m.vertices[m.edges].mean(axis=1)])
+    means = []
+    for c in range(m.n_cells):
+        q, w = polygon_rule(m.geometry(c), 4)
+        means.append(float(w @ g(q[:, 0], q[:, 1])) / m.geometry(c).area)
+    return np.concatenate([g(pts[:, 0], pts[:, 1]), means])
+
+
+def edge_dofs(m, elements, e):
+    """Global DoFs of the cells of edge e."""
+    cells = [c for c in m.edge_cells[e] if c != BOUNDARY]
+    return np.unique(np.concatenate([elements.dofs[c, : elements.n_dofs[c]] for c in cells]))
+
+
 class TestEdgeStencil:
     def test_global_quadratic_pairs_annihilated(self):
         # both slots of the coupling vanish whenever trial and test DoFs come
         # from single global quadratics: the jump factor kills every term
         m, elements = two_squares()
         interior = int(np.flatnonzero(~m.boundary_edge)[0])
-        st = edge_stencil(m, interior, elements, lam=17.0)
-        basis_global = np.array(
-            [
-                lambda x, y: np.ones_like(x),
-                lambda x, y: x,
-                lambda x, y: y,
-                lambda x, y: x * x,
-                lambda x, y: x * y,
-                lambda x, y: y * y,
-            ]
-        )
-        chis = []
-        scale = np.max(np.abs(st.block))
-        for g in basis_global:
-            chi = []
-            for cid in st.cells:
-                el = elements[cid]
-                pts = el.layout.points
-                vals = list(g(pts[:, 0], pts[:, 1]))
-                pq, pw = polygon_rule(el.geometry, 4)
-                vals.append(float(pw @ g(pq[:, 0], pq[:, 1])) / el.geometry.area)
-                chi.extend(vals)
-            chis.append(np.array(chi))
+        j1, block = edge_coupling(build_edge_stencils(m, elements), interior, lam=17.0)
+        monomials = [(p, q) for p in range(3) for q in range(3 - p)]
+        chis = [global_dofs(m, lambda x, y, p=p, q=q: x**p * y**q) for p, q in monomials]
+        scale = np.max(np.abs(block))
         for cp in chis:
             # jump of the normal derivative of the projection vanishes
-            assert np.max(np.abs(st.j1_block @ cp)) < 1e-11 * scale
+            assert np.max(np.abs(j1 @ cp)) < 1e-11 * scale
             for cq in chis:
-                assert abs(cp @ st.block @ cq) < 1e-11 * scale
+                assert abs(cp @ block @ cq) < 1e-11 * scale
 
-    def test_boundary_edge_j1_closed_form(self):
+    def test_boundary_edge_j1_closed_form(self, unit_square):
         # p = x on a vertical boundary edge: energy is lambda * n_x^2
-        m = mesh.generate_uniform_squares(1)
-        elements = build_elements(m)
-        el = elements[0]
-        for e in range(m.n_edges):
-            st = edge_stencil(m, e, elements, lam=13.0)
-            tail, head = m.edges[e]
-            j = next(jj for jj, (eid, _) in enumerate(m.cell_edges[0]) if eid == e)
-            n_x = el.geometry.normals[j][0]
-            coeffs = np.array([0.5, el.basis.diameter, 0, 0, 0, 0])  # p = x
-            chi = el.dof_vector(coeffs)
-            energy = chi @ st.j1_block @ chi
-            assert energy == pytest.approx(13.0 * n_x**2, rel=1e-12, abs=1e-13)
+        m, E = mesh.generate_uniform_squares(1), unit_square
+        traces = build_edge_stencils(m, E)
+        coeffs = np.array([0.5, E.geometry.diameter[0], 0, 0, 0, 0])  # p = x
+        chi = np.zeros(system.number_dofs(m).n_dofs)
+        chi[E.dofs[0]] = E.dof_matrix[0] @ coeffs
+        for j, e in enumerate(E.geometry.edge_ids[0]):
+            j1, _ = edge_coupling(traces, e, lam=13.0)
+            n_x = E.geometry.normals[0, j, 0]
+            assert chi @ j1 @ chi == pytest.approx(13.0 * n_x**2, rel=1e-12, abs=1e-13)
 
     def test_j2_j3_transpose_structure(self):
         m, elements = two_squares()
         interior = int(np.flatnonzero(~m.boundary_edge)[0])
-        st = edge_stencil(m, interior, elements, lam=5.0)
-        consistency = st.block - st.j1_block
-        assert np.max(np.abs(consistency - consistency.T)) < 1e-13 * np.max(np.abs(st.block))
-        assert np.max(np.abs(st.block - st.block.T)) < 1e-13 * np.max(np.abs(st.block))
+        j1, block = edge_coupling(build_edge_stencils(m, elements), interior, lam=5.0)
+        consistency = block - j1
+        assert np.max(np.abs(consistency - consistency.T)) < 1e-13 * np.max(np.abs(block))
+        assert np.max(np.abs(block - block.T)) < 1e-13 * np.max(np.abs(block))
 
     def test_j1_block_psd(self):
         m, elements = two_squares()
+        traces = build_edge_stencils(m, elements)
         for e in range(m.n_edges):
-            st = edge_stencil(m, e, elements, lam=3.0)
-            eig = np.linalg.eigvalsh(0.5 * (st.j1_block + st.j1_block.T))
+            j1, _ = edge_coupling(traces, e, lam=3.0)
+            eig = np.linalg.eigvalsh(0.5 * (j1 + j1.T))
             assert eig[0] >= -1e-12 * max(1.0, eig[-1])
 
     def test_build_edge_stencils_counts(self, cvt32, cvt32_elements):
-        stencils = build_edge_stencils(cvt32, cvt32_elements, penalty_a=2.0)
-        assert len(stencils) == cvt32.n_edges
-        for st in stencils:
-            n_cols = sum(cvt32_elements[c].n_dofs for c in st.cells)
-            assert st.block.shape == (n_cols, n_cols)
-            assert st.lam > 0.0
+        traces = build_edge_stencils(cvt32, cvt32_elements, penalty_a=2.0)
+        n_edges, n = cvt32.n_edges, system.number_dofs(cvt32).n_dofs
+        assert traces.jump.shape == (3 * n_edges, n) and traces.average.shape == (n_edges, n)
+        assert traces.lam.shape == traces.h.shape == (n_edges,) and np.all(traces.lam > 0.0)
+        # each edge couples the DoFs of its own cells only
+        for e in range(n_edges):
+            rows, cols = np.nonzero(edge_coupling(traces, e)[1])
+            assert set(rows) | set(cols) <= set(edge_dofs(cvt32, cvt32_elements, e))
 
 
 def edge_traces(m, edge_id, elements, chi, t):
     """Jump of dn of the h1 projections at the edge points tail + t (head - tail)
     and the average of their constant d^2/dn^2, with the left cell's normal,
     from each side's polynomial differentiated and evaluated directly;
-    ``chi`` stacks the DoFs of the cells in ``edge_cells`` order."""
+    ``chi`` is a global DoF vector."""
     tail, head = m.vertices[m.edges[edge_id]]
     pts = tail[None, :] + t[:, None] * (head - tail)[None, :]
     left = int(m.edge_cells[edge_id][0])
     j = next(jj for jj, (e, _) in enumerate(m.cell_edges[left]) if e == edge_id)
-    nx, ny = elements[left].geometry.normals[j]
+    nx, ny = elements.geometry.normals[left, j]
     sides = [int(c) for c in m.edge_cells[edge_id] if c != BOUNDARY]
-    jump, avg, start = np.zeros(len(t)), 0.0, 0
+    jump, avg = np.zeros(len(t)), 0.0
     for sign, cid in zip((1.0, -1.0), sides):
-        el = elements[cid]
-        poly = el.projectors.h1_coeff @ chi[start : start + el.n_dofs]
-        Dx, Dy = derivative_matrix(el.basis, "x"), derivative_matrix(el.basis, "y")
-        jump += sign * (el.basis.evaluate(pts) @ ((nx * Dx + ny * Dy) @ poly))
+        poly = elements.h1_coeff[cid] @ chi[elements.dofs[cid]]
+        basis = basis_of(m.geometry(cid))
+        Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
+        jump += sign * (basis.evaluate(pts) @ ((nx * Dx + ny * Dy) @ poly))
         avg += ((nx * nx * Dx @ Dx + 2.0 * nx * ny * Dx @ Dy + ny * ny * Dy @ Dy) @ poly)[0] / len(sides)
-        start += el.n_dofs
     return jump, avg
 
 
@@ -295,17 +271,20 @@ class TestEdgeStencilAgainstGaussLegendre:
         # read through the symmetric consistency block j2 + j2^T
         t, w = gauss_legendre_01(4)
         rng = np.random.default_rng(12)
+        traces = build_edge_stencils(cvt32, cvt32_elements)
         for e in range(cvt32.n_edges):
-            st = edge_stencil(cvt32, e, cvt32_elements, lam=7.0)
+            j1, block = edge_coupling(traces, e, lam=7.0)
             h_e = float(np.linalg.norm(np.diff(cvt32.vertices[cvt32.edges[e]], axis=0)))
-            chi, psi = rng.standard_normal((2, len(st.block)))
+            own = edge_dofs(cvt32, cvt32_elements, e)
+            chi, psi = np.zeros((2, len(block)))
+            chi[own], psi[own] = rng.standard_normal((2, len(own)))
             jump_chi, avg_chi = edge_traces(cvt32, e, cvt32_elements, chi, t)
             jump_psi, avg_psi = edge_traces(cvt32, e, cvt32_elements, psi, t)
             energy = 7.0 / h_e * (h_e * (w @ jump_chi**2))
-            assert chi @ st.j1_block @ chi == pytest.approx(energy, rel=1e-12)
+            assert chi @ j1 @ chi == pytest.approx(energy, rel=1e-12)
             consistency = -(avg_chi * h_e * (w @ jump_psi) + avg_psi * h_e * (w @ jump_chi))
-            scale = np.max(np.abs(st.block)) * np.linalg.norm(chi) * np.linalg.norm(psi)
-            assert abs(chi @ (st.block - st.j1_block) @ psi - consistency) <= 1e-12 * scale
+            scale = np.max(np.abs(block)) * np.linalg.norm(chi) * np.linalg.norm(psi)
+            assert abs(chi @ (block - j1) @ psi - consistency) <= 1e-12 * scale
 
 
 class TestGlobalCoercivity:
@@ -314,10 +293,9 @@ class TestGlobalCoercivity:
         # boundary-reduced matrix must be positive semidefinite
         m = cvt_sequence[128]
         elements = build_elements(m)
-        lf = forms.build_local_forms(m, elements)
         stencils = build_edge_stencils(m, elements, penalty_a=2.0)
         dof_map = system.number_dofs(m)
-        parts = system.build_operator_parts(m, dof_map, lf, stencils)
+        parts = system.build_operator_parts(dof_map, build_local_forms(elements), stencils)
         free = np.flatnonzero(dof_map.free)
         H = parts.hess[free][:, free].toarray()
         H = 0.5 * (H + H.T)

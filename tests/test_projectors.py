@@ -1,117 +1,105 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipvem import mesh, projectors
+from ipvem import mesh
 from ipvem.basis import derivative_matrix, gauss_legendre_01, gauss_lobatto
-from ipvem.projectors import build_element, build_elements
+from ipvem.projectors import build_elements
 
-from conftest import PolyCoeffs, dofs_of_polynomial, non_star_polygons, random_star_polygon
+from conftest import PolyCoeffs, basis_of, cell_dofs, dofs_of_polynomial, non_star_polygons, random_star_polygon
 
 # C-shaped cell whose centroid lies in the notch, outside the cell
 C_SHAPE = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
+# the CVT-32 cell of the single-cell checks
+CELL = 3
 
 
-def element_on(points):
+def elements_on(points):
+    """The elements of a one-cell mesh: row 0, with no padding."""
     m = mesh.build_mesh(np.asarray(points, dtype=float), [list(range(len(points)))])
-    return build_element(m, 0)
+    return build_elements(m)
 
 
 @pytest.fixture(scope="module")
-def hexagon_element():
+def hexagon():
     ang = np.linspace(0, 2 * np.pi, 7)[:-1] + 0.3
-    return element_on(np.column_stack([np.cos(ang), np.sin(ang)]) * 0.5 + 0.5)
-
-
-@pytest.fixture(scope="module")
-def cvt_cell_element(cvt32):
-    return build_element(cvt32, 3)
+    return elements_on(np.column_stack([np.cos(ang), np.sin(ang)]) * 0.5 + 0.5)
 
 
 class TestDofLayout:
-    def test_square_count(self, unit_square_element):
-        layout = unit_square_element.layout
-        assert layout.n_dofs == 9
-        assert layout.n_vertices == 4
-        assert layout.n_edge_nodes == 4
-        assert layout.n_moments == 1
+    def test_square_count(self, unit_square):
+        assert unit_square.n_dofs[0] == 9
+        assert unit_square.geometry.valence[0] == 4
+        # vertices, edge nodes, then the moment
+        assert sorted(unit_square.dofs[0]) == list(range(9))
+        assert unit_square.dofs[0, 8] == 8
 
-    def test_hexagon_count(self, hexagon_element):
-        assert hexagon_element.layout.n_dofs == 13
+    def test_hexagon_count(self, hexagon):
+        assert hexagon.n_dofs[0] == 13
 
     def test_triangle_count(self):
-        el = element_on([[0, 0], [1, 0], [0, 1]])
-        assert el.layout.n_dofs == 7
+        assert elements_on([[0, 0], [1, 0], [0, 1]]).n_dofs[0] == 7
 
-    def test_edge_nodes_are_midpoints(self, unit_square_element):
-        layout = unit_square_element.layout
-        geom = unit_square_element.geometry
-        assert np.allclose(layout.points[4:], geom.edge_midpoints)
+    def test_edge_nodes_are_midpoints(self, unit_square):
+        geom = unit_square.geometry.cell(0)
+        assert np.allclose(unit_square.dof_matrix[0, 4:8], basis_of(geom).evaluate(geom.edge_midpoints))
 
 
 class TestDofsOfPolynomial:
-    def test_constant(self, unit_square_element):
-        el = unit_square_element
-        chi = dofs_of_polynomial(el, [1.0, 0, 0, 0, 0, 0])
+    def test_constant(self, unit_square):
+        chi = dofs_of_polynomial(unit_square.geometry.cell(0), [1.0, 0, 0, 0, 0, 0])
         assert np.allclose(chi, 1.0, atol=1e-15)
 
-    def test_centered_linear_has_zero_moment(self, unit_square_element):
-        el = unit_square_element
-        chi = dofs_of_polynomial(el, [0.0, 1.0, 0, 0, 0, 0])
-        assert chi[el.layout.moment_index] == pytest.approx(0.0, abs=1e-15)
+    def test_centered_linear_has_zero_moment(self, unit_square):
+        chi = dofs_of_polynomial(unit_square.geometry.cell(0), [0.0, 1.0, 0, 0, 0, 0])
+        assert chi[-1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_accepts_polycoeffs(self, unit_square_element):
-        el = unit_square_element
-        p = PolyCoeffs(el.basis, [0.0, 1.0, 0, 0, 0, 0])
-        assert np.allclose(dofs_of_polynomial(el, p), el.dof_vector(p.values))
+    def test_accepts_polycoeffs(self, unit_square):
+        geom = unit_square.geometry.cell(0)
+        p = PolyCoeffs(basis_of(geom), [0.0, 1.0, 0, 0, 0, 0])
+        assert np.allclose(dofs_of_polynomial(geom, p), unit_square.dof_matrix[0] @ p.values)
 
 
 class TestH1Projector:
-    def test_reproduces_global_linear(self, cvt_cell_element):
-        el = cvt_cell_element
+    def test_reproduces_global_linear(self, cvt32_elements):
+        E = cvt32_elements
         # p(x, y) = x + y expressed in the local scaled basis
         coeffs = np.zeros(6)
-        coeffs[0] = el.geometry.centroid.sum()
-        coeffs[1] = coeffs[2] = el.geometry.diameter
-        chi = el.dof_vector(coeffs)
-        assert np.allclose(el.projectors.h1_coeff @ chi, coeffs, atol=1e-13)
+        coeffs[0] = E.geometry.centroid[CELL].sum()
+        coeffs[1] = coeffs[2] = E.geometry.diameter[CELL]
+        chi = E.dof_matrix[CELL] @ coeffs
+        assert np.allclose(E.h1_coeff[CELL] @ chi, coeffs, atol=1e-13)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
-    def test_reproduces_random_quadratic(self, coeffs):
-        el = TestH1Projector._hex
-        chi = el.dof_vector(coeffs)
-        got = el.projectors.h1_coeff @ chi
+    @given(coeffs=st.lists(st.floats(-5, 5), min_size=6, max_size=6))
+    def test_reproduces_random_quadratic(self, hexagon, coeffs):
+        got = hexagon.h1_coeff[0] @ (hexagon.dof_matrix[0] @ coeffs)
         scale = max(1.0, np.max(np.abs(coeffs)))
         assert np.max(np.abs(got - coeffs)) <= 1e-11 * scale
 
-    def test_gradient_equations_satisfied_for_all_basis_dofs(self, cvt_cell_element):
+    def test_gradient_equations_satisfied_for_all_basis_dofs(self, cvt32, cvt32_elements):
         # rows 1.. of the (modified) system are the original orthogonality
         # conditions; the solve must satisfy them to roundoff
-        el = cvt_cell_element
-        G = el.grad_gram.copy()
-        cp, cd = el.projectors.vertex_average
-        B = _rhs_matrix(el)
-        G[0], B[0] = cp, cd
-        residual = G @ el.projectors.h1_coeff - B
+        E, n = cvt32_elements, cvt32_elements.n_dofs[CELL]
+        G = E.grad_gram[CELL].copy()
+        B = _rhs_matrix(cvt32.geometry(CELL))
+        G[0], B[0] = E.vertex_average[0][CELL], E.vertex_average[1][CELL, :n]
+        residual = G @ E.h1_coeff[CELL, :, :n] - B
         assert np.max(np.abs(residual)) < 1e-12
 
-    def test_idempotent_dof_form(self, cvt_cell_element):
-        P = cvt_cell_element.projectors.h1_dof
+    def test_idempotent_dof_form(self, cvt32_elements):
+        P = cvt32_elements.dof_matrix[CELL] @ cvt32_elements.h1_coeff[CELL]
         assert np.max(np.abs(P @ P - P)) < 1e-10
 
 
-def _rhs_matrix(el):
+def _rhs_matrix(geom):
     """Re-derive the gradient projector right-hand side independently."""
-    geom, bas, layout = el.geometry, el.basis, el.layout
+    bas, m = basis_of(geom), geom.n_edges
     rule = gauss_lobatto(2)
-    B = np.zeros((6, layout.n_dofs))
+    B = np.zeros((6, 2 * m + 1))
     Dx, Dy = derivative_matrix(bas, "x"), derivative_matrix(bas, "y")
-    B[:, layout.moment_index] = -(Dx @ Dx + Dy @ Dy)[0, :] * geom.area
-    m = layout.n_vertices
+    B[:, 2 * m] = -(Dx @ Dx + Dy @ Dy)[0, :] * geom.area
     for j in range(m):
         a, b = geom.vertices[j], geom.vertices[(j + 1) % m]
         nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
@@ -123,104 +111,93 @@ def _rhs_matrix(el):
 
 
 class TestH2Projector:
-    def test_reproduces_random_quadratic(self, cvt_cell_element):
-        el = cvt_cell_element
+    def test_reproduces_random_quadratic(self, cvt32_elements):
+        E = cvt32_elements
         rng = np.random.default_rng(5)
         for _ in range(30):
             coeffs = rng.uniform(-3, 3, 6)
-            chi = el.dof_vector(coeffs)
-            got = el.projectors.h2_coeff @ chi
+            got = E.h2_coeff[CELL] @ (E.dof_matrix[CELL] @ coeffs)
             assert np.max(np.abs(got - coeffs)) <= 1e-11 * max(1, np.max(np.abs(coeffs)))
 
-    def test_constant_hessian_rows_vanish(self, unit_square_element):
-        el = unit_square_element
-        chi = el.dof_vector([1.0, 0, 0, 0, 0, 0])
-        coeffs = el.projectors.h2_coeff @ chi
+    def test_constant_hessian_rows_vanish(self, unit_square):
+        E = unit_square
+        coeffs = E.h2_coeff[0] @ (E.dof_matrix[0] @ [1.0, 0, 0, 0, 0, 0])
         assert np.allclose(coeffs, [1, 0, 0, 0, 0, 0], atol=1e-13)
         # the Hessian-energy rows of the projection are identically zero
-        assert np.allclose(el.hess_gram @ coeffs, 0.0, atol=1e-13)
+        assert np.allclose(E.hess_gram[0] @ coeffs, 0.0, atol=1e-13)
 
-    def test_quasi_average_constraints_hold_for_dof_basis(self, unit_square_element):
-        el = unit_square_element
-        cp, cd = el.projectors.quasi_averages
-        for i in range(el.n_dofs):
-            e = np.zeros(el.n_dofs)
-            e[i] = 1.0
-            res = cp @ (el.projectors.h2_coeff @ e) - cd @ e
-            assert np.max(np.abs(res)) < 1e-12
+    def test_quasi_average_constraints_hold_for_dof_basis(self, unit_square):
+        (cp, cd), h2 = unit_square.quasi_averages, unit_square.h2_coeff
+        # one column per DoF basis function
+        assert np.max(np.abs(cp[0] @ h2[0] - cd[0])) < 1e-12
 
-    def test_idempotent_dof_form(self, hexagon_element):
-        P = hexagon_element.projectors.h2_dof
+    def test_idempotent_dof_form(self, hexagon):
+        P = hexagon.dof_matrix[0] @ hexagon.h2_coeff[0]
         assert np.max(np.abs(P @ P - P)) < 1e-10
 
-    def test_polynomial_restriction_symmetric(self, cvt_cell_element):
+    def test_polynomial_restriction_symmetric(self, cvt32_elements):
         # hessian-energy pairing of projected monomials against monomials
-        el = cvt_cell_element
-        M = el.hess_gram @ el.projectors.h2_coeff @ el.projectors.dof_matrix
+        E = cvt32_elements
+        M = E.hess_gram[CELL] @ E.h2_coeff[CELL] @ E.dof_matrix[CELL]
         assert np.max(np.abs(M - M.T)) < 1e-11 * max(1.0, np.max(np.abs(M)))
 
 
 class TestL2Projector:
-    def test_constant(self, unit_square_element):
-        el = unit_square_element
-        chi = el.dof_vector([1.0, 0, 0, 0, 0, 0])
-        assert np.allclose(el.projectors.l2_coeff @ chi, [1, 0, 0, 0, 0, 0], atol=1e-13)
+    def test_constant(self, unit_square):
+        chi = unit_square.dof_matrix[0] @ [1.0, 0, 0, 0, 0, 0]
+        assert np.allclose(unit_square.l2_coeff[0] @ chi, [1, 0, 0, 0, 0, 0], atol=1e-13)
 
-    def test_reproduces_random_quadratic(self, hexagon_element):
-        el = hexagon_element
+    def test_reproduces_random_quadratic(self, hexagon):
         rng = np.random.default_rng(6)
         for _ in range(30):
             coeffs = rng.uniform(-3, 3, 6)
-            got = el.projectors.l2_coeff @ el.dof_vector(coeffs)
+            got = hexagon.l2_coeff[0] @ (hexagon.dof_matrix[0] @ coeffs)
             assert np.max(np.abs(got - coeffs)) <= 1e-11 * max(1, np.max(np.abs(coeffs)))
 
-    def test_moment_row_used_for_constant_test_function(self, cvt_cell_element):
+    def test_moment_row_used_for_constant_test_function(self, cvt32_elements):
         # (l2 projection, 1) equals the area-weighted moment DoF for any input
-        el = cvt_cell_element
+        E, n = cvt32_elements, cvt32_elements.n_dofs[CELL]
         rng = np.random.default_rng(7)
-        chi = rng.standard_normal(el.n_dofs)
-        p0 = el.projectors.l2_coeff @ chi
-        lhs = float(el.integrals[:6] @ p0)
-        rhs = el.geometry.area * chi[el.layout.moment_index]
+        chi = rng.standard_normal(n)
+        p0 = E.l2_coeff[CELL, :, :n] @ chi
+        lhs = float(E.integrals[CELL, :6] @ p0)
+        rhs = E.geometry.area[CELL] * chi[n - 1]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
-def boundary_mean(el, coeffs):
+def boundary_mean(geom, coeffs):
     """Gauss-Legendre perimeter mean of a cell polynomial."""
     t, w = gauss_legendre_01(3)
-    geom, total = el.geometry, 0.0
+    total = 0.0
     for j in range(geom.n_edges):
         a, b = geom.vertices[j], geom.vertices[(j + 1) % geom.n_edges]
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        total += geom.edge_lengths[j] * float(w @ (el.basis.evaluate(pts) @ coeffs))
+        total += geom.edge_lengths[j] * float(w @ (basis_of(geom).evaluate(pts) @ coeffs))
     return total / geom.perimeter
 
 
 class TestQuasiAverage:
-    def test_constant(self, unit_square_element):
-        el = unit_square_element
-        assert el.projectors.quasi_averages[0][0] @ [1.0, 0, 0, 0, 0, 0] == pytest.approx(1.0, rel=1e-14)
+    def test_constant(self, unit_square):
+        assert unit_square.quasi_averages[0][0, 0] @ [1.0, 0, 0, 0, 0, 0] == pytest.approx(1.0, rel=1e-14)
 
-    def test_linear_x(self, unit_square_element):
-        el = unit_square_element
-        h = el.basis.diameter
-        assert el.projectors.quasi_averages[0][0] @ [0.5, h, 0, 0, 0, 0] == pytest.approx(0.5, rel=1e-14)
+    def test_linear_x(self, unit_square):
+        h = unit_square.geometry.diameter[0]
+        assert unit_square.quasi_averages[0][0, 0] @ [0.5, h, 0, 0, 0, 0] == pytest.approx(0.5, rel=1e-14)
 
-    def test_quadratic_x_squared(self, unit_square_element):
+    def test_quadratic_x_squared(self, unit_square):
         # edge-by-edge: (1/3 + 1 + 1/3 + 0) / 4 = 5/12
-        el = unit_square_element
-        h = el.basis.diameter
+        h = unit_square.geometry.diameter[0]
         # x^2 = (0.5 + h xi)^2 = 0.25 + h xi * 1.0 ... expressed on the local basis
         coeffs = np.array([0.25, h, 0.0, h * h, 0.0, 0.0])
-        assert el.projectors.quasi_averages[0][0] @ coeffs == pytest.approx(5.0 / 12.0, rel=1e-13)
+        assert unit_square.quasi_averages[0][0, 0] @ coeffs == pytest.approx(5.0 / 12.0, rel=1e-13)
 
 
 class TestGaussLobattoConsistency:
-    def test_edge_sum_matches_exact_integral_for_quadratics(self, cvt_cell_element):
+    def test_edge_sum_matches_exact_integral_for_quadratics(self, cvt32):
         # the quadrature edge sums in the h1 system are exact when the
         # integrand degree is at most three
-        el = cvt_cell_element
-        geom, bas = el.geometry, el.basis
+        geom = cvt32.geometry(CELL)
+        bas = basis_of(geom)
         rng = np.random.default_rng(8)
         rule = gauss_lobatto(2)
         t, w = gauss_legendre_01(3)
@@ -235,12 +212,17 @@ class TestGaussLobattoConsistency:
                 dq = (n_e[0] * Dx + n_e[1] * Dy) @ q
                 nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
                 vals = bas.evaluate(nodes)
-                gl_sum = geom.edge_lengths[j] * float(
-                    np.dot(rule.weights, (vals @ p) * (vals @ dq))
-                )
+                gl_sum = geom.edge_lengths[j] * float(np.dot(rule.weights, (vals @ p) * (vals @ dq)))
                 vals = bas.evaluate(a[None, :] + t[:, None] * (b - a)[None, :])
                 exact = geom.edge_lengths[j] * float(w @ ((vals @ p) * (vals @ dq)))
                 assert gl_sum == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def reproduction_error(E, row, coeffs):
+    """Largest coefficient error of the three projectors of row ``row`` on
+    the DoFs of the polynomial ``coeffs``."""
+    chi = E.dof_matrix[row] @ coeffs
+    return max(np.max(np.abs(P[row] @ chi - coeffs)) for P in (E.h1_coeff, E.h2_coeff, E.l2_coeff))
 
 
 class TestRandomPolygons:
@@ -249,25 +231,21 @@ class TestRandomPolygons:
     def test_projectors_reproduce_quadratics_and_boundary_mean(self, seed, c_shape):
         # random star-shaped cells, and a cell that is not star-shaped
         rng = np.random.default_rng(seed)
-        el = element_on(C_SHAPE if c_shape else random_star_polygon(rng))
+        E = elements_on(C_SHAPE if c_shape else random_star_polygon(rng))
         coeffs = rng.uniform(-3, 3, 6)
-        chi = el.dof_vector(coeffs)
-        for mat in (el.projectors.h1_coeff, el.projectors.h2_coeff, el.projectors.l2_coeff):
-            assert np.max(np.abs(mat @ chi - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
-        mean = el.projectors.quasi_averages[0][0] @ coeffs
-        assert mean == pytest.approx(boundary_mean(el, coeffs), rel=1e-12, abs=1e-12)
+        assert reproduction_error(E, 0, coeffs) <= 1e-10 * np.max(np.abs(coeffs))
+        mean = E.quasi_averages[0][0, 0] @ coeffs
+        assert mean == pytest.approx(boundary_mean(E.geometry.cell(0), coeffs), rel=1e-12, abs=1e-12)
 
 
 class TestPolygonsThatAreNotStarShaped:
     @settings(max_examples=40, deadline=None)
     @given(non_star_polygons(), st.integers(0, 2**32 - 1))
     def test_projectors_reproduce_random_quadratics(self, points, seed):
-        el = element_on(points)
-        assert not el.geometry.star_shaped
+        E = elements_on(points)
+        assert not E.geometry.cell(0).star_shaped
         coeffs = np.random.default_rng(seed).uniform(-3, 3, 6)
-        chi = el.dof_vector(coeffs)
-        for mat in (el.projectors.h1_coeff, el.projectors.h2_coeff, el.projectors.l2_coeff):
-            assert np.max(np.abs(mat @ chi - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+        assert reproduction_error(E, 0, coeffs) <= 1e-10 * np.max(np.abs(coeffs))
 
 
 class TestBatchedElements:
@@ -278,48 +256,18 @@ class TestBatchedElements:
             assert not np.any(stack[np.broadcast_to(pad, stack.shape)])
         assert elements.dofs.shape[1] == 2 * elements.geometry.valence.max() + 1
 
-    def test_batch_of_one_is_the_row_of_the_batch(self, cvt32):
-        elements = build_elements(cvt32)
-        for cid in (0, 13, 31):
-            one, row = build_element(cvt32, cid), elements[cid]
-            assert one.cell_id == row.cell_id == cid
-            for name in ("h1_coeff", "h2_coeff", "l2_coeff", "dof_matrix"):
-                assert np.allclose(getattr(one.projectors, name), getattr(row.projectors, name), rtol=0, atol=1e-12)
-
-    def test_global_dofs_follow_the_cell_order(self, cvt32):
-        from ipvem import system
-
-        elements = build_elements(cvt32)
-        dof_map = system.number_dofs(cvt32)
+    def test_global_dofs_follow_the_cell_order(self, cvt32, cvt32_elements):
         for cid in range(cvt32.n_cells):
-            n = elements.n_dofs[cid]
-            assert np.array_equal(elements.dofs[cid, :n], system.cell_dof_indices(dof_map, cvt32, cid))
+            n = cvt32_elements.n_dofs[cid]
+            assert np.array_equal(cvt32_elements.dofs[cid, :n], cell_dofs(cvt32, cid))
 
 
 class TestReproductionAcrossCells:
-    def test_many_random_cells_and_polynomials(self, cvt32):
+    def test_many_random_cells_and_polynomials(self, cvt32, cvt32_elements):
         rng = np.random.default_rng(9)
         cells = rng.choice(cvt32.n_cells, size=8, replace=False)
         for cid in cells:
-            el = build_element(cvt32, int(cid))
             for _ in range(10):
                 coeffs = rng.uniform(-1, 1, 6)
-                chi = el.dof_vector(coeffs)
-                for mat in (
-                    el.projectors.h1_coeff,
-                    el.projectors.h2_coeff,
-                    el.projectors.l2_coeff,
-                ):
-                    err = np.max(np.abs(mat @ chi - coeffs))
-                    assert err <= 1e-10 * max(1.0, np.max(np.abs(coeffs)))
-
-
-def pytest_generate_tests(metafunc):
-    pass
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _hex_for_hypothesis(hexagon_element):
-    # hypothesis-driven tests cannot take function-scoped fixtures directly
-    TestH1Projector._hex = hexagon_element
-    yield
+                err = reproduction_error(cvt32_elements, cid, coeffs)
+                assert err <= 1e-10 * max(1.0, np.max(np.abs(coeffs)))

@@ -7,24 +7,22 @@ from ipvem import cli, forms, mesh, system, verify
 from ipvem.basis import QUAD_ORDER, derivative_matrix
 from ipvem.verify import (
     ManufacturedSolution,
-    build_error_data,
     energy_error,
     example_solution,
     fit_rate,
-    forcing_parts,
     interpolation_dofs,
     j1_energy,
 )
 
-from conftest import polygon_rule
+from conftest import basis_of, edge_coupling, polygon_rule
 
 PI = math.pi
 
 
 def forcing(msol, eps, x, y):
     """Source of the perturbed problem: eps^2 biharmonic(u) - laplacian(u)."""
-    f4, f2 = forcing_parts(msol)
-    return eps**2 * f4(x, y) + f2(x, y)
+    exact = msol.at(x, y)
+    return eps**2 * verify.biharmonic(exact) + verify.neg_laplacian(exact)
 
 
 def solve_case(m, eps, msol):
@@ -147,7 +145,7 @@ class TestEnergyError:
 
         msol = ManufacturedSolution("quadratic", partial, clamped=False)
         d = cli.discretize(cvt32, msol)
-        values = interpolation_dofs(cvt32, d.dof_map, d.elements, msol)
+        values = interpolation_dofs(cvt32, d.elements, msol)
         sol = system.DiscreteSolution(values=values, eps=0.5, residual=0.0)
         for norm in ("interp-energy", "projection"):
             assert d.error(sol, norm).e_total <= 1e-10
@@ -162,7 +160,7 @@ class TestEnergyError:
         msol = example_solution(2)
         d, sol = solve_case(cvt32, 1e-1, msol)
         rec = d.error(sol, norm="projection")
-        fine = oracle_projection_errors(cvt32, d.dof_map, d.elements, sol.values, msol, 2 * QUAD_ORDER)
+        fine = oracle_projection_errors(cvt32, d.elements, sol.values, msol, 2 * QUAD_ORDER)
         assert (rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2) == pytest.approx(fine, rel=1e-8)
 
     def test_eps_zero_gives_pure_gradient_error(self, cvt32):
@@ -180,39 +178,33 @@ class TestEnergyError:
         assert rec.h1_part == rec.proj_h1
         assert rec.proj_h1 != rec.proj_h1_via_h2
 
-    def test_interp_energy_requires_parts(self, cvt32, cvt32_elements):
-        msol = example_solution(2)
-        dof_map = system.number_dofs(cvt32)
-        sol = system.DiscreteSolution(values=np.zeros(dof_map.n_dofs), eps=1.0, residual=0.0)
-        data = build_error_data(cvt32, dof_map, cvt32_elements, msol)
-        with pytest.raises(ValueError):
-            energy_error(data, sol, parts=None)
 
-
-def oracle_interpolation_dofs(m, dof_map, elements, msol, quad_order=QUAD_ORDER):
+def oracle_interpolation_dofs(m, elements, msol, quad_order=QUAD_ORDER):
     """Per-cell reference for the exact-solution DoFs."""
-    chi = np.zeros(dof_map.n_dofs)
-    for el in elements:
-        idx = system.cell_dof_indices(dof_map, m, el.cell_id)
-        pts = el.layout.points
+    chi = np.zeros(m.n_vertices + m.n_edges + m.n_cells)
+    for c in range(m.n_cells):
+        geom, idx = m.geometry(c), elements.dofs[c, : elements.n_dofs[c]]
+        pts = np.vstack([geom.vertices, geom.edge_midpoints])
         chi[idx[: len(pts)]] = msol(pts[:, 0], pts[:, 1])
-        qp, qw = polygon_rule(el.geometry, quad_order)
-        chi[idx[-1]] = float(qw @ msol(qp[:, 0], qp[:, 1])) / el.geometry.area
+        qp, qw = polygon_rule(geom, quad_order)
+        chi[idx[-1]] = float(qw @ msol(qp[:, 0], qp[:, 1])) / geom.area
     return chi
 
 
-def oracle_projection_errors(m, dof_map, elements, values, msol, quad_order=QUAD_ORDER):
+def oracle_projection_errors(m, elements, values, msol, quad_order=QUAD_ORDER):
     """Per-cell reference for (|u - p2|_{2,h}, |u - p1|_{1,h}, |u - p2|_{1,h})."""
     h2_sq = h1_h1_sq = h1_h2_sq = 0.0
-    for el in elements:
-        chi = values[system.cell_dof_indices(dof_map, m, el.cell_id)]
-        p_h2 = el.projectors.h2_coeff @ chi
-        p_h1 = el.projectors.h1_coeff @ chi
-        pts, w = polygon_rule(el.geometry, quad_order)
+    for c in range(m.n_cells):
+        chi = values[elements.dofs[c]]
+        p_h2 = elements.h2_coeff[c] @ chi
+        p_h1 = elements.h1_coeff[c] @ chi
+        geom = m.geometry(c)
+        basis = basis_of(geom)
+        pts, w = polygon_rule(geom, quad_order)
         x, y = pts[:, 0], pts[:, 1]
-        Dx = derivative_matrix(el.basis, "x")
-        Dy = derivative_matrix(el.basis, "y")
-        vals = el.basis.evaluate(pts)
+        Dx = derivative_matrix(basis, "x")
+        Dy = derivative_matrix(basis, "y")
+        vals = basis.evaluate(pts)
         ux = msol.partial(1, 0, x, y)
         uy = msol.partial(0, 1, x, y)
         h1_h2_sq += float(w @ ((ux - vals @ (Dx @ p_h2)) ** 2 + (uy - vals @ (Dy @ p_h2)) ** 2))
@@ -234,18 +226,18 @@ class TestBatchedErrorsMatchPerCellOracle:
         m = request.getfixturevalue("cvt32") if mesh_name == "cvt32" else mesh.generate_uniform_squares(4)
         msol = example_solution(which)
         d = cli.discretize(m, msol)
-        elements, dof_map, parts = d.elements, d.dof_map, d.parts
-        chi = oracle_interpolation_dofs(m, dof_map, elements, msol)
+        elements, parts = d.elements, d.parts
+        chi = oracle_interpolation_dofs(m, elements, msol)
         assert np.max(np.abs(d.error_data.exact_dofs - chi)) <= 1e-13
-        assert np.max(np.abs(interpolation_dofs(m, dof_map, elements, msol) - chi)) <= 1e-13
+        assert np.max(np.abs(interpolation_dofs(m, elements, msol) - chi)) <= 1e-13
         for eps in (1.0, 1e-3, 1e-10):
             sol = d.solve(eps)
-            rec = energy_error(d.error_data, sol, parts=parts)
+            rec = energy_error(d.error_data, sol, parts)
             delta = chi - sol.values
             h2 = math.sqrt(delta @ (parts.a_only @ delta) + delta @ (parts.j1 @ delta))
             h1 = math.sqrt(delta @ (parts.grad @ delta))
             expected = (math.sqrt(eps**2 * h2**2 + h1**2), h2, h1) + oracle_projection_errors(
-                m, dof_map, elements, sol.values, msol
+                m, elements, sol.values, msol
             )
             got = (rec.e_total, rec.h2_part, rec.h1_part, rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -253,17 +245,13 @@ class TestBatchedErrorsMatchPerCellOracle:
 
 
 class TestJ1Energy:
-    def test_zero_solution(self, cvt32, cvt32_elements):
-        dof_map = system.number_dofs(cvt32)
-        lf = forms.build_local_forms(cvt32, cvt32_elements)
-        stencils = forms.build_edge_stencils(cvt32, cvt32_elements)
-        parts = system.build_operator_parts(cvt32, dof_map, lf, stencils)
-        sol = system.DiscreteSolution(values=np.zeros(dof_map.n_dofs), eps=1.0, residual=0.0)
-        assert j1_energy(sol, parts.j1) == 0.0
+    def test_zero_solution(self, cvt32):
+        d = cli.discretize(cvt32, example_solution(1))
+        sol = system.DiscreteSolution(values=np.zeros(d.dof_map.n_dofs), eps=1.0, residual=0.0)
+        assert j1_energy(sol, d.parts.j1) == 0.0
 
     def test_global_quadratic_interior_stencils_vanish(self, cvt32, cvt32_elements):
-        stencils = forms.build_edge_stencils(cvt32, cvt32_elements)
-        dof_map = system.number_dofs(cvt32)
+        traces = forms.build_edge_stencils(cvt32, cvt32_elements)
 
         def partial(i, j, x, y):
             x = np.asarray(x, dtype=float)
@@ -276,14 +264,11 @@ class TestJ1Energy:
             return np.zeros_like(x)
 
         msol = ManufacturedSolution("xsq", partial, clamped=False)
-        chi = interpolation_dofs(cvt32, dof_map, cvt32_elements, msol)
-        for st in stencils:
-            if len(st.cells) == 1:
-                continue
-            idx = np.concatenate([system.cell_dof_indices(dof_map, cvt32, c) for c in st.cells])
-            local = chi[idx]
-            scale = max(1.0, np.max(np.abs(st.j1_block)))
-            assert abs(local @ st.j1_block @ local) < 1e-11 * scale
+        chi = interpolation_dofs(cvt32, cvt32_elements, msol)
+        for e in np.flatnonzero(~cvt32.boundary_edge):
+            j1, _ = edge_coupling(traces, e)
+            scale = max(1.0, np.max(np.abs(j1)))
+            assert abs(chi @ j1 @ chi) < 1e-11 * scale
 
     def test_solution_j1_energy_decreases_with_refinement(self, cvt_sequence):
         # moderate eps: the penalty actively controls the jumps, so the
