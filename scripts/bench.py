@@ -5,8 +5,10 @@ For each mesh size: ``mesh.generate_cvt`` (seed 7, 100 Lloyd steps), the
 set-up stages of ``cli.discretize`` (its per-stage ``seconds``), then one
 solve and one error evaluation of example 1 at eps = 1e-3.  Each record
 holds the stage seconds, ``n_free``, ``nnz``, the solve method, its
-residual, refinement steps, factor fill (``lu_nnz``) and off-diagonal
-pivots (null where the timed package does not report them).  Then the same
+residual, refinement steps, factor fill (``lu_nnz``), off-diagonal
+pivots, and the qhull calls and edge flips of the Lloyd steps
+(``delaunay_calls``, ``lloyd_flips``), each null where the timed package
+does not report it.  Then the same
 discretization solves once at each eps of the robustness sweep, 1 down to
 1e-10, as a study does; ``sweep`` holds each solve's seconds, refinement
 steps, ``factor_eps`` (the eps whose matrix was factored, null where the
@@ -39,6 +41,11 @@ EPS = 1e-3
 SWEEP = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 SEED = 7
 LLOYD_ITERS = 100
+
+
+def _total(per_step):
+    """Sum of a mesh's per-Lloyd-step counts, or None where it has none."""
+    return None if per_step is None else sum(per_step)
 
 
 def bench_size(n_cells):
@@ -82,6 +89,8 @@ def bench_size(n_cells):
         "lu_nnz": rec.solve.get("lu_nnz"),
         "offdiag_pivots": rec.solve.get("offdiag_pivots"),
         "E_I": rec.e_total,
+        "delaunay_calls": _total(getattr(m, "delaunay_calls", None)),
+        "lloyd_flips": _total(getattr(m, "lloyd_flips", None)),
         "sweep": sweep,
         "sweep_solve_s": sum(r["solve_s"] for r in sweep),
     }

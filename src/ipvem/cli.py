@@ -219,6 +219,8 @@ def run_study(config, progress=None):
                 "seconds": seconds,
                 "lloyd_steps": None if moves is None else len(moves),
                 "lloyd_final_movement": moves[-1] if moves else None,
+                "delaunay_calls": None if moves is None else sum(m.delaunay_calls),
+                "lloyd_flips": None if moves is None else sum(m.lloyd_flips),
             }
         )
         log.info(

@@ -25,6 +25,10 @@ BOUNDARY = -1
 AREA_RTOL = 1e-12
 #: distance within which Voronoi corners merge and snap onto the boundary
 SNAP_TOL = 1e-9
+#: in-circle values within this fraction of their magnitude count as cocircular
+INCIRCLE_RTOL = 1e-12
+#: fixed points more than sqrt(2) from the unit square that frame every Lloyd triangulation
+GHOSTS = np.array([[-10.0, -10.0], [11.0, -10.0], [11.0, 11.0], [-10.0, 11.0]])
 
 
 class MeshError(Exception):
@@ -93,7 +97,8 @@ class PolygonalMesh:
         bvert = np.zeros(len(vertices), dtype=bool)
         bvert[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = bvert
-        self.lloyd_movement = None
+        # per Lloyd step of a generated CVT: generator movement, qhull calls, flips
+        self.lloyd_movement = self.delaunay_calls = self.lloyd_flips = None
 
     @property
     def n_vertices(self):
@@ -205,7 +210,8 @@ def stacked_geometry(mesh):
     left = valid & (mesh.edges[edge_ids, 0] == vertex_ids)
 
     loop, heads = mesh.vertices[vertex_ids], mesh.vertices[head_ids]
-    diameter = np.sqrt(((loop[:, :, None, :] - loop[:, None, :, :]) ** 2).sum(axis=3).max(axis=(1, 2)))
+    dx, dy = (loop[:, :, None, i] - loop[:, None, :, i] for i in (0, 1))
+    diameter = np.sqrt((dx * dx + dy * dy).max(axis=(1, 2)))
     edge_vec = heads - loop
     lengths = np.sqrt((edge_vec**2).sum(axis=2))
     if np.any(valid & (lengths <= 0.0)):
@@ -364,13 +370,183 @@ def _centroids(xy, offsets):
     return area, np.column_stack([cx, cy])
 
 
-def _circumcentres(tri):
-    """Circumcentre of every triangle of a ``scipy.spatial.Delaunay``, (T, 2)."""
-    a, b, c = np.moveaxis(tri.points[tri.simplices], 1, 0)
+def _circumcentres(corners):
+    """Circumcentre of every triangle of a (T, 3, 2) corner array, (T, 2)."""
+    a, b, c = np.moveaxis(corners, 1, 0)
     b, c = b - a, c - a
     bb, cc = (b**2).sum(axis=1), (c**2).sum(axis=1)
     d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
     return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    """Twice the signed area of triangle abc, positive when counter-clockwise."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    """Whether d is inside the circumcircle of CCW abc by over INCIRCLE_RTOL, relative."""
+    ax, ay, bx, by, cx, cy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    t1, t2, t3, t4, t5, t6 = bx * cy, cx * by, cx * ay, ax * cy, ax * by, bx * ay
+    det = a2 * (t1 - t2) + b2 * (t3 - t4) + c2 * (t5 - t6)
+    mag = a2 * (abs(t1) + abs(t2)) + b2 * (abs(t3) + abs(t4)) + c2 * (abs(t5) + abs(t6))
+    return det > INCIRCLE_RTOL * mag
+
+
+def _convex(ax, ay, bx, by, cx, cy, dx, dy):
+    """Whether the quad a, b, d, c can take the diagonal ad (abd, adc CCW)."""
+    return _orient(ax, ay, bx, by, dx, dy) > 0.0 and _orient(ax, ay, dx, dy, cx, cy) > 0.0
+
+
+def _repoint(neighbors, t, old, new):
+    """Make triangle ``t`` (if any) see ``new`` where it saw ``old``."""
+    if t >= 0:
+        row = neighbors[t]
+        row[row == old] = new
+
+
+class _RepairFailed(Exception):
+    """A Lloyd step whose triangulation qhull must rebuild."""
+
+
+class _LloydTriangulation:
+    """The Delaunay triangulation behind the clipped Voronoi cells, kept from
+    one Lloyd step to the next.  Its points are the n generators, the
+    :data:`GHOSTS` and the images of generators ``src`` across sides ``side``
+    (left, right, bottom, top).  ``simplices`` are CCW; ``neighbors[t, k]``
+    is the triangle across the edge opposite corner k.
+    """
+
+    def __init__(self, n):
+        self.n, self.budget, self.simplices = n, max(1, int(2 * np.sqrt(n))), None
+        self.qhull_calls, self.flips = [], []
+
+    def cells(self, points):
+        """The CSR pair of :func:`_voronoi_cells_unit_square`; ``qhull_calls`` and ``flips`` count the step."""
+        self.qhull_calls.append(0)
+        self.flips.append(0)
+        xy, owner = (self.simplices is not None and self._repair(points)) or self._rebuild(points)
+        counts = np.bincount(owner, minlength=self.n)
+        if counts.min() < 3:
+            raise MeshGenerationError("Voronoi cell with fewer than 3 corners")
+        rel = xy - points[owner]
+        # corners sort by (owner, angle) as one integer key of owner and angle rank
+        rank = np.empty(len(xy), dtype=np.intp)
+        rank[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))] = np.arange(len(xy))
+        order = np.argsort(owner * len(xy) + rank)
+        return xy[order], np.concatenate([[0], np.cumsum(counts)])
+
+    def _points(self, points):
+        """Generators, ghosts and mirror images, in the triangulation's order."""
+        image = points[self.src]
+        rows, axis = np.arange(len(image)), self.side // 2
+        image[rows, axis] = 2.0 * (self.side % 2) - image[rows, axis]
+        return np.vstack([points, GHOSTS, image])
+
+    def _corners(self):
+        """Coordinates of the corners of every triangle, as six (T,) rows."""
+        return self.pts[self.simplices].transpose(1, 2, 0).reshape(6, -1)
+
+    def _dual(self):
+        """Corners and owners of the generator cells, or None if one is off the square."""
+        flat = self.simplices.ravel()
+        # flat entry k of the simplices is a corner of triangle k // 3
+        mine = np.flatnonzero(flat < self.n)
+        xy = _circumcentres(self.pts[self.simplices])[mine // 3]
+        return (xy, flat[mine]) if np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)) else None
+
+    def _rebuild(self, points):
+        """qhull on the generators, the ghosts and the images within ``reach``,
+        which doubles from 1.5/sqrt(n) until the cells fit; repairs keep it."""
+        self.reach = 1.5 / np.sqrt(self.n)
+        while True:
+            self.mirrored = np.abs(points[:, [0, 0, 1, 1]] - [0.0, 1.0, 0.0, 1.0]) < self.reach
+            self.side, self.src = np.nonzero(self.mirrored.T)
+            self.pts = self._points(points)
+            tri = Delaunay(self.pts)
+            self.qhull_calls[-1] += 1
+            self.simplices, self.neighbors = tri.simplices, tri.neighbors
+            if (found := self._dual()) is not None:
+                break
+            if self.reach >= 1.0:
+                raise MeshGenerationError("a Voronoi cell leaves the square with every generator mirrored")
+            self.reach *= 2.0
+        cw = _orient(*self._corners()) < 0.0
+        self.simplices[cw], self.neighbors[cw] = tri.simplices[cw][:, [0, 2, 1]], tri.neighbors[cw][:, [0, 2, 1]]
+        return found
+
+    def _repair(self, points):
+        """The cells from the last triangulation, or None to fall back to qhull:
+        move the points, flip the edge an inverted triangle's corner crossed,
+        insert new images, then Lawson flips from the failing in-circle edges."""
+        near = np.abs(points[:, [0, 0, 1, 1]] - [0.0, 1.0, 0.0, 1.0]) < self.reach
+        side, src = np.nonzero((near & ~self.mirrored).T)
+        self.mirrored = self.mirrored | near
+        self.src, self.side = np.concatenate([self.src, src]), np.concatenate([self.side, side])
+        self.pts = self._points(points)
+        try:
+            inverted = np.flatnonzero(_orient(*self._corners()) <= 0.0).tolist()
+            mended = all(any(self._flip(t, k, _convex) for k in range(3)) for t in inverted)
+            if not mended or (inverted and np.any(_orient(*self._corners()) <= 0.0)):
+                return None
+            for p in range(len(self.pts) - len(src), len(self.pts)):
+                self._insert(p)
+            s, nb = self.simplices, self.neighbors
+            # every interior edge once, as (t, k): the edge of t opposite its corner k
+            t, k = np.divmod(np.flatnonzero(nb.ravel() > np.arange(nb.size) // 3), 3)
+            u = nb[t, k]
+            b, c = s[t, (k + 1) % 3], s[t, (k + 2) % 3]
+            # u holds b, c and the corner d across the edge
+            quad = (s[t, k], b, c, s[u].sum(axis=1) - b - c)
+            fails = _incircle(*(self.pts[v, i] for v in quad for i in (0, 1)))
+            if self.flips[-1] + np.count_nonzero(fails) > self.budget:
+                return None
+            stack = np.column_stack([t[fails], k[fails]]).tolist()
+            while stack:
+                stack += self._flip(*stack.pop(), _incircle)
+        except _RepairFailed:
+            return None
+        return self._dual()
+
+    def _flip(self, t, k, test):
+        """Where ``test`` holds for a, b, c (t's corners from k) and d (across bc), give
+        the quad a, b, d, c the diagonal ad, within ``budget``; returns edges to recheck."""
+        s, nb = self.simplices, self.neighbors
+        u = int(nb[t, k])
+        if u < 0:
+            return []
+        a, b, c = s[t, k], s[t, (k + 1) % 3], s[t, (k + 2) % 3]
+        j = nb[u].tolist().index(t)
+        d = s[u, j]
+        xy = self.pts[[a, b, c, d]].ravel().tolist()
+        if not test(*xy):
+            return []
+        self.flips[-1] += 1
+        if self.flips[-1] > self.budget or not _convex(*xy):
+            raise _RepairFailed
+        nt_b, nt_c, nu_c, nu_b = nb[t, (k + 1) % 3], nb[t, (k + 2) % 3], nb[u, (j + 1) % 3], nb[u, (j + 2) % 3]
+        s[t], s[u] = (a, b, d), (a, d, c)
+        nb[t], nb[u] = (nu_c, u, nt_c), (nu_b, nt_b, t)
+        _repoint(nb, nu_c, u, t)
+        _repoint(nb, nt_b, t, u)
+        return [[t, 0], [t, 2], [u, 0], [u, 1]]
+
+    def _insert(self, p):
+        """Split the one triangle that strictly contains point p in three."""
+        ax, ay, bx, by, cx, cy = self._corners()
+        px, py = self.pts[p]
+        holds = (_orient(ax, ay, bx, by, px, py) > 0.0) & (_orient(bx, by, cx, cy, px, py) > 0.0)
+        holds = np.flatnonzero(holds & (_orient(cx, cy, ax, ay, px, py) > 0.0))
+        if len(holds) != 1:
+            raise _RepairFailed
+        t, t1, t2 = int(holds[0]), len(self.simplices), len(self.simplices) + 1
+        (a, b, c), (na, nb, nc) = self.simplices[t].tolist(), self.neighbors[t].tolist()
+        self.simplices = np.vstack([self.simplices, [(b, c, p), (c, a, p)]])
+        self.neighbors = np.vstack([self.neighbors, [(t2, t, na), (t, t1, nb)]])
+        self.simplices[t], self.neighbors[t] = (a, b, p), (t1, t2, nc)
+        _repoint(self.neighbors, na, t, t1)
+        _repoint(self.neighbors, nb, t, t2)
 
 
 def _voronoi_cells_unit_square(points):
@@ -382,43 +558,25 @@ def _voronoi_cells_unit_square(points):
     reflection), so the bisectors with the mirror images are the domain
     boundary.  The Voronoi diagram is the dual of the Delaunay triangulation:
     a generator's corners are the circumcentres of the triangles it belongs
-    to, and its cell is bounded exactly when it is not a hull vertex.  A
-    cocircular group (a generator and its mirror beside another such pair)
-    gives several triangles with one circumcentre; those repeated corners
-    add nothing to the shoelace sums and merge in :func:`_cells_to_mesh`.
-    Leaving out far mirrors can only make a cell larger than its true
-    clipped cell, never smaller, and the true cells tile the square: so if
-    every computed cell is bounded and lies inside the square (within
-    ``SNAP_TOL``), each one is exact.  Otherwise ``reach`` doubles; at
-    ``reach >= 1`` every generator is mirrored across all four sides.
+    to.  A cocircular group (a generator and its mirror beside another such
+    pair) gives several triangles with one circumcentre; those repeated
+    corners add nothing to the shoelace sums and merge in
+    :func:`_cells_to_mesh`.  Leaving out far mirrors can only make a cell
+    larger than its true clipped cell, never smaller, and the true cells
+    tile the square: so if every computed cell lies inside the square
+    (within ``SNAP_TOL``), each one is exact.  Otherwise ``reach`` doubles;
+    at ``reach >= 1``, all four sides mirror every generator (or it raises).
+
+    Extra points keep the argument, so a Lloyd step may repair the last
+    triangulation (:class:`_LloydTriangulation`).  Any image p' of a
+    generator p is harmless, as |x - p'| >= |x - p| for every x in the
+    square, so mirrors stay until a rebuild.  The :data:`GHOSTS`, more than
+    sqrt(2) from the square, have bisectors that miss it; as the hull they
+    bound every cell and hold every image inserted.  An in-circle value
+    within ``INCIRCLE_RTOL`` of zero counts as Delaunay: either diagonal
+    gives circumcentres within rounding, which ``SNAP_TOL`` merges.
     """
-    n = len(points)
-    reach = 1.5 / np.sqrt(n)
-    while True:
-        mirrors = [points]
-        for d in (0, 1):
-            for side in (0.0, 1.0):
-                image = points[np.abs(points[:, d] - side) < reach].copy()
-                image[:, d] = 2.0 * side - image[:, d]
-                mirrors.append(image)
-        tri = Delaunay(np.vstack(mirrors))
-        if tri.convex_hull.min() >= n:
-            # flat entry k of the simplices is a corner of triangle k // 3
-            mine = np.flatnonzero(tri.simplices.ravel() < n)
-            owner = tri.simplices.ravel()[mine]
-            xy = _circumcentres(tri)[mine // 3]
-            if reach >= 1.0 or np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)):
-                break
-        elif reach >= 1.0:
-            raise MeshGenerationError(f"unbounded Voronoi cell for generator {tri.convex_hull.min()}")
-        reach *= 2.0
-    counts = np.bincount(owner, minlength=n)
-    if counts.min() < 3:
-        raise MeshGenerationError("Voronoi cell with fewer than 3 corners")
-    rel = xy - points[owner]
-    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return xy[order], offsets
+    return _LloydTriangulation(len(points)).cells(points)
 
 
 def _cells_to_mesh(xy, offsets):
@@ -457,7 +615,9 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
 
     Starts from seeded uniform random generators (or ``initial_points``) and
     applies ``lloyd_iters`` Lloyd iterations, moving each generator to the
-    centroid of its clipped cell.  Deterministic for a fixed seed.
+    centroid of its clipped cell.  The first step calls qhull; later steps
+    repair the last triangulation and call qhull again only when the repair
+    fails.  Deterministic for a fixed seed.
     """
     if n_cells < 2:
         raise ValueError("need at least two generators")
@@ -477,19 +637,19 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
         raise MeshGenerationError("duplicate generator seeds")
 
     movements = []
+    tri = _LloydTriangulation(n_cells)
     for it in range(lloyd_iters):
-        _, new_points = _centroids(*_voronoi_cells_unit_square(points))
+        _, new_points = _centroids(*tri.cells(points))
         movements.append(float(np.max(np.linalg.norm(new_points - points, axis=1))))
         points = new_points
     if movements:
         log.info(
-            "lloyd relaxation: %d iterations, final max generator movement %.3e",
-            len(movements),
-            movements[-1],
+            "lloyd relaxation: %d iterations, final max generator movement %.3e, %d qhull calls, %d flips",
+            len(movements), movements[-1], sum(tri.qhull_calls), sum(tri.flips),
         )
 
     mesh = _cells_to_mesh(*_voronoi_cells_unit_square(points))
-    mesh.lloyd_movement = movements
+    mesh.lloyd_movement, mesh.delaunay_calls, mesh.lloyd_flips = movements, tri.qhull_calls, tri.flips
     validate_tiling(mesh, 1.0)
     return mesh
 

@@ -181,12 +181,20 @@ class TestRunStudy:
             report_path = write_outputs(run_study(cfg), str(tmp_path / name))[1]
             entries[name] = json.loads(open(report_path).read())["meshes"]
         for entry, n in zip(entries["cvt"], (8, 16)):
-            moves = mesh.generate_cvt(n, seed=5, lloyd_iters=20).lloyd_movement
+            m = mesh.generate_cvt(n, seed=5, lloyd_iters=20)
             assert entry["lloyd_steps"] == 20
-            assert entry["lloyd_final_movement"] == moves[-1] > 0.0
-        assert (entries["cvt0"][0]["lloyd_steps"], entries["cvt0"][0]["lloyd_final_movement"]) == (0, None)
+            assert entry["lloyd_final_movement"] == m.lloyd_movement[-1] > 0.0
+            # the first step calls qhull; the per-step counts add up
+            assert len(m.delaunay_calls) == len(m.lloyd_flips) == 20 and m.delaunay_calls[0] >= 1
+            assert entry["delaunay_calls"] == sum(m.delaunay_calls) >= 1
+            assert entry["lloyd_flips"] == sum(m.lloyd_flips)
+        cvt0 = entries["cvt0"][0]
+        assert (cvt0["lloyd_steps"], cvt0["lloyd_final_movement"], cvt0["delaunay_calls"], cvt0["lloyd_flips"]) == (
+            0, None, 0, 0,
+        )
         for entry in entries["uniform"] + entries["files"]:
             assert entry["lloyd_steps"] is None and entry["lloyd_final_movement"] is None
+            assert entry["delaunay_calls"] is None and entry["lloyd_flips"] is None
 
     def test_final_discretization_reproduces_last_row(self):
         out = run_study(tiny_config(eps=[1e-1, 1e-4]))

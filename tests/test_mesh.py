@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
@@ -273,7 +273,8 @@ class TestLloydStep:
 
     def test_clustered_generators_widen_the_reach(self, monkeypatch):
         # no generator of [0.4, 0.6]^2 lies within 1.5/sqrt(64) of a side, so
-        # the first diagram has unbounded cells and the reach must double
+        # the first diagram has cells reaching past the square (up to the
+        # ghost points) and the reach must double
         sizes = []
         real_delaunay = mesh.Delaunay
 
@@ -284,7 +285,7 @@ class TestLloydStep:
         monkeypatch.setattr(mesh, "Delaunay", counting_delaunay)
         points = random_generators(5, 64, clustered=True)
         xy, offsets = mesh._voronoi_cells_unit_square(points)
-        assert len(sizes) > 1 and sizes[0] == 64
+        assert len(sizes) > 1 and sizes[0] == 64 + len(mesh.GHOSTS)
         area, _ = mesh._centroids(xy, offsets)
         assert area.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -318,6 +319,60 @@ class TestLloydStep:
         assert m.n_vertices == 6
         assert np.array_equal(m.vertices, xy[[0, 1, 2, 3, 5, 6]])
         assert [list(c) for c in m.cells] == [[0, 1, 2, 3], [1, 4, 5, 2]]
+
+
+def assert_same_corner_sets(got, want, tol):
+    """Two CSR pairs of cells equal as sets of corners, cell by cell, within ``tol``."""
+    (gxy, goff), (wxy, woff) = got, want
+    assert len(goff) == len(woff)
+    for i in range(len(goff) - 1):
+        dist = np.linalg.norm(gxy[goff[i] : goff[i + 1], None] - wxy[None, woff[i] : woff[i + 1]], axis=2)
+        assert dist.min(axis=1).max() < tol
+        assert dist.min(axis=0).max() < tol
+
+
+class TestRepairedLloydStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(16, 64),
+        jitter=st.floats(1e-7, 1e-3),
+        crossers=st.integers(1, 4),
+    )
+    def test_repaired_cells_equal_rebuilt_cells(self, seed, n, jitter, crossers):
+        # twenty Lloyd steps settle a small CVT and its triangulation
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0.05, 0.95, size=(n, 2))
+        tri = mesh._LloydTriangulation(n)
+        for _ in range(20):
+            _, points = mesh._centroids(*tri.cells(points))
+        # jitter every generator, then widen the reach just past the
+        # nearest unmirrored generators so that they cross it and the
+        # repair inserts their mirror images
+        points = points + jitter * rng.standard_normal(points.shape) / np.sqrt(n)
+        dist = np.abs(points[:, [0, 0, 1, 1]] - [0.0, 1.0, 0.0, 1.0])[~tri.mirrored]
+        assume(dist.size >= crossers)
+        tri.reach = np.sort(dist)[crossers - 1] * (1.0 + 1e-9)
+        tri.budget = 10**6
+        n_points = len(tri.src)
+        repaired = tri.cells(points)
+        assert tri.qhull_calls[-1] == 0 and len(tri.src) >= n_points + crossers
+        assert_same_corner_sets(repaired, mesh._voronoi_cells_unit_square(points), 1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 7, 21])
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_generate_cvt_matches_plain_qhull_steps(self, seed, n):
+        # generate_cvt draws its generators from the same seeded stream
+        points = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n, 2))
+        for _ in range(100):
+            _, points = mesh._centroids(*mesh._voronoi_cells_unit_square(points))
+        want = mesh._cells_to_mesh(*mesh._voronoi_cells_unit_square(points))
+        got = generate_cvt(n, seed=seed, lloyd_iters=100)
+        assert sum(got.delaunay_calls) < 100 and sum(got.lloyd_flips) > 0
+        assert len(got.cells) == len(want.cells)
+        assert all(np.array_equal(a, b) for a, b in zip(got.cells, want.cells))
+        assert np.array_equal(got.edges, want.edges)
+        assert np.abs(got.vertices - want.vertices).max() <= 1e-10
 
 
 def per_cell_build_mesh(vertices, cells, fix_orientation=False):
