@@ -10,10 +10,13 @@ pivots, and the qhull calls and edge flips of the Lloyd steps
 (``delaunay_calls``, ``lloyd_flips``), each null where the timed package
 does not report it.  Then the same
 discretization solves once at each eps of the robustness sweep, 1 down to
-1e-10, as a study does; ``sweep`` holds each solve's seconds, refinement
-steps, ``factor_eps`` (the eps whose matrix was factored, null where the
-timed package does not report it) and ``error`` (the message of a
-``SolveError``, else null).  Only the public API is used, so
+1e-10, as a study does; ``sweep`` holds, at each eps, the seconds of the
+boundary-reduced system (``reduce_s``), of its solve (``solve_s``) and of
+the solution's error evaluation (``error_s``, null after a failed solve),
+the refinement steps, ``factor_eps`` (the eps whose matrix was factored,
+null where the timed package does not report it) and ``error`` (the
+message of a ``SolveError``, else null); ``sweep_solve_s`` and
+``sweep_error_s`` sum them over the sweep.  Only the public API is used, so
 the same file runs against another checkout of the package:
 
     python3 scripts/bench.py --label cvt --sizes 32,128,512,2048
@@ -64,14 +67,24 @@ def bench_size(n_cells):
     sweep = []
     for eps in SWEEP:
         t0 = time.perf_counter()
+        reduced = disc.reduced(eps)
+        t1 = time.perf_counter()
         try:
-            diagnostics, error = disc.solve(eps).diagnostics, None
+            solution, error = system.solve(reduced, held=disc.factor), None
         except system.SolveError as exc:
-            diagnostics, error = {}, str(exc)
+            solution, error = None, str(exc)
+        t2 = time.perf_counter()
+        error_s = None
+        if solution is not None:
+            disc.error(solution)
+            error_s = time.perf_counter() - t2
+        diagnostics = {} if solution is None else solution.diagnostics
         sweep.append(
             {
                 "eps": eps,
-                "solve_s": time.perf_counter() - t0,
+                "reduce_s": t1 - t0,
+                "solve_s": t2 - t1,
+                "error_s": error_s,
                 "refine_steps": diagnostics.get("refine_steps"),
                 "factor_eps": diagnostics.get("factor_eps"),
                 "error": error,
@@ -93,6 +106,7 @@ def bench_size(n_cells):
         "lloyd_flips": _total(getattr(m, "lloyd_flips", None)),
         "sweep": sweep,
         "sweep_solve_s": sum(r["solve_s"] for r in sweep),
+        "sweep_error_s": sum(r["error_s"] or 0.0 for r in sweep),
     }
 
 
@@ -138,7 +152,7 @@ def main(argv=None):
         stages = " ".join(f"{k} {v:.3f}s" for k, v in run["seconds"].items())
         print(
             f"cvt-{n}: n_free {run['n_free']}, {run['solve_method']}, {stages}, "
-            f"sweep solves {run['sweep_solve_s']:.3f}s",
+            f"sweep solves {run['sweep_solve_s']:.3f}s, sweep errors {run['sweep_error_s']:.3f}s",
             flush=True,
         )
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -32,6 +33,18 @@ class ConfigError(ValueError):
     """Invalid study configuration."""
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check):
+    return isinstance(value, (list, tuple)) and all(check(v) for v in value)
+
+
 @dataclass
 class StudyConfig:
     example: int = 1
@@ -46,6 +59,18 @@ class StudyConfig:
     error_norm: str = "interp-energy"   # or "projection"
 
     def validate(self):
+        for name, check, kind in (
+            ("eps", _is_real, "numbers"),
+            ("sizes", _is_int, "integers"),
+            ("mesh_files", lambda v: isinstance(v, str), "strings"),
+        ):
+            value = getattr(self, name)
+            if not _is_list_of(value, check):
+                raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
+        if not _is_real(self.penalty_a):
+            raise ConfigError(f"penalty constant must be a number, got {self.penalty_a!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not self.eps:
             raise ConfigError("eps list must not be empty")
         for e in self.eps:
@@ -69,7 +94,7 @@ class StudyConfig:
             raise ConfigError(f"unknown error norm {self.error_norm!r}")
         for name in ("example", "seed", "lloyd_iters"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.example not in verify.EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}")
@@ -111,8 +136,9 @@ class Discretization:
 
     The operator is eps^2 * parts.hess + parts.grad and the load vector
     eps^2 * rhs4 + rhs2; ``free_parts`` holds both parts restricted to the
-    free DoFs, so every eps costs one sparse sum, one solve and one error
-    evaluation.  ``seconds`` holds the wall time of each set-up stage.
+    free DoFs on one shared pattern, so every eps costs one axpy on that
+    pattern's data, one solve and one error evaluation over (cells, 3)
+    arrays.  ``seconds`` holds the wall time of each set-up stage.
     ``factor`` holds the LU factor of the last solve that factored, which
     a solve at an eps no larger refines from (see :func:`system.solve`).
     """
@@ -234,15 +260,20 @@ def run_study(config, progress=None):
         for i, eps in enumerate(config.eps, 1):
             t0 = time.perf_counter()
             try:
-                solution = disc.solve(eps)
+                reduced = disc.reduced(eps)
+                t1 = time.perf_counter()
+                solution = system.solve(reduced, held=disc.factor)
                 if i == len(config.eps):
                     # no later solve on this mesh: free the factor before the error evaluation
                     disc.factor.release()
+                t2 = time.perf_counter()
                 rec = disc.error(solution, config.error_norm)
+                t3 = time.perf_counter()
             except Exception as exc:  # noqa: BLE001
                 failures.append({"mesh": label, "eps": eps, "error": repr(exc)})
                 log.error("run failed for %s, eps=%g: %r", label, eps, exc)
                 continue
+            rec.seconds = {"reduce": t1 - t0, "solve": t2 - t1, "error": t3 - t2}
             wall_ms = (time.perf_counter() - t0) * 1e3
             records[eps].append(rec)
             series = records[eps]
@@ -320,6 +351,7 @@ def write_outputs(output, out_dir=None):
                     "offdiag_pivots": r.solve.get("offdiag_pivots"),
                     "n_free": r.solve.get("n_free"),
                     "nnz": r.solve.get("nnz"),
+                    "seconds": r.seconds,
                 }
                 for r in recs
             ]
@@ -388,6 +420,8 @@ def load_config(path=None, overrides=None):
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(data).__name__}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in StudyConfig.__dataclass_fields__.values()}
@@ -395,6 +429,14 @@ def load_config(path=None, overrides=None):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return StudyConfig(**data).validate()
+
+
+def _parse_sizes(text):
+    """The mesh sizes of ``--sizes``, comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"sizes must be comma-separated integers, got {text!r}") from None
 
 
 def _build_parser():
@@ -445,7 +487,6 @@ def main(argv=None):
         "example": args.example,
         "eps": args.eps,
         "mesh_kind": args.mesh_kind,
-        "sizes": [int(s) for s in args.sizes.split(",")] if args.sizes else None,
         "mesh_files": args.mesh_files,
         "seed": args.seed,
         "lloyd_iters": args.lloyd_iters,
@@ -454,6 +495,7 @@ def main(argv=None):
         "error_norm": args.error_norm,
     }
     try:
+        overrides["sizes"] = _parse_sizes(args.sizes) if args.sizes else None
         config = load_config(args.config, overrides)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

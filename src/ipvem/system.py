@@ -127,8 +127,9 @@ def load_vector(elements, f):
 @dataclass(eq=False)
 class FreeParts:
     """The operator parts restricted to the free DoFs and symmetrized, stored
-    as CSC so that their sum at each eps is already in the layout SuperLU
-    factors."""
+    as CSC matrices that share one pattern: ``hess`` and ``grad`` hold the
+    same ``indptr`` and ``indices`` arrays, so their sum at each eps is one
+    axpy on the data, already in the layout SuperLU factors."""
 
     hess: sp.csc_matrix
     grad: sp.csc_matrix
@@ -136,25 +137,56 @@ class FreeParts:
     dof_map: GlobalDofMap
 
 
+def _with_data(mat, data):
+    """The CSC matrix of ``mat``'s pattern holding ``data``, sharing the
+    index arrays instead of copying them."""
+    return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def restrict(hess_part, grad_part, dof_map):
     """Eliminate the boundary rows and columns of both parts and symmetrize
-    them, removing accumulation-order roundoff; done once per mesh."""
+    them, removing accumulation-order roundoff, then lay both on one
+    pattern: ``hess``'s, which holds ``grad``'s on the meshes measured, or
+    else the union of the two.  Done once per mesh."""
     free = np.flatnonzero(dof_map.free)
 
     def symmetric_free(part):
         reduced = part[free][:, free]
         # exactly symmetric, so the transpose (a CSC view of the same arrays)
         # is the same matrix, stored as CSC without a copy
-        return ((reduced + reduced.T) * 0.5).T
+        free_part = ((reduced + reduced.T) * 0.5).T
+        free_part.sort_indices()
+        return free_part
 
-    return FreeParts(symmetric_free(hess_part), symmetric_free(grad_part), free, dof_map)
+    def positions(pattern, part):
+        """The index into ``pattern.data`` of each stored entry of ``part``,
+        None unless ``pattern`` holds every one: the elementwise product of
+        the entries' 1-based ranks in ``pattern`` with ones on ``part``'s
+        pattern keeps exactly the shared entries, in ``part``'s order."""
+        ranks = _with_data(pattern, np.arange(1.0, pattern.nnz + 1)).multiply(_with_data(part, np.ones(part.nnz)))
+        return ranks.data.astype(np.intp) - 1 if ranks.nnz == part.nnz else None
+
+    def on_pattern(pattern, part, at):
+        data = np.zeros(pattern.nnz)
+        data[at] = part.data
+        return _with_data(pattern, data)
+
+    hess, grad = symmetric_free(hess_part), symmetric_free(grad_part)
+    at = positions(hess, grad)
+    if at is None:
+        # grad has an entry that hess lacks: both go on the union pattern
+        union = abs(hess) + abs(grad)
+        hess, at = on_pattern(union, hess, positions(union, hess)), positions(union, grad)
+    return FreeParts(hess, on_pattern(hess, grad, at), free, dof_map)
 
 
 def combine(parts, rhs, eps):
-    """The reduced system eps^2 * hess + grad at one eps: one sparse sum,
-    exactly symmetric because both terms are."""
+    """The reduced system eps^2 * hess + grad at one eps: one axpy on the
+    parts' shared pattern, exactly symmetric because both terms are and
+    equal, entry for entry, to their sparse sum (which stores the same
+    pattern wherever no sum cancels to zero)."""
     return SparseSystem(
-        matrix=(eps**2) * parts.hess + parts.grad,
+        matrix=_with_data(parts.hess, (eps**2) * parts.hess.data + parts.grad.data),
         rhs=rhs[parts.free],
         eps=eps,
         dof_map=parts.dof_map,
@@ -267,7 +299,8 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_ab
     above ``residual_target / 10``, and at the end if it is above
     ``residual_target``.
     """
-    mat_ld = mat.astype(np.longdouble)
+    mat = mat.tocsc()
+    mat_ld = _with_data(mat, mat.data.astype(np.longdouble))
     rhs_ld = rhs.astype(np.longdouble)
     rhs_norm = float(np.linalg.norm(rhs))
     steps = 0
@@ -286,7 +319,7 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_ab
     if may_abort and not residual <= residual_target:
         return None
     if accuracy is not None:
-        scale = abs(mat) @ np.abs(x)
+        scale = _with_data(mat, np.abs(mat.data)) @ np.abs(x)
         bound = scale + np.abs(rhs)
         ratio = np.divide(np.abs(r), bound, out=np.zeros_like(r), where=bound > 0.0)
         accuracy["backward_error"] = float(ratio.max())

@@ -8,8 +8,9 @@ gradient-form energy; that is the norm the penalty parameter controls and it
 matches the reference convergence figures.  Broken seminorm errors of the
 element solution polynomials are computed alongside so both readings of the
 error are always reported.  Everything that does not depend on eps (the
-quadrature points, the exact solution there and its DoFs) is gathered once
-per mesh in an :class:`ErrorData`.
+exact solution's DoFs, and fits of its partials with the residual
+integrals of those fits) is gathered once per mesh in an
+:class:`ErrorData`, so the error at each eps touches only per-cell arrays.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ class ErrorRecord:
     comparison: ``proj_h2`` measures |u - p2|_{2,h} with p2 the h2-projected
     solution polynomial, ``proj_h1`` measures |u - p1|_{1,h} with the
     h1-projected one, and ``proj_h1_via_h2`` the gradient error of p2.
-    ``solve`` holds the diagnostics of the solve that produced the record.
+    ``solve`` holds the diagnostics of the solve that produced the record
+    and ``seconds``, where a study fills it in, the wall seconds of its
+    ``reduce``, ``solve`` and ``error`` stages.
     """
 
     eps: float
@@ -162,6 +165,7 @@ class ErrorRecord:
     proj_h1: float = float("nan")
     proj_h1_via_h2: float = float("nan")
     solve: dict = field(default_factory=dict)
+    seconds: dict = field(default_factory=dict)
 
     @property
     def decomposition_residual(self):
@@ -181,19 +185,26 @@ def interpolation_dofs(mesh, elements, msol, exact=None):
 
 @dataclass(eq=False)
 class ErrorData:
-    """The eps-independent part of the error evaluation on one mesh: the
-    elements' fan rule with the exact partials at its points, and the
-    padded global DoF indices with the stacked h2 and h1 projector
-    coefficients (rows 0-5 and 6-11)."""
+    """The eps-independent part of the error evaluation on one mesh.
+
+    The exact gradient is fitted on each cell over 1, xi, eta and the exact
+    Hessian by its cell mean, both in the fan-rule inner product.  The fit
+    residual is orthogonal to the fit space, so for any p in that space
+    int (u - p)^2 = int (u - fit)^2 + (fit - p)^T M (fit - p) with M the
+    cell's Gram matrix: the first terms, summed over the mesh, are the two
+    residual integrals kept here, and each eps adds only the second, from
+    (C, 3) arrays.  Also kept: the exact-solution DoFs and the padded
+    global DoF indices with the stacked h2 and h1 projector coefficients
+    (rows 0-5 and 6-11)."""
 
     n_cells: int
     h_max: float
-    rule: object                # basis.FanRule
-    ux: np.ndarray              # (Q,) exact partials
-    uy: np.ndarray
-    uxx: np.ndarray
-    uxy: np.ndarray
-    uyy: np.ndarray
+    grad_fit: np.ndarray        # (n_cells, 2, 3) ux and uy over 1, xi, eta
+    hess_mean: np.ndarray       # (n_cells, 3) cell means of uxx, uxy, uyy
+    gram: np.ndarray            # (n_cells, 3, 3) Gram matrices of 1, xi, eta
+    area: np.ndarray            # (n_cells,)
+    grad_residual: float        # int |grad u - fit|^2 over the mesh
+    hess_residual: float        # int |D^2 u - mean|^2 (Frobenius) over the mesh
     inv_h: np.ndarray           # (n_cells,) reciprocal cell diameters
     exact_dofs: np.ndarray      # (n_dofs,) DoFs of the exact solution
     dofs: np.ndarray            # (n_cells, N)
@@ -203,17 +214,36 @@ class ErrorData:
 def build_error_data(mesh, elements, msol, exact=None):
     """Error data of one mesh, built once and shared by every eps.
     ``exact``, if given, is ``msol.at`` of the fan-rule points."""
-    g = elements.geometry
-    exact = exact or msol.at(*elements.fan_rule.points.T)
+    g, rule = elements.geometry, elements.fan_rule
+    exact = exact or msol.at(*rule.points.T)
+    n, w, xi, eta = mesh.n_cells, rule.weights, rule.xi, rule.eta
+    # the points run cell by cell, so each cell's sum is one reduceat segment;
+    # one component at a time, so no (Q, k) temporary is made
+    counts = np.bincount(rule.cell, minlength=n)
+    starts = np.cumsum(counts) - counts
+    # the rule is exact at degree 2: the Gram matrices of 1, xi, eta are the
+    # leading block of the elements' mass matrices
+    gram = elements.mass[:, :3, :3]
+    grad_fit, grad_residual = np.empty((n, 2, 3)), 0.0
+    for k, u in enumerate((exact(1, 0), exact(0, 1))):
+        wu = w * u
+        moments = np.stack([np.add.reduceat(v, starts) for v in (wu, wu * xi, wu * eta)], axis=1)
+        fit = grad_fit[:, k] = np.linalg.solve(gram, moments[:, :, None])[:, :, 0]
+        r = u - np.repeat(fit[:, 0], counts) - np.repeat(fit[:, 1], counts) * xi - np.repeat(fit[:, 2], counts) * eta
+        grad_residual += float(w @ r**2)
+    hess_mean, hess_residual = np.empty((n, 3)), 0.0
+    for k, (u, weight) in enumerate(((exact(2, 0), 1.0), (exact(1, 1), 2.0), (exact(0, 2), 1.0))):
+        mean = hess_mean[:, k] = np.add.reduceat(w * u, starts) / g.area
+        hess_residual += weight * float(w @ (u - np.repeat(mean, counts)) ** 2)
     return ErrorData(
         n_cells=mesh.n_cells,
         h_max=float(g.diameter.max()),
-        rule=elements.fan_rule,
-        ux=exact(1, 0),
-        uy=exact(0, 1),
-        uxx=exact(2, 0),
-        uxy=exact(1, 1),
-        uyy=exact(0, 2),
+        grad_fit=grad_fit,
+        hess_mean=hess_mean,
+        gram=gram,
+        area=g.area,
+        grad_residual=grad_residual,
+        hess_residual=hess_residual,
         inv_h=1.0 / g.diameter,
         exact_dofs=interpolation_dofs(mesh, elements, msol, exact),
         dofs=elements.dofs,
@@ -221,37 +251,36 @@ def build_error_data(mesh, elements, msol, exact=None):
     )
 
 
+#: columns of (c1, c2, 2 c3, c4, 2 c5) / h holding the x and y partials'
+#: coefficients over 1, xi, eta
+_GRADIENT_COLUMNS = np.array([[0, 2, 3], [1, 3, 4]])
+
+
 def _projection_errors(data, values):
     """Broken seminorm errors of the element solution polynomials.
 
     Returns (|u - p2|_{2,h}, |u - p1|_{1,h}, |u - p2|_{1,h}) with p2 and p1
-    the h2- and h1-projected polynomials of the DoF vector ``values``.  On
-    the k = 2 basis 1, xi, eta, xi^2, xi eta, eta^2 the polynomial c has the
-    gradient (c1 + 2 c3 xi + c4 eta, c2 + c4 xi + 2 c5 eta) / h and the
-    constant Hessian (2 c3, c4, 2 c5) / h^2.
+    the h2- and h1-projected polynomials of the DoF vector ``values``
+    (double or ``np.longdouble``).  On the k = 2 basis 1, xi, eta, xi^2,
+    xi eta, eta^2 the polynomial c has the gradient
+    (c1 + 2 c3 xi + c4 eta, c2 + c4 xi + 2 c5 eta) / h and the constant
+    Hessian (2 c3, c4, 2 c5) / h^2.  Both lie in the spaces of the
+    :class:`ErrorData` fits, so each squared error is the mesh's residual
+    integral plus a Gram-weighted sum of squares over the cells: no
+    quadrature point is visited.
     """
     coeffs = np.einsum("ckn,cn->ck", data.projectors, values[data.dofs])
     # columns 1-5 of each half become (c1, c2, 2 c3, c4, 2 c5) / h
     coeffs *= np.tile([1.0, 1.0, 1.0, 2.0, 1.0, 2.0], 2) * data.inv_h[:, None]
-    rule = data.rule
-    w, cell, xi, eta = rule.weights, rule.cell, rule.xi, rule.eta
 
     def gradient_error_sq(c):
-        gx = c[:, 0] + c[:, 2] * xi + c[:, 3] * eta
-        gy = c[:, 1] + c[:, 3] * xi + c[:, 4] * eta
-        return float(w @ ((data.ux - gx) ** 2 + (data.uy - gy) ** 2))
+        d = data.grad_fit - c[:, _GRADIENT_COLUMNS]
+        return data.grad_residual + float(np.einsum("cki,cij,ckj->", d, data.gram, d))
 
-    hess = coeffs[:, 3:6] * data.inv_h[:, None]
-    h2_sq = float(
-        w
-        @ (
-            (data.uxx - hess[cell, 0]) ** 2
-            + 2.0 * (data.uxy - hess[cell, 1]) ** 2
-            + (data.uyy - hess[cell, 2]) ** 2
-        )
-    )
-    h1_h2_sq = gradient_error_sq(coeffs[cell, 1:6])
-    h1_h1_sq = gradient_error_sq(coeffs[cell, 7:12])
+    d = data.hess_mean - coeffs[:, 3:6] * data.inv_h[:, None]
+    h2_sq = data.hess_residual + float(data.area @ (d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2))
+    h1_h2_sq = gradient_error_sq(coeffs[:, 1:6])
+    h1_h1_sq = gradient_error_sq(coeffs[:, 7:12])
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 

@@ -90,6 +90,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "JSON object"),
+            ({"eps": "abc"}, "eps must be a list of numbers"),
+            ({"eps": 0.5}, "eps must be a list of numbers"),
+            ({"sizes": [32, "x"]}, "sizes must be a list of integers"),
+            ({"mesh_kind": "files", "mesh_files": ["a.txt", 3]}, "mesh_files must be a list of strings"),
+            ({"penalty_a": "3"}, "penalty constant must be a number"),
+        ],
+        ids=["top-level-list", "eps-string", "eps-scalar", "sizes-string-entry", "mesh-files-number", "penalty-string"],
+    )
+    def test_malformed_config_file_exits_bad_config(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert main(["study", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    def test_malformed_sizes_flag_exits_bad_config(self, tmp_path, capsys):
+        assert main(["study", "--sizes", "32,abc", "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "32,abc" in err
+
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"example": 2, "eps": [0.5], "mesh_kind": "uniform", "sizes": [2, 4]}))
@@ -143,6 +169,17 @@ class TestRunStudy:
             assert all(f" {stage} " in line for stage in stages)
         # the CSV keeps its columns
         assert open(csv_path).readline().strip() == cli.CSV_HEADER
+
+    def test_record_seconds_split_wall_ms(self, tmp_path):
+        out = run_study(tiny_config(eps=[1e-2, 1e-6]))
+        report = json.loads(open(write_outputs(out, str(tmp_path))[1]).read())
+        wall_ms = {(row["eps"], row["n_cells"]): row["wall_ms"] for row in out.rows}
+        for eps, recs in report["records"].items():
+            for rec in recs:
+                seconds = rec["seconds"]
+                assert list(seconds) == ["reduce", "solve", "error"]
+                assert all(t >= 0.0 for t in seconds.values())
+                assert sum(seconds.values()) * 1e3 <= wall_ms[(float(eps), rec["n_cells"])]
 
     def test_report_meshes_have_min_edge_length(self, tmp_path):
         report_path = write_outputs(run_study(tiny_config()), str(tmp_path))[1]

@@ -394,3 +394,40 @@ class TestReduceOncePerMesh:
         for part, restricted in ((d.parts.hess, d.free_parts.hess), (d.parts.grad, d.free_parts.grad)):
             full = part.toarray()[np.ix_(free, free)]
             assert np.max(np.abs(restricted.toarray() - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-10])
+    def test_reduced_matrix_is_the_sparse_sum_of_todays_parts(self, cvt64, eps):
+        # the axpy on the shared pattern against scipy's sum of the parts
+        # restricted and symmetrized one at a time
+        d = cli.discretize(cvt64, verify.example_solution(1))
+        free = np.flatnonzero(d.dof_map.free)
+
+        def symmetric_free(part):
+            reduced = part[free][:, free]
+            return ((reduced + reduced.T) * 0.5).T
+
+        a = d.reduced(eps).matrix
+        for hess, grad in ((d.free_parts.hess, d.free_parts.grad), (symmetric_free(d.parts.hess), symmetric_free(d.parts.grad))):
+            b = ((eps**2) * hess + grad).tocsc()
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+
+    def test_free_parts_share_their_index_arrays(self, cvt32):
+        parts = cli.discretize(cvt32, verify.example_solution(1)).free_parts
+        assert parts.hess.format == parts.grad.format == "csc"
+        assert np.shares_memory(parts.hess.indices, parts.grad.indices)
+        assert np.shares_memory(parts.hess.indptr, parts.grad.indptr)
+
+    def test_grad_entry_outside_hess_pattern_takes_the_union(self):
+        # hess lacks the (0, 2) and (2, 0) entries that grad has
+        hess = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+        grad = sp.csr_matrix(np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 2.0]]))
+        dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
+        parts = system.restrict(hess, grad, dm)
+        assert np.shares_memory(parts.hess.indices, parts.grad.indices)
+        assert parts.hess.nnz == parts.grad.nnz == 9
+        assert np.array_equal(parts.hess.toarray(), hess.toarray())
+        assert np.array_equal(parts.grad.toarray(), grad.toarray())
+        eps = 0.5
+        assert np.array_equal(system.combine(parts, np.ones(3), eps).matrix.toarray(), (eps**2 * hess + grad).toarray())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipvem import cli, forms, mesh, system, verify
 from ipvem.basis import QUAD_ORDER, derivative_matrix
@@ -242,6 +244,68 @@ class TestBatchedErrorsMatchPerCellOracle:
             got = (rec.e_total, rec.h2_part, rec.h1_part, rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert rec.h_max == m.max_diameter()
+
+
+def pointwise_projection_errors(d, msol, values):
+    """The projection errors summed over every fan-rule point, the error
+    polynomials evaluated there against the exact partials."""
+    rule, elements = d.elements.fan_rule, d.elements
+    exact = msol.at(*rule.points.T)
+    w, cell, xi, eta = rule.weights, rule.cell, rule.xi, rule.eta
+    inv_h = 1.0 / elements.geometry.diameter
+    projectors = np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1)
+    coeffs = np.einsum("ckn,cn->ck", projectors, values[elements.dofs])
+    coeffs *= np.tile([1.0, 1.0, 1.0, 2.0, 1.0, 2.0], 2) * inv_h[:, None]
+
+    def gradient_error_sq(c):
+        gx = c[:, 0] + c[:, 2] * xi + c[:, 3] * eta
+        gy = c[:, 1] + c[:, 3] * xi + c[:, 4] * eta
+        return float(w @ ((exact(1, 0) - gx) ** 2 + (exact(0, 1) - gy) ** 2))
+
+    hess = coeffs[:, 3:6] * inv_h[:, None]
+    h2_sq = float(
+        w
+        @ (
+            (exact(2, 0) - hess[cell, 0]) ** 2
+            + 2.0 * (exact(1, 1) - hess[cell, 1]) ** 2
+            + (exact(0, 2) - hess[cell, 2]) ** 2
+        )
+    )
+    return math.sqrt(h2_sq), math.sqrt(gradient_error_sq(coeffs[cell, 7:12])), math.sqrt(
+        gradient_error_sq(coeffs[cell, 1:6])
+    )
+
+
+@pytest.fixture(scope="module")
+def split_cases(cvt32):
+    """(discretization, manufactured solution) of both examples on CVT-32
+    and uniform-4."""
+    return [
+        (cli.discretize(m, example_solution(which)), example_solution(which))
+        for m in (cvt32, mesh.generate_uniform_squares(4))
+        for which in (1, 2)
+    ]
+
+
+class TestSplitProjectionErrors:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        log_amplitude=st.floats(-8.0, 2.0),
+        extended=st.booleans(),
+    )
+    def test_matches_pointwise_kernel(self, split_cases, case, seed, log_amplitude, extended):
+        # random DoF vectors around the exact DoFs: small amplitudes leave
+        # errors near the projection error of the exact solution, where a
+        # split that cancelled would lose digits
+        d, msol = split_cases[case]
+        noise = np.random.default_rng(seed).standard_normal(d.dof_map.n_dofs)
+        values = d.error_data.exact_dofs + 10.0**log_amplitude * noise
+        if extended:
+            values = values.astype(np.longdouble)
+        got = verify._projection_errors(d.error_data, values)
+        assert got == pytest.approx(pointwise_projection_errors(d, msol, values), rel=1e-12, abs=0.0)
 
 
 class TestJ1Energy:
