@@ -5,15 +5,17 @@ For each mesh size: ``mesh.generate_cvt`` (seed 7, 100 Lloyd steps), the
 set-up stages of ``cli.discretize`` (its per-stage ``seconds``), then one
 solve and one error evaluation of example 1 at eps = 1e-3.  Each record
 holds the stage seconds, ``n_free``, ``nnz``, the solve method, its
-residual, refinement steps, factor fill (``lu_nnz``), off-diagonal
-pivots, and the qhull calls and edge flips of the Lloyd steps
+residual, refinement steps, the entries the factor stores (``factor_nnz``;
+a package that reports ``lu_nnz`` instead gives that), its half-bandwidth
+(``bandwidth``), and the qhull calls and edge flips of the Lloyd steps
 (``delaunay_calls``, ``lloyd_flips``), each null where the timed package
-does not report it.  Then the same
+does not report it, and the process's peak resident set so far
+(``peak_rss_mb``, from ``ru_maxrss``).  Then the same
 discretization solves once at each eps of the robustness sweep, 1 down to
 1e-10, as a study does; ``sweep`` holds, at each eps, the seconds of the
 boundary-reduced system (``reduce_s``), of its solve (``solve_s``) and of
 the solution's error evaluation (``error_s``, null after a failed solve),
-the refinement steps, ``factor_eps`` (the eps whose matrix was factored,
+the refinement steps, the relative residual, ``factor_eps`` (the eps whose matrix was factored,
 null where the timed package does not report it) and ``error`` (the
 message of a ``SolveError``, else null); ``sweep_solve_s`` and
 ``sweep_error_s`` sum them over the sweep.  Only the public API is used, so
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -86,6 +89,7 @@ def bench_size(n_cells):
                 "solve_s": t2 - t1,
                 "error_s": error_s,
                 "refine_steps": diagnostics.get("refine_steps"),
+                "residual": diagnostics.get("residual"),
                 "factor_eps": diagnostics.get("factor_eps"),
                 "error": error,
             }
@@ -99,14 +103,16 @@ def bench_size(n_cells):
         "solve_method": rec.solve.get("method"),
         "solve_residual": rec.solve.get("residual"),
         "refine_steps": rec.solve.get("refine_steps"),
-        "lu_nnz": rec.solve.get("lu_nnz"),
-        "offdiag_pivots": rec.solve.get("offdiag_pivots"),
+        "factor_nnz": rec.solve.get("factor_nnz", rec.solve.get("lu_nnz")),
+        "bandwidth": rec.solve.get("bandwidth"),
         "E_I": rec.e_total,
         "delaunay_calls": _total(getattr(m, "delaunay_calls", None)),
         "lloyd_flips": _total(getattr(m, "lloyd_flips", None)),
         "sweep": sweep,
         "sweep_solve_s": sum(r["solve_s"] for r in sweep),
         "sweep_error_s": sum(r["error_s"] or 0.0 for r in sweep),
+        # kilobytes on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
@@ -152,7 +158,8 @@ def main(argv=None):
         stages = " ".join(f"{k} {v:.3f}s" for k, v in run["seconds"].items())
         print(
             f"cvt-{n}: n_free {run['n_free']}, {run['solve_method']}, {stages}, "
-            f"sweep solves {run['sweep_solve_s']:.3f}s, sweep errors {run['sweep_error_s']:.3f}s",
+            f"sweep solves {run['sweep_solve_s']:.3f}s, sweep errors {run['sweep_error_s']:.3f}s, "
+            f"peak RSS {run['peak_rss_mb']:.0f} MB",
             flush=True,
         )
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -22,6 +22,16 @@ QUAD_ORDER = 8
 MAX_TRIANGLE_ORDER = 20
 
 
+def dot(a, b):
+    """sum(a * b) of two vectors, by numpy's own loop rather than BLAS: on
+    vectors longer than 10000 entries OpenBLAS runs ``ddot`` on its thread
+    pool, which is slower at these lengths and leaves the pool's worker
+    busy-waiting for about 0.1 s, during which the single-threaded work
+    that follows, such as a band factor, runs up to 2x slower on a 2-vCPU
+    host."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def monomial_exponents(degree):
     """Exponent pairs of the 2D monomial basis, graded by total degree.
 

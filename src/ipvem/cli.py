@@ -139,8 +139,9 @@ class Discretization:
     free DoFs on one shared pattern, so every eps costs one axpy on that
     pattern's data, one solve and one error evaluation over (cells, 3)
     arrays.  ``seconds`` holds the wall time of each set-up stage.
-    ``factor`` holds the LU factor of the last solve that factored, which
-    a solve at an eps no larger refines from (see :func:`system.solve`).
+    ``factor`` holds the Cholesky factor of the last solve that factored,
+    which a solve at an eps no larger refines from (see
+    :func:`system.solve`).
     """
 
     mesh: mesh.PolygonalMesh
@@ -216,7 +217,7 @@ def run_study(config, progress=None):
     Each mesh is discretized once and the discretization is reused across
     the eps values; its set-up stages are timed into ``StudyOutput.meshes``
     and the last mesh's discretization is kept as ``StudyOutput.final``.
-    The LU factor a mesh's solves share is released after its last solve.
+    The factor a mesh's solves share is released after its last solve.
     """
     config.validate()
     msol = verify.example_solution(config.example)
@@ -347,8 +348,8 @@ def write_outputs(output, out_dir=None):
                     "residual_floor": r.solve.get("residual_floor"),
                     "refine_steps": r.solve.get("refine_steps"),
                     "factor_eps": r.solve.get("factor_eps"),
-                    "lu_nnz": r.solve.get("lu_nnz"),
-                    "offdiag_pivots": r.solve.get("offdiag_pivots"),
+                    "factor_nnz": r.solve.get("factor_nnz"),
+                    "bandwidth": r.solve.get("bandwidth"),
                     "n_free": r.solve.get("n_free"),
                     "nnz": r.solve.get("nnz"),
                     "seconds": r.seconds,
@@ -373,7 +374,8 @@ def export_solution_fields(elements, solution, path, msol=None):
     representable; exact-solution samples ride along when ``msol`` is given.
     """
     g = elements.geometry
-    poly = np.einsum("ckn,cn->ck", elements.h1_coeff, solution.values[elements.dofs])
+    # the double rounding of the DoFs: tolist() of long doubles gives numpy reprs
+    poly = np.einsum("ckn,cn->ck", elements.h1_coeff, np.asarray(solution.values, dtype=float)[elements.dofs])
     # every row's corners with its centroid appended, padded corners dropped
     sample = np.concatenate([g.vertices, g.centroid[:, None]], axis=1)
     keep = np.concatenate([g.valid, np.ones((len(g.valence), 1), dtype=bool)], axis=1)

@@ -8,11 +8,16 @@ penalized so the conditioning survives small perturbation parameters.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .basis import dot
 
 
 class SolveError(RuntimeError):
@@ -54,6 +59,7 @@ class SparseSystem:
     eps: float
     dof_map: GlobalDofMap
     free_indices: np.ndarray
+    layout: BandLayout | None = None  # of ``matrix``'s CSC pattern; made at factor time if None
 
     @property
     def n_free(self):
@@ -62,7 +68,8 @@ class SparseSystem:
 
 @dataclass(eq=False)
 class DiscreteSolution:
-    """Full DoF vector with boundary entries pinned to zero."""
+    """Full DoF vector with boundary entries pinned to zero, in the extended
+    precision the refinement accumulates it in (see :func:`_refine`)."""
 
     values: np.ndarray
     eps: float
@@ -125,16 +132,54 @@ def load_vector(elements, f):
 
 
 @dataclass(eq=False)
+class BandLayout:
+    """Where a symmetric CSC pattern's entries go in LAPACK's lower band
+    storage after a reverse Cuthill-McKee reordering.
+
+    Row and column ``order[i]`` of the matrix are row and column i of the
+    permuted one, whose half-bandwidth is ``kd``.  ``entries`` indexes the
+    lower-triangle entries of the pattern's ``data`` (in the permuted
+    numbering) and ``slots`` gives each one's flat position in the
+    Fortran-order ``(kd + 1, n)`` band array, where A[i, j] sits in row
+    i - j of column j."""
+
+    order: np.ndarray
+    kd: int
+    entries: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.order)
+
+
+def band_layout(mat):
+    """The :class:`BandLayout` of the CSC matrix ``mat``'s pattern, which
+    must be structurally symmetric."""
+    n = mat.shape[0]
+    order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows, cols = rank[mat.indices], np.repeat(rank, np.diff(mat.indptr))
+    entries = np.flatnonzero(rows >= cols)
+    offsets = rows[entries] - cols[entries]
+    kd = int(offsets.max(initial=0))
+    return BandLayout(order=order, kd=kd, entries=entries, slots=offsets + cols[entries] * (kd + 1))
+
+
+@dataclass(eq=False)
 class FreeParts:
     """The operator parts restricted to the free DoFs and symmetrized, stored
     as CSC matrices that share one pattern: ``hess`` and ``grad`` hold the
     same ``indptr`` and ``indices`` arrays, so their sum at each eps is one
-    axpy on the data, already in the layout SuperLU factors."""
+    axpy on the data.  ``layout`` is that pattern's band layout, made once
+    per mesh and used by every factor of the mesh's systems."""
 
     hess: sp.csc_matrix
     grad: sp.csc_matrix
     free: np.ndarray
     dof_map: GlobalDofMap
+    layout: BandLayout
 
 
 def _with_data(mat, data):
@@ -147,7 +192,8 @@ def restrict(hess_part, grad_part, dof_map):
     """Eliminate the boundary rows and columns of both parts and symmetrize
     them, removing accumulation-order roundoff, then lay both on one
     pattern: ``hess``'s, which holds ``grad``'s on the meshes measured, or
-    else the union of the two.  Done once per mesh."""
+    else the union of the two; and lay that pattern out for the band
+    factor.  Done once per mesh."""
     free = np.flatnonzero(dof_map.free)
 
     def symmetric_free(part):
@@ -177,7 +223,7 @@ def restrict(hess_part, grad_part, dof_map):
         # grad has an entry that hess lacks: both go on the union pattern
         union = abs(hess) + abs(grad)
         hess, at = on_pattern(union, hess, positions(union, hess)), positions(union, grad)
-    return FreeParts(hess, on_pattern(hess, grad, at), free, dof_map)
+    return FreeParts(hess, on_pattern(hess, grad, at), free, dof_map, band_layout(hess))
 
 
 def combine(parts, rhs, eps):
@@ -191,42 +237,72 @@ def combine(parts, rhs, eps):
         eps=eps,
         dof_map=parts.dof_map,
         free_indices=parts.free,
+        layout=parts.layout,
     )
 
 
 RESIDUAL_TARGET = 1e-10
 #: unit roundoff of double precision
 UNIT_ROUNDOFF = 2.0**-53
+#: the type the refinement accumulates the solution in: long double where it
+#: is wider than double (80-bit on x86-64), else double
+SOLUTION_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 2.0**-60 else np.float64
 
 
-#: SuperLU keeps a diagonal pivot unless it is below this fraction of the
-#: largest entry of its column
-DIAG_PIVOT_THRESH = 0.01
+# glibc's malloc_trim, called with 0 before a band is allocated: glibc keeps
+# the set-up's freed temporaries resident, and the band, a fresh mapping,
+# cannot reuse them (at CVT-8192 this lowers the factor's peak RSS by about
+# 120 MB); None where the C library has no such function
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+class BandCholesky:
+    """The Cholesky factor L L^T of a symmetric positive definite matrix
+    permuted by ``layout.order``, in LAPACK's lower band storage."""
+
+    def __init__(self, band, layout):
+        self.band, self.layout = band, layout
+
+    @property
+    def nnz(self):
+        """The entries the band storage holds, (kd + 1) * n."""
+        return self.band.size
+
+    def solve(self, rhs):
+        order = self.layout.order
+        x, _ = lapack.dpbtrs(self.band, rhs[order], lower=1, overwrite_b=1)
+        out = np.empty_like(x)
+        out[order] = x
+        return out
 
 
 @dataclass(eq=False)
 class HeldFactor:
-    """A SuperLU factor kept between the solves on one mesh, and the eps
-    whose matrix it factors; empty until the first solve that factors."""
+    """A band Cholesky factor kept between the solves on one mesh, and the
+    eps whose matrix it factors; empty until the first solve that factors."""
 
-    lu: spla.SuperLU | None = None
+    cholesky: BandCholesky | None = None
     eps: float | None = None
 
     def release(self):
-        self.lu = self.eps = None
+        self.cholesky = self.eps = None
 
 
 def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     """Direct sparse solve with extended-precision refinement and a residual
-    check.  The matrix is symmetric, so SuperLU runs in symmetric mode: the
-    columns are ordered on the pattern of A + A^T and diagonal pivots are
-    preferred, with threshold pivoting keeping a matrix that is not positive
-    definite stable in the same call.  Besides the relative residual, the
-    diagnostics hold the componentwise backward error
-    max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the residual floor
-    u || |A||x| || / ||b||, the eps whose matrix was factored
-    (``factor_eps``), the fill of that factor (``lu_nnz``) and the number of
-    pivots it took off the diagonal (``offdiag_pivots``).
+    check.  The matrix is symmetric positive definite (the mesh-dependent
+    penalty makes the form coercive), so it is factored by a banded
+    Cholesky in reverse Cuthill-McKee order, laid out once per mesh
+    (``system.layout``, made here from the matrix's pattern if None); a
+    matrix that is not positive definite raises :class:`SolveError`.
+    Besides the relative residual, the diagnostics hold the componentwise
+    backward error max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the
+    residual floor u || |A||x| || / ||b||, the eps whose matrix was factored
+    (``factor_eps``), the entries the factor stores (``factor_nnz``) and its
+    half-bandwidth (``bandwidth``).
 
     ``held`` (a :class:`HeldFactor`) lets solves on one mesh share a factor.
     A factor held from an eps e0 >= eps is tried first: with A = G + eps^2 H
@@ -237,76 +313,89 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     remaining corrections, cannot reach a tenth of the target, and whenever
     it ends above the target; the held factor is then released before a
     fresh one is made and held, so one factor is alive at a time."""
-    mat, rhs = system.matrix, system.rhs
-    diagnostics = {"method": "splu", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
+    mat, rhs = system.matrix.tocsc(), system.rhs
+    diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
-        x = np.zeros_like(rhs)
+        x = np.zeros(len(rhs), dtype=SOLUTION_DTYPE)
         residual = 0.0
-        diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, lu_nnz=0, offdiag_pivots=0)
+        diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
         refined = None
-        if held is not None and held.lu is not None and held.eps >= system.eps:
+        if held is not None and held.cholesky is not None and held.eps >= system.eps:
             refined = _refine(
-                mat, rhs, held.lu.solve(rhs), held.lu, residual_target, accuracy=diagnostics, may_abort=True
+                mat, rhs, held.cholesky.solve(rhs), held.cholesky, residual_target, accuracy=diagnostics, may_abort=True
             )
         if refined is None:
             if held is not None:
                 held.release()
-            lu = _factor(mat)
-            refined = _refine(mat, rhs, lu.solve(rhs), lu, residual_target, accuracy=diagnostics)
+            factor = _factor(mat, system.layout)
+            refined = _refine(mat, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
             if held is not None:
-                held.lu, held.eps = lu, system.eps
+                held.cholesky, held.eps = factor, system.eps
         else:
-            lu = held.lu
+            factor = held.cholesky
         diagnostics["factor_eps"] = system.eps if held is None else held.eps
-        # entries SuperLU stores for L and U, read without copying the factors
-        diagnostics["lu_nnz"] = int(lu.nnz)
-        diagnostics["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != lu.perm_c))
+        diagnostics["factor_nnz"] = int(factor.nnz)
+        diagnostics["bandwidth"] = factor.layout.kd
         x, residual, diagnostics["refine_steps"] = refined
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
-    values = np.zeros(system.dof_map.n_dofs)
+    values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
     diagnostics["residual"] = residual
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 
 
-def _factor(mat):
-    """The symmetric-mode SuperLU factor of ``mat`` (no copy if it is CSC)."""
-    try:
-        return spla.splu(
-            mat.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=DIAG_PIVOT_THRESH,
-            options={"SymmetricMode": True},
+def _factor(mat, layout=None):
+    """The :class:`BandCholesky` factor of the symmetric CSC matrix ``mat``
+    in the order of ``layout`` (made from ``mat``'s pattern if None): the
+    lower-triangle entries are scattered into a zeroed band array, summing
+    duplicates, which LAPACK's ``dpbtrf`` then factors in place."""
+    if layout is None:
+        layout = band_layout(mat)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    shape = (layout.kd + 1, layout.n)
+    band = np.bincount(layout.slots, weights=mat.data[layout.entries], minlength=shape[0] * shape[1])
+    band, info = lapack.dpbtrf(band.reshape(shape, order="F"), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SolveError(
+            f"matrix is not positive definite: Cholesky pivot {info} of {layout.n} "
+            f"(row {layout.order[info - 1]}) is not positive"
         )
-    except RuntimeError as exc:
-        raise SolveError(f"sparse LU failed: {exc}") from exc
+    if info < 0:
+        raise SolveError(f"dpbtrf rejected argument {-info}")
+    return BandCholesky(band, layout)
 
 
-def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_abort=False):
+def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, may_abort=False):
     """Mixed-precision iterative refinement.
 
     Residuals are evaluated in extended precision; plain double evaluation
     bottoms out near u * ||M|| * ||x|| / ||b||, which for the stiff
-    small-mesh-size systems sits right at the residual target.  Returns the
-    refined solution, its relative residual and the number of corrections
-    applied; the residual is always that of the returned solution, and the
-    backward error and residual floor written into ``accuracy`` are its too.
-    With ``may_abort``, returns None instead when the refinement will not or
-    did not meet the target: after the first correction if the residual,
-    shrinking by that correction's ratio for the remaining steps, would stay
-    above ``residual_target / 10``, and at the end if it is above
-    ``residual_target``.
+    small-mesh-size systems sits right at the residual target.  The
+    solution is accumulated in :data:`SOLUTION_DTYPE`: from about 1000
+    cells on, even the double vector nearest the exact solution has a
+    residual above the target, while the long double one meets it after a
+    correction or two.  ``factor.solve`` computes each correction in double.
+    Returns the refined solution, its relative residual and the number of
+    corrections applied; the residual is always that of the returned
+    solution, and the backward error and residual floor written into
+    ``accuracy`` are its too.  With ``may_abort``, returns None instead when
+    the refinement will not or did not meet the target: after the first
+    correction if the residual, shrinking by that correction's ratio for
+    the remaining steps, would stay above ``residual_target / 10``, and at
+    the end if it is above ``residual_target``.
     """
     mat = mat.tocsc()
     mat_ld = _with_data(mat, mat.data.astype(np.longdouble))
     rhs_ld = rhs.astype(np.longdouble)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(dot(rhs, rhs))
+    x = x.astype(SOLUTION_DTYPE)
     steps = 0
     while True:
-        r = (rhs_ld - mat_ld @ x.astype(np.longdouble)).astype(float)
-        residual = float(np.linalg.norm(r)) / rhs_norm
+        r = (rhs_ld - mat_ld @ x.astype(np.longdouble, copy=False)).astype(float)
+        residual = math.sqrt(dot(r, r)) / rhs_norm
         if residual <= residual_target / 10.0 or steps == max_steps:
             break
         if may_abort and steps == 1:
@@ -314,15 +403,14 @@ def _refine(mat, rhs, x, lu, residual_target, max_steps=4, accuracy=None, may_ab
             if not projected <= residual_target / 10.0:
                 return None
         previous = residual
-        x = x + lu.solve(r)
+        x = x + factor.solve(r)
         steps += 1
     if may_abort and not residual <= residual_target:
         return None
     if accuracy is not None:
-        scale = _with_data(mat, np.abs(mat.data)) @ np.abs(x)
+        scale = _with_data(mat, np.abs(mat.data)) @ np.abs(x.astype(float))
         bound = scale + np.abs(rhs)
         ratio = np.divide(np.abs(r), bound, out=np.zeros_like(r), where=bound > 0.0)
         accuracy["backward_error"] = float(ratio.max())
-        accuracy["residual_floor"] = UNIT_ROUNDOFF * float(np.linalg.norm(scale)) / rhs_norm
+        accuracy["residual_floor"] = UNIT_ROUNDOFF * math.sqrt(dot(scale, scale)) / rhs_norm
     return x, residual, steps
-

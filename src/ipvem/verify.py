@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .basis import dot
+
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
@@ -230,11 +232,11 @@ def build_error_data(mesh, elements, msol, exact=None):
         moments = np.stack([np.add.reduceat(v, starts) for v in (wu, wu * xi, wu * eta)], axis=1)
         fit = grad_fit[:, k] = np.linalg.solve(gram, moments[:, :, None])[:, :, 0]
         r = u - np.repeat(fit[:, 0], counts) - np.repeat(fit[:, 1], counts) * xi - np.repeat(fit[:, 2], counts) * eta
-        grad_residual += float(w @ r**2)
+        grad_residual += dot(w, r**2)
     hess_mean, hess_residual = np.empty((n, 3)), 0.0
     for k, (u, weight) in enumerate(((exact(2, 0), 1.0), (exact(1, 1), 2.0), (exact(0, 2), 1.0))):
         mean = hess_mean[:, k] = np.add.reduceat(w * u, starts) / g.area
-        hess_residual += weight * float(w @ (u - np.repeat(mean, counts)) ** 2)
+        hess_residual += weight * dot(w, (u - np.repeat(mean, counts)) ** 2)
     return ErrorData(
         n_cells=mesh.n_cells,
         h_max=float(g.diameter.max()),
@@ -278,7 +280,7 @@ def _projection_errors(data, values):
         return data.grad_residual + float(np.einsum("cki,cij,ckj->", d, data.gram, d))
 
     d = data.hess_mean - coeffs[:, 3:6] * data.inv_h[:, None]
-    h2_sq = data.hess_residual + float(data.area @ (d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2))
+    h2_sq = data.hess_residual + dot(data.area, d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2)
     h1_h2_sq = gradient_error_sq(coeffs[:, 1:6])
     h1_h1_sq = gradient_error_sq(coeffs[:, 7:12])
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
@@ -295,17 +297,19 @@ def energy_error(data, solution, parts, norm="interp-energy"):
     energy, mirroring the norm the penalty parameter is designed to control.
     ``norm='projection'`` uses the broken seminorms of the element solution
     polynomials instead (h2 projection for the Hessian part, h1 projection
-    for the gradient part).
+    for the gradient part).  Both work on the double rounding of the
+    solution's (extended-precision) DoF vector.
     """
     if norm not in ("interp-energy", "projection"):
         raise ValueError("norm must be 'interp-energy' or 'projection'")
     eps = solution.eps
-    proj = _projection_errors(data, solution.values)
+    values = np.asarray(solution.values, dtype=float)
+    proj = _projection_errors(data, values)
 
     if norm == "interp-energy":
-        delta = data.exact_dofs - solution.values
-        h2_sq = float(delta @ (parts.a_only @ delta)) + float(delta @ (parts.j1 @ delta))
-        h1_sq = float(delta @ (parts.grad @ delta))
+        delta = data.exact_dofs - values
+        h2_sq = dot(delta, parts.a_only @ delta) + dot(delta, parts.j1 @ delta)
+        h1_sq = dot(delta, parts.grad @ delta)
     else:
         h2_sq = proj[0] ** 2
         h1_sq = proj[1] ** 2
@@ -325,9 +329,10 @@ def energy_error(data, solution, parts, norm="interp-energy"):
 
 
 def j1_energy(solution, j1_matrix):
-    """Penalty energy x^T J1 x of a solution vector; nonnegative."""
-    x = solution.values
-    return float(x @ (j1_matrix @ x))
+    """Penalty energy x^T J1 x of a solution vector (its double rounding);
+    nonnegative."""
+    x = np.asarray(solution.values, dtype=float)
+    return dot(x, j1_matrix @ x)
 
 
 def fit_rate(h_values, errors):

@@ -42,6 +42,16 @@ def edge_integral(b, coeffs, a, bb, n_points=4):
     return float(np.linalg.norm(bb - a) * (w @ (b.evaluate(pts) @ coeffs)))
 
 
+class TestDot:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_matches_the_blas_inner_product(self, dtype):
+        # longer than the 10000 entries past which OpenBLAS threads ddot
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal(20001).astype(dtype) for _ in range(2))
+        assert basis.dot(a, b) == pytest.approx(float(np.dot(a, b)), rel=1e-12)
+        assert basis.dot(a, a) == pytest.approx(float(np.sum(a * a)), rel=1e-14)
+
+
 class TestGaussLobatto:
     def test_k2_is_simpson(self):
         rule = gauss_lobatto(2)

@@ -149,13 +149,14 @@ class TestRunStudy:
         for eps, recs in report["records"].items():
             assert [rec["n_free"] for rec in recs] == [9, 49]
             for rec in recs:
-                assert rec["solve_method"] == "splu"
+                assert rec["solve_method"] == "band-cholesky"
                 assert rec["factor_eps"] >= float(eps)
                 assert 0.0 <= rec["solve_residual"] <= system.RESIDUAL_TARGET
                 assert rec["refine_steps"] >= 0
                 assert rec["n_free"] <= rec["nnz"] <= rec["n_free"] ** 2
-                assert rec["lu_nnz"] >= rec["nnz"]
-                assert rec["offdiag_pivots"] == 0
+                # the band holds the lower triangle and the diagonal at least
+                assert rec["factor_nnz"] >= (rec["nnz"] + rec["n_free"]) // 2
+                assert 0 <= rec["bandwidth"] < rec["n_free"]
         stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
         assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
         assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]
@@ -192,7 +193,7 @@ class TestRunStudy:
         def study(order):
             out = run_study(tiny_config(example=1, eps=order, mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=100))
             assert not out.failures
-            assert out.final.factor.lu is None
+            assert out.final.factor.cholesky is None
             return out.report.records
 
         down, up = study(eps), study(eps[::-1])
