@@ -2,15 +2,9 @@
 perturbation problem eps^2 biharmonic(u) - laplacian(u) = f with clamped
 boundary conditions on polygonal meshes, plus a convergence-study driver."""
 
-from .basis import (
-    EdgeRule,
-    ScaledMonomialBasis,
-    gauss_lobatto,
-    triangle_quadrature,
-)
+from .basis import triangle_quadrature
 from .forms import PenaltyConfig, penalty_parameter
 from .mesh import (
-    CellGeometry,
     PolygonalMesh,
     export_mesh,
     generate_cvt,

@@ -9,7 +9,7 @@ systems well conditioned independently of the element size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -41,95 +41,15 @@ def monomial_exponents(degree):
     return [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
 
 
-@dataclass(eq=False)
-class ScaledMonomialBasis:
-    """Monomials ((x-x_D)/h_D)^p ((y-y_D)/h_D)^q up to a total degree."""
-
-    center: np.ndarray
-    diameter: float
-    degree: int
-    exponents: list = field(init=False)
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.diameter <= 0.0:
-            raise ValueError("basis diameter must be positive")
-        self.exponents = monomial_exponents(self.degree)
-        self._index = {e: i for i, e in enumerate(self.exponents)}
-
-    @property
-    def dim(self):
-        return len(self.exponents)
-
-    def index_of(self, exponent):
-        return self._index[tuple(exponent)]
-
-    def evaluate(self, points):
-        """Values of every basis member at ``points``, shape (npts, dim)."""
-        sc = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center) / self.diameter
-        return monomials(sc[:, 0], sc[:, 1], self.degree)
-
-
 def monomials(xi, eta, degree):
     """Every monomial xi^p eta^q of total degree <= ``degree`` at the scaled
     points ``(xi, eta)`` of any shape, stacked on a new last axis."""
     return np.stack([xi**p * eta**q for p, q in monomial_exponents(degree)], axis=-1)
 
 
-def derivative_matrix(basis, axis):
-    """Matrix D with D @ c = coefficients of the requested partial derivative.
-
-    The derivative lives on the same basis; the 1/h_D factor from the scaled
-    variables is included.
-    """
-    ax = {"x": 0, "y": 1}[axis]
-    dim = basis.dim
-    D = np.zeros((dim, dim))
-    for j, (p, q) in enumerate(basis.exponents):
-        e = (p, q)
-        if e[ax] == 0:
-            continue
-        target = (p - 1, q) if ax == 0 else (p, q - 1)
-        D[basis.index_of(target), j] = e[ax] / basis.diameter
-    return D
-
-
-@dataclass(frozen=True)
-class EdgeRule:
-    """Quadrature rule on the reference interval [0, 1], weights sum to one."""
-
-    nodes: tuple
-    weights: tuple
-    degree: int
-
-    def integrate(self, fvals):
-        return float(np.dot(self.weights, fvals))
-
-
-def gauss_lobatto(k):
-    """Gauss-Lobatto rule with k+1 nodes on [0, 1], exact to degree 2k-1.
-
-    Endpoints are always nodes; for k = 2 this is Simpson's rule.
-    """
-    if k < 2:
-        raise ValueError(f"gauss_lobatto requires k >= 2, got {k}")
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    interior = npleg.legroots(npleg.legder(coeffs))
-    nodes = np.concatenate(([-1.0], np.sort(interior), [1.0]))
-    pk = npleg.legval(nodes, coeffs)
-    weights = 2.0 / (k * (k + 1) * pk**2)
-    # map [-1, 1] -> [0, 1]; weights halve so they sum to one
-    return EdgeRule(
-        nodes=tuple((nodes + 1.0) / 2.0),
-        weights=tuple(weights / 2.0),
-        degree=2 * k - 1,
-    )
-
-
 #: Simpson's rule, the k = 2 Gauss-Lobatto weights at an edge's tail vertex,
 #: midpoint and head vertex: exact for every edge integrand at k = 2
-SIMPSON = np.array(gauss_lobatto(ORDER).weights)
+SIMPSON = np.array([1 / 6, 2 / 3, 1 / 6])
 SIMPSON.flags.writeable = False
 
 

@@ -88,6 +88,10 @@ class StudyConfig:
                 raise ConfigError("sizes must not be empty")
             if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
                 raise ConfigError("sizes must be strictly increasing")
+            # the fewest CVT generators, or uniform cells per side, a generator accepts
+            smallest = {"cvt": 2, "uniform": 1}[self.mesh_kind]
+            if self.sizes[0] < smallest:
+                raise ConfigError(f"{self.mesh_kind} sizes must be at least {smallest}, got {self.sizes[0]}")
         if not self.penalty_a > 1.0:
             raise ConfigError(f"penalty constant must exceed 1, got {self.penalty_a}")
         if self.error_norm not in ("interp-energy", "projection"):
@@ -134,11 +138,14 @@ class _StageClock:
 class Discretization:
     """Everything of one mesh that does not depend on eps.
 
-    The operator is eps^2 * parts.hess + parts.grad and the load vector
+    The operator is eps^2 * hess + grad, with the two operator parts of
+    :func:`system.build_operator_parts`, and the load vector
     eps^2 * rhs4 + rhs2; ``free_parts`` holds both parts restricted to the
     free DoFs on one shared pattern, so every eps costs one axpy on that
     pattern's data, one solve and one error evaluation over (cells, 3)
-    arrays.  ``seconds`` holds the wall time of each set-up stage.
+    arrays.  ``parts`` keeps what the energy norm reads (``grad``,
+    ``a_only``, ``j1``); its full-size ``hess`` is dropped once restricted.
+    ``seconds`` holds the wall time of each set-up stage.
     ``factor`` holds the Cholesky factor of the last solve that factored,
     which a solve at an eps no larger refines from (see
     :func:`system.solve`).
@@ -184,6 +191,7 @@ def discretize(mesh_obj, msol, penalty_a=2.0):
     clock.lap("forms_stencils")
     parts = system.build_operator_parts(dof_map, cell_forms, traces)
     free_parts = system.restrict(parts.hess, parts.grad, dof_map)
+    parts.hess = None
     clock.lap("operator_parts")
     exact = msol.at(*elements.fan_rule.points.T)
     rhs4 = system.load_vector(elements, verify.biharmonic(exact))

@@ -43,42 +43,6 @@ class MeshGenerationError(MeshError):
     """Degenerate generator configuration or failed generation."""
 
 
-@dataclass(eq=False)
-class CellGeometry:
-    """Geometric data of one polygonal cell (a view of a :class:`StackedGeometry` row).
-
-    Normals point outward; tangents follow the counter-clockwise loop, so
-    n.t = 0 with both unit length, and the centroid fan triangles all have
-    positive signed area for star-shaped cells.
-    """
-
-    cell_id: int
-    vertices: np.ndarray        # (m, 2) loop in CCW order
-    diameter: float
-    area: float
-    centroid: np.ndarray
-    edge_lengths: np.ndarray    # (m,)
-    normals: np.ndarray         # (m, 2) outward unit normals
-    tangents: np.ndarray        # (m, 2) unit tangents along the loop
-    fan_areas: np.ndarray       # (m,) signed areas of centroid fan triangles
-
-    @property
-    def n_edges(self):
-        return len(self.vertices)
-
-    @property
-    def perimeter(self):
-        return float(self.edge_lengths.sum())
-
-    @property
-    def star_shaped(self):
-        return bool(np.all(self.fan_areas > 0.0))
-
-    @property
-    def edge_midpoints(self):
-        return 0.5 * (self.vertices + np.roll(self.vertices, -1, axis=0))
-
-
 class PolygonalMesh:
     """Vertices, CCW cell loops, and oriented edges with cell adjacency.
 
@@ -117,14 +81,8 @@ class PolygonalMesh:
         """The :class:`StackedGeometry` of every cell, computed once."""
         return stacked_geometry(self)
 
-    def geometry(self, cell_id):
-        return self.stacked_geometry.cell(cell_id)
-
     def total_area(self):
         return float(self.stacked_geometry.area.sum())
-
-    def max_diameter(self):
-        return float(self.stacked_geometry.diameter.max())
 
     def min_edge_length(self):
         g = self.stacked_geometry
@@ -175,15 +133,6 @@ class StackedGeometry:
     def heads(self):
         """(C, P, 2) the vertex each edge runs to."""
         return np.take_along_axis(self.vertices, self.next_corner[..., None], axis=1)
-
-    def cell(self, i):
-        """The :class:`CellGeometry` of row ``i``, made of views of the stacks."""
-        m = self.valence[i]
-        return CellGeometry(
-            int(i), self.vertices[i, :m], float(self.diameter[i]), float(self.area[i]),
-            self.centroid[i], self.edge_lengths[i, :m], self.normals[i, :m], self.tangents[i, :m],
-            self.fan_areas[i, :m],
-        )
 
 
 def stacked_geometry(mesh):

@@ -30,8 +30,6 @@ from .basis import (
     ORDER,
     QUAD_ORDER,
     SIMPSON,
-    ScaledMonomialBasis,
-    derivative_matrix,
     fan_quadrature,
     monomial_exponents,
     monomial_integrals,
@@ -39,12 +37,16 @@ from .basis import (
 )
 from .mesh import StackedGeometry
 
-_UNIT = ScaledMonomialBasis(np.zeros(2), 1.0, ORDER)
-#: derivative matrices of the basis on a cell of unit diameter
-_DX, _DY = derivative_matrix(_UNIT, "x"), derivative_matrix(_UNIT, "y")
+#: derivative matrices of the k = 2 scaled monomials 1, xi, eta, xi^2,
+#: xi*eta, eta^2 on a cell of unit diameter: column j holds the
+#: coefficients of the partial derivative of member j
+_DX, _DY = np.zeros((6, 6)), np.zeros((6, 6))
+_DX[[0, 1, 2], [1, 3, 4]] = 1.0, 2.0, 1.0
+_DY[[0, 1, 2], [2, 4, 5]] = 1.0, 1.0, 2.0
 #: position of each product of two basis members in the degree-2k integrals
+_EXPONENTS = monomial_exponents(ORDER)
 _PRODUCT = np.array(
-    [[monomial_exponents(2 * ORDER).index((a + c, b + d)) for c, d in _UNIT.exponents] for a, b in _UNIT.exponents]
+    [[monomial_exponents(2 * ORDER).index((a + c, b + d)) for c, d in _EXPONENTS] for a, b in _EXPONENTS]
 )
 
 

@@ -83,10 +83,12 @@ class OperatorParts:
 
     ``hess`` is the Hessian-energy form plus all edge coupling blocks (the
     part multiplied by eps^2), ``grad`` the gradient-energy form, ``a_only``
-    and ``j1`` the separate ingredients of the discrete energy norm.
+    and ``j1`` the separate ingredients of the discrete energy norm.  Only
+    :func:`restrict` reads ``hess``, so a discretization drops it (None)
+    once the free parts are made.
     """
 
-    hess: sp.csr_matrix
+    hess: sp.csr_matrix | None
     grad: sp.csr_matrix
     a_only: sp.csr_matrix
     j1: sp.csr_matrix

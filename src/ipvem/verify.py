@@ -169,10 +169,6 @@ class ErrorRecord:
     solve: dict = field(default_factory=dict)
     seconds: dict = field(default_factory=dict)
 
-    @property
-    def decomposition_residual(self):
-        return abs(self.e_total**2 - (self.eps**2 * self.h2_part**2 + self.h1_part**2))
-
 
 def interpolation_dofs(mesh, elements, msol, exact=None):
     """Global DoF vector of the exact solution: its values at the mesh

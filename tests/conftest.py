@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ipvem import mesh, projectors
-from ipvem.basis import ScaledMonomialBasis
+from ipvem import forms, mesh, projectors, system
+from ipvem.basis import monomial_exponents, monomials, triangle_quadrature
 
 CVT_SEED = 7
 CVT_LLOYD = 100
@@ -53,65 +53,87 @@ def random_star_polygon(rng, n_min=3, n_max=9):
         radii = rng.uniform(0.5, 1.0, n)
         pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         pts += rng.uniform(-0.3, 0.3, 2)
-        if geometry_of(pts).star_shaped:
+        if np.all(stack_of(pts).fan_areas > 0.0):
             return pts
 
 
-def geometry_of(points):
-    """CellGeometry of a standalone polygon (single-cell mesh)."""
-    m = mesh.build_mesh(np.asarray(points, dtype=float), [list(range(len(points)))])
-    return m.geometry(0)
-
-
 def stack_of(points):
-    """StackedGeometry of a standalone polygon (single-cell mesh)."""
+    """StackedGeometry of a standalone polygon (single-cell mesh): row 0."""
     m = mesh.build_mesh(np.asarray(points, dtype=float), [list(range(len(points)))])
     return m.stacked_geometry
 
 
-def polygon_rule(geom, order):
-    """Test-local centroid-fan rule on one CellGeometry: each fan triangle
-    carries the reference-triangle rule scaled by its signed area."""
-    from ipvem.basis import triangle_quadrature
+def corners(g, c):
+    """The corners of row ``c`` of a StackedGeometry in CCW order, (m, 2)."""
+    return g.vertices[c, : g.valence[c]]
 
+
+def dof_points(g, c):
+    """The corners, then the edge midpoints, of row ``c``, (2m, 2)."""
+    verts = corners(g, c)
+    return np.vstack([verts, 0.5 * (verts + np.roll(verts, -1, axis=0))])
+
+
+def basis_at(g, c, points, degree=2):
+    """The scaled monomials of row ``c`` at ``points``, (npts, dim)."""
+    scaled = (np.asarray(points, dtype=float) - g.centroid[c]) / g.diameter[c]
+    return monomials(scaled[..., 0], scaled[..., 1], degree)
+
+
+def derivatives(h, degree=2):
+    """Test-local (Dx, Dy): ``Dx @ p`` holds the coefficients of the
+    x-derivative of the polynomial ``p`` over the scaled monomials of a cell
+    of diameter ``h``."""
+    exps = monomial_exponents(degree)
+    Dx, Dy = np.zeros((2, len(exps), len(exps)))
+    for j, (p, q) in enumerate(exps):
+        if p:
+            Dx[exps.index((p - 1, q)), j] = p / h
+        if q:
+            Dy[exps.index((p, q - 1)), j] = q / h
+    return Dx, Dy
+
+
+def polygon_rule(g, c, order):
+    """Test-local centroid-fan rule on row ``c``: each fan triangle carries
+    the reference-triangle rule scaled by its signed area."""
     ref_pts, ref_w = triangle_quadrature(order)
-    verts, m = geom.vertices, geom.n_edges
+    apex, verts = g.centroid[c], corners(g, c)
     pts, wts = [], []
-    for i in range(m):
-        v0, v1, v2 = geom.centroid, verts[i], verts[(i + 1) % m]
-        jac = np.column_stack([v1 - v0, v2 - v0])
-        pts.append(v0 + ref_pts @ jac.T)
+    for v1, v2 in zip(verts, np.roll(verts, -1, axis=0)):
+        jac = np.column_stack([v1 - apex, v2 - apex])
+        pts.append(apex + ref_pts @ jac.T)
         wts.append(ref_w * np.linalg.det(jac))
     return np.vstack(pts), np.concatenate(wts)
 
 
 class PolyCoeffs:
-    """Coefficient vector over a scaled monomial basis (a test oracle)."""
+    """Coefficients over the scaled monomials of a cell (a test oracle)."""
 
-    def __init__(self, basis, values):
-        self.basis = basis
+    def __init__(self, center, diameter, values, degree=2):
+        self.center, self.diameter, self.degree = np.asarray(center, dtype=float), diameter, degree
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (basis.dim,):
-            raise ValueError(f"coefficient length {self.values.shape} does not match basis dim {basis.dim}")
+        if self.values.shape != (len(monomial_exponents(degree)),):
+            raise ValueError(f"coefficient length {self.values.shape} does not match degree {degree}")
 
     def __call__(self, points):
-        return self.basis.evaluate(points) @ self.values
+        return monomials(*((np.atleast_2d(points) - self.center) / self.diameter).T, self.degree) @ self.values
 
 
-def basis_of(geom):
-    """The scaled monomial basis of one CellGeometry."""
-    return ScaledMonomialBasis(geom.centroid, geom.diameter, 2)
-
-
-def dofs_of_polynomial(geom, coeffs):
-    """Evaluate the DoF functionals of one cell on a known polynomial (a test
-    oracle): values at the vertices and edge midpoints, then the cell mean
-    by the cell's own fan rule."""
+def dofs_of_polynomial(g, c, coeffs):
+    """Evaluate the DoF functionals of row ``c`` on a known polynomial (a
+    test oracle): values at the vertices and edge midpoints, then the cell
+    mean by the cell's own fan rule."""
     poly = coeffs.values if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=float)
-    basis = basis_of(geom)
-    pts, w = polygon_rule(geom, 4)
-    mean = float(w @ (basis.evaluate(pts) @ poly)) / geom.area
-    return np.append(basis.evaluate(np.vstack([geom.vertices, geom.edge_midpoints])) @ poly, mean)
+    pts, w = polygon_rule(g, c, 4)
+    mean = float(w @ (basis_at(g, c, pts) @ poly)) / g.area[c]
+    return np.append(basis_at(g, c, dof_points(g, c)) @ poly, mean)
+
+
+def operator_parts(d):
+    """The full-size operator parts of a discretization, which keeps no ``hess``."""
+    cell_forms = forms.build_local_forms(d.elements)
+    return system.build_operator_parts(d.dof_map, cell_forms, forms.build_edge_stencils(d.mesh, d.elements))
 
 
 def cell_dofs(m, c):
@@ -186,7 +208,7 @@ def random_non_star_polygon(rng, n_min=5, n_max=10):
         )
         if lengths.min() < 0.05 * diameter or clearance < 0.05 * diameter:
             continue
-        if not geometry_of(pts).star_shaped:
+        if not np.all(stack_of(pts).fan_areas > 0.0):
             return pts
 
 

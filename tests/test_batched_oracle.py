@@ -14,63 +14,55 @@ import pytest
 import scipy.sparse as sp
 
 from ipvem import cli, forms, mesh, system, verify
-from ipvem.basis import (
-    QUAD_ORDER,
-    SIMPSON,
-    ScaledMonomialBasis,
-    derivative_matrix,
-    gauss_legendre_01,
-    monomial_exponents,
-    triangle_quadrature,
-)
+from ipvem.basis import QUAD_ORDER, SIMPSON, gauss_legendre_01, monomial_exponents
 from ipvem.mesh import BOUNDARY
 
-from conftest import cell_dofs, edge_coupling
+from conftest import basis_at, cell_dofs, derivatives, dof_points, edge_coupling, operator_parts, polygon_rule
 
 TOL = 1e-13
 
 
-def integral_table(geom, basis, degree):
-    """Scaled-monomial integrals by the divergence theorem, edge by edge."""
+def integral_table(g, c, degree):
+    """Scaled-monomial integrals of row ``c`` by the divergence theorem, edge
+    by edge."""
     t, wt = gauss_legendre_01(degree // 2 + 2)
     total = np.zeros(len(monomial_exponents(degree)))
-    verts, m = geom.vertices, geom.n_edges
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        dist = float((a - geom.centroid) @ geom.normals[i])
-        sc = (a[None, :] + t[:, None] * (b - a)[None, :] - basis.center) / basis.diameter
-        vals = np.column_stack([sc[:, 0] ** p * sc[:, 1] ** q for p, q in monomial_exponents(degree)])
-        total += dist * geom.edge_lengths[i] * (wt @ vals)
+    m = g.valence[c]
+    for i, (a, b) in enumerate(zip(g.vertices[c, :m], g.heads[c, :m])):
+        dist = float((a - g.centroid[c]) @ g.normals[c, i])
+        total += dist * g.edge_lengths[c, i] * (wt @ basis_at(g, c, a[None, :] + t[:, None] * (b - a)[None, :], degree))
     return total / (np.array([p + q for p, q in monomial_exponents(degree)]) + 2)
 
 
 def oracle_element(m, cid):
     """Projectors and Gram matrices of one cell, from its own 6 x 6 systems."""
-    geom = m.geometry(cid)
-    basis = ScaledMonomialBasis(geom.centroid, geom.diameter, 2)
-    nv = geom.n_edges
+    g = m.stacked_geometry
+    nv = g.valence[cid]
+    area, normals, lengths = g.area[cid], g.normals[cid, :nv], g.edge_lengths[cid, :nv]
+    perimeter = lengths.sum()
     n = 2 * nv + 1
     j = np.arange(nv)
     nodes = np.column_stack([j, nv + j, (j + 1) % nv])
-    integrals = integral_table(geom, basis, 4)
+    integrals = integral_table(g, cid, 4)
     index = {e: i for i, e in enumerate(monomial_exponents(4))}
-    mass = np.array([[integrals[index[(a + c, b + d)]] for c, d in basis.exponents] for a, b in basis.exponents])
-    Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
+    exps = monomial_exponents(2)
+    mass = np.array([[integrals[index[(a + c, b + d)]] for c, d in exps] for a, b in exps])
+    Dx, Dy = derivatives(g.diameter[cid])
     grad_gram = Dx.T @ mass @ Dx + Dy.T @ mass @ Dy
     Dxx, Dxy, Dyy = Dx @ Dx, Dx @ Dy, Dy @ Dy
     hess_gram = Dxx.T @ mass @ Dxx + 2.0 * Dxy.T @ mass @ Dxy + Dyy.T @ mass @ Dyy
     hessian = np.array([[Dxx[0], Dxy[0]], [Dxy[0], Dyy[0]]])
 
     D = np.empty((n, 6))
-    D[: 2 * nv] = basis.evaluate(np.vstack([geom.vertices, geom.edge_midpoints]))
-    D[2 * nv] = integrals[:6] / geom.area
+    D[: 2 * nv] = basis_at(g, cid, dof_points(g, cid))
+    D[2 * nv] = integrals[:6] / area
     values = D[nodes]
-    edge_dn = geom.normals[:, 0, None, None] * (values @ Dx) + geom.normals[:, 1, None, None] * (values @ Dy)
-    weights = geom.edge_lengths[:, None] * SIMPSON
+    edge_dn = normals[:, 0, None, None] * (values @ Dx) + normals[:, 1, None, None] * (values @ Dy)
+    weights = lengths[:, None] * SIMPSON
 
     B = np.zeros((n, 6))
     np.add.at(B, nodes, weights[:, :, None] * edge_dn)
-    B[2 * nv] = -(hessian[0, 0] + hessian[1, 1]) * geom.area
+    B[2 * nv] = -(hessian[0, 0] + hessian[1, 1]) * area
     B = B.T
     G = grad_gram.copy()
     G[0] = D[:nv].mean(axis=0)
@@ -82,26 +74,26 @@ def oracle_element(m, cid):
     ends = np.zeros((nv, n))
     ends[j, nodes[:, 2]] += 1.0
     ends[j, nodes[:, 0]] -= 1.0
-    edge_grad = geom.normals[:, :, None] * flux[:, None, :] + geom.tangents[:, :, None] * ends[:, None, :]
-    rhs = np.einsum("abk,ea,ebn->kn", hessian, geom.normals, edge_grad)
-    hat = np.bincount(nodes.ravel(), weights=weights.ravel(), minlength=n) / geom.perimeter
+    edge_grad = normals[:, :, None] * flux[:, None, :] + g.tangents[cid, :nv, :, None] * ends[:, None, :]
+    rhs = np.einsum("abk,ea,ebn->kn", hessian, normals, edge_grad)
+    hat = np.bincount(nodes.ravel(), weights=weights.ravel(), minlength=n) / perimeter
     H = hess_gram.copy()
     H[:3] = np.vstack([hat @ D, hat @ D @ Dx, hat @ D @ Dy])
-    rhs[:3] = np.vstack([hat, edge_grad.sum(axis=0) / geom.perimeter])
+    rhs[:3] = np.vstack([hat, edge_grad.sum(axis=0) / perimeter])
     h2 = np.linalg.solve(H, rhs)
 
     C = mass @ h1
-    C[0] = np.where(np.arange(n) == 2 * nv, geom.area, 0.0)
+    C[0] = np.where(np.arange(n) == 2 * nv, area, 0.0)
     l2 = np.linalg.solve(mass, C)
     return dict(
-        geom=geom, basis=basis, n=n, dof_matrix=D, mass=mass, grad_gram=grad_gram, hess_gram=hess_gram,
+        g=g, c=cid, n=n, dof_matrix=D, mass=mass, grad_gram=grad_gram, hess_gram=hess_gram,
         h1=h1, h2=h2, l2=l2, trace=trace,
     )
 
 
 def oracle_forms(el):
     P, stab = el["h2"], np.eye(el["n"]) - el["dof_matrix"] @ el["h2"]
-    a = P.T @ el["hess_gram"] @ P + stab.T @ stab / el["geom"].diameter ** 2
+    a = P.T @ el["hess_gram"] @ P + stab.T @ stab / el["g"].diameter[el["c"]] ** 2
     b = P.T @ el["grad_gram"] @ P + stab.T @ stab
     return a, b
 
@@ -113,13 +105,13 @@ def local_edge(m, cell, edge_id):
 def oracle_stencil(m, e, els, lam):
     """(cells, block, j1 block) of one edge over its cells' stacked DoFs."""
     left, right = (int(c) for c in m.edge_cells[e])
-    j = local_edge(m, left, e)
-    h_e = els[left]["geom"].edge_lengths[j]
-    nx, ny = els[left]["geom"].normals[j]
+    j, g = local_edge(m, left, e), m.stacked_geometry
+    h_e = g.edge_lengths[left, j]
+    nx, ny = g.normals[left, j]
 
     def second(el):
         P = el["h1"]
-        return 2.0 * (nx * nx * P[3] + nx * ny * P[4] + ny * ny * P[5]) / el["geom"].diameter ** 2
+        return 2.0 * (nx * nx * P[3] + nx * ny * P[4] + ny * ny * P[5]) / g.diameter[el["c"]] ** 2
 
     jump, avg, cells = els[left]["trace"][j], second(els[left]), (left,)
     if right != BOUNDARY:
@@ -138,7 +130,7 @@ def oracle_penalty(m, e, n_k, a=2.0):
     areas = []
     for cid in m.edge_cells[e]:
         if cid != BOUNDARY:
-            apex = m.geometry(cid).centroid
+            apex = m.stacked_geometry.centroid[cid]
             areas.append(0.5 * abs((head - tail)[0] * (apex - tail)[1] - (head - tail)[1] * (apex - tail)[0]))
     scale = a * n_k * 2 * h_e**2
     return scale / 4.0 * (1.0 / areas[0] + 1.0 / areas[-1])
@@ -146,17 +138,8 @@ def oracle_penalty(m, e, n_k, a=2.0):
 
 def oracle_load(el, f):
     """(f, l2 projection of each DoF basis function) on one cell's fan."""
-    ref_pts, ref_w = triangle_quadrature(QUAD_ORDER)
-    geom = el["geom"]
-    verts = geom.vertices
-    moments = np.zeros(6)
-    for i in range(geom.n_edges):
-        v0, v1, v2 = geom.centroid, verts[i], verts[(i + 1) % geom.n_edges]
-        jac = np.column_stack([v1 - v0, v2 - v0])
-        pts = v0 + ref_pts @ jac.T
-        w = ref_w * np.linalg.det(jac)
-        moments += (w * f(pts[:, 0], pts[:, 1])) @ el["basis"].evaluate(pts)
-    return el["l2"].T @ moments
+    pts, w = polygon_rule(el["g"], el["c"], QUAD_ORDER)
+    return el["l2"].T @ ((w * f(pts[:, 0], pts[:, 1])) @ basis_at(el["g"], el["c"], pts))
 
 
 def scatter(index_sets, blocks, n):
@@ -243,5 +226,6 @@ class TestBatchedKernelsMatchPerCellOracle:
 
     def test_operator_parts(self, case):
         m, d, oracle = case
-        worst = max(rel(getattr(d.parts, name), oracle["parts"][name]) for name in ("hess", "grad", "a_only", "j1"))
+        parts = operator_parts(d)
+        worst = max(rel(getattr(parts, name), oracle["parts"][name]) for name in ("hess", "grad", "a_only", "j1"))
         assert worst <= TOL

@@ -51,6 +51,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(sizes=[8, 8]).validate()
 
+    @pytest.mark.parametrize("kind, sizes", [("cvt", "0,4"), ("cvt", "1,4"), ("uniform", "0,2")])
+    def test_size_below_the_generator_minimum_exits_bad_config(self, tmp_path, capsys, kind, sizes):
+        # rejected before any mesh is built, so no output is written
+        out = tmp_path / "out"
+        assert main(["study", "--mesh-kind", kind, "--sizes", sizes, "--out-dir", str(out)]) == EXIT_BAD_CONFIG
+        assert f"{kind} sizes must be at least" in capsys.readouterr().err and not out.exists()
+
     def test_penalty_constant(self):
         with pytest.raises(ConfigError):
             tiny_config(penalty_a=1.0).validate()

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ipvem import mesh, system
-from ipvem.basis import derivative_matrix, gauss_legendre_01
+from ipvem.basis import gauss_legendre_01
 from ipvem.forms import PenaltyConfig, build_edge_stencils, build_local_forms, penalty_parameter
 from ipvem.mesh import BOUNDARY
 from ipvem.projectors import build_elements
 
-from conftest import basis_of, edge_coupling, polygon_rule
+from conftest import basis_at, derivatives, edge_coupling, polygon_rule
 
 
 def two_squares():
@@ -16,13 +16,12 @@ def two_squares():
     return m, build_elements(m)
 
 
-def gram_quadrature(geom):
+def gram_quadrature(g, c):
     """Independent (quadrature) route to the Hessian-energy and the
-    gradient-energy pairings of one cell."""
-    basis = basis_of(geom)
-    Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
-    pts, w = polygon_rule(geom, 6)
-    vals = basis.evaluate(pts)
+    gradient-energy pairings of row ``c`` of a StackedGeometry."""
+    Dx, Dy = derivatives(g.diameter[c])
+    pts, w = polygon_rule(g, c, 6)
+    vals = basis_at(g, c, pts)
 
     def pairing(*derivatives):
         return sum(((vals @ D).T * w) @ (vals @ D) for D in derivatives)
@@ -43,7 +42,7 @@ def square_forms(unit_square):
 class TestLocalAForm:
     def test_k_consistency_against_quadrature_oracle(self, cvt32, cvt32_elements, cvt32_forms):
         A, D = cvt32_forms.a[11], cvt32_elements.dof_matrix[11]
-        exact = gram_quadrature(cvt32.geometry(11))[0]
+        exact = gram_quadrature(cvt32.stacked_geometry, 11)[0]
         got = D.T @ A @ D  # chi(p)^T A chi(q) over all monomial pairs
         scale = np.max(np.abs(exact)) + 1.0
         assert np.max(np.abs(got - exact)) <= 1e-10 * scale
@@ -87,7 +86,7 @@ class TestLocalAForm:
 class TestLocalBForm:
     def test_k_consistency(self, cvt32, cvt32_elements, cvt32_forms):
         B, D = cvt32_forms.b[19], cvt32_elements.dof_matrix[19]
-        exact = gram_quadrature(cvt32.geometry(19))[1]
+        exact = gram_quadrature(cvt32.stacked_geometry, 19)[1]
         got = D.T @ B @ D
         scale = np.max(np.abs(exact)) + 1.0
         assert np.max(np.abs(got - exact)) <= 1e-10 * scale
@@ -109,11 +108,11 @@ class TestLocalBForm:
             assert v @ B @ v >= -1e-12 * eig[-1] * (v @ v)
 
 
-def local_coeffs(geom, f):
-    """Coefficients on the cell's scaled basis of a global quadratic f, from
-    its values at six points of the cell."""
-    pts = geom.centroid + 0.2 * geom.diameter * np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.6]])
-    return np.linalg.solve(basis_of(geom).evaluate(pts), f(pts[:, 0], pts[:, 1]))
+def local_coeffs(g, c, f):
+    """Coefficients on row ``c``'s scaled basis of a global quadratic f,
+    from its values at six points of the cell."""
+    pts = g.centroid[c] + 0.2 * g.diameter[c] * np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.6]])
+    return np.linalg.solve(basis_at(g, c, pts), f(pts[:, 0], pts[:, 1]))
 
 
 def scattered(elements, local):
@@ -138,7 +137,7 @@ class TestLocalLoad:
             return 0.7 - 1.2 * x + 0.4 * y + 2.0 * x * x - 0.8 * x * y + 1.5 * y * y
 
         E = cvt32_elements
-        coeffs = np.array([local_coeffs(cvt32.geometry(c), f) for c in range(cvt32.n_cells)])
+        coeffs = np.array([local_coeffs(cvt32.stacked_geometry, c, f) for c in range(cvt32.n_cells)])
         got = system.load_vector(E, f)
         exact = scattered(E, np.einsum("ckn,ckl,cl->cn", E.l2_coeff, E.mass, coeffs))
         assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -177,8 +176,8 @@ def global_dofs(m, g):
     pts = np.vstack([m.vertices, m.vertices[m.edges].mean(axis=1)])
     means = []
     for c in range(m.n_cells):
-        q, w = polygon_rule(m.geometry(c), 4)
-        means.append(float(w @ g(q[:, 0], q[:, 1])) / m.geometry(c).area)
+        q, w = polygon_rule(m.stacked_geometry, c, 4)
+        means.append(float(w @ g(q[:, 0], q[:, 1])) / m.stacked_geometry.area[c])
     return np.concatenate([g(pts[:, 0], pts[:, 1]), means])
 
 
@@ -257,9 +256,8 @@ def edge_traces(m, edge_id, elements, chi, t):
     jump, avg = np.zeros(len(t)), 0.0
     for sign, cid in zip((1.0, -1.0), sides):
         poly = elements.h1_coeff[cid] @ chi[elements.dofs[cid]]
-        basis = basis_of(m.geometry(cid))
-        Dx, Dy = derivative_matrix(basis, "x"), derivative_matrix(basis, "y")
-        jump += sign * (basis.evaluate(pts) @ ((nx * Dx + ny * Dy) @ poly))
+        Dx, Dy = derivatives(elements.geometry.diameter[cid])
+        jump += sign * (basis_at(elements.geometry, cid, pts) @ ((nx * Dx + ny * Dy) @ poly))
         avg += ((nx * nx * Dx @ Dx + 2.0 * nx * ny * Dx @ Dy + ny * ny * Dy @ Dy) @ poly)[0] / len(sides)
     return jump, avg
 

@@ -60,39 +60,37 @@ class TestUniformSquares:
 
 class TestCellGeometry:
     def test_unit_square(self):
-        m = generate_uniform_squares(1)
-        g = m.geometry(0)
-        assert g.diameter == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert g.area == pytest.approx(1.0, rel=1e-15)
-        assert np.allclose(g.centroid, [0.5, 0.5], atol=1e-15)
+        g = generate_uniform_squares(1).stacked_geometry
+        assert g.diameter[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert g.area[0] == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(g.centroid[0], [0.5, 0.5], atol=1e-15)
 
     def test_right_triangle(self):
-        m = build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        g = m.geometry(0)
-        assert g.area == pytest.approx(0.5, rel=1e-15)
-        assert np.allclose(g.centroid, [1 / 3, 1 / 3], rtol=1e-14)
+        g = build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]).stacked_geometry
+        assert g.area[0] == pytest.approx(0.5, rel=1e-15)
+        assert np.allclose(g.centroid[0], [1 / 3, 1 / 3], rtol=1e-14)
 
     def test_regular_hexagon(self):
         ang = np.linspace(0, 2 * np.pi, 7)[:-1]
         m = build_mesh(np.column_stack([np.cos(ang), np.sin(ang)]), [list(range(6))])
-        assert m.geometry(0).area == pytest.approx(3 * math.sqrt(3) / 2, rel=1e-14)
+        assert m.stacked_geometry.area[0] == pytest.approx(3 * math.sqrt(3) / 2, rel=1e-14)
 
     def test_frames_orthonormal_and_outward(self):
         m = generate_uniform_squares(2)
+        g = m.stacked_geometry
+        normals, tangents = g.normals[g.valid], g.tangents[g.valid]
+        assert np.allclose(np.einsum("ij,ij->i", normals, tangents), 0.0, atol=1e-14)
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
+        assert np.allclose(np.linalg.norm(tangents, axis=1), 1.0, atol=1e-14)
+        # outward: stepping along the normal leaves the cell (away from centroid)
         for c in range(m.n_cells):
-            g = m.geometry(c)
-            assert np.allclose(np.einsum("ij,ij->i", g.normals, g.tangents), 0.0, atol=1e-14)
-            assert np.allclose(np.linalg.norm(g.normals, axis=1), 1.0, atol=1e-14)
-            assert np.allclose(np.linalg.norm(g.tangents, axis=1), 1.0, atol=1e-14)
-            mids = g.edge_midpoints
-            # outward: stepping along the normal leaves the cell (away from centroid)
-            for j in range(g.n_edges):
-                assert (mids[j] - g.centroid) @ g.normals[j] > 0.0
+            loop = m.vertices[m.cells[c]]
+            mids = 0.5 * (loop + np.roll(loop, -1, axis=0))
+            assert np.all(np.einsum("ij,ij->i", mids - g.centroid[c], g.normals[c, : len(loop)]) > 0.0)
 
     def test_fan_triangles_positive(self):
-        m = generate_uniform_squares(3)
-        for c in range(m.n_cells):
-            assert m.geometry(c).star_shaped
+        g = generate_uniform_squares(3).stacked_geometry
+        assert np.all(g.fan_areas[g.valid] > 0.0)
 
 
 class TestVirtualTriangles:
@@ -152,7 +150,7 @@ class TestCvt:
     def test_two_generators_give_rectangles(self):
         m = generate_cvt(2, initial_points=[[0.25, 0.5], [0.75, 0.5]], lloyd_iters=0)
         assert m.n_cells == 2
-        areas = sorted(m.geometry(c).area for c in range(2))
+        areas = sorted(m.stacked_geometry.area)
         assert np.allclose(areas, [0.5, 0.5], atol=1e-12)
         xs = sorted(set(np.round(m.vertices[:, 0], 9)))
         assert np.allclose(xs, [0.0, 0.5, 1.0], atol=1e-9)
@@ -163,12 +161,12 @@ class TestCvt:
         assert m.n_vertices - m.n_edges + m.n_cells == 1
         assert m.total_area() == pytest.approx(1.0, rel=1e-12)
         g = m.stacked_geometry
-        assert all(m.geometry(c).star_shaped for c in range(m.n_cells))
+        assert np.all(g.fan_areas[g.valid] > 0.0)
         assert g.valence.min() >= 3
 
     def test_cvt512_diameter_scale(self, cvt_sequence):
         # near-uniform cells: max diameter about 2/sqrt(n), within a factor 2
-        h = cvt_sequence[512].max_diameter()
+        h = cvt_sequence[512].stacked_geometry.diameter.max()
         ref = 2.0 / math.sqrt(512.0)
         assert ref / 2 <= h <= 2 * ref
 
@@ -177,7 +175,7 @@ class TestCvt:
         assert len(moves) == 100
         assert moves[-1] < moves[0]
         # convergence diagnostic, not a hard guarantee
-        h = cvt32.max_diameter()
+        h = cvt32.stacked_geometry.diameter.max()
         assert moves[-1] < 1e-2 * h
 
     def test_duplicate_seeds_rejected(self):
@@ -576,10 +574,10 @@ class TestStackedGeometry:
             loop = cvt32.vertices[cvt32.cells[c]]
             edge_vec = np.roll(loop, -1, axis=0) - loop
             lengths = np.linalg.norm(edge_vec, axis=1)
-            geom = cvt32.geometry(c)
-            assert np.allclose(geom.edge_lengths, lengths, rtol=1e-15)
-            assert np.allclose(geom.tangents, edge_vec / lengths[:, None], rtol=0, atol=1e-15)
-            assert geom.diameter == np.max(np.linalg.norm(loop[:, None] - loop[None], axis=2))
+            n = len(loop)
+            assert np.allclose(g.edge_lengths[c, :n], lengths, rtol=1e-15)
+            assert np.allclose(g.tangents[c, :n], edge_vec / lengths[:, None], rtol=0, atol=1e-15)
+            assert g.diameter[c] == np.max(np.linalg.norm(loop[:, None] - loop[None], axis=2))
 
 
 class TestMeshIo:
@@ -597,7 +595,7 @@ class TestMeshIo:
         text = "vem-mesh 1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 1\n4 0 3 2 1\n"
         with pytest.warns(UserWarning, match="clockwise"):
             m = import_mesh(text)
-        assert m.geometry(0).area == pytest.approx(1.0)
+        assert m.stacked_geometry.area[0] == pytest.approx(1.0)
 
     def test_dangling_vertex_index(self):
         text = "vem-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 7\n"
@@ -667,4 +665,4 @@ class TestMeshIo:
         except MeshFormatError:
             return
         assert m.total_area() == pytest.approx(1.0, rel=1e-12)
-        assert all(m.geometry(c).star_shaped for c in range(m.n_cells))
+        assert np.all(m.stacked_geometry.fan_areas[m.stacked_geometry.valid] > 0.0)

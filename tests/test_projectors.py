@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipvem import mesh
-from ipvem.basis import derivative_matrix, gauss_legendre_01, gauss_lobatto
+from ipvem.basis import SIMPSON, gauss_legendre_01
 from ipvem.projectors import build_elements
 
-from conftest import PolyCoeffs, basis_of, cell_dofs, dofs_of_polynomial, non_star_polygons, random_star_polygon
+from conftest import PolyCoeffs, basis_at, cell_dofs, derivatives, dof_points, dofs_of_polynomial, non_star_polygons
+from conftest import random_star_polygon
 
 # C-shaped cell whose centroid lies in the notch, outside the cell
 C_SHAPE = [[0, 0], [1, 0], [1, 0.2], [0.2, 0.2], [0.2, 0.8], [1, 0.8], [1, 1], [0, 1]]
 # the CVT-32 cell of the single-cell checks
 CELL = 3
+# the tail, midpoint and head of an edge, where SIMPSON's weights sit
+SIMPSON_NODES = np.array([0.0, 0.5, 1.0])
 
 
 def elements_on(points):
@@ -42,23 +45,23 @@ class TestDofLayout:
         assert elements_on([[0, 0], [1, 0], [0, 1]]).n_dofs[0] == 7
 
     def test_edge_nodes_are_midpoints(self, unit_square):
-        geom = unit_square.geometry.cell(0)
-        assert np.allclose(unit_square.dof_matrix[0, 4:8], basis_of(geom).evaluate(geom.edge_midpoints))
+        g = unit_square.geometry
+        assert np.allclose(unit_square.dof_matrix[0, 4:8], basis_at(g, 0, dof_points(g, 0)[4:]))
 
 
 class TestDofsOfPolynomial:
     def test_constant(self, unit_square):
-        chi = dofs_of_polynomial(unit_square.geometry.cell(0), [1.0, 0, 0, 0, 0, 0])
+        chi = dofs_of_polynomial(unit_square.geometry, 0, [1.0, 0, 0, 0, 0, 0])
         assert np.allclose(chi, 1.0, atol=1e-15)
 
     def test_centered_linear_has_zero_moment(self, unit_square):
-        chi = dofs_of_polynomial(unit_square.geometry.cell(0), [0.0, 1.0, 0, 0, 0, 0])
+        chi = dofs_of_polynomial(unit_square.geometry, 0, [0.0, 1.0, 0, 0, 0, 0])
         assert chi[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_accepts_polycoeffs(self, unit_square):
-        geom = unit_square.geometry.cell(0)
-        p = PolyCoeffs(basis_of(geom), [0.0, 1.0, 0, 0, 0, 0])
-        assert np.allclose(dofs_of_polynomial(geom, p), unit_square.dof_matrix[0] @ p.values)
+        g = unit_square.geometry
+        p = PolyCoeffs(g.centroid[0], g.diameter[0], [0.0, 1.0, 0, 0, 0, 0])
+        assert np.allclose(dofs_of_polynomial(g, 0, p), unit_square.dof_matrix[0] @ p.values)
 
 
 class TestH1Projector:
@@ -83,7 +86,7 @@ class TestH1Projector:
         # conditions; the solve must satisfy them to roundoff
         E, n = cvt32_elements, cvt32_elements.n_dofs[CELL]
         G = E.grad_gram[CELL].copy()
-        B = _rhs_matrix(cvt32.geometry(CELL))
+        B = _rhs_matrix(cvt32.stacked_geometry, CELL)
         G[0], B[0] = E.vertex_average[0][CELL], E.vertex_average[1][CELL, :n]
         residual = G @ E.h1_coeff[CELL, :, :n] - B
         assert np.max(np.abs(residual)) < 1e-12
@@ -93,20 +96,17 @@ class TestH1Projector:
         assert np.max(np.abs(P @ P - P)) < 1e-10
 
 
-def _rhs_matrix(geom):
-    """Re-derive the gradient projector right-hand side independently."""
-    bas, m = basis_of(geom), geom.n_edges
-    rule = gauss_lobatto(2)
+def _rhs_matrix(g, c):
+    """Re-derive the gradient projector right-hand side of row ``c`` independently."""
+    m = g.valence[c]
     B = np.zeros((6, 2 * m + 1))
-    Dx, Dy = derivative_matrix(bas, "x"), derivative_matrix(bas, "y")
-    B[:, 2 * m] = -(Dx @ Dx + Dy @ Dy)[0, :] * geom.area
-    for j in range(m):
-        a, b = geom.vertices[j], geom.vertices[(j + 1) % m]
-        nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
-        vals = bas.evaluate(nodes)
-        dn = geom.normals[j, 0] * (vals @ Dx) + geom.normals[j, 1] * (vals @ Dy)
+    Dx, Dy = derivatives(g.diameter[c])
+    B[:, 2 * m] = -(Dx @ Dx + Dy @ Dy)[0, :] * g.area[c]
+    for j, (a, b) in enumerate(zip(g.vertices[c, :m], g.heads[c, :m])):
+        vals = basis_at(g, c, a[None, :] + SIMPSON_NODES[:, None] * (b - a)[None, :])
+        dn = g.normals[c, j, 0] * (vals @ Dx) + g.normals[c, j, 1] * (vals @ Dy)
         for node, col in enumerate((j, m + j, (j + 1) % m)):
-            B[:, col] += geom.edge_lengths[j] * rule.weights[node] * dn[node]
+            B[:, col] += g.edge_lengths[c, j] * SIMPSON[node] * dn[node]
     return B
 
 
@@ -165,15 +165,14 @@ class TestL2Projector:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
-def boundary_mean(geom, coeffs):
-    """Gauss-Legendre perimeter mean of a cell polynomial."""
+def boundary_mean(g, c, coeffs):
+    """Gauss-Legendre perimeter mean of a polynomial of row ``c``."""
     t, w = gauss_legendre_01(3)
-    total = 0.0
-    for j in range(geom.n_edges):
-        a, b = geom.vertices[j], geom.vertices[(j + 1) % geom.n_edges]
+    total, m = 0.0, g.valence[c]
+    for j, (a, b) in enumerate(zip(g.vertices[c, :m], g.heads[c, :m])):
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        total += geom.edge_lengths[j] * float(w @ (basis_of(geom).evaluate(pts) @ coeffs))
-    return total / geom.perimeter
+        total += g.edge_lengths[c, j] * float(w @ (basis_at(g, c, pts) @ coeffs))
+    return total / g.edge_lengths[c].sum()
 
 
 class TestQuasiAverage:
@@ -196,25 +195,21 @@ class TestGaussLobattoConsistency:
     def test_edge_sum_matches_exact_integral_for_quadratics(self, cvt32):
         # the quadrature edge sums in the h1 system are exact when the
         # integrand degree is at most three
-        geom = cvt32.geometry(CELL)
-        bas = basis_of(geom)
+        g, c = cvt32.stacked_geometry, CELL
         rng = np.random.default_rng(8)
-        rule = gauss_lobatto(2)
         t, w = gauss_legendre_01(3)
-        Dx, Dy = derivative_matrix(bas, "x"), derivative_matrix(bas, "y")
+        Dx, Dy = derivatives(g.diameter[c])
         for _ in range(10):
             p = rng.uniform(-2, 2, 6)
             q = rng.uniform(-2, 2, 6)
-            m = geom.n_edges
-            for j in range(m):
-                a, b = geom.vertices[j], geom.vertices[(j + 1) % m]
-                n_e = geom.normals[j]
+            m = g.valence[c]
+            for j, (a, b) in enumerate(zip(g.vertices[c, :m], g.heads[c, :m])):
+                n_e = g.normals[c, j]
                 dq = (n_e[0] * Dx + n_e[1] * Dy) @ q
-                nodes = a[None, :] + np.asarray(rule.nodes)[:, None] * (b - a)[None, :]
-                vals = bas.evaluate(nodes)
-                gl_sum = geom.edge_lengths[j] * float(np.dot(rule.weights, (vals @ p) * (vals @ dq)))
-                vals = bas.evaluate(a[None, :] + t[:, None] * (b - a)[None, :])
-                exact = geom.edge_lengths[j] * float(w @ ((vals @ p) * (vals @ dq)))
+                vals = basis_at(g, c, a[None, :] + SIMPSON_NODES[:, None] * (b - a)[None, :])
+                gl_sum = g.edge_lengths[c, j] * float(np.dot(SIMPSON, (vals @ p) * (vals @ dq)))
+                vals = basis_at(g, c, a[None, :] + t[:, None] * (b - a)[None, :])
+                exact = g.edge_lengths[c, j] * float(w @ ((vals @ p) * (vals @ dq)))
                 assert gl_sum == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
@@ -235,7 +230,7 @@ class TestRandomPolygons:
         coeffs = rng.uniform(-3, 3, 6)
         assert reproduction_error(E, 0, coeffs) <= 1e-10 * np.max(np.abs(coeffs))
         mean = E.quasi_averages[0][0, 0] @ coeffs
-        assert mean == pytest.approx(boundary_mean(E.geometry.cell(0), coeffs), rel=1e-12, abs=1e-12)
+        assert mean == pytest.approx(boundary_mean(E.geometry, 0, coeffs), rel=1e-12, abs=1e-12)
 
 
 class TestPolygonsThatAreNotStarShaped:
@@ -243,7 +238,7 @@ class TestPolygonsThatAreNotStarShaped:
     @given(non_star_polygons(), st.integers(0, 2**32 - 1))
     def test_projectors_reproduce_random_quadratics(self, points, seed):
         E = elements_on(points)
-        assert not E.geometry.cell(0).star_shaped
+        assert np.any(E.geometry.fan_areas[0] < 0.0)
         coeffs = np.random.default_rng(seed).uniform(-3, 3, 6)
         assert reproduction_error(E, 0, coeffs) <= 1e-10 * np.max(np.abs(coeffs))
 

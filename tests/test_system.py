@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from ipvem import cli, forms, mesh, projectors, system, verify
 from ipvem.system import SolveError, SparseSystem, number_dofs, solve
 
-from conftest import is_positive_definite
+from conftest import is_positive_definite, operator_parts
 
 # u = 0: zero forcing
 ZERO = verify.ManufacturedSolution("zero", lambda i, j, x, y: np.zeros_like(np.asarray(x, dtype=float)))
@@ -452,10 +452,12 @@ class TestSolveDiagnostics:
 class TestReduceOncePerMesh:
     def test_cached_restriction_gives_the_reduced_system(self, cvt32):
         d = cli.discretize(cvt32, verify.example_solution(1))
+        assert d.parts.hess is None  # dropped once restricted
+        parts = operator_parts(d)
         for eps in (1.0, 1e-3, 1e-10):
             rhs = eps**2 * d.rhs4 + d.rhs2
             a = d.reduced(eps)
-            b = system.combine(system.restrict(d.parts.hess, d.parts.grad, d.dof_map), rhs, eps)
+            b = system.combine(system.restrict(parts.hess, parts.grad, d.dof_map), rhs, eps)
             assert (a.matrix != b.matrix).nnz == 0
             assert np.array_equal(a.rhs, b.rhs)
             # exactly symmetric: both restricted parts are
@@ -463,8 +465,8 @@ class TestReduceOncePerMesh:
 
     def test_restricted_parts_are_the_symmetric_free_blocks(self, cvt32):
         d = cli.discretize(cvt32, verify.example_solution(1))
-        free = np.flatnonzero(d.dof_map.free)
-        for part, restricted in ((d.parts.hess, d.free_parts.hess), (d.parts.grad, d.free_parts.grad)):
+        free, parts = np.flatnonzero(d.dof_map.free), operator_parts(d)
+        for part, restricted in ((parts.hess, d.free_parts.hess), (parts.grad, d.free_parts.grad)):
             full = part.toarray()[np.ix_(free, free)]
             assert np.max(np.abs(restricted.toarray() - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
 
@@ -480,7 +482,8 @@ class TestReduceOncePerMesh:
             return ((reduced + reduced.T) * 0.5).T
 
         a = d.reduced(eps).matrix
-        for hess, grad in ((d.free_parts.hess, d.free_parts.grad), (symmetric_free(d.parts.hess), symmetric_free(d.parts.grad))):
+        parts = operator_parts(d)
+        for hess, grad in ((d.free_parts.hess, d.free_parts.grad), (symmetric_free(parts.hess), symmetric_free(parts.grad))):
             b = ((eps**2) * hess + grad).tocsc()
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
