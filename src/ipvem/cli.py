@@ -139,12 +139,10 @@ class Discretization:
     """Everything of one mesh that does not depend on eps.
 
     The operator is eps^2 * hess + grad, with the two operator parts of
-    :func:`system.build_operator_parts`, and the load vector
-    eps^2 * rhs4 + rhs2; ``free_parts`` holds both parts restricted to the
-    free DoFs on one shared pattern, so every eps costs one axpy on that
-    pattern's data, one solve and one error evaluation over (cells, 3)
-    arrays.  ``parts`` keeps what the energy norm reads (``grad``,
-    ``a_only``, ``j1``); its full-size ``hess`` is dropped once restricted.
+    :func:`system.build_operator_parts` on the free DoFs (``free_parts``,
+    on one shared pattern), and the load vector eps^2 * rhs4 + rhs2; so
+    every eps costs one axpy on that pattern's data, one solve and one
+    error evaluation from cell and edge arrays (``error_data``).
     ``seconds`` holds the wall time of each set-up stage.
     ``factor`` holds the Cholesky factor of the last solve that factored,
     which a solve at an eps no larger refines from (see
@@ -154,7 +152,6 @@ class Discretization:
     mesh: mesh.PolygonalMesh
     elements: projectors.Elements
     dof_map: system.GlobalDofMap
-    parts: system.OperatorParts
     free_parts: system.FreeParts
     rhs4: np.ndarray
     rhs2: np.ndarray
@@ -172,8 +169,8 @@ class Discretization:
     def error(self, solution, norm="interp-energy"):
         """Error record of ``solution`` with its penalty energy and solve
         diagnostics filled in."""
-        rec = verify.energy_error(self.error_data, solution, self.parts, norm=norm)
-        rec.j1_energy = verify.j1_energy(solution, self.parts.j1)
+        rec = verify.energy_error(self.error_data, solution, norm=norm)
+        rec.j1_energy = verify.j1_energy(self.error_data, solution)
         rec.solve = solution.diagnostics
         return rec
 
@@ -189,17 +186,15 @@ def discretize(mesh_obj, msol, penalty_a=2.0):
     cell_forms = forms.build_local_forms(elements)
     traces = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
     clock.lap("forms_stencils")
-    parts = system.build_operator_parts(dof_map, cell_forms, traces)
-    free_parts = system.restrict(parts.hess, parts.grad, dof_map)
-    parts.hess = None
+    free_parts = system.build_operator_parts(dof_map, cell_forms, traces)
     clock.lap("operator_parts")
     exact = msol.at(*elements.fan_rule.points.T)
     rhs4 = system.load_vector(elements, verify.biharmonic(exact))
     rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
     clock.lap("loads")
-    error_data = verify.build_error_data(mesh_obj, elements, msol, exact)
+    error_data = verify.build_error_data(mesh_obj, cell_forms, traces, msol, exact)
     clock.lap("error_data")
-    return Discretization(mesh_obj, elements, dof_map, parts, free_parts, rhs4, rhs2, error_data, clock.seconds)
+    return Discretization(mesh_obj, elements, dof_map, free_parts, rhs4, rhs2, error_data, clock.seconds)
 
 
 def _mesh_from_file(path):

@@ -17,6 +17,7 @@ assembly: an element's forms are its rows, an edge's terms its rows of J and A.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,16 +128,22 @@ class EdgeTraces:
     lam: np.ndarray             # (E,)
     h: np.ndarray               # (E,)
 
-    def coupling(self):
-        """(j1, j2): the penalty form J^T diag(lam_e SIMPSON) J and the
-        consistency part -A^T diag(h_e) S J, where S sums each edge's three
-        rows with the Simpson weights; rows test the average and columns
-        carry the trial jump."""
-        n_edges = len(self.lam)
-        weights = sp.diags(np.repeat(self.lam, 3) * np.tile(SIMPSON, n_edges))
-        simpson = sp.kron(sp.identity(n_edges), SIMPSON[None, :], format="csr")
-        j1 = self.jump.T @ (weights @ self.jump)
-        j2 = -(self.average.T @ (sp.diags(self.h) @ (simpson @ self.jump)))
+    @functools.cached_property
+    def weights(self):
+        """The penalty weight lam_e SIMPSON[k] of each row 3e + k of J, so
+        that the penalty energy of x is sum(weights * (J x)^2)."""
+        return np.repeat(self.lam, 3) * np.tile(SIMPSON, len(self.lam))
+
+    def coupling(self, columns):
+        """(j1, j2) on the DoF columns ``columns`` (an index array): the
+        penalty form J^T diag(weights) J and the consistency part
+        -A^T diag(h_e) S J, where S sums each edge's three rows with the
+        Simpson weights; rows test the average and columns carry the trial
+        jump."""
+        jump, average = self.jump[:, columns], self.average[:, columns]
+        simpson = sp.kron(sp.identity(len(self.lam)), SIMPSON[None, :], format="csr")
+        j1 = jump.T @ (sp.diags(self.weights) @ jump)
+        j2 = -(average.T @ (sp.diags(self.h) @ (simpson @ jump)))
         return j1.tocsr(), j2.tocsr()
 
 

@@ -77,49 +77,31 @@ class DiscreteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(eq=False)
-class OperatorParts:
-    """Full-size eps-independent pieces of the discrete operator.
-
-    ``hess`` is the Hessian-energy form plus all edge coupling blocks (the
-    part multiplied by eps^2), ``grad`` the gradient-energy form, ``a_only``
-    and ``j1`` the separate ingredients of the discrete energy norm.  Only
-    :func:`restrict` reads ``hess``, so a discretization drops it (None)
-    once the free parts are made.
-    """
-
-    hess: sp.csr_matrix | None
-    grad: sp.csr_matrix
-    a_only: sp.csr_matrix
-    j1: sp.csr_matrix
-
-
 def build_operator_parts(dof_map, cell_forms, traces):
-    """Assemble the operator parts from the stacked cell forms and the
-    edge-trace operators.  Both cell forms share one sorted index set of
-    every cell's (row, column) DoF pairs; the edge coupling is a product of
-    sparse matrices (``traces.coupling()``)."""
+    """The :class:`FreeParts` of the operator, assembled on the free DoFs
+    from the stacked cell forms and the edge-trace operators: the cell
+    blocks are scattered through one sorted index set of every cell's
+    (row, column) pairs of free DoFs, and the edge coupling is a product of
+    sparse matrices on the free columns (``traces.coupling``).  The
+    Hessian part ``hess`` is the a-form plus all edge coupling blocks (the
+    part multiplied by eps^2), ``grad`` the b-form."""
     elements = cell_forms.elements
-    mask = elements.dof_mask
-    pair = mask[:, :, None] & mask[:, None, :]
+    keep = elements.dof_mask & dof_map.free[elements.dofs]
+    pair = keep[:, :, None] & keep[:, None, :]
     if cell_forms.a.shape != pair.shape or cell_forms.b.shape != pair.shape:
         raise ValueError("cell forms do not match the elements' DoF layout")
-    n, dofs = dof_map.n_dofs, elements.dofs
-    slots, index = np.unique((dofs[:, :, None] * n + dofs[:, None, :])[pair], return_inverse=True)
+    free = np.flatnonzero(dof_map.free)
+    n = len(free)
+    local = (np.cumsum(dof_map.free) - 1)[elements.dofs]  # the column of each free DoF
+    slots, index = np.unique((local[:, :, None] * n + local[:, None, :])[pair], return_inverse=True)
     indptr = np.searchsorted(slots, np.arange(n + 1) * n)
 
     def cell_matrix(blocks):
         data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
         return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
 
-    a_only = cell_matrix(cell_forms.a)
-    j1, j2 = traces.coupling()
-    return OperatorParts(
-        hess=(a_only + j1 + j2 + j2.T).tocsr(),
-        grad=cell_matrix(cell_forms.b),
-        a_only=a_only,
-        j1=j1,
-    )
+    j1, j2 = traces.coupling(free)
+    return restrict(cell_matrix(cell_forms.a) + j1 + j2 + j2.T, cell_matrix(cell_forms.b), dof_map)
 
 
 def load_vector(elements, f):
@@ -171,11 +153,11 @@ def band_layout(mat):
 
 @dataclass(eq=False)
 class FreeParts:
-    """The operator parts restricted to the free DoFs and symmetrized, stored
-    as CSC matrices that share one pattern: ``hess`` and ``grad`` hold the
-    same ``indptr`` and ``indices`` arrays, so their sum at each eps is one
-    axpy on the data.  ``layout`` is that pattern's band layout, made once
-    per mesh and used by every factor of the mesh's systems."""
+    """The two parts of the operator on the free DoFs, symmetrized and
+    stored as CSC matrices that share one pattern: ``hess`` and ``grad``
+    hold the same ``indptr`` and ``indices`` arrays, so their sum at each
+    eps is one axpy on the data.  ``layout`` is that pattern's band layout,
+    made once per mesh and used by every factor of the mesh's systems."""
 
     hess: sp.csc_matrix
     grad: sp.csc_matrix
@@ -190,42 +172,21 @@ def _with_data(mat, data):
     return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
-def restrict(hess_part, grad_part, dof_map):
-    """Eliminate the boundary rows and columns of both parts and symmetrize
-    them, removing accumulation-order roundoff, then lay both on one
-    pattern: ``hess``'s, which holds ``grad``'s on the meshes measured, or
-    else the union of the two; and lay that pattern out for the band
-    factor.  Done once per mesh."""
-    free = np.flatnonzero(dof_map.free)
-
-    def symmetric_free(part):
-        reduced = part[free][:, free]
-        # exactly symmetric, so the transpose (a CSC view of the same arrays)
-        # is the same matrix, stored as CSC without a copy
-        free_part = ((reduced + reduced.T) * 0.5).T
-        free_part.sort_indices()
-        return free_part
-
-    def positions(pattern, part):
-        """The index into ``pattern.data`` of each stored entry of ``part``,
-        None unless ``pattern`` holds every one: the elementwise product of
-        the entries' 1-based ranks in ``pattern`` with ones on ``part``'s
-        pattern keeps exactly the shared entries, in ``part``'s order."""
-        ranks = _with_data(pattern, np.arange(1.0, pattern.nnz + 1)).multiply(_with_data(part, np.ones(part.nnz)))
-        return ranks.data.astype(np.intp) - 1 if ranks.nnz == part.nnz else None
-
-    def on_pattern(pattern, part, at):
-        data = np.zeros(pattern.nnz)
-        data[at] = part.data
-        return _with_data(pattern, data)
-
-    hess, grad = symmetric_free(hess_part), symmetric_free(grad_part)
-    at = positions(hess, grad)
-    if at is None:
-        # grad has an entry that hess lacks: both go on the union pattern
-        union = abs(hess) + abs(grad)
-        hess, at = on_pattern(union, hess, positions(union, hess)), positions(union, grad)
-    return FreeParts(hess, on_pattern(hess, grad, at), free, dof_map, band_layout(hess))
+def restrict(hess, grad, dof_map):
+    """The :class:`FreeParts` of the parts ``hess`` and ``grad``, given on
+    the free DoFs of ``dof_map``: both are symmetrized at once, removing
+    accumulation-order roundoff, with ``grad`` carried as the imaginary part
+    of one complex matrix, so that every sparse operation keeps one pattern
+    holding each entry either part holds; then that pattern is laid out for
+    the band factor.  Done once per mesh."""
+    both = hess + 1j * grad
+    # exactly symmetric, so the transpose (a CSC view of the same arrays)
+    # is the same matrix, stored as CSC without a copy
+    both = ((both + both.T) * 0.5).T
+    both.sort_indices()
+    hess = _with_data(both, both.data.real.copy())
+    grad = _with_data(both, both.data.imag.copy())
+    return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, band_layout(hess))
 
 
 def combine(parts, rhs, eps):

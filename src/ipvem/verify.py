@@ -3,14 +3,15 @@
 A discrete solution is never pointwise evaluable inside a cell, so the error
 is measured from computable data.  The default is the discrete energy norm
 of the DoF interpolation error (exact-solution DoFs minus solution DoFs),
-whose components are the assembled Hessian-form-plus-penalty energy and the
-gradient-form energy; that is the norm the penalty parameter controls and it
-matches the reference convergence figures.  Broken seminorm errors of the
-element solution polynomials are computed alongside so both readings of the
-error are always reported.  Everything that does not depend on eps (the
-exact solution's DoFs, and fits of its partials with the residual
-integrals of those fits) is gathered once per mesh in an
-:class:`ErrorData`, so the error at each eps touches only per-cell arrays.
+whose components are the Hessian-form-plus-penalty energy and the
+gradient-form energy, summed cell by cell and edge by edge; that is the
+norm the penalty parameter controls and it matches the reference
+convergence figures.  Broken seminorm errors of the element solution
+polynomials are computed alongside so both readings of the error are
+always reported.  Everything that does not depend on eps (the exact
+solution's DoFs, and fits of its partials with the residual integrals of
+those fits) is gathered once per mesh in an :class:`ErrorData`, so the
+error at each eps touches only per-cell and per-edge arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 
 from .basis import dot
@@ -193,7 +195,8 @@ class ErrorData:
     residual integrals kept here, and each eps adds only the second, from
     (C, 3) arrays.  Also kept: the exact-solution DoFs and the padded
     global DoF indices with the stacked h2 and h1 projector coefficients
-    (rows 0-5 and 6-11)."""
+    (rows 0-5 and 6-11), and what the energy norm sums: the stacked cell
+    forms and the edge-trace operator J with its penalty weights."""
 
     n_cells: int
     h_max: float
@@ -207,11 +210,17 @@ class ErrorData:
     exact_dofs: np.ndarray      # (n_dofs,) DoFs of the exact solution
     dofs: np.ndarray            # (n_cells, N)
     projectors: np.ndarray      # (n_cells, 12, N)
+    a: np.ndarray               # (n_cells, N, N) cell a-forms
+    b: np.ndarray               # (n_cells, N, N) cell b-forms
+    jump: sp.csr_matrix         # (3 E, n_dofs) the edge-trace operator J
+    weights: np.ndarray         # (3 E,) penalty weight of each row of J
 
 
-def build_error_data(mesh, elements, msol, exact=None):
-    """Error data of one mesh, built once and shared by every eps.
+def build_error_data(mesh, cell_forms, traces, msol, exact=None):
+    """Error data of one mesh, built once and shared by every eps, from its
+    :class:`~ipvem.forms.CellForms` and :class:`~ipvem.forms.EdgeTraces`.
     ``exact``, if given, is ``msol.at`` of the fan-rule points."""
+    elements = cell_forms.elements
     g, rule = elements.geometry, elements.fan_rule
     exact = exact or msol.at(*rule.points.T)
     n, w, xi, eta = mesh.n_cells, rule.weights, rule.xi, rule.eta
@@ -246,6 +255,10 @@ def build_error_data(mesh, elements, msol, exact=None):
         exact_dofs=interpolation_dofs(mesh, elements, msol, exact),
         dofs=elements.dofs,
         projectors=np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1),
+        a=cell_forms.a,
+        b=cell_forms.b,
+        jump=traces.jump,
+        weights=traces.weights,
     )
 
 
@@ -282,15 +295,29 @@ def _projection_errors(data, values):
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 
-def energy_error(data, solution, parts, norm="interp-energy"):
+def _cell_energy(forms, local):
+    """sum_c v_c^T F_c v_c over the cells, of the (C, N, N) cell forms F and
+    the (C, N) local DoF vectors v."""
+    return dot(np.einsum("cij,cj->ci", forms, local).ravel(), local.ravel())
+
+
+def _penalty_energy(data, x):
+    """The penalty energy sum_e lam_e int_e [d_n x]^2 = sum(weights (J x)^2)
+    of the DoF vector ``x``: a sum of nonnegative terms."""
+    jump = data.jump @ x
+    return dot(data.weights, jump * jump)
+
+
+def energy_error(data, solution, norm="interp-energy"):
     """Error record of a discrete solution against the exact one.
 
-    ``data`` is the mesh's :class:`ErrorData` and ``parts`` its
-    :class:`~ipvem.system.OperatorParts`.  The default norm is the
+    ``data`` is the mesh's :class:`ErrorData`.  The default norm is the
     discrete energy of the DoF interpolation error
     delta = dofs(u) - dofs(u_h): the Hessian component is the a-form energy
     plus the penalty energy of delta, the gradient component the b-form
     energy, mirroring the norm the penalty parameter is designed to control.
+    Each is summed from local terms, the cell forms on each cell's DoFs and
+    the penalty on each edge's jumps, so no term cancels another.
     ``norm='projection'`` uses the broken seminorms of the element solution
     polynomials instead (h2 projection for the Hessian part, h1 projection
     for the gradient part).  Both work on the double rounding of the
@@ -304,8 +331,9 @@ def energy_error(data, solution, parts, norm="interp-energy"):
 
     if norm == "interp-energy":
         delta = data.exact_dofs - values
-        h2_sq = dot(delta, parts.a_only @ delta) + dot(delta, parts.j1 @ delta)
-        h1_sq = dot(delta, parts.grad @ delta)
+        local = delta[data.dofs]
+        h2_sq = _cell_energy(data.a, local) + _penalty_energy(data, delta)
+        h1_sq = _cell_energy(data.b, local)
     else:
         h2_sq = proj[0] ** 2
         h1_sq = proj[1] ** 2
@@ -324,11 +352,10 @@ def energy_error(data, solution, parts, norm="interp-energy"):
     )
 
 
-def j1_energy(solution, j1_matrix):
-    """Penalty energy x^T J1 x of a solution vector (its double rounding);
-    nonnegative."""
-    x = np.asarray(solution.values, dtype=float)
-    return dot(x, j1_matrix @ x)
+def j1_energy(data, solution):
+    """Penalty energy sum_e lam_e int_e [d_n u_h]^2 of a solution (its double
+    rounding) on the mesh of ``data``; nonnegative."""
+    return _penalty_energy(data, np.asarray(solution.values, dtype=float))
 
 
 def fit_rate(h_values, errors):

@@ -1,7 +1,9 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from ipvem import forms, mesh, projectors, system
@@ -131,9 +133,24 @@ def dofs_of_polynomial(g, c, coeffs):
 
 
 def operator_parts(d):
-    """The full-size operator parts of a discretization, which keeps no ``hess``."""
+    """Test-local full-size operator parts of a discretization, the boundary
+    DoFs included, each entry summed in the order the assembly sums it on the
+    free DoFs: the cell forms scattered through one sorted index set of
+    every cell's (row, column) pairs, plus the edge coupling on all columns:
+    ``hess`` is a + j1 + j2 + j2^T and ``grad`` is b."""
     cell_forms = forms.build_local_forms(d.elements)
-    return system.build_operator_parts(d.dof_map, cell_forms, forms.build_edge_stencils(d.mesh, d.elements))
+    traces = forms.build_edge_stencils(d.mesh, d.elements)
+    mask, dofs, n = d.elements.dof_mask, d.elements.dofs, d.dof_map.n_dofs
+    pair = mask[:, :, None] & mask[:, None, :]
+    slots, index = np.unique((dofs[:, :, None] * n + dofs[:, None, :])[pair], return_inverse=True)
+    indptr = np.searchsorted(slots, np.arange(n + 1) * n)
+
+    def cell_matrix(blocks):
+        data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
+        return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
+
+    j1, j2 = traces.coupling(np.arange(n))
+    return types.SimpleNamespace(hess=(cell_matrix(cell_forms.a) + j1 + j2 + j2.T).tocsr(), grad=cell_matrix(cell_forms.b))
 
 
 def cell_dofs(m, c):
@@ -150,7 +167,7 @@ def edge_coupling(traces, e, lam=None):
     lam = traces.lam[[e]] if lam is None else np.array([lam], dtype=float)
     j1, j2 = dataclasses.replace(
         traces, jump=traces.jump[3 * e : 3 * e + 3], average=traces.average[[e]], lam=lam, h=traces.h[[e]]
-    ).coupling()
+    ).coupling(np.arange(traces.jump.shape[1]))
     return j1.toarray(), (j1 + j2 + j2.T).toarray()
 
 

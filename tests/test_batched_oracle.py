@@ -17,7 +17,7 @@ from ipvem import cli, forms, mesh, system, verify
 from ipvem.basis import QUAD_ORDER, SIMPSON, gauss_legendre_01, monomial_exponents
 from ipvem.mesh import BOUNDARY
 
-from conftest import basis_at, cell_dofs, derivatives, dof_points, edge_coupling, operator_parts, polygon_rule
+from conftest import basis_at, cell_dofs, derivatives, dof_points, edge_coupling, polygon_rule
 
 TOL = 1e-13
 
@@ -226,6 +226,25 @@ class TestBatchedKernelsMatchPerCellOracle:
 
     def test_operator_parts(self, case):
         m, d, oracle = case
-        parts = operator_parts(d)
-        worst = max(rel(getattr(parts, name), oracle["parts"][name]) for name in ("hess", "grad", "a_only", "j1"))
+        free, parts = np.flatnonzero(d.dof_map.free), oracle["parts"]
+
+        def symmetric_free(part):
+            block = part.toarray()[np.ix_(free, free)]
+            return 0.5 * (block + block.T)
+
+        worst = max(rel(getattr(d.free_parts, name), symmetric_free(parts[name])) for name in ("hess", "grad"))
         assert worst <= TOL
+
+    def test_energy_forms(self, case):
+        # the cell-by-cell and edge-by-edge energies against the quadratic
+        # forms of the oracle's full-size matrices, boundary DoFs included
+        m, d, oracle = case
+        data, parts = d.error_data, oracle["parts"]
+        x = np.random.default_rng(5).standard_normal(d.dof_map.n_dofs)
+        local = x[data.dofs]
+        for got, matrix in (
+            (verify._cell_energy(data.a, local), parts["a_only"]),
+            (verify._cell_energy(data.b, local), parts["grad"]),
+            (verify._penalty_energy(data, x), parts["j1"]),
+        ):
+            assert got == pytest.approx(x @ (matrix @ x), rel=TOL, abs=0.0)

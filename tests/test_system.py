@@ -74,8 +74,7 @@ class TestAssemble:
         lf = forms.build_local_forms(d.elements)
         traces = forms.build_edge_stencils(m, d.elements)
         zeroed = dataclasses.replace(traces, jump=0.0 * traces.jump, average=0.0 * traces.average)
-        parts = system.build_operator_parts(d.dof_map, lf, zeroed)
-        sys_zero = system.combine(system.restrict(parts.hess, parts.grad, d.dof_map), d.rhs2, 0.0)
+        sys_zero = system.combine(system.build_operator_parts(d.dof_map, lf, zeroed), d.rhs2, 0.0)
         b_full = np.zeros((d.dof_map.n_dofs, d.dof_map.n_dofs))
         for cid, n in enumerate(d.elements.n_dofs):
             idx = d.elements.dofs[cid, :n]
@@ -162,8 +161,7 @@ class TestSolve:
             h=traces.h[order],
         )
         parts = system.build_operator_parts(d.dof_map, lf, permuted)
-        rhs = eps**2 * d.rhs4 + d.rhs2
-        sol_b = solve(system.combine(system.restrict(parts.hess, parts.grad, d.dof_map), rhs, eps))
+        sol_b = solve(system.combine(parts, eps**2 * d.rhs4 + d.rhs2, eps))
         scale = np.max(np.abs(sol_a.values))
         assert np.max(np.abs(sol_a.values - sol_b.values)) <= 1e-9 * scale
 
@@ -449,17 +447,25 @@ class TestSolveDiagnostics:
             assert 0.0 < rec["residual_floor"] < system.RESIDUAL_TARGET
 
 
+def symmetric_free(part, free):
+    """Test-local free block of a full-size part, symmetrized as the
+    assembly does."""
+    reduced = part[free][:, free]
+    return ((reduced + reduced.T) * 0.5).T
+
+
 class TestReduceOncePerMesh:
     def test_cached_restriction_gives_the_reduced_system(self, cvt32):
+        # each eps's system against scipy's sum of the test-local full-size
+        # parts, restricted and symmetrized after assembly
         d = cli.discretize(cvt32, verify.example_solution(1))
-        assert d.parts.hess is None  # dropped once restricted
-        parts = operator_parts(d)
+        free, parts = np.flatnonzero(d.dof_map.free), operator_parts(d)
+        hess, grad = symmetric_free(parts.hess, free), symmetric_free(parts.grad, free)
         for eps in (1.0, 1e-3, 1e-10):
             rhs = eps**2 * d.rhs4 + d.rhs2
             a = d.reduced(eps)
-            b = system.combine(system.restrict(parts.hess, parts.grad, d.dof_map), rhs, eps)
-            assert (a.matrix != b.matrix).nnz == 0
-            assert np.array_equal(a.rhs, b.rhs)
+            assert (a.matrix != eps**2 * hess + grad).nnz == 0
+            assert np.array_equal(a.rhs, rhs[free])
             # exactly symmetric: both restricted parts are
             assert (a.matrix != a.matrix.T).nnz == 0
 
@@ -472,18 +478,17 @@ class TestReduceOncePerMesh:
 
     @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-10])
     def test_reduced_matrix_is_the_sparse_sum_of_todays_parts(self, cvt64, eps):
-        # the axpy on the shared pattern against scipy's sum of the parts
-        # restricted and symmetrized one at a time
+        # the axpy on the shared pattern against scipy's sum of the parts,
+        # and of the test-local full-size parts restricted and symmetrized
+        # one at a time: restricting before the assembly's sums changes no bit
         d = cli.discretize(cvt64, verify.example_solution(1))
         free = np.flatnonzero(d.dof_map.free)
-
-        def symmetric_free(part):
-            reduced = part[free][:, free]
-            return ((reduced + reduced.T) * 0.5).T
-
         a = d.reduced(eps).matrix
         parts = operator_parts(d)
-        for hess, grad in ((d.free_parts.hess, d.free_parts.grad), (symmetric_free(parts.hess), symmetric_free(parts.grad))):
+        for hess, grad in (
+            (d.free_parts.hess, d.free_parts.grad),
+            (symmetric_free(parts.hess, free), symmetric_free(parts.grad, free)),
+        ):
             b = ((eps**2) * hess + grad).tocsc()
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
@@ -495,10 +500,22 @@ class TestReduceOncePerMesh:
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)
         assert np.shares_memory(parts.hess.indptr, parts.grad.indptr)
 
+    def test_discretization_keeps_no_full_size_matrix(self, cvt32):
+        # the energy norm reads cell and edge arrays: no field of a
+        # discretization, or of the data it holds, is an (n_dofs, n_dofs) matrix
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        n = d.dof_map.n_dofs
+        fields = [getattr(d, f.name) for f in dataclasses.fields(d)]
+        fields += [getattr(v, f.name) for v in fields if dataclasses.is_dataclass(v) for f in dataclasses.fields(v)]
+        assert not [v for v in fields if sp.issparse(v) and v.shape == (n, n)]
+        assert sum(sp.issparse(v) for v in fields) == 3  # free hess and grad, and the jump operator
+
     def test_grad_entry_outside_hess_pattern_takes_the_union(self):
-        # hess lacks the (0, 2) and (2, 0) entries that grad has
-        hess = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+        # hess sums to an exact zero at (0, 2) and (2, 0), where grad is nonzero
+        hess = sp.csr_matrix(np.array([[4.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 4.0]]))
+        hess = hess - sp.csr_matrix(([0.5, 0.5], ([0, 2], [2, 0])), shape=(3, 3))
         grad = sp.csr_matrix(np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 2.0]]))
+        assert hess.nnz == 7
         dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
         parts = system.restrict(hess, grad, dm)
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)

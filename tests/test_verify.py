@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipvem import cli, forms, mesh, system, verify
-from ipvem.basis import QUAD_ORDER
+from ipvem.basis import QUAD_ORDER, SIMPSON
 from ipvem.verify import (
     ManufacturedSolution,
     energy_error,
@@ -219,6 +219,29 @@ def oracle_projection_errors(m, elements, values, msol, quad_order=QUAD_ORDER):
     return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
 
 
+def oracle_energies(d, x):
+    """Test-local energies of the DoF vector ``x`` in long double: the a- and
+    b-form energies summed cell by cell over each cell's own DoFs, and the
+    penalty energy sum_e lam_e sum_k SIMPSON_k [d_n x]^2 over each edge's
+    three jump rows."""
+    lf = forms.build_local_forms(d.elements)
+    traces = forms.build_edge_stencils(d.mesh, d.elements)
+    x = np.asarray(x).astype(np.longdouble)
+    a_energy = b_energy = np.longdouble(0.0)
+    for c, n in enumerate(d.elements.n_dofs):
+        v = x[d.elements.dofs[c, :n]]
+        a_energy += v @ (lf.a[c, :n, :n].astype(np.longdouble) @ v)
+        b_energy += v @ (lf.b[c, :n, :n].astype(np.longdouble) @ v)
+    return a_energy, b_energy, penalty_energy(traces, x)
+
+
+def penalty_energy(traces, x):
+    """Test-local penalty energy of ``x`` from the jump rows, in long double."""
+    jump = traces.jump.astype(np.longdouble) @ np.asarray(x).astype(np.longdouble)
+    weights = np.repeat(traces.lam, 3).astype(np.longdouble) * np.tile(SIMPSON, len(traces.lam))
+    return np.sum(weights * jump * jump)
+
+
 class TestBatchedErrorsMatchPerCellOracle:
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("mesh_name", ["cvt32", "uniform4"])
@@ -226,16 +249,15 @@ class TestBatchedErrorsMatchPerCellOracle:
         m = request.getfixturevalue("cvt32") if mesh_name == "cvt32" else mesh.generate_uniform_squares(4)
         msol = example_solution(which)
         d = cli.discretize(m, msol)
-        elements, parts = d.elements, d.parts
+        elements = d.elements
         chi = oracle_interpolation_dofs(m, elements, msol)
         assert np.max(np.abs(d.error_data.exact_dofs - chi)) <= 1e-13
         assert np.max(np.abs(interpolation_dofs(m, elements, msol) - chi)) <= 1e-13
         for eps in (1.0, 1e-3, 1e-10):
             sol = d.solve(eps)
-            rec = energy_error(d.error_data, sol, parts)
-            delta = chi - sol.values
-            h2 = math.sqrt(delta @ (parts.a_only @ delta) + delta @ (parts.j1 @ delta))
-            h1 = math.sqrt(delta @ (parts.grad @ delta))
+            rec = energy_error(d.error_data, sol)
+            a_energy, b_energy, j1 = oracle_energies(d, chi - np.asarray(sol.values, dtype=float))
+            h2, h1 = math.sqrt(a_energy + j1), math.sqrt(b_energy)
             expected = (math.sqrt(eps**2 * h2**2 + h1**2), h2, h1) + oracle_projection_errors(
                 m, elements, sol.values, msol
             )
@@ -310,7 +332,7 @@ class TestJ1Energy:
     def test_zero_solution(self, cvt32):
         d = cli.discretize(cvt32, example_solution(1))
         sol = system.DiscreteSolution(values=np.zeros(d.dof_map.n_dofs), eps=1.0, residual=0.0)
-        assert j1_energy(sol, d.parts.j1) == 0.0
+        assert j1_energy(d.error_data, sol) == 0.0
 
     def test_global_quadratic_interior_stencils_vanish(self, cvt32, cvt32_elements):
         traces = forms.build_edge_stencils(cvt32, cvt32_elements)
@@ -332,6 +354,17 @@ class TestJ1Energy:
             scale = max(1.0, np.max(np.abs(j1)))
             assert abs(chi @ j1 @ chi) < 1e-11 * scale
 
+    def test_record_matches_long_double_sum_at_eps_1(self, cvt_sequence):
+        # at eps = 1 the jumps of the solution are small against its traces:
+        # x^T J1 x from an assembled J1 cancels to about 3e-9 relative here,
+        # the edge-by-edge sum of nonnegative terms does not
+        m = cvt_sequence[512]
+        d = cli.discretize(m, example_solution(1))
+        sol = d.solve(1.0)
+        rec = d.error(sol)
+        expected = penalty_energy(forms.build_edge_stencils(m, d.elements), np.asarray(sol.values, dtype=float))
+        assert rec.j1_energy == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
     def test_solution_j1_energy_decreases_with_refinement(self, cvt_sequence):
         # moderate eps: the penalty actively controls the jumps, so the
         # penalty energy of the solution shrinks along the mesh sequence
@@ -339,7 +372,7 @@ class TestJ1Energy:
         energies = []
         for n in (32, 64, 128):
             d, sol = solve_case(cvt_sequence[n], 1.0, msol)
-            energies.append(j1_energy(sol, d.parts.j1))
+            energies.append(j1_energy(d.error_data, sol))
         assert all(e > 0.0 for e in energies)
         assert energies[0] > energies[1] > energies[2]
 
