@@ -7,7 +7,7 @@ solve and one error evaluation of example 1 at eps = 1e-3.  Each record
 holds the stage seconds, ``n_free``, ``nnz``, the solve method, its
 residual, refinement steps, the entries the factor stores (``factor_nnz``;
 a package that reports ``lu_nnz`` instead gives that), its half-bandwidth
-(``bandwidth``), and the qhull calls and edge flips of the Lloyd steps
+(``bandwidth``), and the qhull calls and edge flips of the generator
 (``delaunay_calls``, ``lloyd_flips``), each null where the timed package
 does not report it, and the process's peak resident set so far
 (``peak_rss_mb``, from ``ru_maxrss``).  Then the same

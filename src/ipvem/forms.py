@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import ORDER, SIMPSON
-from .mesh import BOUNDARY, virtual_triangle_areas
+from .mesh import BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,16 @@ class EdgeTraces:
 
 
 def build_edge_stencils(mesh, elements, penalty_a=2.0):
-    """The :class:`EdgeTraces` of every edge, with the automated penalty."""
-    config = PenaltyConfig(a=penalty_a, n_k=max(map(len, mesh.cells)))
+    """The :class:`EdgeTraces` of every edge, with the automated penalty.
+    An edge's virtual triangles are the centroid-fan triangles of its sides;
+    a boundary edge's one triangle counts on both sides."""
     g = elements.geometry
+    config = PenaltyConfig(a=penalty_a, n_k=int(g.valence.max()))
     # every edge is the local edge of exactly one left side
-    h = np.empty(mesh.n_edges)
-    h[g.edge_ids[g.left]] = g.edge_lengths[g.left]
-    interior = mesh.edge_cells[:, 1] != BOUNDARY
-    areas = virtual_triangle_areas(mesh)
-    lam = penalty_parameter(h, [areas[:, 0], np.where(interior, areas[:, 1], areas[:, 0])], config)
+    left, right = g.left, g.valid & ~g.left
+    h, areas = np.empty(mesh.n_edges), np.empty((2, mesh.n_edges))
+    h[g.edge_ids[left]] = g.edge_lengths[left]
+    areas[:, g.edge_ids[left]] = np.abs(g.fan_areas[left])
+    areas[1, g.edge_ids[right]] = np.abs(g.fan_areas[right])
+    lam = penalty_parameter(h, areas, config)
     return EdgeTraces(*_trace_operators(mesh, elements), lam, h)

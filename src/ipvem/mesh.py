@@ -1,7 +1,7 @@
 """Polygonal meshes of a rectangular domain: construction, generation, queries.
 
 A finished :class:`PolygonalMesh` is immutable in practice (nothing mutates it
-after ``build_mesh``) and safe to share across threads for read-only queries.
+after it is built) and safe to share across threads for read-only queries.
 """
 
 from __future__ import annotations
@@ -46,22 +46,24 @@ class MeshGenerationError(MeshError):
 class PolygonalMesh:
     """Vertices, CCW cell loops, and oriented edges with cell adjacency.
 
-    ``edges[e] = (tail, head)`` as traversed by the left cell; the right cell
-    (``BOUNDARY`` if none) traverses head->tail.  The geometry of all cells
-    is computed together on first use.
+    The loops are one CSR pair: cell ``c``'s corners are the vertices
+    ``corners[offsets[c]:offsets[c + 1]]``, and ``corner_edges[i]`` is the
+    edge that leaves corner ``i``.  ``edges[e] = (tail, head)`` as traversed
+    by the left cell; the right cell (``BOUNDARY`` if none) traverses
+    head->tail.  The geometry of all cells is computed together on first use.
     """
 
-    def __init__(self, vertices, cells, edges, edge_cells, cell_edges):
+    def __init__(self, vertices, corners, offsets, corner_edges, edges, edge_cells):
         self.vertices = vertices
-        self.cells = cells
+        self.corners, self.offsets, self.corner_edges = corners, offsets, corner_edges
         self.edges = edges
         self.edge_cells = edge_cells
-        self.cell_edges = cell_edges
         self.boundary_edge = edge_cells[:, 1] == BOUNDARY
         bvert = np.zeros(len(vertices), dtype=bool)
         bvert[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = bvert
-        # per Lloyd step of a generated CVT: generator movement, qhull calls, flips
+        # per Lloyd step of a generated CVT, and the final cells: generator
+        # movement (steps only), qhull calls, flips
         self.lloyd_movement = self.delaunay_calls = self.lloyd_flips = None
 
     @property
@@ -70,7 +72,7 @@ class PolygonalMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self.offsets) - 1
 
     @property
     def n_edges(self):
@@ -87,20 +89,6 @@ class PolygonalMesh:
     def min_edge_length(self):
         g = self.stacked_geometry
         return float(g.edge_lengths[g.valid].min())
-
-
-def virtual_triangle_areas(mesh):
-    """Areas of the virtual triangles of every edge, (E, 2): the edge joined
-    to the centroid of its left cell, and to that of its right cell (NaN
-    on a boundary edge)."""
-    g = mesh.stacked_geometry
-    c, j = np.nonzero(g.valid)
-    e = g.edge_ids[c, j]
-    tail, head = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-    d, r = head - tail, g.centroid[c] - tail
-    areas = np.full((mesh.n_edges, 2), np.nan)
-    areas[e, np.where(g.left[c, j], 0, 1)] = 0.5 * np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0])
-    return areas
 
 
 @dataclass(eq=False)
@@ -136,26 +124,19 @@ class StackedGeometry:
 
 
 def stacked_geometry(mesh):
-    """:class:`StackedGeometry` of every cell, on all corners at once; each
-    corner's edge is found by its sorted vertex pair."""
-    valence = np.fromiter(map(len, mesh.cells), dtype=np.intp, count=mesh.n_cells)
-    offsets = np.concatenate([[0], np.cumsum(valence)])
-    flat = np.concatenate(mesh.cells)
-    area, centroid = _centroids(mesh.vertices[flat], offsets)
+    """:class:`StackedGeometry` of every cell, on all corners at once."""
+    offsets = mesh.offsets
+    valence = np.diff(offsets)
+    area, centroid = _centroids(mesh.vertices[mesh.corners], offsets)
     if np.any(area <= 0.0):
         raise MeshError(f"cell {np.argmax(area <= 0.0)} is not counter-clockwise or has nonpositive area")
     j = np.arange(valence.max())
     valid = j < valence[:, None]
-    vertex_ids = flat[offsets[:-1, None] + np.where(valid, j, 0)]
+    corner = offsets[:-1, None] + np.where(valid, j, 0)
+    vertex_ids = mesh.corners[corner]
+    edge_ids = np.where(valid, mesh.corner_edges[corner], 0)
     next_corner = np.where(j + 1 < valence[:, None], j + 1, 0)
     head_ids = np.take_along_axis(vertex_ids, next_corner, axis=1)
-
-    nv = mesh.n_vertices
-    edge_keys = mesh.edges.min(axis=1) * nv + mesh.edges.max(axis=1)
-    order = np.argsort(edge_keys)
-    corner_keys = np.minimum(vertex_ids, head_ids) * nv + np.maximum(vertex_ids, head_ids)
-    found = np.minimum(np.searchsorted(edge_keys[order], corner_keys), len(order) - 1)
-    edge_ids = np.where(valid, order[found], 0)
     left = valid & (mesh.edges[edge_ids, 0] == vertex_ids)
 
     loop, heads = mesh.vertices[vertex_ids], mesh.vertices[head_ids]
@@ -175,37 +156,38 @@ def stacked_geometry(mesh):
     )
 
 
-def _split(flat, offsets):
-    """Views of ``flat`` between consecutive ``offsets``, as np.split gives
-    them but without its per-piece overhead."""
-    bounds = offsets.tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _first(mask):
     """Index of the first True entry of ``mask``, or its length if none."""
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
 def build_mesh(vertices, cells, fix_orientation=False):
-    """Assemble and validate a mesh from vertices and cell loops.
+    """Assemble and validate a mesh from vertices and a sequence of cell
+    loops, as :func:`_build_mesh` does from their CSR pair."""
+    valence = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    corners = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.intp, count=valence.sum())
+    return _build_mesh(vertices, corners, np.concatenate([[0], np.cumsum(valence)]), fix_orientation)
+
+
+def _build_mesh(vertices, corners, offsets, fix_orientation=False):
+    """Assemble and validate a mesh from vertices and the CSR pair of its
+    cell loops: cell ``c``'s corners are ``corners[offsets[c]:offsets[c + 1]]``.
 
     Checks the structural invariants: CCW simple cells with positive area,
     interior edges shared by exactly two cells with opposite orientation, and
     the Euler relation V - E + F = 1 of a simply connected meshed domain.
     Each check runs on all corners at once and a faulty payload reports the
     fault that a walk through the cells, corner by corner, meets first.
-    Edges are numbered by first traversal; ``cell_edges[c]`` holds the
-    ``(edge, +1 | -1)`` rows of cell ``c``'s corners, +1 where the cell is
-    the edge's left cell.
+    Edges are numbered by first traversal, and each corner's edge is kept
+    as ``corner_edges``.
     """
-    if len(cells) == 0:
+    if len(offsets) < 2:
         raise MeshError("a mesh needs at least one cell")
     vertices = np.asarray(vertices, dtype=float)
-    n_cells, n_vertices = len(cells), len(vertices)
-    valence = np.fromiter(map(len, cells), dtype=np.intp, count=n_cells)
-    offsets = np.concatenate([[0], np.cumsum(valence)])
-    flat = np.concatenate(cells).astype(np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    valence = np.diff(offsets)
+    n_cells, n_vertices = len(valence), len(vertices)
+    flat = np.array(corners, dtype=np.intp)
     owner = np.repeat(np.arange(n_cells), valence)
 
     by_vertex = np.lexsort((flat, owner))
@@ -233,7 +215,7 @@ def build_mesh(vertices, cells, fix_orientation=False):
     bad = min(firsts)
     clockwise = np.flatnonzero(area[:bad] < 0.0)
     for ci in clockwise:
-        warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=2)
+        warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=3)
     if bad < n_cells:
         raise MeshError(f"cell {bad} {faults[firsts.index(bad)][1]}")
     if len(clockwise):
@@ -261,14 +243,7 @@ def build_mesh(vertices, cells, fix_orientation=False):
     edge_cells = np.column_stack([owner[left], np.full(len(left), BOUNDARY)])
     second = occurrence == 1
     edge_cells[corner_edge[second], 1] = owner[second]
-    cell_edges = np.column_stack([corner_edge, np.where(occurrence == 0, 1, -1)])
-    mesh = PolygonalMesh(
-        vertices=vertices,
-        cells=_split(flat, offsets),
-        edges=np.column_stack([tail[left], head[left]]),
-        edge_cells=edge_cells,
-        cell_edges=_split(cell_edges, offsets),
-    )
+    mesh = PolygonalMesh(vertices, flat, offsets, corner_edge, np.column_stack([tail[left], head[left]]), edge_cells)
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
     if euler != 1:
         raise MeshError(f"Euler relation violated: V - E + F = {euler}, expected 1")
@@ -289,7 +264,8 @@ def generate_uniform_squares(n):
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
     v0 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    mesh = build_mesh(vertices, np.column_stack([v0, v0 + 1, v0 + n + 2, v0 + n + 1]))
+    corners = np.column_stack([v0, v0 + 1, v0 + n + 2, v0 + n + 1]).ravel()
+    mesh = _build_mesh(vertices, corners, np.arange(0, 4 * n * n + 1, 4))
     validate_tiling(mesh, 1.0)
     return mesh
 
@@ -555,8 +531,7 @@ def _cells_to_mesh(xy, offsets):
     kept = np.add.reduceat(keep, offsets[:-1])
     if kept.min() < 3:
         raise MeshGenerationError("cell degenerated to fewer than 3 vertices")
-    cells = _split(canonical[keep], np.concatenate([[0], np.cumsum(kept)]))
-    return build_mesh(vertices, cells)
+    return _build_mesh(vertices, canonical[keep], np.concatenate([[0], np.cumsum(kept)]))
 
 
 def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
@@ -564,9 +539,9 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
 
     Starts from seeded uniform random generators (or ``initial_points``) and
     applies ``lloyd_iters`` Lloyd iterations, moving each generator to the
-    centroid of its clipped cell.  The first step calls qhull; later steps
-    repair the last triangulation and call qhull again only when the repair
-    fails.  Deterministic for a fixed seed.
+    centroid of its clipped cell.  The first step calls qhull; later steps,
+    and the final cells, repair the last triangulation and call qhull again
+    only when the repair fails.  Deterministic for a fixed seed.
     """
     if n_cells < 2:
         raise ValueError("need at least two generators")
@@ -591,13 +566,12 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
         _, new_points = _centroids(*tri.cells(points))
         movements.append(float(np.max(np.linalg.norm(new_points - points, axis=1))))
         points = new_points
+    mesh = _cells_to_mesh(*tri.cells(points))
     if movements:
         log.info(
             "lloyd relaxation: %d iterations, final max generator movement %.3e, %d qhull calls, %d flips",
             len(movements), movements[-1], sum(tri.qhull_calls), sum(tri.flips),
         )
-
-    mesh = _cells_to_mesh(*_voronoi_cells_unit_square(points))
     mesh.lloyd_movement, mesh.delaunay_calls, mesh.lloyd_flips = movements, tri.qhull_calls, tri.flips
     validate_tiling(mesh, 1.0)
     return mesh
@@ -609,8 +583,9 @@ def export_mesh(mesh):
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     lines.append(f"cells {mesh.n_cells}")
-    for cell in mesh.cells:
-        lines.append(" ".join([str(len(cell))] + [str(int(i)) for i in cell]))
+    corners, bounds = mesh.corners.tolist(), mesh.offsets.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lines.append(" ".join(map(str, [b - a, *corners[a:b]])))
     return "\n".join(lines) + "\n"
 
 
@@ -629,7 +604,7 @@ def _vertex_block(lines):
 
 
 def _cell_block(lines, n_vertices):
-    """The vertex loops of cell lines 'k i1 ... ik' as arrays, or None if a
+    """The CSR pair of the vertex loops of cell lines 'k i1 ... ik', or None if a
     token does not parse as an integer, a line's count is not its number
     of indices, or an index lies outside 0..n_vertices-1."""
     rows = [line.split() for line in lines]
@@ -644,7 +619,7 @@ def _cell_block(lines, n_vertices):
     index = np.delete(flat, heads)
     if np.any((index < 0) | (index >= n_vertices)):
         return None
-    return _split(index, np.concatenate([[0], np.cumsum(counts - 1)]))
+    return index, np.concatenate([[0], np.cumsum(counts - 1)])
 
 
 def import_mesh(text):
@@ -716,7 +691,7 @@ def import_mesh(text):
             fail(ln + 1, f"vertex index out of range in cell {i}")
 
     try:
-        m = build_mesh(vertices, cells, fix_orientation=True)
+        m = _build_mesh(vertices, *cells, fix_orientation=True)
         validate_tiling(m, 1.0)
     except MeshError as exc:
         raise MeshFormatError(str(exc)) from exc

@@ -61,7 +61,6 @@ class Elements:
     geometry: StackedGeometry
     n_dofs: np.ndarray              # (C,)
     dofs: np.ndarray                # (C, N) global DoF indices
-    integrals: np.ndarray           # (C, 15) scaled-monomial integrals, degree <= 4
     mass: np.ndarray                # (C, 6, 6)
     grad_gram: np.ndarray
     hess_gram: np.ndarray
@@ -70,8 +69,6 @@ class Elements:
     h2_coeff: np.ndarray
     l2_coeff: np.ndarray
     edge_normal_trace: np.ndarray   # (C, P, 3, N)
-    vertex_average: tuple           # ((C, 6), (C, N))
-    quasi_averages: tuple           # ((C, 3, 6), (C, 3, N))
 
     @functools.cached_property
     def fan_rule(self):
@@ -194,8 +191,5 @@ def build_elements(mesh):
     moments[cells, 0, 2 * m] = g.area
     l2 = np.linalg.solve(mass, moments)
 
-    return Elements(
-        g, 2 * m + 1, dofs, integrals, mass, grad_gram, hess_gram, D, h1, h2, l2, trace,
-        (vertex_poly, vertex_dof), (quasi_poly, quasi_dof),
-    )
+    return Elements(g, 2 * m + 1, dofs, mass, grad_gram, hess_gram, D, h1, h2, l2, trace)
 

@@ -277,6 +277,7 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     it ends above the target; the held factor is then released before a
     fresh one is made and held, so one factor is alive at a time."""
     mat, rhs = system.matrix.tocsc(), system.rhs
+    held = HeldFactor() if held is None else held
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
         x = np.zeros(len(rhs), dtype=SOLUTION_DTYPE)
@@ -284,22 +285,18 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
         diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
         refined = None
-        if held is not None and held.cholesky is not None and held.eps >= system.eps:
+        if held.cholesky is not None and held.eps >= system.eps:
             refined = _refine(
                 mat, rhs, held.cholesky.solve(rhs), held.cholesky, residual_target, accuracy=diagnostics, may_abort=True
             )
         if refined is None:
-            if held is not None:
-                held.release()
+            held.release()
             factor = _factor(mat, system.layout)
             refined = _refine(mat, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
-            if held is not None:
-                held.cholesky, held.eps = factor, system.eps
-        else:
-            factor = held.cholesky
-        diagnostics["factor_eps"] = system.eps if held is None else held.eps
-        diagnostics["factor_nnz"] = int(factor.nnz)
-        diagnostics["bandwidth"] = factor.layout.kd
+            held.cholesky, held.eps = factor, system.eps
+        diagnostics["factor_eps"] = held.eps
+        diagnostics["factor_nnz"] = int(held.cholesky.nnz)
+        diagnostics["bandwidth"] = held.cholesky.layout.kd
         x, residual, diagnostics["refine_steps"] = refined
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")

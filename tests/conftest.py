@@ -153,11 +153,24 @@ def operator_parts(d):
     return types.SimpleNamespace(hess=(cell_matrix(cell_forms.a) + j1 + j2 + j2.T).tocsr(), grad=cell_matrix(cell_forms.b))
 
 
+def loops(m, per_corner=None):
+    """The cells' pieces of a per-corner array of the mesh, one array per
+    cell in corner order: the vertex loops, or ``per_corner`` (such as
+    ``m.corner_edges``) if given."""
+    return np.split(m.corners if per_corner is None else per_corner, m.offsets[1:-1])
+
+
+def local_edge(m, c, e):
+    """The corner of cell ``c`` whose edge is ``e``: the edge's row in the
+    cell's stacked geometry."""
+    return int(np.flatnonzero(loops(m, m.corner_edges)[c] == e)[0])
+
+
 def cell_dofs(m, c):
     """Global indices of one cell's DoFs from the mesh: its vertices, its
     edge nodes and its moment, each in the cell's own order."""
-    edges = [e for e, _ in m.cell_edges[c]]
-    return np.concatenate([m.cells[c], m.n_vertices + np.array(edges), [m.n_vertices + m.n_edges + c]])
+    edges = loops(m, m.corner_edges)[c]
+    return np.concatenate([loops(m)[c], m.n_vertices + edges, [m.n_vertices + m.n_edges + c]])
 
 
 def edge_coupling(traces, e, lam=None):

@@ -17,7 +17,7 @@ from ipvem import cli, forms, mesh, system, verify
 from ipvem.basis import QUAD_ORDER, SIMPSON, gauss_legendre_01, monomial_exponents
 from ipvem.mesh import BOUNDARY
 
-from conftest import basis_at, cell_dofs, derivatives, dof_points, edge_coupling, polygon_rule
+from conftest import basis_at, cell_dofs, derivatives, dof_points, edge_coupling, local_edge, loops, polygon_rule
 
 TOL = 1e-13
 
@@ -98,10 +98,6 @@ def oracle_forms(el):
     return a, b
 
 
-def local_edge(m, cell, edge_id):
-    return next(j for j, (e, _) in enumerate(m.cell_edges[cell]) if e == edge_id)
-
-
 def oracle_stencil(m, e, els, lam):
     """(cells, block, j1 block) of one edge over its cells' stacked DoFs."""
     left, right = (int(c) for c in m.edge_cells[e])
@@ -161,7 +157,7 @@ def case(request):
     m = request.getfixturevalue("cvt64") if request.param == "cvt64" else mesh.generate_uniform_squares(4)
     msol = verify.example_solution(1)
     els = [oracle_element(m, c) for c in range(m.n_cells)]
-    n_k = max(len(c) for c in m.cells)
+    n_k = max(len(c) for c in loops(m))
     lams = [oracle_penalty(m, e, n_k) for e in range(m.n_edges)]
     stencils = [oracle_stencil(m, e, els, lams[e]) for e in range(m.n_edges)]
     dof_map = system.number_dofs(m)

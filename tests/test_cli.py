@@ -229,13 +229,15 @@ class TestRunStudy:
             m = mesh.generate_cvt(n, seed=5, lloyd_iters=20)
             assert entry["lloyd_steps"] == 20
             assert entry["lloyd_final_movement"] == m.lloyd_movement[-1] > 0.0
-            # the first step calls qhull; the per-step counts add up
-            assert len(m.delaunay_calls) == len(m.lloyd_flips) == 20 and m.delaunay_calls[0] >= 1
+            # the first step calls qhull; the counts of the steps and of the
+            # final cells add up
+            assert len(m.delaunay_calls) == len(m.lloyd_flips) == 21 and m.delaunay_calls[0] >= 1
             assert entry["delaunay_calls"] == sum(m.delaunay_calls) >= 1
             assert entry["lloyd_flips"] == sum(m.lloyd_flips)
+        # with no step, the final cells are the one qhull call
         cvt0 = entries["cvt0"][0]
         assert (cvt0["lloyd_steps"], cvt0["lloyd_final_movement"], cvt0["delaunay_calls"], cvt0["lloyd_flips"]) == (
-            0, None, 0, 0,
+            0, None, 1, 0,
         )
         for entry in entries["uniform"] + entries["files"]:
             assert entry["lloyd_steps"] is None and entry["lloyd_final_movement"] is None
@@ -383,7 +385,7 @@ class TestExportSolutionFields:
         text = path.read_text()
         n_points, n_cells, scalars = parse_vtk_counts(text)
         assert n_cells == 4
-        assert n_points == sum(len(c) + 1 for c in m.cells)
+        assert n_points == m.offsets[-1] + m.n_cells
         assert scalars == ["u_h", "u_h_centroid"]
         body = text.split("LOOKUP_TABLE default\n")[1].splitlines()[:n_points]
         assert all(float(v) == 0.0 for v in body)
@@ -423,7 +425,7 @@ class TestExportSolutionFields:
         export_solution_fields(elements, sol, str(path))
         lines = path.read_text().splitlines()
         n_points = int(lines[4].split()[1])
-        assert n_points == sum(len(cell) + 1 for cell in m.cells)
+        assert n_points == m.offsets[-1] + m.n_cells
         x, y = np.array([line.split()[:2] for line in lines[5 : 5 + n_points]], dtype=float).T
         uh = np.array(lines[lines.index("LOOKUP_TABLE default") + 1 :][:n_points], dtype=float)
         assert np.max(np.abs(uh - quadratic(x, y))) <= 1e-12

@@ -20,8 +20,9 @@ from ipvem.mesh import (
     generate_cvt,
     generate_uniform_squares,
     import_mesh,
-    virtual_triangle_areas,
 )
+
+from conftest import loops
 
 
 def signed_area(loop):
@@ -83,8 +84,8 @@ class TestCellGeometry:
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
         assert np.allclose(np.linalg.norm(tangents, axis=1), 1.0, atol=1e-14)
         # outward: stepping along the normal leaves the cell (away from centroid)
-        for c in range(m.n_cells):
-            loop = m.vertices[m.cells[c]]
+        for c, cell in enumerate(loops(m)):
+            loop = m.vertices[cell]
             mids = 0.5 * (loop + np.roll(loop, -1, axis=0))
             assert np.all(np.einsum("ij,ij->i", mids - g.centroid[c], g.normals[c, : len(loop)]) > 0.0)
 
@@ -93,36 +94,48 @@ class TestCellGeometry:
         assert np.all(g.fan_areas[g.valid] > 0.0)
 
 
+def virtual_triangles(m, e):
+    """The areas of edge ``e``'s virtual triangles, the centroid-fan
+    triangles of its sides: (on its left side, on its right side)."""
+    g = m.stacked_geometry
+    side = g.valid & (g.edge_ids == e)
+    return np.abs(g.fan_areas[side & g.left]), np.abs(g.fan_areas[side & ~g.left])
+
+
 class TestVirtualTriangles:
     def test_square_edge_area(self):
-        m = generate_uniform_squares(1)
-        areas = virtual_triangle_areas(m)
-        assert areas[0, 0] == pytest.approx(0.25, rel=1e-15)
-        assert np.isnan(areas[0, 1])
+        left, right = virtual_triangles(generate_uniform_squares(1), 0)
+        assert left == pytest.approx([0.25], rel=1e-15)
+        assert len(right) == 0
 
     def test_interior_edge_two_triangles(self):
         m = two_squares_mesh()
         interior = np.flatnonzero(~m.boundary_edge)
         assert len(interior) == 1
-        assert virtual_triangle_areas(m)[interior[0]] == pytest.approx([0.25, 0.25], rel=1e-15)
+        left, right = virtual_triangles(m, interior[0])
+        assert np.concatenate([left, right]) == pytest.approx([0.25, 0.25], rel=1e-15)
 
     def test_boundary_edge_single_triangle(self):
         m = two_squares_mesh()
-        areas = virtual_triangle_areas(m)
-        assert np.all(np.isnan(areas[m.boundary_edge, 1]))
-        assert np.all(areas[m.boundary_edge, 0] > 0.0)
+        for e in np.flatnonzero(m.boundary_edge):
+            left, right = virtual_triangles(m, e)
+            assert len(left) == 1 and len(right) == 0
+            assert left[0] > 0.0
 
 
 class TestBuildMesh:
     def test_interior_edges_traversed_oppositely(self, cvt32):
         m = cvt32
+        # +1 where a corner runs along its edge, -1 where against it
+        runs = loops(m, np.where(m.edges[m.corner_edges, 0] == m.corners, 1, -1))
+        edges = loops(m, m.corner_edges)
         for e in range(m.n_edges):
             left, right = m.edge_cells[e]
             orientations = []
             for cid in (left, right):
                 if cid == BOUNDARY:
                     continue
-                orientations += [o for (eid, o) in m.cell_edges[cid] if eid == e]
+                orientations += list(runs[cid][edges[cid] == e])
             if right == BOUNDARY:
                 assert orientations == [1]
             else:
@@ -188,6 +201,21 @@ class TestCvt:
         b = generate_cvt(16, seed=3, lloyd_iters=5)
         assert a.n_vertices == b.n_vertices
         assert np.array_equal(a.vertices, b.vertices)
+
+    @pytest.mark.parametrize("steps", [0, 1, 20])
+    def test_delaunay_calls_count_every_qhull_call(self, monkeypatch, steps):
+        # one entry per Lloyd step and one for the final cells
+        calls = []
+        real_delaunay = mesh.Delaunay
+
+        def counting_delaunay(*args, **kwargs):
+            calls.append(1)
+            return real_delaunay(*args, **kwargs)
+
+        monkeypatch.setattr(mesh, "Delaunay", counting_delaunay)
+        m = generate_cvt(64, seed=7, lloyd_iters=steps)
+        assert len(m.delaunay_calls) == len(m.lloyd_flips) == steps + 1
+        assert sum(m.delaunay_calls) == len(calls) >= 1
 
     def test_too_few_generators(self):
         with pytest.raises(ValueError):
@@ -291,10 +319,10 @@ class TestLloydStep:
         # against exact rational shoelace sums to 1e-14, and against the
         # per-cell float formulas to 3e-14: their two-dot-product area
         # cancels more and is itself up to 1.8e-14 off the exact value
-        loops = [cvt64.vertices[c] for c in cvt64.cells]
-        offsets = np.concatenate([[0], np.cumsum([len(p) for p in loops])])
-        area, centroid = mesh._centroids(np.vstack(loops), offsets)
-        for i, loop in enumerate(loops):
+        polygons = [cvt64.vertices[c] for c in loops(cvt64)]
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in polygons])])
+        area, centroid = mesh._centroids(np.vstack(polygons), offsets)
+        for i, loop in enumerate(polygons):
             exact_area, exact_centroid = exact_area_centroid(loop)
             assert abs(area[i] - exact_area) <= 1e-14 * exact_area
             assert np.linalg.norm(centroid[i] - exact_centroid) <= 1e-14 * np.linalg.norm(exact_centroid)
@@ -316,7 +344,7 @@ class TestLloydStep:
         m = mesh._cells_to_mesh(xy, np.array([0, 4, 8]))
         assert m.n_vertices == 6
         assert np.array_equal(m.vertices, xy[[0, 1, 2, 3, 5, 6]])
-        assert [list(c) for c in m.cells] == [[0, 1, 2, 3], [1, 4, 5, 2]]
+        assert [list(c) for c in loops(m)] == [[0, 1, 2, 3], [1, 4, 5, 2]]
 
 
 def assert_same_corner_sets(got, want, tol):
@@ -367,8 +395,8 @@ class TestRepairedLloydStep:
         want = mesh._cells_to_mesh(*mesh._voronoi_cells_unit_square(points))
         got = generate_cvt(n, seed=seed, lloyd_iters=100)
         assert sum(got.delaunay_calls) < 100 and sum(got.lloyd_flips) > 0
-        assert len(got.cells) == len(want.cells)
-        assert all(np.array_equal(a, b) for a, b in zip(got.cells, want.cells))
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.corners, want.corners)
         assert np.array_equal(got.edges, want.edges)
         assert np.abs(got.vertices - want.vertices).max() <= 1e-10
 
@@ -379,7 +407,7 @@ def per_cell_build_mesh(vertices, cells, fix_orientation=False):
     if not cells:
         raise MeshError("a mesh needs at least one cell")
     vertices = np.asarray(vertices, dtype=float)
-    loops = []
+    cell_loops = []
     for ci, cell in enumerate(cells):
         idx = np.asarray(cell, dtype=int)
         if len(idx) < 3:
@@ -396,12 +424,11 @@ def per_cell_build_mesh(vertices, cells, fix_orientation=False):
                 raise MeshError(f"cell {ci} is clockwise")
             warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=2)
             idx = idx[::-1]
-        loops.append(idx)
+        cell_loops.append(idx)
 
     edge_key = {}
-    edges, edge_cells = [], []
-    cell_edges = [[] for _ in loops]
-    for ci, idx in enumerate(loops):
+    edges, edge_cells, corner_edges = [], [], []
+    for ci, idx in enumerate(cell_loops):
         m = len(idx)
         for j in range(m):
             tail, head = int(idx[j]), int(idx[(j + 1) % m])
@@ -410,7 +437,7 @@ def per_cell_build_mesh(vertices, cells, fix_orientation=False):
                 edge_key[key] = len(edges)
                 edges.append((tail, head))
                 edge_cells.append([ci, BOUNDARY])
-                cell_edges[ci].append((edge_key[key], +1))
+                corner_edges.append(edge_key[key])
             else:
                 e = edge_key[key]
                 if edge_cells[e][1] != BOUNDARY:
@@ -418,9 +445,13 @@ def per_cell_build_mesh(vertices, cells, fix_orientation=False):
                 if (head, tail) != edges[e]:
                     raise MeshError(f"edge {key} traversed twice in the same direction")
                 edge_cells[e][1] = ci
-                cell_edges[ci].append((e, -1))
+                corner_edges.append(e)
 
-    m = PolygonalMesh(vertices, loops, np.array(edges, dtype=int), np.array(edge_cells, dtype=int), cell_edges)
+    offsets = np.cumsum([0] + [len(idx) for idx in cell_loops])
+    m = PolygonalMesh(
+        vertices, np.concatenate(cell_loops), offsets, np.array(corner_edges),
+        np.array(edges, dtype=int), np.array(edge_cells, dtype=int),
+    )
     euler = m.n_vertices - m.n_edges + m.n_cells
     if euler != 1:
         raise MeshError(f"Euler relation violated: V - E + F = {euler}, expected 1")
@@ -431,10 +462,9 @@ def assert_same_mesh(got, want):
     assert np.array_equal(got.vertices, want.vertices)
     assert np.array_equal(got.edges, want.edges)
     assert np.array_equal(got.edge_cells, want.edge_cells)
-    assert len(got.cells) == len(want.cells) == len(got.cell_edges)
-    for c in range(len(want.cells)):
-        assert np.array_equal(got.cells[c], want.cells[c])
-        assert np.array_equal(np.asarray(got.cell_edges[c]), np.array(want.cell_edges[c]))
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.corners, want.corners)
+    assert np.array_equal(got.corner_edges, want.corner_edges)
 
 
 def build_both(vertices, cells, fix_orientation=False):
@@ -454,14 +484,15 @@ def build_both(vertices, cells, fix_orientation=False):
 
 class TestBuildMeshAgainstPerCellBuilder:
     def test_cvt64(self, cvt64):
-        assert_same_mesh(build_mesh(cvt64.vertices, cvt64.cells), per_cell_build_mesh(cvt64.vertices, cvt64.cells))
+        cells = loops(cvt64)
+        assert_same_mesh(build_mesh(cvt64.vertices, cells), per_cell_build_mesh(cvt64.vertices, cells))
 
     def test_uniform(self):
         m = generate_uniform_squares(4)
-        assert_same_mesh(build_mesh(m.vertices, m.cells), per_cell_build_mesh(m.vertices, m.cells))
+        assert_same_mesh(build_mesh(m.vertices, loops(m)), per_cell_build_mesh(m.vertices, loops(m)))
 
     def test_clockwise_fixed_import(self, cvt32):
-        cells = [c[::-1] if i % 3 == 1 else c for i, c in enumerate(cvt32.cells)]
+        cells = [c[::-1] if i % 3 == 1 else c for i, c in enumerate(loops(cvt32))]
         (got, got_warned), (want, want_warned) = build_both(cvt32.vertices, cells, fix_orientation=True)
         assert_same_mesh(got, want)
         assert got_warned == want_warned and len(got_warned) == len(cells[1::3])
@@ -486,7 +517,7 @@ class TestBuildMeshAgainstPerCellBuilder:
         shifts = data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
         flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         order = data.draw(st.permutations(range(n)))
-        cells = [np.roll(cvt32.cells[c], shifts[c])[:: -1 if flips[c] else 1] for c in order]
+        cells = [np.roll(loops(cvt32)[c], shifts[c])[:: -1 if flips[c] else 1] for c in order]
         (got, got_warned), (want, want_warned) = build_both(cvt32.vertices, cells, fix_orientation=True)
         assert_same_mesh(got, want)
         assert got_warned == want_warned
@@ -525,7 +556,7 @@ class TestBuildMeshAgainstPerCellBuilder:
         # builders reverse the same cells, then report the same fault
         vertices, cells = self.FAULTS[fault]
         offset = cvt32.n_vertices
-        cells = [c[::-1] for c in cvt32.cells] + [[v + offset for v in c] for c in cells]
+        cells = [c[::-1] for c in loops(cvt32)] + [[v + offset for v in c] for c in cells]
         results = build_both(np.vstack([cvt32.vertices, np.asarray(vertices, dtype=float)]), cells, True)
         (got, got_warned), (want, want_warned) = results
         assert got_warned == want_warned
@@ -554,11 +585,11 @@ class TestCocircularGenerators:
 class TestStackedGeometry:
     def test_corners_know_their_edges_and_sides(self, cvt32):
         g = cvt32.stacked_geometry
-        for c in range(cvt32.n_cells):
+        for c, (cell, edges) in enumerate(zip(loops(cvt32), loops(cvt32, cvt32.corner_edges))):
             m = g.valence[c]
-            assert np.array_equal(g.edge_ids[c, :m], [e for e, _ in cvt32.cell_edges[c]])
-            assert np.array_equal(g.left[c, :m], [s == 1 for _, s in cvt32.cell_edges[c]])
-            assert np.array_equal(g.vertex_ids[c, :m], cvt32.cells[c])
+            assert np.array_equal(g.edge_ids[c, :m], edges)
+            assert np.array_equal(g.left[c, :m], cvt32.edge_cells[edges, 0] == c)
+            assert np.array_equal(g.vertex_ids[c, :m], cell)
         assert not np.any(g.left[~g.valid])
 
     def test_padding_drops_out(self, cvt32):
@@ -570,8 +601,8 @@ class TestStackedGeometry:
 
     def test_frames_against_per_cell_formulas(self, cvt32):
         g = cvt32.stacked_geometry
-        for c in range(cvt32.n_cells):
-            loop = cvt32.vertices[cvt32.cells[c]]
+        for c, cell in enumerate(loops(cvt32)):
+            loop = cvt32.vertices[cell]
             edge_vec = np.roll(loop, -1, axis=0) - loop
             lengths = np.linalg.norm(edge_vec, axis=1)
             n = len(loop)
@@ -585,7 +616,8 @@ class TestMeshIo:
         m = generate_uniform_squares(2)
         m2 = import_mesh(export_mesh(m))
         assert np.array_equal(m.vertices, m2.vertices)
-        assert all(np.array_equal(a, b) for a, b in zip(m.cells, m2.cells))
+        assert np.array_equal(m.offsets, m2.offsets)
+        assert np.array_equal(m.corners, m2.corners)
 
     def test_round_trip_cvt(self, cvt32):
         m2 = import_mesh(export_mesh(cvt32))
