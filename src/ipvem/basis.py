@@ -43,8 +43,14 @@ def monomial_exponents(degree):
 
 def monomials(xi, eta, degree):
     """Every monomial xi^p eta^q of total degree <= ``degree`` at the scaled
-    points ``(xi, eta)`` of any shape, stacked on a new last axis."""
-    return np.stack([xi**p * eta**q for p, q in monomial_exponents(degree)], axis=-1)
+    points ``(xi, eta)`` of any shape, stacked on a new last axis.  The
+    powers are built by repeated multiplication, which numpy's ``**`` does
+    only up to the square (higher powers call ``pow`` per element)."""
+    xs, etas = [np.ones_like(xi), xi], [np.ones_like(eta), eta]
+    for _ in range(2, degree + 1):
+        xs.append(xs[-1] * xi)
+        etas.append(etas[-1] * eta)
+    return np.stack([xs[p] * etas[q] for p, q in monomial_exponents(degree)], axis=-1)
 
 
 #: Simpson's rule, the k = 2 Gauss-Lobatto weights at an edge's tail vertex,

@@ -145,7 +145,8 @@ class Discretization:
     error evaluation from cell and edge arrays (``error_data``).
     ``seconds`` holds the wall time of each set-up stage.
     ``factor`` holds the Cholesky factor of the last solve that factored,
-    which a solve at an eps no larger refines from (see
+    which a solve at an eps no larger refines from, starting from the last
+    solution, and the band array the mesh's factors are made in (see
     :func:`system.solve`).
     """
 

@@ -54,12 +54,12 @@ def number_dofs(mesh):
 class SparseSystem:
     """Reduced symmetric system over the free DoFs."""
 
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
     rhs: np.ndarray
     eps: float
     dof_map: GlobalDofMap
     free_indices: np.ndarray
-    layout: BandLayout | None = None  # of ``matrix``'s CSC pattern; made at factor time if None
+    layout: BandLayout | None = None  # of ``matrix``'s pattern; made at factor time if None
 
     @property
     def n_free(self):
@@ -139,7 +139,8 @@ class BandLayout:
 
 def band_layout(mat):
     """The :class:`BandLayout` of the CSC matrix ``mat``'s pattern, which
-    must be structurally symmetric."""
+    must be structurally symmetric; a CSR matrix's arrays are read as the
+    CSC pattern of its transpose, which is the same pattern."""
     n = mat.shape[0]
     order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
     rank = np.empty(n, dtype=np.intp)
@@ -166,10 +167,10 @@ class FreeParts:
     layout: BandLayout
 
 
-def _with_data(mat, data):
-    """The CSC matrix of ``mat``'s pattern holding ``data``, sharing the
-    index arrays instead of copying them."""
-    return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+def _with_data(mat, data, kind=None):
+    """The matrix of ``mat``'s index arrays holding ``data``, of ``mat``'s
+    type or of ``kind``, sharing the index arrays instead of copying them."""
+    return (kind or type(mat))((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def restrict(hess, grad, dof_map):
@@ -193,9 +194,11 @@ def combine(parts, rhs, eps):
     """The reduced system eps^2 * hess + grad at one eps: one axpy on the
     parts' shared pattern, exactly symmetric because both terms are and
     equal, entry for entry, to their sparse sum (which stores the same
-    pattern wherever no sum cancels to zero)."""
+    pattern wherever no sum cancels to zero).  Being symmetric, it is
+    handed over as the CSR matrix of the same arrays, whose products run
+    faster than the CSC one's."""
     return SparseSystem(
-        matrix=_with_data(parts.hess, (eps**2) * parts.hess.data + parts.grad.data),
+        matrix=_with_data(parts.hess, (eps**2) * parts.hess.data + parts.grad.data, sp.csr_matrix),
         rhs=rhs[parts.free],
         eps=eps,
         dof_map=parts.dof_map,
@@ -212,10 +215,10 @@ UNIT_ROUNDOFF = 2.0**-53
 SOLUTION_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 2.0**-60 else np.float64
 
 
-# glibc's malloc_trim, called with 0 before a band is allocated: glibc keeps
-# the set-up's freed temporaries resident, and the band, a fresh mapping,
-# cannot reuse them (at CVT-8192 this lowers the factor's peak RSS by about
-# 120 MB); None where the C library has no such function
+# glibc's malloc_trim, called with 0 before a mesh's band is allocated:
+# glibc keeps the set-up's freed temporaries resident, and the band, a fresh
+# mapping, cannot reuse them (at CVT-8192 this lowers the factor's peak RSS
+# by about 120 MB); None where the C library has no such function
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
@@ -244,14 +247,19 @@ class BandCholesky:
 
 @dataclass(eq=False)
 class HeldFactor:
-    """A band Cholesky factor kept between the solves on one mesh, and the
-    eps whose matrix it factors; empty until the first solve that factors."""
+    """What the solves on one mesh share: a band Cholesky factor and the eps
+    whose matrix it factors, the last solution on the free DoFs (``x``),
+    where a solve from the held factor starts, and the band array that
+    every fresh factor of the mesh is made in (``band``); empty until the
+    first solve that factors."""
 
     cholesky: BandCholesky | None = None
     eps: float | None = None
+    x: np.ndarray | None = None
+    band: np.ndarray | None = None
 
     def release(self):
-        self.cholesky = self.eps = None
+        self.cholesky = self.eps = self.x = self.band = None
 
 
 def solve(system, residual_target=RESIDUAL_TARGET, held=None):
@@ -260,7 +268,9 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     penalty makes the form coercive), so it is factored by a banded
     Cholesky in reverse Cuthill-McKee order, laid out once per mesh
     (``system.layout``, made here from the matrix's pattern if None); a
-    matrix that is not positive definite raises :class:`SolveError`.
+    matrix that is not positive definite raises :class:`SolveError`.  The
+    refinement's residuals run on the CSR matrix, converted to long double
+    once per system.
     Besides the relative residual, the diagnostics hold the componentwise
     backward error max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the
     residual floor u || |A||x| || / ||b||, the eps whose matrix was factored
@@ -268,15 +278,18 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     half-bandwidth (``bandwidth``).
 
     ``held`` (a :class:`HeldFactor`) lets solves on one mesh share a factor.
-    A factor held from an eps e0 >= eps is tried first: with A = G + eps^2 H
-    and M = G + e0^2 H, the refinement's iteration matrix
+    A factor held from an eps e0 >= eps is tried first, starting from the
+    mesh's last solution (eps continuation): with A = G + eps^2 H and
+    M = G + e0^2 H, the refinement's iteration matrix
     I - M^-1 A = (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small
-    when e0^2 H is small against G.  The attempt is given up after its
-    first correction if that correction's contraction, kept for the
-    remaining corrections, cannot reach a tenth of the target, and whenever
-    it ends above the target; the held factor is then released before a
-    fresh one is made and held, so one factor is alive at a time."""
-    mat, rhs = system.matrix.tocsc(), system.rhs
+    when e0^2 H is small against G.  The attempt is given up when
+    :func:`_refine` projects that it cannot meet the target, and whenever
+    it ends above the target; the held factor is then dropped before a
+    fresh one is made in the held band array, so one factor is alive at a
+    time."""
+    mat, rhs = system.matrix.tocsr(copy=system.layout is None), system.rhs
+    if system.layout is None:
+        mat.sum_duplicates()  # a hand-built matrix: the band layout needs each entry stored once
     held = HeldFactor() if held is None else held
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
@@ -284,20 +297,19 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
         residual = 0.0
         diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
-        refined = None
+        mat_ld, refined = _with_data(mat, mat.data.astype(np.longdouble)), None
         if held.cholesky is not None and held.eps >= system.eps:
-            refined = _refine(
-                mat, rhs, held.cholesky.solve(rhs), held.cholesky, residual_target, accuracy=diagnostics, may_abort=True
-            )
+            refined = _refine(mat_ld, rhs, held.x, held.cholesky, residual_target, accuracy=diagnostics, may_abort=True)
         if refined is None:
-            held.release()
-            factor = _factor(mat, system.layout)
-            refined = _refine(mat, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
-            held.cholesky, held.eps = factor, system.eps
+            held.cholesky = None
+            factor = _factor(mat, system.layout, held.band)
+            refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
+            held.cholesky, held.eps, held.band = factor, system.eps, factor.band
         diagnostics["factor_eps"] = held.eps
         diagnostics["factor_nnz"] = int(held.cholesky.nnz)
         diagnostics["bandwidth"] = held.cholesky.layout.kd
         x, residual, diagnostics["refine_steps"] = refined
+        held.x = x
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
@@ -306,18 +318,24 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 
 
-def _factor(mat, layout=None):
-    """The :class:`BandCholesky` factor of the symmetric CSC matrix ``mat``
-    in the order of ``layout`` (made from ``mat``'s pattern if None): the
-    lower-triangle entries are scattered into a zeroed band array, summing
-    duplicates, which LAPACK's ``dpbtrf`` then factors in place."""
+def _factor(mat, layout=None, band=None):
+    """The :class:`BandCholesky` factor of the symmetric CSR or CSC matrix
+    ``mat``, which stores each entry once, in the order of ``layout`` (made
+    from ``mat``'s pattern if None): the lower-triangle entries are
+    assigned into ``band``, a band array of the layout's shape zeroed first
+    (or a fresh one, allocated after trimming the heap, if None), which
+    LAPACK's ``dpbtrf`` then factors in place."""
     if layout is None:
         layout = band_layout(mat)
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-    shape = (layout.kd + 1, layout.n)
-    band = np.bincount(layout.slots, weights=mat.data[layout.entries], minlength=shape[0] * shape[1])
-    band, info = lapack.dpbtrf(band.reshape(shape, order="F"), lower=1, overwrite_ab=1)
+    if band is None:
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+        band = np.zeros((layout.kd + 1, layout.n), order="F")
+    else:
+        band.fill(0.0)
+    # the layout's slots are distinct, so assignment places every entry
+    band.reshape(-1, order="F")[layout.slots] = mat.data[layout.entries]
+    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info > 0:
         raise SolveError(
             f"matrix is not positive definite: Cholesky pivot {info} of {layout.n} "
@@ -333,34 +351,37 @@ def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, ma
 
     Residuals are evaluated in extended precision; plain double evaluation
     bottoms out near u * ||M|| * ||x|| / ||b||, which for the stiff
-    small-mesh-size systems sits right at the residual target.  The
-    solution is accumulated in :data:`SOLUTION_DTYPE`: from about 1000
-    cells on, even the double vector nearest the exact solution has a
-    residual above the target, while the long double one meets it after a
-    correction or two.  ``factor.solve`` computes each correction in double.
+    small-mesh-size systems sits right at the residual target.  ``mat`` is
+    best given in long double, so that one conversion serves several calls
+    (a double one is upcast at every product), and as CSR, whose products
+    run about twice as fast as a CSC one's.  The solution is accumulated in
+    :data:`SOLUTION_DTYPE`: from about 1000 cells on, even the double
+    vector nearest the exact solution has a residual above the target,
+    while the long double one meets it after a correction or two.
+    ``factor.solve`` computes each correction in double.
     Returns the refined solution, its relative residual and the number of
     corrections applied; the residual is always that of the returned
     solution, and the backward error and residual floor written into
     ``accuracy`` are its too.  With ``may_abort``, returns None instead when
-    the refinement will not or did not meet the target: after the first
-    correction if the residual, shrinking by that correction's ratio for
-    the remaining steps, would stay above ``residual_target / 10``, and at
-    the end if it is above ``residual_target``.
+    the refinement will not or did not meet the target: before the first
+    correction if the start residual, taken as the ratio every correction
+    shrinks it by, would stay above ``residual_target / 10``; after the
+    first correction if the residual, shrinking by that correction's ratio
+    for the remaining steps, would; and at the end if it is above
+    ``residual_target``.
     """
-    mat = mat.tocsc()
-    mat_ld = _with_data(mat, mat.data.astype(np.longdouble))
     rhs_ld = rhs.astype(np.longdouble)
     rhs_norm = math.sqrt(dot(rhs, rhs))
     x = x.astype(SOLUTION_DTYPE)
     steps = 0
     while True:
-        r = (rhs_ld - mat_ld @ x.astype(np.longdouble, copy=False)).astype(float)
+        r = (rhs_ld - mat @ x.astype(np.longdouble, copy=False)).astype(float)
         residual = math.sqrt(dot(r, r)) / rhs_norm
         if residual <= residual_target / 10.0 or steps == max_steps:
             break
-        if may_abort and steps == 1:
-            projected = residual * (residual / previous) ** (max_steps - 1)
-            if not projected <= residual_target / 10.0:
+        if may_abort and steps < 2:
+            ratio = residual / previous if steps else residual
+            if not residual * ratio ** (max_steps - steps) <= residual_target / 10.0:
                 return None
         previous = residual
         x = x + factor.solve(r)
@@ -368,7 +389,7 @@ def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, ma
     if may_abort and not residual <= residual_target:
         return None
     if accuracy is not None:
-        scale = _with_data(mat, np.abs(mat.data)) @ np.abs(x.astype(float))
+        scale = _with_data(mat, np.abs(mat.data, dtype=float)) @ np.abs(x.astype(float))
         bound = scale + np.abs(rhs)
         ratio = np.divide(np.abs(r), bound, out=np.zeros_like(r), where=bound > 0.0)
         accuracy["backward_error"] = float(ratio.max())

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -692,9 +693,17 @@ class TestMeshIo:
             parts = lines[i].split() or [""]
             parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(token)
             lines[i] = " ".join(parts)
-        try:
-            m = import_mesh("\n".join(lines) + "\n")
-        except MeshFormatError:
+        # a corrupted loop may import reversed: that warning, and no other, may be raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                m = import_mesh("\n".join(lines) + "\n")
+            except MeshFormatError:
+                m = None
+        for w in caught:
+            assert w.category is UserWarning
+            assert re.fullmatch(r"cell \d+ was clockwise; loop reversed", str(w.message))
+        if m is None:
             return
         assert m.total_area() == pytest.approx(1.0, rel=1e-12)
         assert np.all(m.stacked_geometry.fan_areas[m.stacked_geometry.valid] > 0.0)

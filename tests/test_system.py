@@ -287,6 +287,19 @@ class TestBandLayout:
         # the reverse Cuthill-McKee order undoes the shuffle's bandwidth
         assert sol.diagnostics["bandwidth"] <= 2 * k
 
+    def test_hand_built_matrix_with_duplicate_entries(self):
+        # CSR arrays that store each diagonal entry as two halves: solved as
+        # their sum, and left as given
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        data = np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 2.0])
+        indices = np.array([0, 1, 0, 0, 1, 2, 1, 1, 2, 2])
+        mat = sp.csr_matrix((data, indices, np.array([0, 3, 7, 10])), shape=(3, 3))
+        dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
+        rhs = np.array([1.0, -2.0, 3.0])
+        sol = solve(SparseSystem(matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(3)))
+        assert np.allclose(sol.values.astype(float), np.linalg.solve(dense, rhs), rtol=1e-14, atol=0.0)
+        assert mat.nnz == 10
+
     def test_two_solves_are_bit_identical(self, cvt64):
         sys_ = cli.discretize(cvt64, verify.example_solution(1)).reduced(1e-2)
         a, b = solve(sys_), solve(sys_)
@@ -356,10 +369,38 @@ class TestHeldFactor:
             d.solve(1.0)
             counting = d.factor.cholesky = CountingFactor(d.factor.cholesky)
             sol = d.solve(1e-3)
-            # the first solve and at most one correction, then a fresh factor
-            assert 1 <= counting.solves <= 2
+            # from the last solution the start residual already shows the
+            # attempt cannot succeed: at most one correction, then a fresh factor
+            assert counting.solves <= 1
             assert sol.diagnostics["factor_eps"] == d.factor.eps == 1e-3
             assert np.array_equal(sol.values, solve(d.reduced(1e-3)).values)
+
+    def test_continuation_spends_fewer_corrections(self, cvt64):
+        # the solves below the last fresh factor start from the previous
+        # eps's solution: fewer corrections in all than from M^-1 b
+        (d,) = self.discretizations(cvt64)
+        for eps in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
+            d.solve(eps)
+        warm = cold = 0
+        for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+            sol, reduced, held = d.solve(eps), d.reduced(eps), d.factor.cholesky
+            assert sol.diagnostics["factor_eps"] == d.factor.eps > eps
+            assert sol.residual <= system.RESIDUAL_TARGET
+            warm += sol.diagnostics["refine_steps"]
+            cold += system._refine(reduced.matrix, reduced.rhs, held.solve(reduced.rhs), held, system.RESIDUAL_TARGET)[2]
+        assert warm < cold
+
+    def test_fresh_factors_of_a_mesh_share_one_band(self, cvt32):
+        (d,) = self.discretizations(cvt32)
+        bands = []
+        for eps in SWEEP[::-1]:  # every solve factors afresh
+            d.solve(eps)
+            bands.append(d.factor.cholesky.band)
+        assert all(band is d.factor.band for band in bands)
+        band = weakref.ref(d.factor.band)
+        del bands
+        d.factor.release()
+        assert d.factor.band is None and band() is None
 
     def test_one_factor_alive(self, cvt32, monkeypatch):
         real_factor = system._factor
@@ -493,6 +534,16 @@ class TestReduceOncePerMesh:
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
+
+    def test_long_double_residual_on_csr_is_the_csc_one(self, cvt64):
+        # the reduced matrix is the CSR view of the parts' symmetric arrays;
+        # its long double products are bit for bit those of the CSC matrix
+        sys_ = cli.discretize(cvt64, verify.example_solution(1)).reduced(1e-3)
+        assert sys_.matrix.format == "csr"
+        x = solve(sys_).values[sys_.free_indices]
+        rhs = sys_.rhs.astype(np.longdouble)
+        csr, csc = sys_.matrix.astype(np.longdouble), sys_.matrix.tocsc().astype(np.longdouble)
+        assert np.array_equal(rhs - csr @ x, rhs - csc @ x)
 
     def test_free_parts_share_their_index_arrays(self, cvt32):
         parts = cli.discretize(cvt32, verify.example_solution(1)).free_parts
