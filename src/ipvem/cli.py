@@ -143,10 +143,8 @@ class Discretization:
     on one shared pattern), and the load vector eps^2 * rhs4 + rhs2; so
     every eps costs one axpy on that pattern's data, one solve and one
     error evaluation from cell and edge arrays (``error_data``).
-    ``seconds`` holds the wall time of each set-up stage.
-    ``factor`` holds the Cholesky factor of the last solve that factored,
-    which a solve at an eps no larger refines from, starting from the last
-    solution, and the band array the mesh's factors are made in (see
+    ``seconds`` holds the wall time of each set-up stage.  Every system
+    of the mesh carries the factor of ``free_parts`` (see
     :func:`system.solve`).
     """
 
@@ -158,20 +156,17 @@ class Discretization:
     rhs2: np.ndarray
     error_data: verify.ErrorData
     seconds: dict
-    factor: system.HeldFactor = field(default_factory=system.HeldFactor)
 
     def reduced(self, eps):
         """The boundary-reduced linear system at ``eps``."""
         return system.combine(self.free_parts, eps**2 * self.rhs4 + self.rhs2, eps)
 
     def solve(self, eps):
-        return system.solve(self.reduced(eps), held=self.factor)
+        return system.solve(self.reduced(eps))
 
     def error(self, solution, norm="interp-energy"):
-        """Error record of ``solution`` with its penalty energy and solve
-        diagnostics filled in."""
+        """Error record of ``solution`` with its solve diagnostics filled in."""
         rec = verify.energy_error(self.error_data, solution, norm=norm)
-        rec.j1_energy = verify.j1_energy(self.error_data, solution)
         rec.solve = solution.diagnostics
         return rec
 
@@ -267,10 +262,10 @@ def run_study(config, progress=None):
             try:
                 reduced = disc.reduced(eps)
                 t1 = time.perf_counter()
-                solution = system.solve(reduced, held=disc.factor)
+                solution = system.solve(reduced)
                 if i == len(config.eps):
                     # no later solve on this mesh: free the factor before the error evaluation
-                    disc.factor.release()
+                    reduced.factor.release()
                 t2 = time.perf_counter()
                 rec = disc.error(solution, config.error_norm)
                 t3 = time.perf_counter()
@@ -300,7 +295,7 @@ def run_study(config, progress=None):
             )
             if progress:
                 progress(rows[-1])
-        disc.factor.release()  # also after a failed last solve
+        disc.free_parts.factor.release()  # also after a failed last solve
 
     report = verify.ConvergenceReport(
         records=records, seed=config.seed, penalty_a=config.penalty_a

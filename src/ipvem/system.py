@@ -59,7 +59,7 @@ class SparseSystem:
     eps: float
     dof_map: GlobalDofMap
     free_indices: np.ndarray
-    layout: BandLayout | None = None  # of ``matrix``'s pattern; made at factor time if None
+    factor: BandFactor  # of ``matrix``'s pattern, shared by the mesh's systems
 
     @property
     def n_free(self):
@@ -116,55 +116,18 @@ def load_vector(elements, f):
 
 
 @dataclass(eq=False)
-class BandLayout:
-    """Where a symmetric CSC pattern's entries go in LAPACK's lower band
-    storage after a reverse Cuthill-McKee reordering.
-
-    Row and column ``order[i]`` of the matrix are row and column i of the
-    permuted one, whose half-bandwidth is ``kd``.  ``entries`` indexes the
-    lower-triangle entries of the pattern's ``data`` (in the permuted
-    numbering) and ``slots`` gives each one's flat position in the
-    Fortran-order ``(kd + 1, n)`` band array, where A[i, j] sits in row
-    i - j of column j."""
-
-    order: np.ndarray
-    kd: int
-    entries: np.ndarray
-    slots: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.order)
-
-
-def band_layout(mat):
-    """The :class:`BandLayout` of the CSC matrix ``mat``'s pattern, which
-    must be structurally symmetric; a CSR matrix's arrays are read as the
-    CSC pattern of its transpose, which is the same pattern."""
-    n = mat.shape[0]
-    order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    rows, cols = rank[mat.indices], np.repeat(rank, np.diff(mat.indptr))
-    entries = np.flatnonzero(rows >= cols)
-    offsets = rows[entries] - cols[entries]
-    kd = int(offsets.max(initial=0))
-    return BandLayout(order=order, kd=kd, entries=entries, slots=offsets + cols[entries] * (kd + 1))
-
-
-@dataclass(eq=False)
 class FreeParts:
     """The two parts of the operator on the free DoFs, symmetrized and
     stored as CSC matrices that share one pattern: ``hess`` and ``grad``
     hold the same ``indptr`` and ``indices`` arrays, so their sum at each
-    eps is one axpy on the data.  ``layout`` is that pattern's band layout,
-    made once per mesh and used by every factor of the mesh's systems."""
+    eps is one axpy on the data.  ``factor`` is the :class:`BandFactor` of
+    that pattern, made once per mesh and carried by every system of it."""
 
     hess: sp.csc_matrix
     grad: sp.csc_matrix
     free: np.ndarray
     dof_map: GlobalDofMap
-    layout: BandLayout
+    factor: BandFactor
 
 
 def _with_data(mat, data, kind=None):
@@ -187,7 +150,7 @@ def restrict(hess, grad, dof_map):
     both.sort_indices()
     hess = _with_data(both, both.data.real.copy())
     grad = _with_data(both, both.data.imag.copy())
-    return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, band_layout(hess))
+    return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, BandFactor.for_pattern(hess))
 
 
 def combine(parts, rhs, eps):
@@ -203,7 +166,7 @@ def combine(parts, rhs, eps):
         eps=eps,
         dof_map=parts.dof_map,
         free_indices=parts.free,
-        layout=parts.layout,
+        factor=parts.factor,
     )
 
 
@@ -225,72 +188,107 @@ except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
 
-class BandCholesky:
-    """The Cholesky factor L L^T of a symmetric positive definite matrix
-    permuted by ``layout.order``, in LAPACK's lower band storage."""
-
-    def __init__(self, band, layout):
-        self.band, self.layout = band, layout
-
-    @property
-    def nnz(self):
-        """The entries the band storage holds, (kd + 1) * n."""
-        return self.band.size
-
-    def solve(self, rhs):
-        order = self.layout.order
-        x, _ = lapack.dpbtrs(self.band, rhs[order], lower=1, overwrite_b=1)
-        out = np.empty_like(x)
-        out[order] = x
-        return out
-
-
 @dataclass(eq=False)
-class HeldFactor:
-    """What the solves on one mesh share: a band Cholesky factor and the eps
-    whose matrix it factors, the last solution on the free DoFs (``x``),
-    where a solve from the held factor starts, and the band array that
-    every fresh factor of the mesh is made in (``band``); empty until the
-    first solve that factors."""
+class BandFactor:
+    """The band Cholesky factor that the systems of one mesh share, kept with
+    the layout of their common symmetric pattern after a reverse
+    Cuthill-McKee reordering.
 
-    cholesky: BandCholesky | None = None
+    Row and column ``order[i]`` of the matrix are row and column i of the
+    permuted one, whose half-bandwidth is ``kd``.  ``entries`` indexes the
+    lower-triangle entries of the pattern's ``data`` (in the permuted
+    numbering) and ``slots`` gives each one's flat position in ``band``,
+    LAPACK's lower band storage: a Fortran-order ``(kd + 1, n)`` array where
+    A[i, j] sits in row i - j of column j, allocated at the first factor and
+    refilled by every later one.  ``eps`` is the eps whose matrix ``band``
+    factors (None while it factors none) and ``x`` the last solution on the
+    free DoFs, where a solve from the factor starts."""
+
+    order: np.ndarray
+    kd: int
+    entries: np.ndarray
+    slots: np.ndarray
+    band: np.ndarray | None = None
     eps: float | None = None
     x: np.ndarray | None = None
-    band: np.ndarray | None = None
+
+    @classmethod
+    def for_pattern(cls, mat):
+        """The (empty) factor of the CSC matrix ``mat``'s pattern, which must
+        be structurally symmetric and canonical (each entry stored once, in
+        sorted order); a CSR matrix's arrays are read as the CSC pattern of
+        its transpose, which is the same pattern."""
+        if not mat.has_canonical_format:
+            raise ValueError("the band layout needs a canonical pattern: an entry stored twice would lose a term")
+        n = mat.shape[0]
+        order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        rows, cols = rank[mat.indices], np.repeat(rank, np.diff(mat.indptr))
+        entries = np.flatnonzero(rows >= cols)
+        offsets = rows[entries] - cols[entries]
+        kd = int(offsets.max(initial=0))
+        return cls(order=order, kd=kd, entries=entries, slots=offsets + cols[entries] * (kd + 1))
+
+    def factor(self, mat, eps):
+        """Factor the symmetric matrix ``mat`` of this pattern, the system's at
+        ``eps``, in place: its lower-triangle entries are assigned into the
+        zeroed band (the slots are distinct, so assignment places every
+        entry), allocated after trimming the heap the first time, and
+        LAPACK's ``dpbtrf`` factors it.  A matrix that is not positive
+        definite raises :class:`SolveError` and leaves no factor held."""
+        self.eps = None
+        if self.band is None:
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
+            self.band = np.zeros((self.kd + 1, len(self.order)), order="F")
+        else:
+            self.band.fill(0.0)
+        self.band.reshape(-1, order="F")[self.slots] = mat.data[self.entries]
+        self.band, info = lapack.dpbtrf(self.band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SolveError(
+                f"matrix is not positive definite: Cholesky pivot {info} of {len(self.order)} "
+                f"(row {self.order[info - 1]}) is not positive"
+            )
+        if info < 0:
+            raise SolveError(f"dpbtrf rejected argument {-info}")
+        self.eps = eps
+
+    def solve(self, rhs):
+        x, _ = lapack.dpbtrs(self.band, rhs[self.order], lower=1, overwrite_b=1)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
     def release(self):
-        self.cholesky = self.eps = self.x = self.band = None
+        """Drop the band, its eps and the last solution; the layout stays."""
+        self.band = self.eps = self.x = None
 
 
-def solve(system, residual_target=RESIDUAL_TARGET, held=None):
+def solve(system, residual_target=RESIDUAL_TARGET):
     """Direct sparse solve with extended-precision refinement and a residual
     check.  The matrix is symmetric positive definite (the mesh-dependent
-    penalty makes the form coercive), so it is factored by a banded
-    Cholesky in reverse Cuthill-McKee order, laid out once per mesh
-    (``system.layout``, made here from the matrix's pattern if None); a
-    matrix that is not positive definite raises :class:`SolveError`.  The
-    refinement's residuals run on the CSR matrix, converted to long double
-    once per system.
+    penalty makes the form coercive), so it is factored by the banded
+    Cholesky of ``system.factor``, in reverse Cuthill-McKee order laid out
+    once per mesh; a matrix that is not positive definite raises
+    :class:`SolveError`.  The refinement's residuals run on the CSR matrix,
+    converted to long double once per system.
     Besides the relative residual, the diagnostics hold the componentwise
     backward error max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the
     residual floor u || |A||x| || / ||b||, the eps whose matrix was factored
     (``factor_eps``), the entries the factor stores (``factor_nnz``) and its
     half-bandwidth (``bandwidth``).
 
-    ``held`` (a :class:`HeldFactor`) lets solves on one mesh share a factor.
-    A factor held from an eps e0 >= eps is tried first, starting from the
-    mesh's last solution (eps continuation): with A = G + eps^2 H and
-    M = G + e0^2 H, the refinement's iteration matrix
-    I - M^-1 A = (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small
-    when e0^2 H is small against G.  The attempt is given up when
-    :func:`_refine` projects that it cannot meet the target, and whenever
-    it ends above the target; the held factor is then dropped before a
-    fresh one is made in the held band array, so one factor is alive at a
-    time."""
-    mat, rhs = system.matrix.tocsr(copy=system.layout is None), system.rhs
-    if system.layout is None:
-        mat.sum_duplicates()  # a hand-built matrix: the band layout needs each entry stored once
-    held = HeldFactor() if held is None else held
+    The systems of one mesh share their factor.  One held from an eps
+    e0 >= eps is tried first, starting from the mesh's last solution (eps
+    continuation): with A = G + eps^2 H and M = G + e0^2 H, the
+    refinement's iteration matrix I - M^-1 A = (e0^2 - eps^2) M^-1 H has its
+    eigenvalues in [0, 1), small when e0^2 H is small against G.  The
+    attempt is given up when :func:`_refine` projects that it cannot meet
+    the target, and whenever it ends above the target; the matrix is then
+    factored afresh in the same band."""
+    mat, rhs, factor = system.matrix, system.rhs, system.factor
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
         x = np.zeros(len(rhs), dtype=SOLUTION_DTYPE)
@@ -298,52 +296,20 @@ def solve(system, residual_target=RESIDUAL_TARGET, held=None):
         diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
         mat_ld, refined = _with_data(mat, mat.data.astype(np.longdouble)), None
-        if held.cholesky is not None and held.eps >= system.eps:
-            refined = _refine(mat_ld, rhs, held.x, held.cholesky, residual_target, accuracy=diagnostics, may_abort=True)
+        if factor.eps is not None and factor.eps >= system.eps:
+            refined = _refine(mat_ld, rhs, factor.x, factor, residual_target, accuracy=diagnostics, may_abort=True)
         if refined is None:
-            held.cholesky = None
-            factor = _factor(mat, system.layout, held.band)
+            factor.factor(mat, system.eps)
             refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
-            held.cholesky, held.eps, held.band = factor, system.eps, factor.band
-        diagnostics["factor_eps"] = held.eps
-        diagnostics["factor_nnz"] = int(held.cholesky.nnz)
-        diagnostics["bandwidth"] = held.cholesky.layout.kd
+        diagnostics.update(factor_eps=factor.eps, factor_nnz=int(factor.band.size), bandwidth=factor.kd)
         x, residual, diagnostics["refine_steps"] = refined
-        held.x = x
+        factor.x = x
         if not np.isfinite(residual) or residual > residual_target:
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
     diagnostics["residual"] = residual
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
-
-
-def _factor(mat, layout=None, band=None):
-    """The :class:`BandCholesky` factor of the symmetric CSR or CSC matrix
-    ``mat``, which stores each entry once, in the order of ``layout`` (made
-    from ``mat``'s pattern if None): the lower-triangle entries are
-    assigned into ``band``, a band array of the layout's shape zeroed first
-    (or a fresh one, allocated after trimming the heap, if None), which
-    LAPACK's ``dpbtrf`` then factors in place."""
-    if layout is None:
-        layout = band_layout(mat)
-    if band is None:
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-        band = np.zeros((layout.kd + 1, layout.n), order="F")
-    else:
-        band.fill(0.0)
-    # the layout's slots are distinct, so assignment places every entry
-    band.reshape(-1, order="F")[layout.slots] = mat.data[layout.entries]
-    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise SolveError(
-            f"matrix is not positive definite: Cholesky pivot {info} of {layout.n} "
-            f"(row {layout.order[info - 1]}) is not positive"
-        )
-    if info < 0:
-        raise SolveError(f"dpbtrf rejected argument {-info}")
-    return BandCholesky(band, layout)
 
 
 def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, may_abort=False):

@@ -320,8 +320,9 @@ def energy_error(data, solution, norm="interp-energy"):
     the penalty on each edge's jumps, so no term cancels another.
     ``norm='projection'`` uses the broken seminorms of the element solution
     polynomials instead (h2 projection for the Hessian part, h1 projection
-    for the gradient part).  Both work on the double rounding of the
-    solution's (extended-precision) DoF vector.
+    for the gradient part).  Either way ``j1_energy`` is the penalty energy
+    sum_e lam_e int_e [d_n u_h]^2 of the solution itself.  All work on the
+    double rounding of the solution's (extended-precision) DoF vector.
     """
     if norm not in ("interp-energy", "projection"):
         raise ValueError("norm must be 'interp-energy' or 'projection'")
@@ -346,16 +347,11 @@ def energy_error(data, solution, norm="interp-energy"):
         h2_part=math.sqrt(h2_sq),
         h1_part=math.sqrt(h1_sq),
         norm=norm,
+        j1_energy=_penalty_energy(data, values),
         proj_h2=proj[0],
         proj_h1=proj[1],
         proj_h1_via_h2=proj[2],
     )
-
-
-def j1_energy(data, solution):
-    """Penalty energy sum_e lam_e int_e [d_n u_h]^2 of a solution (its double
-    rounding) on the mesh of ``data``; nonnegative."""
-    return _penalty_energy(data, np.asarray(solution.values, dtype=float))
 
 
 def fit_rate(h_values, errors):

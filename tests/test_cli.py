@@ -200,7 +200,7 @@ class TestRunStudy:
         def study(order):
             out = run_study(tiny_config(example=1, eps=order, mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=100))
             assert not out.failures
-            assert out.final.factor.cholesky is None
+            assert out.final.free_parts.factor.band is out.final.free_parts.factor.eps is None
             return out.report.records
 
         down, up = study(eps), study(eps[::-1])

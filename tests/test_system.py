@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from ipvem import cli, forms, mesh, projectors, system, verify
-from ipvem.system import SolveError, SparseSystem, number_dofs, solve
+from ipvem.system import BandFactor, SolveError, SparseSystem, number_dofs, solve
 
 from conftest import is_positive_definite, operator_parts
 
@@ -17,6 +17,21 @@ ZERO = verify.ManufacturedSolution("zero", lambda i, j, x, y: np.zeros_like(np.a
 def pipeline(m, eps, msol=ZERO, penalty_a=2.0):
     d = cli.discretize(m, msol, penalty_a)
     return d, d.reduced(eps)
+
+
+def hand_built(mat, rhs):
+    """The system of the canonical matrix ``mat`` and ``rhs`` on DoFs that
+    are all free, with a factor of its own."""
+    n = mat.shape[0]
+    dm = system.GlobalDofMap(n_vertices=n, n_edges=0, n_cells=0, boundary=np.zeros(n, dtype=bool))
+    return SparseSystem(
+        matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(n), factor=BandFactor.for_pattern(mat)
+    )
+
+
+def fresh(sys_):
+    """``sys_`` with a new factor of its own, so that its solve factors afresh."""
+    return dataclasses.replace(sys_, factor=BandFactor.for_pattern(sys_.matrix))
 
 
 class TestNumberDofs:
@@ -110,7 +125,8 @@ class TestSolve:
         R = rng.standard_normal((n, n))
         mat = sp.csr_matrix(R @ R.T + n * np.eye(n))
         rhs = rng.standard_normal(n)
-        factor = system._factor(mat.tocsc())
+        factor = BandFactor.for_pattern(mat)
+        factor.factor(mat, 1.0)
         x, residual, _ = system._refine(mat, rhs, factor.solve(rhs), factor, 1e-10)
         assert residual <= 1e-10
 
@@ -182,11 +198,7 @@ class TestSolve:
         assert np.max(np.abs(combined - sols[0] - sols[1])) <= 1e-9 * scale
 
     def test_residual_target_enforced(self):
-        mat = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        dm = number_dofs(mesh.generate_uniform_squares(1))
-        sys_ = SparseSystem(
-            matrix=mat, rhs=np.array([1.0, 1.0]), eps=1.0, dof_map=dm, free_indices=np.arange(2)
-        )
+        sys_ = hand_built(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])), np.array([1.0, 1.0]))
         with pytest.raises(SolveError):
             solve(sys_)
 
@@ -202,9 +214,7 @@ class TestSymmetricModeFactor:
         b[[0, 2, 4], [0, 1, 2]] = 1.0
         h = np.full((n, n), 1.0) + n * np.eye(n)
         mat = sp.csr_matrix(np.block([[h, b], [b.T, diagonal * np.eye(k)]]))
-        dm = system.GlobalDofMap(n_vertices=n + k, n_edges=0, n_cells=0, boundary=np.zeros(n + k, dtype=bool))
-        rhs = np.random.default_rng(6).standard_normal(n + k)
-        return SparseSystem(matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(n + k))
+        return hand_built(mat, np.random.default_rng(6).standard_normal(n + k))
 
     @pytest.mark.parametrize("diagonal", [0.0, 1e-14])
     def test_threshold_pivoting_passes_over_small_diagonals(self, diagonal):
@@ -218,7 +228,7 @@ class TestSymmetricModeFactor:
         # factors each, and the refined solution matches a pivoting LU's
         d = cli.discretize(cvt32, verify.example_solution(1))
         for eps in (1.0, 1e-3, 1e-10):
-            sys_ = d.reduced(eps)
+            sys_ = fresh(d.reduced(eps))
             sol = solve(sys_)
             assert sol.diagnostics["method"] == "band-cholesky"
             reference = sp.linalg.splu(sys_.matrix.tocsc()).solve(sys_.rhs)
@@ -231,7 +241,7 @@ class TestSymmetricModeFactor:
         for m in (cvt32, cvt64):
             d = cli.discretize(m, verify.example_solution(1))
             for eps in (1.0, 1e-3, 1e-10):
-                sys_ = d.reduced(eps)
+                sys_ = fresh(d.reduced(eps))
                 sol = solve(sys_)
                 diag = sol.diagnostics
                 assert diag["factor_nnz"] == (diag["bandwidth"] + 1) * sys_.n_free
@@ -242,13 +252,13 @@ class TestSymmetricModeFactor:
 
 class TestBandLayout:
     def test_one_layout_per_mesh_in_an_eleven_eps_sweep(self, monkeypatch):
-        made, real = [], system.band_layout
+        made, real = [], BandFactor.for_pattern
 
-        def band_layout(mat):
+        def for_pattern(mat):
             made.append(mat.shape)
             return real(mat)
 
-        monkeypatch.setattr(system, "band_layout", band_layout)
+        monkeypatch.setattr(BandFactor, "for_pattern", for_pattern)
         eps = [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
         cfg = cli.StudyConfig(example=1, eps=eps, mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=20)
         out = cli.run_study(cfg)
@@ -257,7 +267,7 @@ class TestBandLayout:
 
     def test_layout_places_every_lower_entry_in_the_band(self, cvt32):
         mat = cli.discretize(cvt32, verify.example_solution(1)).reduced(1e-3).matrix
-        layout = system.band_layout(mat)
+        layout = BandFactor.for_pattern(mat)
         n = mat.shape[0]
         assert sorted(layout.order.tolist()) == list(range(n))
         permuted = mat.toarray()[np.ix_(layout.order, layout.order)]
@@ -270,39 +280,37 @@ class TestBandLayout:
 
     def test_hand_built_system_without_layout(self):
         # a shuffled five-point Laplacian plus a diagonal shift, given as CSR
-        # with no layout: one is made from its pattern at factor time
+        # and brought to canonical form: its factor is laid out from its pattern
         k = 12
         lap1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
         mat = sp.kronsum(lap1, lap1) + 0.1 * sp.eye(k * k)
         shuffle = np.random.default_rng(8).permutation(k * k)
         mat = sp.csr_matrix(mat)[shuffle][:, shuffle]
-        n = k * k
-        dm = system.GlobalDofMap(n_vertices=n, n_edges=0, n_cells=0, boundary=np.zeros(n, dtype=bool))
-        rhs = np.random.default_rng(9).standard_normal(n)
-        sys_ = SparseSystem(matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(n))
-        assert sys_.layout is None
-        sol = solve(sys_)
+        mat.sort_indices()
+        rhs = np.random.default_rng(9).standard_normal(k * k)
+        sol = solve(hand_built(mat, rhs))
         reference = np.linalg.solve(mat.toarray(), rhs)
         assert np.max(np.abs(sol.values.astype(float) - reference)) <= 1e-12 * np.max(np.abs(reference))
         # the reverse Cuthill-McKee order undoes the shuffle's bandwidth
         assert sol.diagnostics["bandwidth"] <= 2 * k
 
     def test_hand_built_matrix_with_duplicate_entries(self):
-        # CSR arrays that store each diagonal entry as two halves: solved as
-        # their sum, and left as given
-        dense = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        # CSR arrays that store each diagonal entry as two halves: the band
+        # would keep one half of each, so the layout refuses the pattern
         data = np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 2.0])
         indices = np.array([0, 1, 0, 0, 1, 2, 1, 1, 2, 2])
         mat = sp.csr_matrix((data, indices, np.array([0, 3, 7, 10])), shape=(3, 3))
-        dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="canonical"):
+            BandFactor.for_pattern(mat)
+        mat.sum_duplicates()
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
         rhs = np.array([1.0, -2.0, 3.0])
-        sol = solve(SparseSystem(matrix=mat, rhs=rhs, eps=1.0, dof_map=dm, free_indices=np.arange(3)))
+        sol = solve(hand_built(mat, rhs))
         assert np.allclose(sol.values.astype(float), np.linalg.solve(dense, rhs), rtol=1e-14, atol=0.0)
-        assert mat.nnz == 10
 
     def test_two_solves_are_bit_identical(self, cvt64):
         sys_ = cli.discretize(cvt64, verify.example_solution(1)).reduced(1e-2)
-        a, b = solve(sys_), solve(sys_)
+        a, b = solve(fresh(sys_)), solve(fresh(sys_))
         assert a.values.dtype == b.values.dtype == system.SOLUTION_DTYPE
         assert np.array_equal(a.values, b.values)
         assert a.residual == b.residual
@@ -341,39 +349,38 @@ class TestHeldFactor:
         for d in self.discretizations(cvt32, cvt64):
             for eps in SWEEP:
                 sol = d.solve(eps)
-                fresh = solve(d.reduced(eps))
-                assert fresh.diagnostics["factor_eps"] == eps
-                assert sol.diagnostics["factor_eps"] == d.factor.eps >= eps
+                own = solve(fresh(d.reduced(eps)))
+                assert own.diagnostics["factor_eps"] == eps
+                assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps >= eps
                 assert sol.residual <= system.RESIDUAL_TARGET
-                assert sol.diagnostics["factor_nnz"] == fresh.diagnostics["factor_nnz"]
-                scale = np.max(np.abs(fresh.values))
-                assert np.max(np.abs(sol.values - fresh.values)) <= 1e-10 * scale
+                assert sol.diagnostics["factor_nnz"] == own.diagnostics["factor_nnz"]
+                scale = np.max(np.abs(own.values))
+                assert np.max(np.abs(sol.values - own.values)) <= 1e-10 * scale
             assert sol.diagnostics["factor_eps"] > SWEEP[-1]
 
     def test_increasing_sweep_never_reuses(self, cvt32, cvt64):
         for d in self.discretizations(cvt32, cvt64):
             for eps in SWEEP[::-1]:
-                assert d.solve(eps).diagnostics["factor_eps"] == d.factor.eps == eps
+                assert d.solve(eps).diagnostics["factor_eps"] == d.free_parts.factor.eps == eps
 
-    def test_attempt_from_eps_one_aborts_after_one_correction(self, cvt32, cvt64):
-        class CountingFactor:
-            def __init__(self, factor):
-                self.factor, self.solves = factor, 0
-                self.nnz, self.layout = factor.nnz, factor.layout
+    def test_attempt_from_eps_one_aborts_after_one_correction(self, cvt32, cvt64, monkeypatch):
+        # the eps of the factor each correction is computed with
+        held, real = [], BandFactor.solve
 
-            def solve(self, r):
-                self.solves += 1
-                return self.factor.solve(r)
+        def counting(factor, r):
+            held.append(factor.eps)
+            return real(factor, r)
 
+        monkeypatch.setattr(BandFactor, "solve", counting)
         for d in self.discretizations(cvt32, cvt64):
             d.solve(1.0)
-            counting = d.factor.cholesky = CountingFactor(d.factor.cholesky)
+            held.clear()
             sol = d.solve(1e-3)
             # from the last solution the start residual already shows the
             # attempt cannot succeed: at most one correction, then a fresh factor
-            assert counting.solves <= 1
-            assert sol.diagnostics["factor_eps"] == d.factor.eps == 1e-3
-            assert np.array_equal(sol.values, solve(d.reduced(1e-3)).values)
+            assert held.count(1.0) <= 1
+            assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps == 1e-3
+            assert np.array_equal(sol.values, solve(fresh(d.reduced(1e-3))).values)
 
     def test_continuation_spends_fewer_corrections(self, cvt64):
         # the solves below the last fresh factor start from the previous
@@ -383,8 +390,9 @@ class TestHeldFactor:
             d.solve(eps)
         warm = cold = 0
         for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-            sol, reduced, held = d.solve(eps), d.reduced(eps), d.factor.cholesky
-            assert sol.diagnostics["factor_eps"] == d.factor.eps > eps
+            sol, reduced = d.solve(eps), d.reduced(eps)
+            held = reduced.factor
+            assert sol.diagnostics["factor_eps"] == held.eps > eps
             assert sol.residual <= system.RESIDUAL_TARGET
             warm += sol.diagnostics["refine_steps"]
             cold += system._refine(reduced.matrix, reduced.rhs, held.solve(reduced.rhs), held, system.RESIDUAL_TARGET)[2]
@@ -392,41 +400,61 @@ class TestHeldFactor:
 
     def test_fresh_factors_of_a_mesh_share_one_band(self, cvt32):
         (d,) = self.discretizations(cvt32)
-        bands = []
+        factor, bands = d.free_parts.factor, []
         for eps in SWEEP[::-1]:  # every solve factors afresh
             d.solve(eps)
-            bands.append(d.factor.cholesky.band)
-        assert all(band is d.factor.band for band in bands)
-        band = weakref.ref(d.factor.band)
+            bands.append(factor.band)
+        assert all(band is factor.band for band in bands)
+        band = weakref.ref(factor.band)
         del bands
-        d.factor.release()
-        assert d.factor.band is None and band() is None
+        factor.release()
+        assert factor.band is factor.eps is factor.x is None and band() is None
 
     def test_one_factor_alive(self, cvt32, monkeypatch):
-        real_factor = system._factor
+        real_factor = BandFactor.factor
         made = []
 
-        def factor(*args, **kwargs):
-            assert all(ref() is None for ref in made)
-            result = real_factor(*args, **kwargs)
-            made.append(weakref.ref(result))
-            return result
+        def factor(self, *args):
+            # each fresh factor is made in the band of the first
+            assert all(ref() is None or ref() is self.band for ref in made)
+            real_factor(self, *args)
+            made.append(weakref.ref(self.band))
 
-        monkeypatch.setattr(system, "_factor", factor)
+        monkeypatch.setattr(BandFactor, "factor", factor)
         (d,) = self.discretizations(cvt32)
         for eps in SWEEP + SWEEP[::-1]:
             d.solve(eps)
         # fresh factors from eps = 1 down to the first reused one, and again
         # above the reused factor's eps on the way back up
         assert len(made) >= 5
-        d.factor.release()
+        assert all(ref() is made[0]() for ref in made)
+        d.free_parts.factor.release()
         assert made[-1]() is None
 
     def test_no_held_factor_no_reuse(self, cvt32):
+        # systems with factors of their own neither reuse one nor touch the mesh's
         (d,) = self.discretizations(cvt32)
         for eps in SWEEP:
-            assert solve(d.reduced(eps)).diagnostics["factor_eps"] == eps
-        assert d.factor.cholesky is None
+            assert solve(fresh(d.reduced(eps))).diagnostics["factor_eps"] == eps
+        assert d.free_parts.factor.eps is None and d.free_parts.factor.band is None
+
+    def test_failed_factor_holds_no_eps(self, cvt32):
+        # a system of the mesh's pattern that is not positive definite fails
+        # in the band the mesh's factor holds: no eps may stay over it
+        (d,) = self.discretizations(cvt32)
+        factor = d.free_parts.factor
+        d.solve(1.0)
+        assert factor.eps == 1.0
+        bad = d.reduced(1e-3)
+        bad.matrix = bad.matrix.copy()
+        bad.matrix.data *= -1.0
+        with pytest.raises(SolveError, match="not positive definite"):
+            solve(bad)
+        assert factor.eps is None
+        sol = d.solve(1e-3)
+        assert sol.diagnostics["factor_eps"] == factor.eps == 1e-3
+        assert sol.residual <= system.RESIDUAL_TARGET
+        assert np.array_equal(sol.values, solve(fresh(d.reduced(1e-3))).values)
 
 
 class TestPositiveDefinite:
@@ -439,11 +467,7 @@ class TestPositiveDefinite:
             assert pivot > 0.0
 
     def test_detects_indefinite(self):
-        mat = sp.csr_matrix(np.diag([1.0, -2.0]))
-        dm = number_dofs(mesh.generate_uniform_squares(1))
-        sys_ = SparseSystem(
-            matrix=mat, rhs=np.zeros(2), eps=1.0, dof_map=dm, free_indices=np.arange(2)
-        )
+        sys_ = hand_built(sp.csr_matrix(np.diag([1.0, -2.0])), np.zeros(2))
         ok, smallest = is_positive_definite(sys_)
         assert not ok
         assert smallest == pytest.approx(-2.0)
@@ -454,12 +478,7 @@ class TestSolveDiagnostics:
         n = 30
         rng = np.random.default_rng(4)
         R = rng.standard_normal((n, n))
-        dm = system.GlobalDofMap(n_vertices=n, n_edges=0, n_cells=0, boundary=np.zeros(n, dtype=bool))
-        sys_ = SparseSystem(
-            matrix=sp.csr_matrix(R @ R.T + n * np.eye(n)), rhs=rng.standard_normal(n), eps=1.0, dof_map=dm,
-            free_indices=np.arange(n),
-        )
-        diag = solve(sys_).diagnostics
+        diag = solve(hand_built(sp.csr_matrix(R @ R.T + n * np.eye(n)), rng.standard_normal(n))).diagnostics
         assert 0.0 <= diag["backward_error"] <= 10 * system.UNIT_ROUNDOFF
 
     def test_backward_error_and_floor_by_hand(self):

@@ -13,7 +13,6 @@ from ipvem.verify import (
     example_solution,
     fit_rate,
     interpolation_dofs,
-    j1_energy,
 )
 
 from conftest import basis_at, derivatives, dof_points, edge_coupling, polygon_rule
@@ -332,7 +331,7 @@ class TestJ1Energy:
     def test_zero_solution(self, cvt32):
         d = cli.discretize(cvt32, example_solution(1))
         sol = system.DiscreteSolution(values=np.zeros(d.dof_map.n_dofs), eps=1.0, residual=0.0)
-        assert j1_energy(d.error_data, sol) == 0.0
+        assert energy_error(d.error_data, sol).j1_energy == 0.0
 
     def test_global_quadratic_interior_stencils_vanish(self, cvt32, cvt32_elements):
         traces = forms.build_edge_stencils(cvt32, cvt32_elements)
@@ -372,7 +371,7 @@ class TestJ1Energy:
         energies = []
         for n in (32, 64, 128):
             d, sol = solve_case(cvt_sequence[n], 1.0, msol)
-            energies.append(j1_energy(d.error_data, sol))
+            energies.append(d.error(sol).j1_energy)
         assert all(e > 0.0 for e in energies)
         assert energies[0] > energies[1] > energies[2]
 
