@@ -297,9 +297,7 @@ def run_study(config, progress=None):
                 progress(rows[-1])
         disc.free_parts.factor.release()  # also after a failed last solve
 
-    report = verify.ConvergenceReport(
-        records=records, seed=config.seed, penalty_a=config.penalty_a
-    ).finalize()
+    report = verify.ConvergenceReport(records=records).finalize()
     return StudyOutput(
         config=config, report=report, rows=rows, failures=failures, meshes=meshes, final=disc
     )

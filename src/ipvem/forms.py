@@ -10,9 +10,10 @@ midpoint, head), and the average A of their constant second normal
 derivatives, one row per edge.  A trace is linear along an edge at k = 2,
 so Simpson sums are exact: the penalty form is J^T diag(lam_e SIMPSON) J
 and the consistency pair j2 + j2^T has j2 = -A^T diag(h_e) S J, where S sums
-each edge's three rows with the Simpson weights.  The stacked
-:class:`CellForms` and :class:`EdgeTraces` are the only interface to the
-assembly: an element's forms are its rows, an edge's terms its rows of J and A.
+each edge's three rows with the Simpson weights.  Each form is exactly
+symmetric as made.  The stacked :class:`CellForms` and :class:`EdgeTraces`
+are the only interface to the assembly: an element's forms are its rows, an
+edge's terms its rows of J and A.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ class CellForms:
 
 
 def _stabilized(P, Pd, gram, scale, eye):
-    """P^T gram P + (eye - Pd)^T (eye - Pd) / scale on every element: the
+    """F = P^T gram P + (eye - Pd)^T (eye - Pd) / scale on every element: the
     consistency through the h2 projector plus the DoF-difference
-    stabilization."""
+    stabilization, returned as 0.5 (F + F^T), symmetric to the last bit."""
     stab = eye - Pd
-    return np.swapaxes(P, -1, -2) @ gram @ P + np.swapaxes(stab, -1, -2) @ stab / scale
+    form = np.swapaxes(P, -1, -2) @ gram @ P + np.swapaxes(stab, -1, -2) @ stab / scale
+    return 0.5 * (form + np.swapaxes(form, -1, -2))
 
 
 def build_local_forms(elements):
@@ -135,16 +137,17 @@ class EdgeTraces:
         return np.repeat(self.lam, 3) * np.tile(SIMPSON, len(self.lam))
 
     def coupling(self, columns):
-        """(j1, j2) on the DoF columns ``columns`` (an index array): the
-        penalty form J^T diag(weights) J and the consistency part
-        -A^T diag(h_e) S J, where S sums each edge's three rows with the
-        Simpson weights; rows test the average and columns carry the trial
-        jump."""
+        """The edge terms of the operator on the DoF columns ``columns`` (an
+        index array), in one exactly symmetric matrix: the penalty form K^T K
+        with K = diag(sqrt(weights)) J, plus the consistency pair j2 + j2^T
+        with j2 = -A^T diag(h_e) S J, where S sums each edge's three rows with
+        the Simpson weights.  Mirrored entries sum the same products in the
+        same order."""
         jump, average = self.jump[:, columns], self.average[:, columns]
         simpson = sp.kron(sp.identity(len(self.lam)), SIMPSON[None, :], format="csr")
-        j1 = jump.T @ (sp.diags(self.weights) @ jump)
+        k = sp.diags(np.sqrt(self.weights)) @ jump
         j2 = -(average.T @ (sp.diags(self.h) @ (simpson @ jump)))
-        return j1.tocsr(), j2.tocsr()
+        return k.T @ k + (j2 + j2.T)
 
 
 def build_edge_stencils(mesh, elements, penalty_a=2.0):

@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 
 BOUNDARY = -1
 
-#: relative tolerance for the tiling-area check of generated meshes
+#: tolerance of the tiling-area check: the cell areas sum to one within it
 AREA_RTOL = 1e-12
 #: distance within which Voronoi corners merge and snap onto the boundary
 SNAP_TOL = 1e-9
@@ -250,10 +250,11 @@ def _build_mesh(vertices, corners, offsets, fix_orientation=False):
     return mesh
 
 
-def validate_tiling(mesh, expected_area, rtol=AREA_RTOL):
+def validate_tiling(mesh):
+    """Raise :class:`MeshError` unless the cell areas sum to one."""
     total = mesh.total_area()
-    if abs(total - expected_area) > rtol * expected_area:
-        raise MeshError(f"cell areas sum to {total!r}, expected {expected_area!r}")
+    if abs(total - 1.0) > AREA_RTOL:
+        raise MeshError(f"cell areas sum to {total!r}, expected 1.0")
 
 
 def generate_uniform_squares(n):
@@ -266,7 +267,7 @@ def generate_uniform_squares(n):
     v0 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     corners = np.column_stack([v0, v0 + 1, v0 + n + 2, v0 + n + 1]).ravel()
     mesh = _build_mesh(vertices, corners, np.arange(0, 4 * n * n + 1, 4))
-    validate_tiling(mesh, 1.0)
+    validate_tiling(mesh)
     return mesh
 
 
@@ -573,7 +574,7 @@ def generate_cvt(n_cells, seed=0, lloyd_iters=100, initial_points=None):
             len(movements), movements[-1], sum(tri.qhull_calls), sum(tri.flips),
         )
     mesh.lloyd_movement, mesh.delaunay_calls, mesh.lloyd_flips = movements, tri.qhull_calls, tri.flips
-    validate_tiling(mesh, 1.0)
+    validate_tiling(mesh)
     return mesh
 
 
@@ -629,8 +630,10 @@ def import_mesh(text):
     handle raises :class:`MeshFormatError`, with the offending line number
     where there is one: a malformed, truncated or negative count, a vertex
     that is not a finite point of the unit square, a structural error, cell
-    areas that do not sum to one, or a cell that is not star-shaped with
-    respect to its centroid.
+    areas that do not sum to one, a domain that is not the unit square (two
+    coincident vertices, a vertex of no cell, a boundary edge off the
+    square's sides), or a cell that is not star-shaped with respect to its
+    centroid.
     """
     lines = text.splitlines()
 
@@ -660,6 +663,7 @@ def import_mesh(text):
         return count
 
     n_vertices = expect_count("vertices")
+    first_vertex_line = pos + 1
     vertices = _vertex_block(lines[pos : pos + n_vertices])
     # a block is parsed line by line only to report its first fault; the
     # block parsers return None exactly when the line checks find one
@@ -692,9 +696,27 @@ def import_mesh(text):
 
     try:
         m = _build_mesh(vertices, *cells, fix_orientation=True)
-        validate_tiling(m, 1.0)
+        validate_tiling(m)
     except MeshError as exc:
         raise MeshFormatError(str(exc)) from exc
+    # the domain is the unit square: no two vertices coincide (a slit), every
+    # vertex is a corner, and every boundary edge lies on one side (exactly,
+    # as export_mesh writes coordinates by repr)
+    order = np.lexsort((vertices[:, 1], vertices[:, 0]))
+    twins = np.flatnonzero(np.all(vertices[order[1:]] == vertices[order[:-1]], axis=1))
+    if len(twins):
+        k = twins[np.argmin(order[twins + 1])]
+        fail(first_vertex_line + order[k + 1], f"vertex {order[k + 1]} coincides with vertex {order[k]}")
+    unused = np.ones(n_vertices, dtype=bool)
+    unused[m.corners] = False
+    if np.any(unused):
+        v = int(np.argmax(unused))
+        fail(first_vertex_line + v, f"vertex {v} is a corner of no cell")
+    ends = vertices[m.edges[m.boundary_edge]]
+    off_sides = ~np.any((ends[:, 0] == ends[:, 1]) & ((ends[:, 0] == 0.0) | (ends[:, 0] == 1.0)), axis=1)
+    if np.any(off_sides):
+        c = int(m.edge_cells[m.boundary_edge, 0][off_sides].min())
+        fail(first_cell_line + c, f"cell {c} has a boundary edge off the sides of the unit square")
     g = m.stacked_geometry
     not_star = np.any(g.valid & (g.fan_areas <= 0.0), axis=1)
     if np.any(not_star):

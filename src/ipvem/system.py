@@ -78,13 +78,14 @@ class DiscreteSolution:
 
 
 def build_operator_parts(dof_map, cell_forms, traces):
-    """The :class:`FreeParts` of the operator, assembled on the free DoFs
-    from the stacked cell forms and the edge-trace operators: the cell
-    blocks are scattered through one sorted index set of every cell's
-    (row, column) pairs of free DoFs, and the edge coupling is a product of
-    sparse matrices on the free columns (``traces.coupling``).  The
-    Hessian part ``hess`` is the a-form plus all edge coupling blocks (the
-    part multiplied by eps^2), ``grad`` the b-form."""
+    """The :class:`FreeParts` of the operator, assembled on the free DoFs in
+    one scatter: every cell's (row, column) pairs of free DoFs and the
+    entries of the edge coupling (``traces.coupling``) go through one sorted
+    set of keys row * n + column, with one ``np.bincount`` per part, so the
+    Hessian part ``hess`` (the a-form plus the edge coupling, the part
+    multiplied by eps^2) and ``grad`` (the b-form) are CSR matrices of one
+    pattern.  Every term is exactly symmetric and mirrored entries sum their
+    terms in the same order, so both parts are exactly symmetric too."""
     elements = cell_forms.elements
     keep = elements.dof_mask & dof_map.free[elements.dofs]
     pair = keep[:, :, None] & keep[:, None, :]
@@ -92,16 +93,16 @@ def build_operator_parts(dof_map, cell_forms, traces):
         raise ValueError("cell forms do not match the elements' DoF layout")
     free = np.flatnonzero(dof_map.free)
     n = len(free)
-    local = (np.cumsum(dof_map.free) - 1)[elements.dofs]  # the column of each free DoF
-    slots, index = np.unique((local[:, :, None] * n + local[:, None, :])[pair], return_inverse=True)
+    local = (np.cumsum(dof_map.free, dtype=np.int64) - 1)[elements.dofs]  # the column of each free DoF
+    edges = traces.coupling(free).tocoo()
+    # int64 keys: with scipy's int32 indices, row * n wraps above 46341 free DoFs
+    keys = (local[:, :, None] * n + local[:, None, :])[pair]
+    slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
     indptr = np.searchsorted(slots, np.arange(n + 1) * n)
-
-    def cell_matrix(blocks):
-        data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
-        return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
-
-    j1, j2 = traces.coupling(free)
-    return restrict(cell_matrix(cell_forms.a) + j1 + j2 + j2.T, cell_matrix(cell_forms.b), dof_map)
+    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]))
+    hess = sp.csr_matrix((hess, slots % n, indptr), shape=(n, n))
+    grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
+    return restrict(hess, _with_data(hess, grad), dof_map)
 
 
 def load_vector(elements, f):
@@ -117,51 +118,44 @@ def load_vector(elements, f):
 
 @dataclass(eq=False)
 class FreeParts:
-    """The two parts of the operator on the free DoFs, symmetrized and
-    stored as CSC matrices that share one pattern: ``hess`` and ``grad``
-    hold the same ``indptr`` and ``indices`` arrays, so their sum at each
-    eps is one axpy on the data.  ``factor`` is the :class:`BandFactor` of
-    that pattern, made once per mesh and carried by every system of it."""
+    """The two parts of the operator on the free DoFs, exactly symmetric CSR
+    matrices that share one pattern: ``hess`` and ``grad`` hold the same
+    ``indptr`` and ``indices`` arrays, so their sum at each eps is one axpy
+    on the data.  ``factor`` is the :class:`BandFactor` of that pattern,
+    made once per mesh and carried by every system of it."""
 
-    hess: sp.csc_matrix
-    grad: sp.csc_matrix
+    hess: sp.csr_matrix
+    grad: sp.csr_matrix
     free: np.ndarray
     dof_map: GlobalDofMap
     factor: BandFactor
 
 
-def _with_data(mat, data, kind=None):
-    """The matrix of ``mat``'s index arrays holding ``data``, of ``mat``'s
-    type or of ``kind``, sharing the index arrays instead of copying them."""
-    return (kind or type(mat))((data, mat.indices, mat.indptr), shape=mat.shape)
+def _with_data(mat, data):
+    """The matrix of ``mat``'s type and index arrays holding ``data``,
+    sharing the index arrays instead of copying them."""
+    return type(mat)((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def restrict(hess, grad, dof_map):
-    """The :class:`FreeParts` of the parts ``hess`` and ``grad``, given on
-    the free DoFs of ``dof_map``: both are symmetrized at once, removing
-    accumulation-order roundoff, with ``grad`` carried as the imaginary part
-    of one complex matrix, so that every sparse operation keeps one pattern
-    holding each entry either part holds; then that pattern is laid out for
-    the band factor.  Done once per mesh."""
-    both = hess + 1j * grad
-    # exactly symmetric, so the transpose (a CSC view of the same arrays)
-    # is the same matrix, stored as CSC without a copy
-    both = ((both + both.T) * 0.5).T
-    both.sort_indices()
-    hess = _with_data(both, both.data.real.copy())
-    grad = _with_data(both, both.data.imag.copy())
+    """The :class:`FreeParts` of the parts ``hess`` and ``grad``, CSR
+    matrices on the free DoFs of ``dof_map`` that share one pattern, with
+    that pattern laid out for the band factor.  Done once per mesh; parts
+    of two patterns raise ``ValueError``."""
+    same = np.array_equal(hess.indptr, grad.indptr) and np.array_equal(hess.indices, grad.indices)
+    if not (same and hess.format == grad.format == "csr"):
+        raise ValueError("the operator parts must be CSR matrices of one pattern")
+    grad = _with_data(hess, grad.data)
     return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, BandFactor.for_pattern(hess))
 
 
 def combine(parts, rhs, eps):
     """The reduced system eps^2 * hess + grad at one eps: one axpy on the
-    parts' shared pattern, exactly symmetric because both terms are and
+    parts' shared pattern, exactly symmetric because both terms are, and
     equal, entry for entry, to their sparse sum (which stores the same
-    pattern wherever no sum cancels to zero).  Being symmetric, it is
-    handed over as the CSR matrix of the same arrays, whose products run
-    faster than the CSC one's."""
+    pattern wherever no sum cancels to zero)."""
     return SparseSystem(
-        matrix=_with_data(parts.hess, (eps**2) * parts.hess.data + parts.grad.data, sp.csr_matrix),
+        matrix=_with_data(parts.hess, (eps**2) * parts.hess.data + parts.grad.data),
         rhs=rhs[parts.free],
         eps=eps,
         dof_map=parts.dof_map,
@@ -214,10 +208,10 @@ class BandFactor:
 
     @classmethod
     def for_pattern(cls, mat):
-        """The (empty) factor of the CSC matrix ``mat``'s pattern, which must
+        """The (empty) factor of the CSR matrix ``mat``'s pattern, which must
         be structurally symmetric and canonical (each entry stored once, in
-        sorted order); a CSR matrix's arrays are read as the CSC pattern of
-        its transpose, which is the same pattern."""
+        sorted order); its arrays are read as the CSC pattern of its
+        transpose, which is the same pattern."""
         if not mat.has_canonical_format:
             raise ValueError("the band layout needs a canonical pattern: an entry stored twice would lose a term")
         n = mat.shape[0]

@@ -116,7 +116,7 @@ def _example2_at(x, y):
 
 
 def _example2_partial(i, j, x, y):
-    return _sin_squared_deriv(i, x) * _sin_squared_deriv(j, y)
+    return _example2_at(x, y)(i, j)
 
 
 EXAMPLES = {
@@ -384,11 +384,9 @@ def series_rate(x, errors):
 
 @dataclass(eq=False)
 class ConvergenceReport:
-    """Error records per eps with fitted rates and run metadata."""
+    """Error records per eps with their fitted rates."""
 
     records: dict                   # eps -> list[ErrorRecord], sorted by decreasing h
-    seed: int
-    penalty_a: float
     rates_h: dict = field(default_factory=dict)
     rates_n: dict = field(default_factory=dict)
 

@@ -135,22 +135,24 @@ def dofs_of_polynomial(g, c, coeffs):
 def operator_parts(d):
     """Test-local full-size operator parts of a discretization, the boundary
     DoFs included, each entry summed in the order the assembly sums it on the
-    free DoFs: the cell forms scattered through one sorted index set of
-    every cell's (row, column) pairs, plus the edge coupling on all columns:
-    ``hess`` is a + j1 + j2 + j2^T and ``grad`` is b."""
+    free DoFs: the cell blocks and the edge coupling on all columns scattered
+    through one sorted key set, with one bincount per part: ``hess`` is the
+    a-form plus the edge coupling and ``grad`` the b-form."""
     cell_forms = forms.build_local_forms(d.elements)
     traces = forms.build_edge_stencils(d.mesh, d.elements)
-    mask, dofs, n = d.elements.dof_mask, d.elements.dofs, d.dof_map.n_dofs
+    mask, dofs, n = d.elements.dof_mask, d.elements.dofs.astype(np.int64), d.dof_map.n_dofs
     pair = mask[:, :, None] & mask[:, None, :]
-    slots, index = np.unique((dofs[:, :, None] * n + dofs[:, None, :])[pair], return_inverse=True)
+    edges = traces.coupling(np.arange(n)).tocoo()
+    keys = (dofs[:, :, None] * n + dofs[:, None, :])[pair]
+    slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
     indptr = np.searchsorted(slots, np.arange(n + 1) * n)
+    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]), minlength=len(slots))
+    grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
 
-    def cell_matrix(blocks):
-        data = np.bincount(index, weights=blocks[pair], minlength=len(slots))
+    def matrix(data):
         return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
 
-    j1, j2 = traces.coupling(np.arange(n))
-    return types.SimpleNamespace(hess=(cell_matrix(cell_forms.a) + j1 + j2 + j2.T).tocsr(), grad=cell_matrix(cell_forms.b))
+    return types.SimpleNamespace(hess=matrix(hess), grad=matrix(grad))
 
 
 def loops(m, per_corner=None):
@@ -176,12 +178,14 @@ def cell_dofs(m, c):
 def edge_coupling(traces, e, lam=None):
     """Dense (j1, j1 + j2 + j2^T) of edge ``e`` alone on the global DoFs,
     from its rows of the stacked edge-trace operators; ``lam`` overrides its
-    penalty."""
+    penalty.  The penalty form j1 = J^T diag(weights) J is formed here, the
+    whole block by ``EdgeTraces.coupling``."""
     lam = traces.lam[[e]] if lam is None else np.array([lam], dtype=float)
-    j1, j2 = dataclasses.replace(
+    edge = dataclasses.replace(
         traces, jump=traces.jump[3 * e : 3 * e + 3], average=traces.average[[e]], lam=lam, h=traces.h[[e]]
-    ).coupling(np.arange(traces.jump.shape[1]))
-    return j1.toarray(), (j1 + j2 + j2.T).toarray()
+    )
+    jump = edge.jump.toarray()
+    return jump.T @ (edge.weights[:, None] * jump), edge.coupling(np.arange(jump.shape[1])).toarray()
 
 
 def is_positive_definite(system):

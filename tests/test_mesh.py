@@ -38,6 +38,28 @@ def two_squares_mesh():
     return build_mesh(vertices, [[0, 1, 4, 3], [1, 2, 5, 4]])
 
 
+def mesh_text(vertices, cells):
+    """The ``vem-mesh 1`` text of vertices and cell loops."""
+    lines = ["vem-mesh 1", f"vertices {len(vertices)}", *(f"{float(x)!r} {float(y)!r}" for x, y in vertices)]
+    lines += [f"cells {len(cells)}", *(" ".join(map(str, [len(c), *c])) for c in cells)]
+    return "\n".join(lines) + "\n"
+
+
+def slit(m, i, j):
+    """The vertices and loops of the uniform squares ``m`` (n x n) slit
+    along x = i / n from y = 0 to y = j / n: the slit's vertices below its
+    tip are duplicated, in order, for the cells to its right."""
+    n = int(round(math.sqrt(m.n_cells)))
+    vertices, cells = m.vertices.tolist(), [c.tolist() for c in loops(m)]
+    below = [r * (n + 1) + i for r in range(j)]
+    copy = {v: len(vertices) + k for k, v in enumerate(below)}
+    vertices += [vertices[v] for v in below]
+    for c, loop in enumerate(cells):
+        if c % n >= i:
+            cells[c] = [copy.get(v, v) for v in loop]
+    return vertices, cells
+
+
 class TestUniformSquares:
     def test_single_cell(self):
         m = generate_uniform_squares(1)
@@ -675,6 +697,60 @@ class TestMeshIo:
         lines += ["cells 2", "4 3 2 5 4", "8 0 1 2 3 4 5 6 7"]
         with pytest.raises(MeshFormatError, match="line 13: cell 1 is not star-shaped"):
             import_mesh("\n".join(lines) + "\n")
+
+    def test_slit_rejected(self):
+        # 8 x 8 squares slit along x = 1/2 below y = 1/2: the four slit
+        # vertices below the tip are duplicated for the cells to its right
+        vertices, cells = slit(generate_uniform_squares(8), 4, 4)
+        with pytest.raises(MeshFormatError, match="line 84: vertex 81 coincides with vertex 4"):
+            import_mesh(mesh_text(vertices, cells))
+
+    def test_hanging_node_and_unused_vertex_rejected(self):
+        # the upper right cell of 2 x 2 squares has a corner (vertex 9) on
+        # its lower edge that the cell below skips; vertex 10 keeps V - E + F = 1
+        m = generate_uniform_squares(2)
+        vertices = [*m.vertices.tolist(), [0.75, 0.5], [0.25, 0.75]]
+        cells = [c.tolist() for c in loops(m)]
+        cells[3] = [4, 9, 5, 8, 7]
+        with pytest.raises(MeshFormatError, match="line 13: vertex 10 is a corner of no cell"):
+            import_mesh(mesh_text(vertices, cells))
+
+    def test_boundary_vertex_moved_inward_within_area_tolerance(self):
+        m = generate_uniform_squares(2)
+        vertices = m.vertices.copy()
+        vertices[1, 1] = 1e-13  # the area falls by 5e-14, inside the tiling check's tolerance
+        with pytest.raises(MeshFormatError, match="line 13: cell 0 has a boundary edge off the sides"):
+            import_mesh(mesh_text(vertices, [c.tolist() for c in loops(m)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_domain_raises_format_error(self, data, cvt32):
+        n = data.draw(st.integers(2, 6))
+        m = data.draw(st.sampled_from([generate_uniform_squares(n), cvt32]))
+        vertices, cells = m.vertices.tolist(), [c.tolist() for c in loops(m)]
+        import_mesh(mesh_text(vertices, cells))
+        mutation = data.draw(st.sampled_from(["slit", "drop_corner", "move_inward", "duplicate"]))
+        if mutation == "slit":
+            vertices, cells = slit(
+                generate_uniform_squares(n), data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+            )
+        elif mutation == "drop_corner":
+            cell = cells[data.draw(st.sampled_from([c for c, loop in enumerate(cells) if len(loop) > 3]))]
+            del cell[data.draw(st.integers(0, len(cell) - 1))]
+            vertices.append([data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))])
+        elif mutation == "move_inward":
+            v = data.draw(st.sampled_from(np.flatnonzero(m.boundary_vertex).tolist()))
+            t = 10.0 ** -data.draw(st.integers(1, 13))
+            vertices[v] = [x + t * (0.5 - x) for x in vertices[v]]
+        else:
+            v = data.draw(st.integers(0, len(vertices) - 1))
+            vertices.append(list(vertices[v]))
+            if data.draw(st.booleans()):
+                # one cell of the original takes the copy instead
+                cell = next(loop for loop in cells if v in loop)
+                cell[cell.index(v)] = len(vertices) - 1
+        with pytest.raises(MeshFormatError):
+            import_mesh(mesh_text(vertices, cells))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ipvem import cli
+from ipvem import cli, mesh, system, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +46,17 @@ def test_one_checked_solve_span_per_case(perfbench):
     for s in spans:
         assert "describe_error" not in s.attrs
         assert s.attrs["residual"] <= workloads.RESIDUAL_MAX
+
+
+def test_operator_probe_counts_the_free_parts_bytes(perfbench):
+    # the per-layer metric system.operator_bytes sums the bytes of every
+    # sparse field of the FreeParts that build_operator_parts returns
+    run, _ = perfbench
+    m = mesh.generate_cvt(32, seed=7, lloyd_iters=20)
+    probe = run.Tracer([(system, "build_operator_parts", run._operator_attrs)])
+    with probe, probe.trace("discretize"):
+        parts = cli.discretize(m, verify.example_solution(1)).free_parts
+    assert len(probe.spans) == 1
+    assert "describe_error" not in probe.spans[0].attrs
+    arrays = [a for mat in (parts.hess, parts.grad) for a in (mat.data, mat.indices, mat.indptr)]
+    assert probe.spans[0].attrs["bytes"] == sum(a.nbytes for a in arrays)

@@ -507,20 +507,18 @@ class TestSolveDiagnostics:
             assert 0.0 < rec["residual_floor"] < system.RESIDUAL_TARGET
 
 
-def symmetric_free(part, free):
-    """Test-local free block of a full-size part, symmetrized as the
-    assembly does."""
-    reduced = part[free][:, free]
-    return ((reduced + reduced.T) * 0.5).T
+def free_block(part, free):
+    """Test-local free block of a full-size part."""
+    return part[free][:, free]
 
 
 class TestReduceOncePerMesh:
     def test_cached_restriction_gives_the_reduced_system(self, cvt32):
         # each eps's system against scipy's sum of the test-local full-size
-        # parts, restricted and symmetrized after assembly
+        # parts, restricted after assembly
         d = cli.discretize(cvt32, verify.example_solution(1))
         free, parts = np.flatnonzero(d.dof_map.free), operator_parts(d)
-        hess, grad = symmetric_free(parts.hess, free), symmetric_free(parts.grad, free)
+        hess, grad = free_block(parts.hess, free), free_block(parts.grad, free)
         for eps in (1.0, 1e-3, 1e-10):
             rhs = eps**2 * d.rhs4 + d.rhs2
             a = d.reduced(eps)
@@ -534,29 +532,30 @@ class TestReduceOncePerMesh:
         free, parts = np.flatnonzero(d.dof_map.free), operator_parts(d)
         for part, restricted in ((parts.hess, d.free_parts.hess), (parts.grad, d.free_parts.grad)):
             full = part.toarray()[np.ix_(free, free)]
-            assert np.max(np.abs(restricted.toarray() - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
+            assert np.array_equal(full, full.T)
+            assert np.array_equal(restricted.toarray(), full)
 
     @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-10])
     def test_reduced_matrix_is_the_sparse_sum_of_todays_parts(self, cvt64, eps):
         # the axpy on the shared pattern against scipy's sum of the parts,
-        # and of the test-local full-size parts restricted and symmetrized
-        # one at a time: restricting before the assembly's sums changes no bit
+        # and of the test-local full-size parts restricted one at a time:
+        # restricting before the assembly's sums changes no bit
         d = cli.discretize(cvt64, verify.example_solution(1))
         free = np.flatnonzero(d.dof_map.free)
         a = d.reduced(eps).matrix
         parts = operator_parts(d)
         for hess, grad in (
             (d.free_parts.hess, d.free_parts.grad),
-            (symmetric_free(parts.hess, free), symmetric_free(parts.grad, free)),
+            (free_block(parts.hess, free), free_block(parts.grad, free)),
         ):
-            b = ((eps**2) * hess + grad).tocsc()
+            b = ((eps**2) * hess + grad).tocsr()
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
 
     def test_long_double_residual_on_csr_is_the_csc_one(self, cvt64):
-        # the reduced matrix is the CSR view of the parts' symmetric arrays;
-        # its long double products are bit for bit those of the CSC matrix
+        # the reduced matrix is CSR and exactly symmetric; its long double
+        # products are bit for bit those of the CSC matrix
         sys_ = cli.discretize(cvt64, verify.example_solution(1)).reduced(1e-3)
         assert sys_.matrix.format == "csr"
         x = solve(sys_).values[sys_.free_indices]
@@ -566,7 +565,7 @@ class TestReduceOncePerMesh:
 
     def test_free_parts_share_their_index_arrays(self, cvt32):
         parts = cli.discretize(cvt32, verify.example_solution(1)).free_parts
-        assert parts.hess.format == parts.grad.format == "csc"
+        assert parts.hess.format == parts.grad.format == "csr"
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)
         assert np.shares_memory(parts.hess.indptr, parts.grad.indptr)
 
@@ -580,17 +579,52 @@ class TestReduceOncePerMesh:
         assert not [v for v in fields if sp.issparse(v) and v.shape == (n, n)]
         assert sum(sp.issparse(v) for v in fields) == 3  # free hess and grad, and the jump operator
 
-    def test_grad_entry_outside_hess_pattern_takes_the_union(self):
-        # hess sums to an exact zero at (0, 2) and (2, 0), where grad is nonzero
-        hess = sp.csr_matrix(np.array([[4.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 4.0]]))
-        hess = hess - sp.csr_matrix(([0.5, 0.5], ([0, 2], [2, 0])), shape=(3, 3))
-        grad = sp.csr_matrix(np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 2.0]]))
-        assert hess.nnz == 7
-        dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
-        parts = system.restrict(hess, grad, dm)
+    @pytest.mark.parametrize("kind", ["cvt64", "cvt64-lloyd3", "uniform8"])
+    def test_free_parts_are_symmetric_bit_for_bit(self, request, kind):
+        m = {
+            "cvt64": lambda: request.getfixturevalue("cvt64"),
+            "cvt64-lloyd3": lambda: mesh.generate_cvt(64, seed=7, lloyd_iters=3),
+            "uniform8": lambda: mesh.generate_uniform_squares(8),
+        }[kind]()
+        parts = cli.discretize(m, verify.example_solution(1)).free_parts
+        for mat in (parts.hess, parts.grad):
+            assert (mat != mat.T).nnz == 0
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)
-        assert parts.hess.nnz == parts.grad.nnz == 9
-        assert np.array_equal(parts.hess.toarray(), hess.toarray())
-        assert np.array_equal(parts.grad.toarray(), grad.toarray())
+        assert np.shares_memory(parts.hess.indptr, parts.grad.indptr)
+
+    def test_scatter_keys_do_not_wrap_past_46341_free_dofs(self):
+        # row * n_free overflows int32 above 46341 free DoFs, the index type
+        # of scipy's COO: an edge entry in the last rows must land there
+        d = cli.discretize(mesh.generate_uniform_squares(2), ZERO)
+        extra = 50000
+        dm = dataclasses.replace(
+            d.dof_map, n_cells=d.dof_map.n_cells + extra, boundary=np.append(d.dof_map.boundary, np.zeros(extra, bool))
+        )
+
+        class LastRowsCoupling:
+            def coupling(self, columns):
+                n = len(columns)
+                return sp.csr_matrix(([1.0, 1.0, 2.0], ([n - 2, n - 1, n - 1], [n - 1, n - 2, n - 1])), shape=(n, n))
+
+        parts = system.build_operator_parts(dm, forms.build_local_forms(d.elements), LastRowsCoupling())
+        n = len(parts.free)
+        assert n > 46341
+        last = parts.hess[n - 2 :].tocoo()
+        entries = sorted(zip(last.row + n - 2, last.col, last.data))
+        assert entries == [(n - 2, n - 1, 1.0), (n - 1, n - 2, 1.0), (n - 1, n - 1, 2.0)]
+
+    def test_parts_of_two_patterns_raise(self):
+        # grad stores (0, 2) and (2, 0), which hess does not
+        hess = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        grad = np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 2.0]])
+        dm = system.GlobalDofMap(n_vertices=3, n_edges=0, n_cells=0, boundary=np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="one pattern"):
+            system.restrict(sp.csr_matrix(hess), sp.csr_matrix(grad), dm)
+        with pytest.raises(ValueError, match="one pattern"):
+            system.restrict(sp.csc_matrix(grad), sp.csc_matrix(grad), dm)
+        # on their union, with the zeros stored, the parts are accepted
+        union = sp.csr_matrix(np.ones((3, 3)))
+        parts = system.restrict(system._with_data(union, hess.ravel()), system._with_data(union, grad.ravel()), dm)
+        assert np.shares_memory(parts.hess.indices, parts.grad.indices)
         eps = 0.5
-        assert np.array_equal(system.combine(parts, np.ones(3), eps).matrix.toarray(), (eps**2 * hess + grad).toarray())
+        assert np.array_equal(system.combine(parts, np.ones(3), eps).matrix.toarray(), eps**2 * hess + grad)

@@ -411,7 +411,7 @@ class TestConvergenceReport:
                 for n, h, e in [(16, 0.4, 4e-2), (64, 0.2, 1e-2)]
             ]
         }
-        report = verify.ConvergenceReport(records=recs, seed=0, penalty_a=2.0).finalize()
+        report = verify.ConvergenceReport(records=recs).finalize()
         assert 1.0 not in report.rates_h
 
     def test_records_sorted_and_rates_fit(self):
@@ -421,7 +421,7 @@ class TestConvergenceReport:
                 for n, h, e in [(64, 0.2, 1e-2), (16, 0.4, 4e-2), (256, 0.1, 2.5e-3)]
             ]
         }
-        report = verify.ConvergenceReport(records=recs, seed=0, penalty_a=2.0).finalize()
+        report = verify.ConvergenceReport(records=recs).finalize()
         assert [r.h_max for r in report.records[0.5]] == [0.4, 0.2, 0.1]
         assert report.rates_h[0.5] == pytest.approx(2.0, abs=1e-12)
         assert report.rates_n[0.5] == pytest.approx(2.0, abs=1e-12)
