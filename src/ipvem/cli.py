@@ -56,7 +56,6 @@ class StudyConfig:
     seed: int = 7
     lloyd_iters: int = 100
     out_dir: str = "study-out"
-    error_norm: str = "interp-energy"   # or "projection"
 
     def validate(self):
         for name, check, kind in (
@@ -94,8 +93,6 @@ class StudyConfig:
                 raise ConfigError(f"{self.mesh_kind} sizes must be at least {smallest}, got {self.sizes[0]}")
         if not self.penalty_a > 1.0:
             raise ConfigError(f"penalty constant must exceed 1, got {self.penalty_a}")
-        if self.error_norm not in ("interp-energy", "projection"):
-            raise ConfigError(f"unknown error norm {self.error_norm!r}")
         for name in ("example", "seed", "lloyd_iters"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
@@ -164,9 +161,9 @@ class Discretization:
     def solve(self, eps):
         return system.solve(self.reduced(eps))
 
-    def error(self, solution, norm="interp-energy"):
+    def error(self, solution):
         """Error record of ``solution`` with its solve diagnostics filled in."""
-        rec = verify.energy_error(self.error_data, solution, norm=norm)
+        rec = verify.energy_error(self.error_data, solution)
         rec.solve = solution.diagnostics
         return rec
 
@@ -258,40 +255,29 @@ def run_study(config, progress=None):
         )
 
         for i, eps in enumerate(config.eps, 1):
-            t0 = time.perf_counter()
+            clock = _StageClock()
             try:
                 reduced = disc.reduced(eps)
-                t1 = time.perf_counter()
+                clock.lap("reduce")
                 solution = system.solve(reduced)
                 if i == len(config.eps):
                     # no later solve on this mesh: free the factor before the error evaluation
                     reduced.factor.release()
-                t2 = time.perf_counter()
-                rec = disc.error(solution, config.error_norm)
-                t3 = time.perf_counter()
+                clock.lap("solve")
+                rec = disc.error(solution)
+                clock.lap("error")
             except Exception as exc:  # noqa: BLE001
                 failures.append({"mesh": label, "eps": eps, "error": repr(exc)})
                 log.error("run failed for %s, eps=%g: %r", label, eps, exc)
                 continue
-            rec.seconds = {"reduce": t1 - t0, "solve": t2 - t1, "error": t3 - t2}
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            rec.seconds = clock.seconds
             records[eps].append(rec)
             series = records[eps]
             # fitted in order of decreasing h_max, whatever the mesh order
             rate = verify.series_rate([r.h_max for r in series], [r.e_total for r in series]) or 0.0
+            wall_ms = sum(clock.seconds.values()) * 1e3
             rows.append(
-                {
-                    "example": config.example,
-                    "eps": eps,
-                    "n_cells": rec.n_cells,
-                    "h_max": rec.h_max,
-                    "E_I": rec.e_total,
-                    "H2_part": rec.h2_part,
-                    "H1_part": rec.h1_part,
-                    "J1_energy": rec.j1_energy,
-                    "rate_fit": rate,
-                    "wall_ms": wall_ms,
-                }
+                {"example": config.example, "eps": eps, **_error_fields(rec), "rate_fit": rate, "wall_ms": wall_ms}
             )
             if progress:
                 progress(rows[-1])
@@ -303,6 +289,27 @@ def run_study(config, progress=None):
     )
 
 
+def _error_fields(rec):
+    """The error fields of the :class:`verify.ErrorRecord` ``rec`` under
+    their report names, in record order."""
+    return {
+        "n_cells": rec.n_cells, "h_max": rec.h_max, "E_I": rec.e_total, "H2_part": rec.h2_part,
+        "H1_part": rec.h1_part, "J1_energy": rec.j1_energy, "proj_h2": rec.proj_h2, "proj_h1": rec.proj_h1,
+        "proj_h1_via_h2": rec.proj_h1_via_h2,
+    }
+
+
+#: the solve diagnostics a report record writes under another name
+_RENAMED = {"method": "solve_method", "residual": "solve_residual"}
+
+
+def _report_record(rec):
+    """The ``report.json`` record of ``rec``: its error fields, then every
+    diagnostic of its solve, then its stage ``seconds``."""
+    solve = {_RENAMED.get(key, key): value for key, value in rec.solve.items()}
+    return {**_error_fields(rec), **solve, "seconds": rec.seconds}
+
+
 def write_outputs(output, out_dir=None):
     """Write the CSV table and the JSON report; returns their paths."""
     import os
@@ -310,14 +317,11 @@ def write_outputs(output, out_dir=None):
     out_dir = out_dir or output.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "study.csv")
+    columns = CSV_HEADER.split(",")
     with open(csv_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in output.rows:
-            fh.write(
-                f"{row['example']},{row['eps']!r},{row['n_cells']},{row['h_max']!r},"
-                f"{row['E_I']!r},{row['H2_part']!r},{row['H1_part']!r},"
-                f"{row['J1_energy']!r},{row['rate_fit']!r},{row['wall_ms']:.3f}\n"
-            )
+            fh.write(",".join(f"{row[c]:.3f}" if c == "wall_ms" else repr(row[c]) for c in columns) + "\n")
     report_path = os.path.join(out_dir, "report.json")
     rep = output.report
     payload = {
@@ -326,35 +330,7 @@ def write_outputs(output, out_dir=None):
         "meshes": output.meshes,
         "rates_vs_h": {repr(k): v for k, v in rep.rates_h.items()},
         "rates_vs_sqrt_cells": {repr(k): v for k, v in rep.rates_n.items()},
-        "records": {
-            repr(eps): [
-                {
-                    "n_cells": r.n_cells,
-                    "h_max": r.h_max,
-                    "E_I": r.e_total,
-                    "H2_part": r.h2_part,
-                    "H1_part": r.h1_part,
-                    "J1_energy": r.j1_energy,
-                    "norm": r.norm,
-                    "proj_h2": r.proj_h2,
-                    "proj_h1": r.proj_h1,
-                    "proj_h1_via_h2": r.proj_h1_via_h2,
-                    "solve_method": r.solve.get("method"),
-                    "solve_residual": r.solve.get("residual"),
-                    "backward_error": r.solve.get("backward_error"),
-                    "residual_floor": r.solve.get("residual_floor"),
-                    "refine_steps": r.solve.get("refine_steps"),
-                    "factor_eps": r.solve.get("factor_eps"),
-                    "factor_nnz": r.solve.get("factor_nnz"),
-                    "bandwidth": r.solve.get("bandwidth"),
-                    "n_free": r.solve.get("n_free"),
-                    "nnz": r.solve.get("nnz"),
-                    "seconds": r.seconds,
-                }
-                for r in recs
-            ]
-            for eps, recs in rep.records.items()
-        },
+        "records": {repr(eps): [_report_record(r) for r in recs] for eps, recs in rep.records.items()},
     }
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -453,7 +429,6 @@ def _build_parser():
     study.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
     study.add_argument("--penalty-a", type=float, dest="penalty_a")
     study.add_argument("--out-dir", dest="out_dir")
-    study.add_argument("--error-norm", choices=["interp-energy", "projection"], dest="error_norm")
 
     gen = sub.add_parser("genmesh", help="generate a mesh and write it as text")
     gen.add_argument("--kind", choices=["cvt", "uniform"], default="cvt")
@@ -491,7 +466,6 @@ def main(argv=None):
         "lloyd_iters": args.lloyd_iters,
         "penalty_a": args.penalty_a,
         "out_dir": args.out_dir,
-        "error_norm": args.error_norm,
     }
     try:
         overrides["sizes"] = _parse_sizes(args.sizes) if args.sizes else None

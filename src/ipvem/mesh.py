@@ -32,7 +32,13 @@ GHOSTS = np.array([[-10.0, -10.0], [11.0, -10.0], [11.0, 11.0], [-10.0, 11.0]])
 
 
 class MeshError(Exception):
-    """Invalid mesh topology or geometry."""
+    """Invalid mesh topology or geometry.  ``cell`` is the cell whose corner
+    met the fault, where one did, and ``mesh`` the mesh built before a
+    global check failed."""
+
+    def __init__(self, message, cell=None, mesh=None):
+        super().__init__(message)
+        self.cell, self.mesh = cell, mesh
 
 
 class MeshFormatError(MeshError):
@@ -129,7 +135,8 @@ def stacked_geometry(mesh):
     valence = np.diff(offsets)
     area, centroid = _centroids(mesh.vertices[mesh.corners], offsets)
     if np.any(area <= 0.0):
-        raise MeshError(f"cell {np.argmax(area <= 0.0)} is not counter-clockwise or has nonpositive area")
+        c = int(np.argmax(area <= 0.0))
+        raise MeshError(f"cell {c} is not counter-clockwise or has nonpositive area", cell=c)
     j = np.arange(valence.max())
     valid = j < valence[:, None]
     corner = offsets[:-1, None] + np.where(valid, j, 0)
@@ -145,7 +152,8 @@ def stacked_geometry(mesh):
     edge_vec = heads - loop
     lengths = np.sqrt((edge_vec**2).sum(axis=2))
     if np.any(valid & (lengths <= 0.0)):
-        raise MeshError(f"cell {np.argmax((valid & (lengths <= 0.0)).any(axis=1))} has a zero-length edge")
+        c = int(np.argmax((valid & (lengths <= 0.0)).any(axis=1)))
+        raise MeshError(f"cell {c} has a zero-length edge", cell=c)
     tangents = edge_vec / np.where(valid, lengths, 1.0)[..., None]
     normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=2)
     rel, rel_next = loop - centroid[:, None], heads - centroid[:, None]
@@ -217,7 +225,7 @@ def _build_mesh(vertices, corners, offsets, fix_orientation=False):
     for ci in clockwise:
         warnings.warn(f"cell {ci} was clockwise; loop reversed", stacklevel=3)
     if bad < n_cells:
-        raise MeshError(f"cell {bad} {faults[firsts.index(bad)][1]}")
+        raise MeshError(f"cell {bad} {faults[firsts.index(bad)][1]}", cell=bad)
     if len(clockwise):
         flip = np.isin(owner, clockwise)
         corner = np.arange(len(flat))
@@ -235,7 +243,7 @@ def _build_mesh(vertices, corners, offsets, fix_orientation=False):
     if c < len(flat):
         key = (int(min(tail[c], head[c])), int(max(tail[c], head[c])))
         fault = "shared by more than two cells" if occurrence[c] == 2 else "traversed twice in the same direction"
-        raise MeshError(f"edge {key} {fault}")
+        raise MeshError(f"edge {key} {fault}", cell=int(owner[c]))
 
     left = np.sort(first_corner)
     edge_of_key = np.argsort(np.argsort(first_corner))
@@ -246,7 +254,7 @@ def _build_mesh(vertices, corners, offsets, fix_orientation=False):
     mesh = PolygonalMesh(vertices, flat, offsets, corner_edge, np.column_stack([tail[left], head[left]]), edge_cells)
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
     if euler != 1:
-        raise MeshError(f"Euler relation violated: V - E + F = {euler}, expected 1")
+        raise MeshError(f"Euler relation violated: V - E + F = {euler}, expected 1", mesh=mesh)
     return mesh
 
 
@@ -694,29 +702,38 @@ def import_mesh(text):
         if any(j < 0 or j >= n_vertices for j in values[1:]):
             fail(ln + 1, f"vertex index out of range in cell {i}")
 
+    def check_domain(m):
+        # the domain is the unit square: no two vertices coincide (a slit),
+        # every vertex is a corner, and every boundary edge lies on one side
+        # (exactly, as export_mesh writes coordinates by repr)
+        order = np.lexsort((vertices[:, 1], vertices[:, 0]))
+        twins = np.flatnonzero(np.all(vertices[order[1:]] == vertices[order[:-1]], axis=1))
+        if len(twins):
+            k = twins[np.argmin(order[twins + 1])]
+            fail(first_vertex_line + order[k + 1], f"vertex {order[k + 1]} coincides with vertex {order[k]}")
+        unused = np.ones(n_vertices, dtype=bool)
+        unused[m.corners] = False
+        if np.any(unused):
+            v = int(np.argmax(unused))
+            fail(first_vertex_line + v, f"vertex {v} is a corner of no cell")
+        ends = vertices[m.edges[m.boundary_edge]]
+        off_sides = ~np.any((ends[:, 0] == ends[:, 1]) & ((ends[:, 0] == 0.0) | (ends[:, 0] == 1.0)), axis=1)
+        if np.any(off_sides):
+            c = int(m.edge_cells[m.boundary_edge, 0][off_sides].min())
+            fail(first_cell_line + c, f"cell {c} has a boundary edge off the sides of the unit square")
+
     try:
         m = _build_mesh(vertices, *cells, fix_orientation=True)
         validate_tiling(m)
     except MeshError as exc:
+        # a cell's fault names its line; a global fault names the first
+        # domain fault of the mesh built, where it has one
+        if exc.mesh is not None:
+            check_domain(exc.mesh)
+        if exc.cell is not None:
+            fail(first_cell_line + exc.cell, str(exc))
         raise MeshFormatError(str(exc)) from exc
-    # the domain is the unit square: no two vertices coincide (a slit), every
-    # vertex is a corner, and every boundary edge lies on one side (exactly,
-    # as export_mesh writes coordinates by repr)
-    order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-    twins = np.flatnonzero(np.all(vertices[order[1:]] == vertices[order[:-1]], axis=1))
-    if len(twins):
-        k = twins[np.argmin(order[twins + 1])]
-        fail(first_vertex_line + order[k + 1], f"vertex {order[k + 1]} coincides with vertex {order[k]}")
-    unused = np.ones(n_vertices, dtype=bool)
-    unused[m.corners] = False
-    if np.any(unused):
-        v = int(np.argmax(unused))
-        fail(first_vertex_line + v, f"vertex {v} is a corner of no cell")
-    ends = vertices[m.edges[m.boundary_edge]]
-    off_sides = ~np.any((ends[:, 0] == ends[:, 1]) & ((ends[:, 0] == 0.0) | (ends[:, 0] == 1.0)), axis=1)
-    if np.any(off_sides):
-        c = int(m.edge_cells[m.boundary_edge, 0][off_sides].min())
-        fail(first_cell_line + c, f"cell {c} has a boundary edge off the sides of the unit square")
+    check_domain(m)
     g = m.stacked_geometry
     not_star = np.any(g.valid & (g.fan_areas <= 0.0), axis=1)
     if np.any(not_star):

@@ -1,14 +1,13 @@
 """Manufactured solutions, forcing, discrete errors and convergence rates.
 
 A discrete solution is never pointwise evaluable inside a cell, so the error
-is measured from computable data.  The default is the discrete energy norm
-of the DoF interpolation error (exact-solution DoFs minus solution DoFs),
-whose components are the Hessian-form-plus-penalty energy and the
-gradient-form energy, summed cell by cell and edge by edge; that is the
-norm the penalty parameter controls and it matches the reference
-convergence figures.  Broken seminorm errors of the element solution
-polynomials are computed alongside so both readings of the error are
-always reported.  Everything that does not depend on eps (the exact
+is measured from computable data: the discrete energy norm of the DoF
+interpolation error (exact-solution DoFs minus solution DoFs), whose
+components are the Hessian-form-plus-penalty energy and the gradient-form
+energy, summed cell by cell and edge by edge; that is the norm the penalty
+parameter controls and it matches the reference convergence figures.
+Broken seminorm errors of the element solution polynomials are reported
+alongside.  Everything that does not depend on eps (the exact
 solution's DoFs, and fits of its partials with the residual integrals of
 those fits) is gathered once per mesh in an :class:`ErrorData`, so the
 error at each eps touches only per-cell and per-edge arrays.
@@ -163,7 +162,6 @@ class ErrorRecord:
     e_total: float
     h2_part: float
     h1_part: float
-    norm: str = "interp-energy"
     j1_energy: float = 0.0
     proj_h2: float = float("nan")
     proj_h1: float = float("nan")
@@ -308,37 +306,28 @@ def _penalty_energy(data, x):
     return dot(data.weights, jump * jump)
 
 
-def energy_error(data, solution, norm="interp-energy"):
+def energy_error(data, solution):
     """Error record of a discrete solution against the exact one.
 
-    ``data`` is the mesh's :class:`ErrorData`.  The default norm is the
-    discrete energy of the DoF interpolation error
-    delta = dofs(u) - dofs(u_h): the Hessian component is the a-form energy
-    plus the penalty energy of delta, the gradient component the b-form
-    energy, mirroring the norm the penalty parameter is designed to control.
-    Each is summed from local terms, the cell forms on each cell's DoFs and
-    the penalty on each edge's jumps, so no term cancels another.
-    ``norm='projection'`` uses the broken seminorms of the element solution
-    polynomials instead (h2 projection for the Hessian part, h1 projection
-    for the gradient part).  Either way ``j1_energy`` is the penalty energy
-    sum_e lam_e int_e [d_n u_h]^2 of the solution itself.  All work on the
-    double rounding of the solution's (extended-precision) DoF vector.
+    ``data`` is the mesh's :class:`ErrorData`.  The norm is the discrete
+    energy of the DoF interpolation error delta = dofs(u) - dofs(u_h): the
+    Hessian component is the a-form energy plus the penalty energy of
+    delta, the gradient component the b-form energy, mirroring the norm the
+    penalty parameter is designed to control.  Each is summed from local
+    terms, the cell forms on each cell's DoFs and the penalty on each
+    edge's jumps, so no term cancels another.  ``j1_energy`` is the penalty
+    energy sum_e lam_e int_e [d_n u_h]^2 of the solution itself, and the
+    ``proj_*`` fields the broken seminorm errors of its element
+    polynomials.  All work on the double rounding of the solution's
+    (extended-precision) DoF vector.
     """
-    if norm not in ("interp-energy", "projection"):
-        raise ValueError("norm must be 'interp-energy' or 'projection'")
     eps = solution.eps
     values = np.asarray(solution.values, dtype=float)
     proj = _projection_errors(data, values)
-
-    if norm == "interp-energy":
-        delta = data.exact_dofs - values
-        local = delta[data.dofs]
-        h2_sq = _cell_energy(data.a, local) + _penalty_energy(data, delta)
-        h1_sq = _cell_energy(data.b, local)
-    else:
-        h2_sq = proj[0] ** 2
-        h1_sq = proj[1] ** 2
-
+    delta = data.exact_dofs - values
+    local = delta[data.dofs]
+    h2_sq = _cell_energy(data.a, local) + _penalty_energy(data, delta)
+    h1_sq = _cell_energy(data.b, local)
     return ErrorRecord(
         eps=eps,
         n_cells=data.n_cells,
@@ -346,7 +335,6 @@ def energy_error(data, solution, norm="interp-energy"):
         e_total=math.sqrt(eps**2 * h2_sq + h1_sq),
         h2_part=math.sqrt(h2_sq),
         h1_part=math.sqrt(h1_sq),
-        norm=norm,
         j1_energy=_penalty_energy(data, values),
         proj_h2=proj[0],
         proj_h1=proj[1],

@@ -63,14 +63,24 @@ class TestConfigValidation:
             tiny_config(penalty_a=1.0).validate()
 
     def test_order_must_be_two(self, tmp_path):
-        # the order is fixed at k = 2 and the cell quadrature order at
-        # basis.QUAD_ORDER, so neither they nor a projector variant is a
-        # config key
-        for key, value in (("k", 2), ("k", 3), ("gradient_projector", "h1"), ("quad_order", 8)):
+        # the order is fixed at k = 2, the cell quadrature order at
+        # basis.QUAD_ORDER and the error at the energy norm, so neither they
+        # nor a projector variant is a config key
+        for key, value in (
+            ("k", 2), ("k", 3), ("gradient_projector", "h1"), ("quad_order", 8), ("error_norm", "projection")
+        ):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"example": 1, key: value}))
             with pytest.raises(ConfigError, match="unknown config keys"):
                 load_config(str(path))
+
+    def test_error_norm_flag_rejected(self, tmp_path, capsys):
+        # argparse itself refuses the removed flag, with the bad-config exit code
+        argv = ["study", "--error-norm", "projection", "--mesh-kind", "uniform", "--sizes", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert exit_info.value.code == EXIT_BAD_CONFIG
+        assert "--error-norm" in capsys.readouterr().err and not (tmp_path / "out").exists()
 
     def test_negative_lloyd_iters_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="lloyd_iters"):
@@ -188,6 +198,30 @@ class TestRunStudy:
                 assert list(seconds) == ["reduce", "solve", "error"]
                 assert all(t >= 0.0 for t in seconds.values())
                 assert sum(seconds.values()) * 1e3 <= wall_ms[(float(eps), rec["n_cells"])]
+
+    def test_every_solve_diagnostic_reaches_its_record(self, tmp_path, monkeypatch):
+        # a diagnostic that system.solve adds reaches report.json with no
+        # edit to cli; "probe" numbers the solves, so each record names its own
+        solve, diagnostics = system.solve, []
+
+        def probed_solve(reduced, *args, **kwargs):
+            solution = solve(reduced, *args, **kwargs)
+            solution.diagnostics["probe"] = len(diagnostics)
+            diagnostics.append(list(solution.diagnostics))
+            return solution
+
+        monkeypatch.setattr(system, "solve", probed_solve)
+        out = run_study(tiny_config(eps=[1e-2, 1e-6]))
+        report = json.loads(open(write_outputs(out, str(tmp_path))[1]).read())
+        errors = ["n_cells", "h_max", "E_I", "H2_part", "H1_part", "J1_energy", "proj_h2", "proj_h1", "proj_h1_via_h2"]
+        renamed = {"method": "solve_method", "residual": "solve_residual"}
+        recs = [rec for recs in report["records"].values() for rec in recs]
+        assert len(recs) == len(diagnostics) == 4
+        assert sorted(rec["probe"] for rec in recs) == [0, 1, 2, 3]
+        for rec in recs:
+            solve_keys = [renamed.get(key, key) for key in diagnostics[rec["probe"]]]
+            assert {"solve_method", "solve_residual", "probe"} <= set(solve_keys)
+            assert list(rec) == errors + solve_keys + ["seconds"]
 
     def test_report_meshes_have_min_edge_length(self, tmp_path):
         report_path = write_outputs(run_study(tiny_config()), str(tmp_path))[1]

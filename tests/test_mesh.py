@@ -715,6 +715,29 @@ class TestMeshIo:
         with pytest.raises(MeshFormatError, match="line 13: vertex 10 is a corner of no cell"):
             import_mesh(mesh_text(vertices, cells))
 
+    def test_structural_fault_names_its_line(self):
+        # as above without vertex 10: V - E + F = 0, and cell 1's edge
+        # (4, 5) and cell 3's edges through vertex 9 are boundary edges at
+        # y = 1/2; the cells are on lines 14-17
+        m = generate_uniform_squares(2)
+        vertices, cells = [*m.vertices.tolist(), [0.75, 0.5]], [c.tolist() for c in loops(m)]
+        cells[3] = [4, 9, 5, 8, 7]
+        with pytest.raises(MeshFormatError, match=r"^line 15: cell 1 has a boundary edge off the sides"):
+            import_mesh(mesh_text(vertices, cells))
+        # the same file with a repeated corner in the last cell
+        cells[3] = [4, 5, 8, 8, 7]
+        with pytest.raises(MeshFormatError, match=r"^line 17: cell 3 repeats a vertex$"):
+            import_mesh(mesh_text(vertices, cells))
+        # an edge fault names the line of the cell whose corner met it: cell
+        # 3 runs 5 -> 4 as cell 1 does
+        cells[3] = [5, 4, 2]
+        with pytest.raises(MeshFormatError, match=r"^line 17: edge \(4, 5\) traversed twice in the same direction$"):
+            import_mesh(mesh_text(vertices, cells))
+        # a geometric fault of a cell: vertex 9 moved onto vertex 5
+        vertices[9], cells[3] = [1.0, 0.5], [4, 5, 9, 8, 7]
+        with pytest.raises(MeshFormatError, match=r"^line 17: cell 3 has a zero-length edge$"):
+            import_mesh(mesh_text(vertices, cells))
+
     def test_boundary_vertex_moved_inward_within_area_tolerance(self):
         m = generate_uniform_squares(2)
         vertices = m.vertices.copy()

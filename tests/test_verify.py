@@ -148,8 +148,8 @@ class TestEnergyError:
         d = cli.discretize(cvt32, msol)
         values = interpolation_dofs(cvt32, d.elements, msol)
         sol = system.DiscreteSolution(values=values, eps=0.5, residual=0.0)
-        for norm in ("interp-energy", "projection"):
-            assert d.error(sol, norm).e_total <= 1e-10
+        rec = d.error(sol)
+        assert max(rec.e_total, rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2) <= 1e-10
 
     def test_decomposition_identity(self, cvt32):
         d, sol = solve_case(cvt32, 1e-2, example_solution(2))
@@ -161,7 +161,7 @@ class TestEnergyError:
         # the QUAD_ORDER rule against a per-cell rule of twice that order
         msol = example_solution(2)
         d, sol = solve_case(cvt32, 1e-1, msol)
-        rec = d.error(sol, norm="projection")
+        rec = d.error(sol)
         fine = oracle_projection_errors(cvt32, d.elements, sol.values, msol, 2 * QUAD_ORDER)
         assert (rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2) == pytest.approx(fine, rel=1e-8)
 
@@ -170,15 +170,6 @@ class TestEnergyError:
         sol.eps = 0.0
         rec = d.error(sol)
         assert rec.e_total == rec.h1_part
-
-    def test_projection_norm_uses_selected_projector(self, cvt32):
-        # the projection norm reads the h2 projection for the Hessian part
-        # and the h1 projection for the gradient part
-        d, sol = solve_case(cvt32, 1e-2, example_solution(2))
-        rec = d.error(sol, norm="projection")
-        assert rec.h2_part == rec.proj_h2
-        assert rec.h1_part == rec.proj_h1
-        assert rec.proj_h1 != rec.proj_h1_via_h2
 
 
 def oracle_interpolation_dofs(m, elements, msol, quad_order=QUAD_ORDER):
