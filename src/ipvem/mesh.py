@@ -637,11 +637,11 @@ def import_mesh(text):
     Clockwise cells are reoriented with a warning.  Input the method cannot
     handle raises :class:`MeshFormatError`, with the offending line number
     where there is one: a malformed, truncated or negative count, a vertex
-    that is not a finite point of the unit square, a structural error, cell
-    areas that do not sum to one, a domain that is not the unit square (two
-    coincident vertices, a vertex of no cell, a boundary edge off the
-    square's sides), or a cell that is not star-shaped with respect to its
-    centroid.
+    that is not a finite point of the unit square, a structural or
+    geometric error, a domain that is not the unit square (two coincident
+    vertices, a vertex of no cell, a boundary edge off the square's sides),
+    cell areas that do not sum to one, or a cell that is not star-shaped
+    with respect to its centroid.
     """
     lines = text.splitlines()
 
@@ -724,7 +724,11 @@ def import_mesh(text):
 
     try:
         m = _build_mesh(vertices, *cells, fix_orientation=True)
+        g = m.stacked_geometry
+        check_domain(m)
         validate_tiling(m)
+    except MeshFormatError:
+        raise
     except MeshError as exc:
         # a cell's fault names its line; a global fault names the first
         # domain fault of the mesh built, where it has one
@@ -733,8 +737,6 @@ def import_mesh(text):
         if exc.cell is not None:
             fail(first_cell_line + exc.cell, str(exc))
         raise MeshFormatError(str(exc)) from exc
-    check_domain(m)
-    g = m.stacked_geometry
     not_star = np.any(g.valid & (g.fan_areas <= 0.0), axis=1)
     if np.any(not_star):
         c = int(np.argmax(not_star))

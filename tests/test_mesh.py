@@ -684,9 +684,11 @@ class TestMeshIo:
             import_mesh(text)
 
     def test_partial_tiling(self):
-        # the lower half of the unit square: inside the box, but area 1/2
+        # the lower half of the unit square: inside the box, but its top
+        # edge at y = 1/2 is a boundary edge off the square's sides
         text = "vem-mesh 1\nvertices 4\n0 0\n1 0\n1 0.5\n0 0.5\ncells 1\n4 0 1 2 3\n"
-        with pytest.raises(MeshFormatError, match="areas sum to 0.5"):
+        message = "^line 8: cell 0 has a boundary edge off the sides of the unit square$"
+        with pytest.raises(MeshFormatError, match=message):
             import_mesh(text)
 
     def test_cell_not_star_shaped(self):

@@ -3,9 +3,12 @@ small input through the package's public API."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from ipvem import system
+from ipvem import cli, system
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -17,23 +20,57 @@ def load_script(name):
     return module
 
 
-def test_bench_writes_every_documented_field(tmp_path):
+def test_bench_writes_every_documented_field(tmp_path, monkeypatch):
+    solve = system.solve
+
+    def probed(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solution.diagnostics["probe"] = True
+        return solution
+
+    # a diagnostic the solve adds reaches every sweep entry with no edit of the script
+    monkeypatch.setattr(system, "solve", probed)
     bench = load_script("bench")
     assert bench.main(["--label", "smoke", "--sizes", "32", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert {"label", "example", "eps", "sweep_eps", "seed", "lloyd_iters", "provenance", "runs"} <= set(payload)
+    assert {"label", "example", "sweep_eps", "seed", "lloyd_iters", "provenance", "runs"} <= set(payload)
+    assert "eps" not in payload
     assert payload["label"] == "smoke" and len(payload["runs"]) == 1
     run = payload["runs"][0]
-    documented = {
-        "seconds", "n_free", "nnz", "solve_method", "solve_residual", "refine_steps", "factor_nnz", "bandwidth",
-        "delaunay_calls", "lloyd_flips", "peak_rss_mb", "sweep", "sweep_solve_s", "sweep_error_s",
-    }
-    assert documented <= set(run)
-    assert run["n_cells"] == 32 and run["solve_residual"] <= system.RESIDUAL_TARGET
-    assert len(run["sweep"]) == len(bench.SWEEP) == 11
-    sweep_fields = {"eps", "reduce_s", "solve_s", "error_s", "refine_steps", "residual", "factor_eps", "error"}
+    assert run["n_cells"] == 32
+    assert list(run["seconds"]) == ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
+    assert {"delaunay_calls", "lloyd_flips", "peak_rss_mb", "sweep_solve_s", "sweep_error_s"} <= set(run)
+    assert [entry["eps"] for entry in run["sweep"]] == list(bench.SWEEP) and len(bench.SWEEP) == 11
     for entry in run["sweep"]:
-        assert set(entry) == sweep_fields
-        assert entry["error"] is None and entry["error_s"] is not None
-        assert entry["residual"] <= system.RESIDUAL_TARGET
-        assert entry["factor_eps"] is not None
+        assert entry["error"] is None and set(entry["seconds"]) == {"reduce", "solve", "error"}
+        assert entry["solve_residual"] <= system.RESIDUAL_TARGET
+        assert entry["factor_eps"] is not None and entry["probe"] is True
+    assert run["sweep_solve_s"] == sum(entry["seconds"]["solve"] for entry in run["sweep"])
+
+    # each entry is the record of the same study run on its own, apart from its timing
+    config = cli.StudyConfig(example=1, eps=list(bench.SWEEP), sizes=[32], seed=7, lloyd_iters=100)
+    _, report_path = cli.write_outputs(cli.run_study(config), str(tmp_path / "study"))
+    records = json.loads(Path(report_path).read_text())["records"]
+    for entry in run["sweep"]:
+        (record,) = records[repr(entry["eps"])]
+        del record["seconds"]
+        assert {k: v for k, v in entry.items() if k not in ("eps", "error", "seconds")} == record
+
+
+def test_bench_provenance_ignores_a_repository_above_the_checkout(tmp_path, monkeypatch):
+    outer = tmp_path / "outer"
+    package = outer / "copy" / "src" / "ipvem"
+    package.mkdir(parents=True)
+    git = ["git", "-C", str(outer), "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "outer"], check=True)
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "cli", SimpleNamespace(__file__=str(package / "cli.py")))
+    assert bench.provenance()["commit"] is None
+
+
+def test_run_deep_singular_writes_the_study_and_the_finest_field(tmp_path, monkeypatch):
+    script = load_script("run_deep_singular")
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "run_deep_singular.py"), str(tmp_path)])
+    assert script.main() == 0
+    assert all((tmp_path / name).is_file() for name in ("study.csv", "report.json", "solution-512.vtk"))
