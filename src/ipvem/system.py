@@ -8,13 +8,17 @@ penalized so the conditioning survives small perturbation parameters.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import math
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .basis import dot
@@ -79,13 +83,13 @@ class DiscreteSolution:
 
 def build_operator_parts(dof_map, cell_forms, traces):
     """The :class:`FreeParts` of the operator, assembled on the free DoFs in
-    one scatter: every cell's (row, column) pairs of free DoFs and the
-    entries of the edge coupling (``traces.coupling``) go through one sorted
-    set of keys row * n + column, with one ``np.bincount`` per part, so the
-    Hessian part ``hess`` (the a-form plus the edge coupling, the part
-    multiplied by eps^2) and ``grad`` (the b-form) are CSR matrices of one
-    pattern.  Every term is exactly symmetric and mirrored entries sum their
-    terms in the same order, so both parts are exactly symmetric too."""
+    one scatter: the sorted keys row * n + column of every cell's (row,
+    column) pairs of free DoFs are merged into those of the edge coupling
+    (``traces.coupling``), with one ``np.bincount`` per part, so the Hessian
+    part ``hess`` (the a-form plus the edge coupling, the part multiplied by
+    eps^2) and ``grad`` (the b-form) are CSR matrices of one pattern.  Every
+    term is exactly symmetric and mirrored entries sum their cell terms, then
+    their edge term, in the same order, so both parts are exactly symmetric."""
     elements = cell_forms.elements
     keep = elements.dof_mask & dof_map.free[elements.dofs]
     pair = keep[:, :, None] & keep[:, None, :]
@@ -94,14 +98,18 @@ def build_operator_parts(dof_map, cell_forms, traces):
     free = np.flatnonzero(dof_map.free)
     n = len(free)
     local = (np.cumsum(dof_map.free, dtype=np.int64) - 1)[elements.dofs]  # the column of each free DoF
-    edges = traces.coupling(free).tocoo()
+    edges = traces.coupling(free).tocsr()
+    edges.sum_duplicates()
     # int64 keys: with scipy's int32 indices, row * n wraps above 46341 free DoFs
-    keys = (local[:, :, None] * n + local[:, None, :])[pair]
-    slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
-    indptr = np.searchsorted(slots, np.arange(n + 1) * n)
-    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]))
-    hess = sp.csr_matrix((hess, slots % n, indptr), shape=(n, n))
-    grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(edges.indptr)) + edges.indices
+    cell_keys, index = np.unique((local[:, :, None] * n + local[:, None, :])[pair], return_inverse=True)
+    at = np.searchsorted(edge_keys, cell_keys)
+    new = np.searchsorted(edge_keys, cell_keys, side="right") == at  # keys the coupling lacks
+    slots = np.insert(edge_keys, at[new], cell_keys[new])
+    index = (at + np.cumsum(new) - new)[index]  # each cell term's slot
+    hess = np.bincount(index, weights=cell_forms.a[pair], minlength=len(slots)) + np.insert(edges.data, at[new], 0.0)
+    hess = sp.csr_matrix((hess, slots % n, np.searchsorted(slots, np.arange(n + 1) * n)), shape=(n, n))
+    grad = np.bincount(index, weights=cell_forms.b[pair], minlength=len(slots))
     return restrict(hess, _with_data(hess, grad), dof_map)
 
 
@@ -172,14 +180,38 @@ UNIT_ROUNDOFF = 2.0**-53
 SOLUTION_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 2.0**-60 else np.float64
 
 
-# glibc's malloc_trim, called with 0 before a mesh's band is allocated:
-# glibc keeps the set-up's freed temporaries resident, and the band, a fresh
-# mapping, cannot reuse them (at CVT-8192 this lowers the factor's peak RSS
-# by about 120 MB); None where the C library has no such function
+# glibc's malloc_trim, called with 0 before a mesh's band is allocated and when
+# a factor run beside the set-up is joined: glibc keeps freed temporaries
+# resident, and the band, a fresh mapping, cannot reuse them (CVT-8192 peak RSS
+# 1152-1155 MB with, 1198-1294 MB without); a no-op where the C library has none
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
+    _MALLOC_TRIM = lambda pad: 0  # noqa: E731
+
+# the getter and setter of scipy's OpenBLAS thread count (process-wide); no-ops where it has none
+try:
+    _BLAS = ctypes.CDLL(cython_lapack.__file__)
+    _BLAS_THREADS = _BLAS.scipy_openblas_get_num_threads, _BLAS.scipy_openblas_set_num_threads
+    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
+except (AttributeError, OSError):
+    _BLAS_THREADS = (lambda: None), (lambda count: None)
+# LAPACK's dpbtrf by scipy's Cython function pointer, called through ctypes, which releases the GIL
+_cap = cython_lapack.__pyx_capi__["dpbtrf"]
+_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+_int = ctypes.POINTER(ctypes.c_int)
+_DPBTRF = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _int, _int, ctypes.c_void_p, _int, _int)(_get(_cap, _name(_cap)))
+
+
+def _dpbtrf(band):
+    """Factor in place, by LAPACK's ``dpbtrf``, the lower band ``band`` (a
+    Fortran-order float64 ``(kd + 1, n)`` array); returns ``info``."""
+    if band.dtype != np.float64 or not band.flags.f_contiguous:
+        raise ValueError("dpbtrf needs a Fortran-order float64 band")
+    info, (rows, n) = ctypes.c_int(), band.shape
+    _DPBTRF(b"L", ctypes.c_int(n), ctypes.c_int(rows - 1), band.ctypes.data, ctypes.c_int(rows), info)
+    return info.value
 
 
 @dataclass(eq=False)
@@ -205,6 +237,9 @@ class BandFactor:
     band: np.ndarray | None = None
     eps: float | None = None
     x: np.ndarray | None = None
+    seconds: float | None = None  # of the dpbtrf call that made the factor
+    beside: bool = False  # whether that call ran beside the caller (see begin)
+    pending: tuple | None = None  # a factor begun beside, until wait joins it
 
     @classmethod
     def for_pattern(cls, mat):
@@ -224,29 +259,50 @@ class BandFactor:
         kd = int(offsets.max(initial=0))
         return cls(order=order, kd=kd, entries=entries, slots=offsets + cols[entries] * (kd + 1))
 
-    def factor(self, mat, eps):
+    def factor(self, mat, eps, beside=False):
         """Factor the symmetric matrix ``mat`` of this pattern, the system's at
         ``eps``, in place: its lower-triangle entries are assigned into the
-        zeroed band (the slots are distinct, so assignment places every
-        entry), allocated after trimming the heap the first time, and
-        LAPACK's ``dpbtrf`` factors it.  A matrix that is not positive
-        definite raises :class:`SolveError` and leaves no factor held."""
+        zeroed band (the slots are distinct), allocated after trimming the heap
+        the first time, and :func:`_dpbtrf` factors it with the caller's BLAS
+        pool, or ``beside`` the caller on a second thread, with scipy's OpenBLAS
+        pinned to one thread until :meth:`wait` joins it.  A matrix that is not
+        positive definite raises :class:`SolveError` and leaves no factor held."""
         self.eps = None
         if self.band is None:
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
+            _MALLOC_TRIM(0)
             self.band = np.zeros((self.kd + 1, len(self.order)), order="F")
         else:
             self.band.fill(0.0)
-        self.band.reshape(-1, order="F")[self.slots] = mat.data[self.entries]
-        self.band, info = lapack.dpbtrf(self.band, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise SolveError(
-                f"matrix is not positive definite: Cholesky pivot {info} of {len(self.order)} "
-                f"(row {self.order[info - 1]}) is not positive"
-            )
-        if info < 0:
-            raise SolveError(f"dpbtrf rejected argument {-info}")
+        values, outcome = mat.data[self.entries], []
+
+        def run():  # allocates no array
+            self.band.reshape(-1, order="F")[self.slots] = values
+            start = time.perf_counter()
+            outcome.append((_dpbtrf(self.band), time.perf_counter() - start))
+        threads = _BLAS_THREADS[0]() if beside else None
+        self.pending = threading.Thread(target=run, daemon=True), outcome, eps, threads, beside
+        if beside:
+            _BLAS_THREADS[1](1)
+            return self.pending[0].start()
+        run()
+        self.wait()
+
+    begin = functools.partialmethod(factor, beside=True)  # factor beside the caller; each solve joins it first
+
+    def wait(self):
+        """Join a pending factor and restore the BLAS threads; a failed factor raises :class:`SolveError`."""
+        if self.pending is None:
+            return
+        (worker, outcome, eps, threads, self.beside), self.pending = self.pending, None
+        if worker.ident is not None:
+            worker.join()
+        if self.beside:  # undo the pin, and trim the freed temporaries of the work done beside
+            _BLAS_THREADS[1](threads)
+            _MALLOC_TRIM(0)
+        info, self.seconds = outcome[0] if outcome else (-1, None)  # none: the thread raised
+        if info:
+            pivot = f"pivot {info} of {len(self.order)} (row {self.order[info - 1]})" if info > 0 else f"info {info}"
+            raise SolveError(f"matrix is not positive definite: Cholesky {pivot} is not positive")
         self.eps = eps
 
     def solve(self, rhs):
@@ -256,7 +312,9 @@ class BandFactor:
         return out
 
     def release(self):
-        """Drop the band, its eps and the last solution; the layout stays."""
+        """Join a pending factor; drop the band, its eps and the last solution; the layout stays."""
+        with contextlib.suppress(SolveError):
+            self.wait()
         self.band = self.eps = self.x = None
 
 
@@ -271,18 +329,21 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     Besides the relative residual, the diagnostics hold the componentwise
     backward error max_i |r_i| / (|A||x| + |b|)_i (Oettli-Prager), the
     residual floor u || |A||x| || / ||b||, the eps whose matrix was factored
-    (``factor_eps``), the entries the factor stores (``factor_nnz``) and its
-    half-bandwidth (``bandwidth``).
+    (``factor_eps``), the entries the factor stores (``factor_nnz``), its
+    half-bandwidth (``bandwidth``) and, of a factor made for it, the
+    ``dpbtrf`` seconds (``factor_s``) and if it ran beside (``factor_beside``).
 
-    The systems of one mesh share their factor.  One held from an eps
-    e0 >= eps is tried first, starting from the mesh's last solution (eps
-    continuation): with A = G + eps^2 H and M = G + e0^2 H, the
-    refinement's iteration matrix I - M^-1 A = (e0^2 - eps^2) M^-1 H has its
-    eigenvalues in [0, 1), small when e0^2 H is small against G.  The
-    attempt is given up when :func:`_refine` projects that it cannot meet
-    the target, and whenever it ends above the target; the matrix is then
-    factored afresh in the same band."""
-    mat, rhs, factor = system.matrix, system.rhs, system.factor
+    The systems of one mesh share their factor; a solve first joins a pending
+    one, and one made at its eps that no solve has refined from is its fresh
+    factor.  Else one held from an eps e0 >= eps is tried first, starting from
+    the mesh's last solution (eps continuation): with A = G + eps^2 H and
+    M = G + e0^2 H, the refinement's iteration matrix I - M^-1 A =
+    (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small when e0^2 H
+    is small against G.  The attempt is given up when :func:`_refine`
+    projects that it cannot meet the target, and whenever it ends above the
+    target; the matrix is then factored afresh in the same band."""
+    mat, rhs, factor, made = system.matrix, system.rhs, system.factor, False
+    factor.wait()
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     if not np.any(rhs):
         x = np.zeros(len(rhs), dtype=SOLUTION_DTYPE)
@@ -290,10 +351,11 @@ def solve(system, residual_target=RESIDUAL_TARGET):
         diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
         mat_ld, refined = _with_data(mat, mat.data.astype(np.longdouble)), None
-        if factor.eps is not None and factor.eps >= system.eps:
+        if factor.x is not None and factor.eps is not None and factor.eps >= system.eps:
             refined = _refine(mat_ld, rhs, factor.x, factor, residual_target, accuracy=diagnostics, may_abort=True)
-        if refined is None:
-            factor.factor(mat, system.eps)
+        if made := refined is None:
+            if factor.x is not None or factor.eps != system.eps:
+                factor.factor(mat, system.eps)
             refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
         diagnostics.update(factor_eps=factor.eps, factor_nnz=int(factor.band.size), bandwidth=factor.kd)
         x, residual, diagnostics["refine_steps"] = refined
@@ -302,6 +364,7 @@ def solve(system, residual_target=RESIDUAL_TARGET):
             raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
+    diagnostics.update(factor_s=factor.seconds if made else None, factor_beside=made and factor.beside)
     diagnostics["residual"] = residual
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,7 +291,9 @@ class TestRunStudy:
             last["eps"], last["n_cells"], last["h_max"], last["E_I"], last["H2_part"], last["H1_part"],
             last["J1_energy"],
         )
-        assert rec.solve == out.report.records[1e-4][-1].solve
+        # apart from factor_s, the seconds of the factor's dpbtrf call
+        untimed = [{k: v for k, v in r.solve.items() if k != "factor_s"} for r in (rec, out.report.records[1e-4][-1])]
+        assert untimed[0] == untimed[1]
 
     def test_rerun_bit_identical_except_walltime(self, tmp_path):
         cfg = tiny_config(mesh_kind="cvt", sizes=[8, 16], eps=[1e-1, 1e-3], seed=5, lloyd_iters=20)
@@ -463,3 +469,21 @@ class TestExportSolutionFields:
         x, y = np.array([line.split()[:2] for line in lines[5 : 5 + n_points]], dtype=float).T
         uh = np.array(lines[lines.index("LOOKUP_TABLE default") + 1 :][:n_points], dtype=float)
         assert np.max(np.abs(uh - quadratic(x, y))) <= 1e-12
+
+
+@pytest.mark.skipif(system._BLAS_THREADS[0]() is None, reason="scipy's OpenBLAS exports no thread-count setter")
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the first factor of a mesh runs beside the set-up with OpenBLAS pinned
+    # to one thread, so a study of one eps gives the same records whatever
+    # pool the caller's environment asks for
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    records = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        args = ["study", "--example", "1", "--eps", "1.0", "--sizes", "128", "--lloyd-iters", "20"]
+        subprocess.run([sys.executable, "-m", "ipvem.cli", *args, "--out-dir", str(out_dir)], env=env, check=True)
+        (rec,) = json.loads((out_dir / "report.json").read_text())["records"]["1.0"]
+        records.append({k: v for k, v in rec.items() if k not in ("seconds", "factor_s")})
+    assert records[0]["factor_beside"] is True
+    assert records[0] == records[1]

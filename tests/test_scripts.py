@@ -53,8 +53,8 @@ def test_bench_writes_every_documented_field(tmp_path, monkeypatch):
     records = json.loads(Path(report_path).read_text())["records"]
     for entry in run["sweep"]:
         (record,) = records[repr(entry["eps"])]
-        del record["seconds"]
-        assert {k: v for k, v in entry.items() if k not in ("eps", "error", "seconds")} == record
+        del record["seconds"], record["factor_s"]
+        assert {k: v for k, v in entry.items() if k not in ("eps", "error", "seconds", "factor_s")} == record
 
 
 def test_bench_provenance_ignores_a_repository_above_the_checkout(tmp_path, monkeypatch):

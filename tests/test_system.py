@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import weakref
 
 import numpy as np
@@ -628,3 +629,157 @@ class TestReduceOncePerMesh:
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)
         eps = 0.5
         assert np.array_equal(system.combine(parts, np.ones(3), eps).matrix.toarray(), eps**2 * hess + grad)
+
+
+def unique_scatter(dof_map, cell_forms, coupling):
+    """Test-local oracle of the free parts' keys and data: the cell terms,
+    then the coupling's entries, through one ``np.unique`` of all keys."""
+    elements = cell_forms.elements
+    keep = elements.dof_mask & dof_map.free[elements.dofs]
+    pair = keep[:, :, None] & keep[:, None, :]
+    n = int(np.count_nonzero(dof_map.free))
+    local = (np.cumsum(dof_map.free, dtype=np.int64) - 1)[elements.dofs]
+    edges = coupling.tocoo()
+    keys = (local[:, :, None] * n + local[:, None, :])[pair]
+    slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
+    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]))
+    grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
+    return slots, hess, grad
+
+
+class TestMergedScatter:
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_parts_match_a_unique_oracle(self, cvt64, monkeypatch, drop):
+        # with ``drop``, the coupling loses every entry whose row + column is
+        # a multiple of 3, among them keys that cells need: they are inserted
+        # into the coupling's keys
+        coupling, used = forms.EdgeTraces.coupling, []
+
+        def dropped(traces, columns):
+            mat = coupling(traces, columns).tocoo()
+            kept = (mat.row + mat.col) % 3 != 0 if drop else np.ones(mat.nnz, dtype=bool)
+            used.append(sp.csr_matrix((mat.data[kept], (mat.row[kept], mat.col[kept])), shape=mat.shape))
+            return used[-1]
+
+        monkeypatch.setattr(forms.EdgeTraces, "coupling", dropped)
+        elements = projectors.build_elements(cvt64)
+        dof_map, cell_forms = number_dofs(cvt64), forms.build_local_forms(elements)
+        parts = system.build_operator_parts(dof_map, cell_forms, forms.build_edge_stencils(cvt64, elements))
+        slots, hess, grad = unique_scatter(dof_map, cell_forms, used[0])
+        n = parts.hess.shape[0]
+        assert (parts.hess.nnz > used[0].nnz) == drop
+        assert np.array_equal(np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(parts.hess.indptr)) + parts.hess.indices, slots)
+        assert np.array_equal(parts.hess.data, hess)
+        assert np.array_equal(parts.grad.data, grad)
+
+
+def blas_threads():
+    """scipy's OpenBLAS thread count, or None where it cannot be read."""
+    return system._BLAS_THREADS[0]()
+
+
+class TestFactorBeside:
+    @staticmethod
+    def counting_dpbtrf(monkeypatch):
+        calls, real = [], system._dpbtrf
+
+        def counting(band):
+            calls.append(band.shape)
+            return real(band)
+
+        monkeypatch.setattr(system, "_dpbtrf", counting)
+        return calls
+
+    @pytest.mark.parametrize("band", ["spd", "indefinite"])
+    def test_pointer_dpbtrf_is_scipys(self, band):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(11)
+        n, kd = 40, 5
+        ab = np.asfortranarray(np.vstack([np.full((1, n), 4.0 * kd), rng.uniform(-1.0, 1.0, (kd, n))]))
+        if band == "indefinite":
+            ab[0, 17] = -1.0
+        ours = ab.copy(order="F")
+        info = system._dpbtrf(ours)
+        reference, reference_info = lapack.dpbtrf(ab, lower=1)
+        assert info == reference_info == (0 if band == "spd" else 18)
+        assert np.array_equal(ours, reference)
+
+    def test_study_solves_first_from_the_pending_factor(self, monkeypatch):
+        calls = self.counting_dpbtrf(monkeypatch)
+        threads, blas = threading.active_count(), blas_threads()
+        cfg = cli.StudyConfig(example=1, eps=[1e-2], mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=20)
+        out = cli.run_study(cfg)
+        assert not out.failures
+        assert threading.active_count() == threads and blas_threads() == blas
+        # one factor per mesh, made beside the set-up and used by the first solve
+        assert len(calls) == 2
+        for rec, m in zip(out.report.records[1e-2], (32, 64)):
+            assert rec.solve["factor_eps"] == 1e-2 and rec.solve["factor_beside"] is True
+            assert rec.solve["factor_s"] > 0.0
+            d = cli.discretize(mesh.generate_cvt(m, seed=7, lloyd_iters=20), verify.example_solution(1))
+            sync = d.solve(1e-2)
+            assert sync.diagnostics["factor_beside"] is False
+            assert rec.solve["refine_steps"] == sync.diagnostics["refine_steps"]
+            assert rec.e_total == pytest.approx(d.error(sync).e_total, rel=1e-10)
+
+    def test_pending_factor_is_not_factored_again(self, cvt32, monkeypatch):
+        calls = self.counting_dpbtrf(monkeypatch)
+        d = cli.discretize(cvt32, verify.example_solution(1), first_eps=1e-3)
+        assert d.free_parts.factor.pending is not None
+        sol = d.solve(1e-3)
+        assert len(calls) == 1 and d.free_parts.factor.pending is None
+        assert sol.diagnostics["factor_eps"] == 1e-3 and sol.diagnostics["factor_beside"] is True
+        assert sol.residual <= system.RESIDUAL_TARGET
+        # a second solve at the same eps refines from the held factor
+        again = d.solve(1e-3)
+        assert len(calls) == 1 and again.diagnostics["factor_s"] is None
+        assert again.diagnostics["factor_beside"] is False
+
+    def test_failed_pending_factor_holds_no_eps(self, cvt32):
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        factor = d.free_parts.factor
+        bad = d.reduced(1e-2).matrix.copy()
+        bad.data *= -1.0
+        factor.begin(bad, 1e-2)
+        with pytest.raises(SolveError, match="not positive definite"):
+            d.solve(1e-2)
+        assert factor.eps is None and factor.pending is None
+        sol = d.solve(1e-3)
+        assert sol.diagnostics["factor_eps"] == factor.eps == 1e-3
+        assert sol.residual <= system.RESIDUAL_TARGET
+
+    def test_zero_first_load_leaves_the_next_eps_solving(self, cvt32):
+        d = cli.discretize(cvt32, ZERO, first_eps=1.0)
+        first = d.solve(1.0)
+        assert first.residual == 0.0 and first.diagnostics["factor_s"] is None
+        assert d.free_parts.factor.pending is None and d.free_parts.factor.eps == 1.0
+        rhs = system.load_vector(d.elements, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        sol = solve(system.combine(d.free_parts, rhs, 1e-1))
+        assert sol.diagnostics["factor_eps"] == 1e-1 and sol.diagnostics["factor_beside"] is False
+        assert sol.residual <= system.RESIDUAL_TARGET
+
+    def test_set_up_failure_joins_before_it_propagates(self, cvt32, monkeypatch):
+        begun, pinned, begin = [], [], BandFactor.begin
+
+        def recording_begin(factor, *args):
+            begun.append(factor)
+            begin(factor, *args)
+
+        def failing_load_vector(elements, f):
+            pinned.append(blas_threads())
+            raise RuntimeError("loads failed")
+
+        threads, blas = threading.active_count(), blas_threads()
+        monkeypatch.setattr(BandFactor, "begin", recording_begin)
+        monkeypatch.setattr(system, "load_vector", failing_load_vector)
+        with pytest.raises(RuntimeError, match="loads failed"):
+            cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
+        (factor,) = begun
+        assert factor.pending is None and factor.band is None
+        assert pinned == [None if blas is None else 1]
+        assert threading.active_count() == threads and blas_threads() == blas
+        # a study records the failure and leaves no thread and no pin behind
+        out = cli.run_study(cli.StudyConfig(example=1, eps=[1.0], mesh_kind="cvt", sizes=[32], lloyd_iters=20))
+        assert out.failures and out.failures[0]["eps"] is None
+        assert threading.active_count() == threads and blas_threads() == blas
