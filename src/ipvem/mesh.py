@@ -29,6 +29,8 @@ SNAP_TOL = 1e-9
 INCIRCLE_RTOL = 1e-12
 #: fixed points more than sqrt(2) from the unit square that frame every Lloyd triangulation
 GHOSTS = np.array([[-10.0, -10.0], [11.0, -10.0], [11.0, 11.0], [-10.0, 11.0]])
+#: the finest parts a Lloyd repair splits a move into before qhull rebuilds
+MOVE_STEPS = 64
 
 
 class MeshError(Exception):
@@ -418,11 +420,8 @@ class _LloydTriangulation:
         side, src = np.nonzero((near & ~self.mirrored).T)
         self.mirrored = self.mirrored | near
         self.src, self.side = np.concatenate([self.src, src]), np.concatenate([self.side, side])
-        self.pts = self._points(points)
         try:
-            inverted = np.flatnonzero(_orient(*self._corners()) <= 0.0).tolist()
-            mended = all(any(self._flip(t, k, _convex) for k in range(3)) for t in inverted)
-            if not mended or (inverted and np.any(_orient(*self._corners()) <= 0.0)):
+            if not self._move(self._points(points)):
                 return None
             for p in range(len(self.pts) - len(src), len(self.pts)):
                 self._insert(p)
@@ -442,6 +441,29 @@ class _LloydTriangulation:
         except _RepairFailed:
             return None
         return self._dual()
+
+    def _move(self, end):
+        """Move the triangulated points to their rows of ``end`` (new images
+        follow them), mending each inverted triangle by one flip; a move whose
+        inversions one flip cannot mend is retried from the last mended
+        position in halves, down to ``MOVE_STEPS`` parts.  False if stuck."""
+        start, done, step = self.pts, 0.0, 1.0
+        while done < 1.0:
+            self.pts = end.copy()
+            if done + step < 1.0:
+                self.pts[: len(start)] += (done + step - 1.0) * (end[: len(start)] - start)
+            inverted = np.flatnonzero(_orient(*self._corners()) <= 0.0).tolist()
+            kept = self.simplices.copy(), self.neighbors.copy()
+            if all(any(self._flip(t, k, _convex) for k in range(3)) for t in inverted) and not (
+                inverted and np.any(_orient(*self._corners()) <= 0.0)
+            ):
+                done += step
+            elif step * MOVE_STEPS > 1.0:
+                self.simplices, self.neighbors = kept
+                step /= 2.0
+            else:
+                return False
+        return True
 
     def _flip(self, t, k, test):
         """Where ``test`` holds for a, b, c (t's corners from k) and d (across bc), give
