@@ -336,6 +336,7 @@ def write_outputs(output, out_dir=None):
         "failures": output.failures,
         "meshes": output.meshes,
         "rates_vs_h": {repr(k): v for k, v in rep.rates_h.items()},
+        "rates_last_pair_vs_h": {repr(k): v for k, v in rep.rates_last_pair.items()},
         "rates_vs_sqrt_cells": {repr(k): v for k, v in rep.rates_n.items()},
         "records": {repr(eps): [_report_record(r) for r in recs] for eps, recs in rep.records.items()},
     }

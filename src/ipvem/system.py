@@ -196,6 +196,11 @@ try:
     _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
 except (AttributeError, OSError):
     _BLAS_THREADS = (lambda: None), (lambda count: None)
+#: the widest half-bandwidth whose dpbtrf is made with scipy's OpenBLAS pinned to
+#: one thread: up to it one thread is as fast or faster than two, above it slower
+#: (2-vCPU x86-64, OpenBLAS 0.3.30: 114 against 131 ms at kd = 811, 135 against
+#: 117 ms at kd = 860, 1.7 against 1.0 s at kd = 1626, at any n)
+ONE_THREAD_KD = 835
 # LAPACK's dpbtrf by scipy's Cython function pointer, called through ctypes, which releases the GIL
 _cap = cython_lapack.__pyx_capi__["dpbtrf"]
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
@@ -239,6 +244,7 @@ class BandFactor:
     x: np.ndarray | None = None
     seconds: float | None = None  # of the dpbtrf call that made the factor
     beside: bool = False  # whether that call ran beside the caller (see begin)
+    threads: int | None = None  # the BLAS threads it ran with (None where the count cannot be read)
     pending: tuple | None = None  # a factor begun beside, until wait joins it
 
     @classmethod
@@ -263,10 +269,15 @@ class BandFactor:
         """Factor the symmetric matrix ``mat`` of this pattern, the system's at
         ``eps``, in place: its lower-triangle entries are assigned into the
         zeroed band (the slots are distinct), allocated after trimming the heap
-        the first time, and :func:`_dpbtrf` factors it with the caller's BLAS
-        pool, or ``beside`` the caller on a second thread, with scipy's OpenBLAS
-        pinned to one thread until :meth:`wait` joins it.  A matrix that is not
+        the first time, and :func:`_dpbtrf` factors it: with scipy's OpenBLAS
+        pinned to one thread where ``kd <= ONE_THREAD_KD``, set and restored on
+        the calling thread, else with the caller's pool.  ``beside`` runs a
+        one-thread factor on a second thread until :meth:`wait` joins it, and
+        leaves a wider one to the next solve.  A matrix that is not
         positive definite raises :class:`SolveError` and leaves no factor held."""
+        one_thread = self.kd <= ONE_THREAD_KD
+        if beside and not one_thread:
+            return
         self.eps = None
         if self.band is None:
             _MALLOC_TRIM(0)
@@ -279,10 +290,12 @@ class BandFactor:
             self.band.reshape(-1, order="F")[self.slots] = values
             start = time.perf_counter()
             outcome.append((_dpbtrf(self.band), time.perf_counter() - start))
-        threads = _BLAS_THREADS[0]() if beside else None
-        self.pending = threading.Thread(target=run, daemon=True), outcome, eps, threads, beside
+        caller = _BLAS_THREADS[0]()
+        self.threads = 1 if one_thread and caller is not None else caller
+        self.pending = threading.Thread(target=run, daemon=True), outcome, eps, caller, beside
+        if self.threads != caller:  # pin
+            _BLAS_THREADS[1](self.threads)
         if beside:
-            _BLAS_THREADS[1](1)
             return self.pending[0].start()
         run()
         self.wait()
@@ -293,11 +306,12 @@ class BandFactor:
         """Join a pending factor and restore the BLAS threads; a failed factor raises :class:`SolveError`."""
         if self.pending is None:
             return
-        (worker, outcome, eps, threads, self.beside), self.pending = self.pending, None
+        (worker, outcome, eps, caller, self.beside), self.pending = self.pending, None
         if worker.ident is not None:
             worker.join()
-        if self.beside:  # undo the pin, and trim the freed temporaries of the work done beside
-            _BLAS_THREADS[1](threads)
+        if self.threads != caller:  # undo the pin
+            _BLAS_THREADS[1](caller)
+        if self.beside:  # trim the freed temporaries of the work done beside
             _MALLOC_TRIM(0)
         info, self.seconds = outcome[0] if outcome else (-1, None)  # none: the thread raised
         if info:
@@ -331,7 +345,8 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     residual floor u || |A||x| || / ||b||, the eps whose matrix was factored
     (``factor_eps``), the entries the factor stores (``factor_nnz``), its
     half-bandwidth (``bandwidth``) and, of a factor made for it, the
-    ``dpbtrf`` seconds (``factor_s``) and if it ran beside (``factor_beside``).
+    ``dpbtrf`` seconds (``factor_s``), if it ran beside (``factor_beside``)
+    and the BLAS threads it ran with (``factor_threads``).
 
     The systems of one mesh share their factor; a solve first joins a pending
     one, and one made at its eps that no solve has refined from is its fresh
@@ -365,6 +380,7 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
     diagnostics.update(factor_s=factor.seconds if made else None, factor_beside=made and factor.beside)
+    diagnostics["factor_threads"] = factor.threads if made else None
     diagnostics["residual"] = residual
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 

@@ -377,13 +377,19 @@ class ConvergenceReport:
     records: dict                   # eps -> list[ErrorRecord], sorted by decreasing h
     rates_h: dict = field(default_factory=dict)
     rates_n: dict = field(default_factory=dict)
+    rates_last_pair: dict = field(default_factory=dict)  # eps -> local rate vs h_max of the two finest meshes
 
     def finalize(self):
         """Sort each eps's records by decreasing h_max and fit its rates; a
         series of fewer than three records, or with two of one mesh size,
-        gets none."""
+        gets none.  The local rate of the two finest meshes needs two records
+        of two mesh sizes: a fit over the whole series hides a collapse of the
+        rate at its fine end."""
         for eps, recs in self.records.items():
             recs.sort(key=lambda r: -r.h_max)
+            last = series_rate([r.h_max for r in recs[-2:]], [r.e_total for r in recs[-2:]])
+            if last is not None:
+                self.rates_last_pair[eps] = last
             if len(recs) < 3:
                 continue
             errors = [r.e_total for r in recs]

@@ -341,12 +341,19 @@ class TestRunStudy:
         assert rates[0] == 0.0 and np.isfinite(rates[1]) and rates[2] == coarse_to_fine.rows[2]["rate_fit"]
         assert shuffled.report.rates_h == coarse_to_fine.report.rates_h
         assert shuffled.report.rates_n == coarse_to_fine.report.rates_n
+        assert shuffled.report.rates_last_pair == coarse_to_fine.report.rates_last_pair
         # a mesh listed twice leaves its series without a rate
         repeated = study(2, 4, 4)
         assert [r["rate_fit"] for r in repeated.rows] == [0.0, coarse_to_fine.rows[1]["rate_fit"], 0.0]
         assert repeated.report.rates_h == {} and repeated.report.rates_n == {}
         report = json.loads((tmp_path / "2-4-4" / "report.json").read_text())
         assert report["rates_vs_h"] == {} and len(report["records"]["0.01"]) == 3
+        # the two finest meshes are one mesh: no local rate either
+        assert report["rates_last_pair_vs_h"] == {}
+        local = json.loads((tmp_path / "2-4-8" / "report.json").read_text())["rates_last_pair_vs_h"]
+        assert local == {"0.01": coarse_to_fine.report.rates_last_pair[0.01]}
+        study(4)
+        assert json.loads((tmp_path / "4" / "report.json").read_text())["rates_last_pair_vs_h"] == {}
 
 
 class TestMain:
@@ -487,3 +494,23 @@ def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
         records.append({k: v for k, v in rec.items() if k not in ("seconds", "factor_s")})
     assert records[0]["factor_beside"] is True
     assert records[0] == records[1]
+
+
+@pytest.mark.skipif(system._BLAS_THREADS[0]() is None, reason="scipy's OpenBLAS exports no thread-count setter")
+def test_sweep_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every factor of a band no wider than system.ONE_THREAD_KD runs on one
+    # BLAS thread, beside the set-up or not, so a sweep whose later eps factor
+    # afresh gives the same records whatever pool the caller's environment asks for
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        eps = ["--eps", "1.0", "--eps", "0.1", "--eps", "1e-5"]
+        args = ["study", "--example", "1", *eps, "--sizes", "128", "--lloyd-iters", "20"]
+        subprocess.run([sys.executable, "-m", "ipvem.cli", *args, "--out-dir", str(out_dir)], env=env, check=True)
+        records = json.loads((out_dir / "report.json").read_text())["records"]
+        reports.append({eps: [{k: v for k, v in r.items() if k not in ("seconds", "factor_s")} for r in recs]
+                        for eps, recs in records.items()})
+    assert [rec["factor_threads"] for recs in reports[1].values() for rec in recs] == [1, 1, 1]
+    assert reports[0] == reports[1]

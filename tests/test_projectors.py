@@ -93,6 +93,20 @@ class TestH1Projector:
         residual = G @ E.h1_coeff[CELL, :, :n] - B
         assert np.max(np.abs(residual)) < 1e-12
 
+    def test_projection_keeps_the_gradient_moments_of_virtual_functions(self, cvt64):
+        # (grad Pi v, grad p) = (grad v, grad p) for random DoF vectors v and the
+        # six scaled monomials p on every cell: the property a gradient form
+        # consistent against virtual functions needs, which the polynomial pairs
+        # of acceptance criterion 2 do not check; the reference is the boundary
+        # formula, Simpson on each edge plus -lap(p) |K| times the moment
+        E, rng = build_elements(cvt64), np.random.default_rng(64)
+        for c in range(cvt64.n_cells):
+            n = E.n_dofs[c]
+            v = rng.uniform(-1.0, 1.0, (n, 20))
+            reference = _rhs_matrix(E.geometry, c) @ v
+            projected = E.grad_gram[c] @ (E.h1_coeff[c, :, :n] @ v)
+            assert np.max(np.abs(projected - reference)) <= 1e-13 * np.max(np.abs(reference))
+
     def test_idempotent_dof_form(self, cvt32_elements):
         P = cvt32_elements.dof_matrix[CELL] @ cvt32_elements.h1_coeff[CELL]
         assert np.max(np.abs(P @ P - P)) < 1e-10

@@ -678,6 +678,68 @@ def blas_threads():
     return system._BLAS_THREADS[0]()
 
 
+@pytest.fixture
+def two_blas_threads():
+    """scipy's OpenBLAS set to two threads for the test, then restored."""
+    caller = blas_threads()
+    if caller is None:
+        pytest.skip("scipy's OpenBLAS exports no thread-count getter")
+    system._BLAS_THREADS[1](2)
+    yield 2
+    system._BLAS_THREADS[1](caller)
+
+
+class TestThreadsByBandWidth:
+    @staticmethod
+    def recording_dpbtrf(monkeypatch):
+        """Wrap ``system._dpbtrf`` to record the BLAS thread count at each call."""
+        seen, real = [], system._dpbtrf
+
+        def recording(band):
+            seen.append(blas_threads())
+            return real(band)
+
+        monkeypatch.setattr(system, "_dpbtrf", recording)
+        return seen
+
+    @staticmethod
+    def sweep(d, caller):
+        """Solve ``d`` at every eps of SWEEP, checking that the caller's BLAS
+        count is back after each solve; the diagnostics of the solves."""
+        diagnostics = []
+        for eps in SWEEP:
+            diagnostics.append(d.solve(eps).diagnostics)
+            assert blas_threads() == caller
+        return diagnostics
+
+    def test_narrow_band_factors_on_one_thread(self, cvt32, monkeypatch, two_blas_threads):
+        seen = self.recording_dpbtrf(monkeypatch)
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        monkeypatch.setattr(system, "ONE_THREAD_KD", d.free_parts.factor.kd)
+        d.free_parts.factor.begin(d.reduced(SWEEP[0]).matrix, SWEEP[0])
+        diagnostics = self.sweep(d, two_blas_threads)
+        made = [diag for diag in diagnostics if diag["factor_s"] is not None]
+        assert made[0] is diagnostics[0] and made[0]["factor_beside"] is True
+        assert not any(diag["factor_beside"] for diag in made[1:])
+        assert len(seen) == len(made) >= 2 and set(seen) == {1}
+        for diag in diagnostics:
+            assert diag["factor_threads"] == (None if diag["factor_s"] is None else 1)
+
+    def test_wide_band_factors_in_the_first_solve_with_the_callers_pool(self, cvt32, monkeypatch, two_blas_threads):
+        seen = self.recording_dpbtrf(monkeypatch)
+        monkeypatch.setattr(system, "ONE_THREAD_KD", 0)
+        threads = threading.active_count()
+        d = cli.discretize(cvt32, verify.example_solution(1), first_eps=SWEEP[0])
+        factor = d.free_parts.factor
+        assert threading.active_count() == threads
+        assert factor.pending is None and factor.band is None and seen == []
+        diagnostics = self.sweep(d, two_blas_threads)
+        made = [diag for diag in diagnostics if diag["factor_s"] is not None]
+        assert made[0] is diagnostics[0] and not any(diag["factor_beside"] for diag in diagnostics)
+        assert len(seen) == len(made) >= 2 and set(seen) == {two_blas_threads}
+        assert all(diag["factor_threads"] == two_blas_threads for diag in made)
+
+
 class TestFactorBeside:
     @staticmethod
     def counting_dpbtrf(monkeypatch):

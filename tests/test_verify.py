@@ -404,6 +404,19 @@ class TestConvergenceReport:
         }
         report = verify.ConvergenceReport(records=recs).finalize()
         assert 1.0 not in report.rates_h
+        assert report.rates_last_pair[1.0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_last_pair_rate_is_local_to_the_two_finest_meshes(self):
+        recs = {
+            0.5: [
+                verify.ErrorRecord(0.5, n, h, e, e, 0.0)
+                for n, h, e in [(256, 0.1, 5e-3), (16, 0.4, 4e-2), (64, 0.2, 1e-2)]
+            ],
+            1e-3: [verify.ErrorRecord(1e-3, 16, 0.4, 4e-2, 4e-2, 0.0)],
+        }
+        report = verify.ConvergenceReport(records=recs).finalize()
+        assert report.rates_last_pair == {0.5: pytest.approx(1.0, abs=1e-12)}
+        assert report.rates_h[0.5] == pytest.approx(1.5, abs=0.1)
 
     def test_records_sorted_and_rates_fit(self):
         recs = {
