@@ -465,16 +465,7 @@ def main(argv=None):
         print(f"wrote {args.output}: {m.n_cells} cells, {m.n_vertices} vertices")
         return EXIT_OK
 
-    overrides = {
-        "example": args.example,
-        "eps": args.eps,
-        "mesh_kind": args.mesh_kind,
-        "mesh_files": args.mesh_files,
-        "seed": args.seed,
-        "lloyd_iters": args.lloyd_iters,
-        "penalty_a": args.penalty_a,
-        "out_dir": args.out_dir,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in StudyConfig.__dataclass_fields__}
     try:
         overrides["sizes"] = _parse_sizes(args.sizes) if args.sizes else None
         config = load_config(args.config, overrides)

@@ -620,39 +620,6 @@ def export_mesh(mesh):
     return "\n".join(lines) + "\n"
 
 
-def _vertex_block(lines):
-    """The (n, 2) points of ``n`` lines of two coordinates each, or None if a
-    line has another token count, a coordinate does not parse as a float,
-    or a point is not a finite point of the unit square."""
-    rows = [line.split() for line in lines]
-    if not set(map(len, rows)) <= {2}:
-        return None
-    try:
-        xy = np.array(list(map(float, itertools.chain.from_iterable(rows)))).reshape(-1, 2)
-    except ValueError:
-        return None
-    return xy if np.all((xy >= 0.0) & (xy <= 1.0)) else None
-
-
-def _cell_block(lines, n_vertices):
-    """The CSR pair of the vertex loops of cell lines 'k i1 ... ik', or None if a
-    token does not parse as an integer, a line's count is not its number
-    of indices, or an index lies outside 0..n_vertices-1."""
-    rows = [line.split() for line in lines]
-    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    try:
-        flat = np.fromiter(map(int, itertools.chain.from_iterable(rows)), dtype=np.int64, count=counts.sum())
-    except (ValueError, OverflowError):
-        return None
-    heads = np.cumsum(counts) - counts
-    if np.any(counts == 0) or np.any(flat[heads] != counts - 1):
-        return None
-    index = np.delete(flat, heads)
-    if np.any((index < 0) | (index >= n_vertices)):
-        return None
-    return index, np.concatenate([[0], np.cumsum(counts - 1)])
-
-
 def import_mesh(text):
     """Parse the ``vem-mesh 1`` text format.
 
@@ -663,7 +630,8 @@ def import_mesh(text):
     geometric error, a domain that is not the unit square (two coincident
     vertices, a vertex of no cell, a boundary edge off the square's sides),
     cell areas that do not sum to one, or a cell that is not star-shaped
-    with respect to its centroid.
+    with respect to its centroid.  The lines are read and checked once, in
+    order; a non-blank line after the declared cells is an error.
     """
     lines = text.splitlines()
 
@@ -694,35 +662,39 @@ def import_mesh(text):
 
     n_vertices = expect_count("vertices")
     first_vertex_line = pos + 1
-    vertices = _vertex_block(lines[pos : pos + n_vertices])
-    # a block is parsed line by line only to report its first fault; the
-    # block parsers return None exactly when the line checks find one
-    for i in range(n_vertices if vertices is None else 0):
-        ln = pos + i
-        parts = lines[ln].split()
+    coords = []
+    for i, line in enumerate(lines[pos : pos + n_vertices]):
+        parts = line.split()
         if len(parts) != 2:
-            fail(ln + 1, "expected 'x y'")
+            fail(first_vertex_line + i, "expected 'x y'")
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            fail(ln + 1, f"bad coordinate in {lines[ln]!r}")
+            fail(first_vertex_line + i, f"bad coordinate in {line!r}")
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            fail(ln + 1, f"vertex {i} at ({x!r}, {y!r}) is not a finite point of the unit square")
+            fail(first_vertex_line + i, f"vertex {i} at ({x!r}, {y!r}) is not a finite point of the unit square")
+        coords += (x, y)
+    vertices = np.array(coords).reshape(-1, 2)
     pos += n_vertices
 
     n_cells = expect_count("cells")
     first_cell_line = pos + 1
-    cells = _cell_block(lines[pos : pos + n_cells], n_vertices)
-    for i in range(n_cells if cells is None else 0):
-        ln = pos + i
+    corners, offsets = [], [0]
+    for i, line in enumerate(lines[pos : pos + n_cells]):
         try:
-            values = [int(p) for p in lines[ln].split()]
+            values = list(map(int, line.split()))
         except ValueError:
-            fail(ln + 1, f"bad cell line {lines[ln]!r}")
+            fail(first_cell_line + i, f"bad cell line {line!r}")
         if not values or len(values) != values[0] + 1:
-            fail(ln + 1, "cell line must read 'k i1 ... ik'")
-        if any(j < 0 or j >= n_vertices for j in values[1:]):
-            fail(ln + 1, f"vertex index out of range in cell {i}")
+            fail(first_cell_line + i, "cell line must read 'k i1 ... ik'")
+        index = values[1:]
+        if index and not (min(index) >= 0 and max(index) < n_vertices):
+            fail(first_cell_line + i, f"vertex index out of range in cell {i}")
+        corners += index
+        offsets.append(len(corners))
+    for ln in range(pos + n_cells, len(lines)):
+        if lines[ln].strip():
+            fail(ln + 1, "unexpected content after the cells")
 
     def check_domain(m):
         # the domain is the unit square: no two vertices coincide (a slit),
@@ -745,7 +717,7 @@ def import_mesh(text):
             fail(first_cell_line + c, f"cell {c} has a boundary edge off the sides of the unit square")
 
     try:
-        m = _build_mesh(vertices, *cells, fix_orientation=True)
+        m = _build_mesh(vertices, corners, offsets, fix_orientation=True)
         g = m.stacked_geometry
         check_domain(m)
         validate_tiling(m)

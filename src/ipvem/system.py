@@ -173,6 +173,8 @@ def combine(parts, rhs, eps):
 
 
 RESIDUAL_TARGET = 1e-10
+#: a correction that leaves the residual above this fraction of the last one has stalled
+STALL_RATIO = 0.6
 #: unit roundoff of double precision
 UNIT_ROUNDOFF = 2.0**-53
 #: the type the refinement accumulates the solution in: long double where it
@@ -332,7 +334,7 @@ class BandFactor:
         self.band = self.eps = self.x = None
 
 
-def solve(system, residual_target=RESIDUAL_TARGET):
+def solve(system):
     """Direct sparse solve with extended-precision refinement and a residual
     check.  The matrix is symmetric positive definite (the mesh-dependent
     penalty makes the form coercive), so it is factored by the banded
@@ -367,16 +369,16 @@ def solve(system, residual_target=RESIDUAL_TARGET):
     else:
         mat_ld, refined = _with_data(mat, mat.data.astype(np.longdouble)), None
         if factor.x is not None and factor.eps is not None and factor.eps >= system.eps:
-            refined = _refine(mat_ld, rhs, factor.x, factor, residual_target, accuracy=diagnostics, may_abort=True)
+            refined = _refine(mat_ld, rhs, factor.x, factor, RESIDUAL_TARGET, accuracy=diagnostics, may_abort=True)
         if made := refined is None:
             if factor.x is not None or factor.eps != system.eps:
                 factor.factor(mat, system.eps)
-            refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, residual_target, accuracy=diagnostics)
+            refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, RESIDUAL_TARGET, accuracy=diagnostics)
         diagnostics.update(factor_eps=factor.eps, factor_nnz=int(factor.band.size), bandwidth=factor.kd)
         x, residual, diagnostics["refine_steps"] = refined
         factor.x = x
-        if not np.isfinite(residual) or residual > residual_target:
-            raise SolveError(f"relative residual {residual:.3e} above {residual_target:.1e}")
+        if not np.isfinite(residual) or residual > RESIDUAL_TARGET:
+            raise SolveError(f"relative residual {residual:.3e} above {RESIDUAL_TARGET:.1e}")
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
     diagnostics.update(factor_s=factor.seconds if made else None, factor_beside=made and factor.beside)
@@ -397,7 +399,9 @@ def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, ma
     :data:`SOLUTION_DTYPE`: from about 1000 cells on, even the double
     vector nearest the exact solution has a residual above the target,
     while the long double one meets it after a correction or two.
-    ``factor.solve`` computes each correction in double.
+    ``factor.solve`` computes each correction in double.  The corrections
+    stop within ``residual_target / 10``, after ``max_steps``, or once one
+    stalls (:data:`STALL_RATIO`): at the long-double floor more buy nothing.
     Returns the refined solution, its relative residual and the number of
     corrections applied; the residual is always that of the returned
     solution, and the backward error and residual floor written into
@@ -416,7 +420,8 @@ def _refine(mat, rhs, x, factor, residual_target, max_steps=4, accuracy=None, ma
     while True:
         r = (rhs_ld - mat @ x.astype(np.longdouble, copy=False)).astype(float)
         residual = math.sqrt(dot(r, r)) / rhs_norm
-        if residual <= residual_target / 10.0 or steps == max_steps:
+        stalled = steps and residual > STALL_RATIO * previous
+        if residual <= residual_target / 10.0 or steps == max_steps or stalled:
             break
         if may_abort and steps < 2:
             ratio = residual / previous if steps else residual

@@ -686,6 +686,46 @@ class TestMeshIo:
         with pytest.raises(MeshFormatError, match="line 4: .*unit square"):
             import_mesh(text)
 
+    # edits of the 2 x 2 squares' payload (vertices on lines 3-11, cells on
+    # lines 13-16) and the one fault each must report, as a full message
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({4: "0.5 0.0 1"}, "line 4: expected 'x y'"),
+            ({4: "1 spam"}, "line 4: bad coordinate in '1 spam'"),
+            ({4: "nan 0"}, "line 4: vertex 1 at (nan, 0.0) is not a finite point of the unit square"),
+            ({4: "inf 0"}, "line 4: vertex 1 at (inf, 0.0) is not a finite point of the unit square"),
+            ({4: "2 0"}, "line 4: vertex 1 at (2.0, 0.0) is not a finite point of the unit square"),
+            ({14: "4 1 2 5.0 4"}, "line 14: bad cell line '4 1 2 5.0 4'"),
+            ({14: "3 1 2 5 4"}, "line 14: cell line must read 'k i1 ... ik'"),
+            ({14: "5 1 2 5 4"}, "line 14: cell line must read 'k i1 ... ik'"),
+            ({14: "4 1 2 99999999999999999999 4"}, "line 14: vertex index out of range in cell 1"),
+            ({17: "4 4 5 8 7"}, "line 17: unexpected content after the cells"),
+            ({17: "", 18: "  ", 19: "cells 1"}, "line 19: unexpected content after the cells"),
+            # each line is checked as it is read: the earlier fault wins
+            ({4: "2 0", 9: "0.0 x"}, "line 4: vertex 1 at (2.0, 0.0) is not a finite point of the unit square"),
+            ({9: "0.0 x", 14: "4 1 2 5 99"}, "line 9: bad coordinate in '0.0 x'"),
+        ],
+    )
+    def test_line_fault_names_its_line(self, edits, message):
+        lines = export_mesh(generate_uniform_squares(2)).splitlines()
+        for ln, text in sorted(edits.items()):
+            lines[ln - 1 : ln] = [text]
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+            import_mesh("\n".join(lines) + "\n")
+
+    def test_trailing_blank_lines_allowed(self):
+        m = generate_uniform_squares(2)
+        assert np.array_equal(import_mesh(export_mesh(m) + "\n  \n\t\n").corners, m.corners)
+
+    @pytest.mark.parametrize("n, lloyd_iters", [(512, 100), (1024, 10)])
+    def test_round_trip_is_byte_identical(self, n, lloyd_iters):
+        m = mesh.generate_cvt(n, seed=7, lloyd_iters=lloyd_iters)
+        m2 = import_mesh(export_mesh(m))
+        for name in ("vertices", "corners", "offsets", "edges"):
+            a, b = getattr(m, name), getattr(m2, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_partial_tiling(self):
         # the lower half of the unit square: inside the box, but its top
         # edge at y = 1/2 is a boundary edge off the square's sides
@@ -786,13 +826,15 @@ class TestMeshIo:
         lines = export_mesh(generate_uniform_squares(2)).splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
         token = st.sampled_from(["-1", "0", "1", "3", "4", "9", "12", "0.5", "2", "-0.5", "nan", "inf", "x", ""])
-        action = data.draw(st.sampled_from(["drop", "duplicate", "replace", "token"]))
+        action = data.draw(st.sampled_from(["drop", "duplicate", "replace", "token", "append"]))
         if action == "drop":
             del lines[i]
         elif action == "duplicate":
             lines.insert(i, lines[i])
         elif action == "replace":
             lines[i] = data.draw(st.text(max_size=12))
+        elif action == "append":
+            lines.append(data.draw(st.one_of(st.sampled_from(lines), st.text(max_size=12))))
         else:
             parts = lines[i].split() or [""]
             parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(token)

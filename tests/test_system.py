@@ -150,6 +150,22 @@ class TestSolve:
         assert residual == np.linalg.norm((rhs - mat @ x).astype(float)) / np.linalg.norm(rhs)
         assert residual == pytest.approx(0.0625, rel=1e-15)
 
+    def test_refine_stops_when_a_correction_stalls(self):
+        # each correction removes a tenth of the residual: the first one
+        # already stalls, so the refinement stops after it, and the residual
+        # is that of the returned iterate
+        mat = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        rhs = np.ones(3)
+
+        class StallingLU:
+            def solve(self, r):
+                return 0.1 * r / mat.diagonal()
+
+        x, residual, steps = system._refine(mat, rhs, np.zeros(3), StallingLU(), 1e-10, max_steps=4)
+        assert steps == 1
+        assert residual == np.linalg.norm((rhs - mat @ x).astype(float)) / np.linalg.norm(rhs)
+        assert residual == pytest.approx(0.9, rel=1e-15)
+
     def test_smoke_example2_cvt32(self, cvt32):
         msol = verify.example_solution(2)
         d, sys_ = pipeline(cvt32, 1e-5, msol)
