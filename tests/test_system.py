@@ -165,6 +165,12 @@ class TestSolve:
         assert steps == 1
         assert residual == np.linalg.norm((rhs - mat @ x).astype(float)) / np.linalg.norm(rhs)
         assert residual == pytest.approx(0.9, rel=1e-15)
+        # a held attempt that stalls within the target is kept, one that
+        # stalls above it is given up
+        exact = rhs / mat.diagonal()
+        x, residual, steps = system._refine(mat, rhs, (1.0 - 5e-11) * exact, StallingLU(), 1e-10, may_abort=True)
+        assert steps == 1 and residual == pytest.approx(4.5e-11, rel=1e-4)
+        assert system._refine(mat, rhs, (1.0 - 2e-10) * exact, StallingLU(), 1e-10, may_abort=True) is None
 
     def test_smoke_example2_cvt32(self, cvt32):
         msol = verify.example_solution(2)
