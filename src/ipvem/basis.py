@@ -115,28 +115,29 @@ def monomial_integrals(geometry, degree):
 @dataclass(eq=False)
 class FanRule:
     """Centroid-fan quadrature points of many cells, flat, cell by cell and
-    fan triangle by fan triangle; ``cell`` is each point's row in the
-    geometry and ``xi``/``eta`` the point scaled by that cell's centroid and
-    diameter."""
+    fan triangle by fan triangle: cell ``i`` owns the ``counts[i]`` points
+    from ``starts[i]`` on, and ``xi``/``eta`` are each point scaled by its
+    cell's centroid and diameter.  Per-cell values reach the points by
+    ``np.repeat(values, counts)``."""
 
     points: np.ndarray          # (Q, 2)
     weights: np.ndarray         # (Q,) signed: fan area times reference weight
-    cell: np.ndarray            # (Q,)
+    counts: np.ndarray          # (C,) points of each cell
+    starts: np.ndarray          # (C,) first point of each cell
     xi: np.ndarray              # (Q,)
     eta: np.ndarray             # (Q,)
-    n_cells: int
 
     def cell_moments(self, values, degree):
         """Integrals of ``values`` (at the points) against every scaled
-        monomial of degree <= ``degree`` on every cell, shape (C, dim); one
-        monomial at a time, so no (Q, dim) temporary is made."""
+        monomial of degree <= ``degree`` on every cell, shape (C, dim): each
+        cell's sum is one ``np.add.reduceat`` segment.  One monomial at a
+        time, so no (Q, dim) temporary is made, and no zero power is built."""
         weighted = self.weights * values
-        return np.column_stack(
-            [
-                np.bincount(self.cell, weights=weighted * (self.xi**p * self.eta**q), minlength=self.n_cells)
-                for p, q in monomial_exponents(degree)
-            ]
-        )
+        moments = []
+        for p, q in monomial_exponents(degree):
+            term = weighted if p == 0 else weighted * self.xi**p
+            moments.append(np.add.reduceat(term if q == 0 else term * self.eta**q, self.starts))
+        return np.column_stack(moments)
 
 
 def fan_quadrature(geometry, order):
@@ -148,8 +149,7 @@ def fan_quadrature(geometry, order):
     """
     ref_pts, ref_w = triangle_quadrature(order)
     valid = geometry.valid
-    tri_owner = np.nonzero(valid)[0]
-    apex = geometry.centroid[tri_owner]
+    apex = np.repeat(geometry.centroid, geometry.valence, axis=0)
     tail = geometry.vertices[valid] - apex
     head = geometry.heads[valid] - apex
     points = (
@@ -158,6 +158,6 @@ def fan_quadrature(geometry, order):
         + ref_pts[None, :, 1, None] * head[:, None, :]
     ).reshape(-1, 2)
     weights = (2.0 * geometry.fan_areas[valid])[:, None] * ref_w[None, :]
-    cell = np.repeat(tri_owner, len(ref_w))
-    scaled = (points - geometry.centroid[cell]) / geometry.diameter[cell, None]
-    return FanRule(points, weights.ravel(), cell, scaled[:, 0], scaled[:, 1], len(valid))
+    counts = geometry.valence * len(ref_w)
+    scaled = (points - np.repeat(geometry.centroid, counts, axis=0)) / np.repeat(geometry.diameter, counts)[:, None]
+    return FanRule(points, weights.ravel(), counts, np.cumsum(counts) - counts, scaled[:, 0], scaled[:, 1])

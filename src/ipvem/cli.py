@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import numbers
 import sys
 import time
@@ -68,8 +69,8 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
         if not _is_real(self.penalty_a):
             raise ConfigError(f"penalty constant must be a number, got {self.penalty_a!r}")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if not self.eps:
             raise ConfigError("eps list must not be empty")
         for e in self.eps:
@@ -454,7 +455,10 @@ def main(argv=None):
     if args.command == "genmesh":
         try:
             if args.kind == "uniform":
-                m = mesh.generate_uniform_squares(int(round(max(args.cells, 0) ** 0.5)))
+                side = math.isqrt(max(args.cells, 0))
+                if side * side != args.cells:
+                    raise ValueError(f"a uniform mesh needs a positive square number of cells, got {args.cells}")
+                m = mesh.generate_uniform_squares(side)
             else:
                 m = mesh.generate_cvt(args.cells, seed=args.seed, lloyd_iters=args.lloyd_iters)
         except (ValueError, mesh.MeshError) as exc:
@@ -467,7 +471,7 @@ def main(argv=None):
 
     overrides = {k: v for k, v in vars(args).items() if k in StudyConfig.__dataclass_fields__}
     try:
-        overrides["sizes"] = _parse_sizes(args.sizes) if args.sizes else None
+        overrides["sizes"] = _parse_sizes(args.sizes) if args.sizes is not None else None
         config = load_config(args.config, overrides)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -176,8 +176,7 @@ def interpolation_dofs(mesh, elements, msol, exact=None):
     ``exact``, if given, is ``msol.at`` of the fan-rule points."""
     verts, rule = mesh.vertices, elements.fan_rule
     points = np.vstack([verts, 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])])
-    values = rule.weights * (exact or msol.at(*rule.points.T))(0, 0)
-    means = np.bincount(rule.cell, weights=values, minlength=rule.n_cells) / elements.geometry.area
+    means = rule.cell_moments((exact or msol.at(*rule.points.T))(0, 0), 0)[:, 0] / elements.geometry.area
     return np.concatenate([np.broadcast_to(msol(points[:, 0], points[:, 1]), len(points)), means])
 
 
@@ -191,72 +190,42 @@ class ErrorData:
     int (u - p)^2 = int (u - fit)^2 + (fit - p)^T M (fit - p) with M the
     cell's Gram matrix: the first terms, summed over the mesh, are the two
     residual integrals kept here, and each eps adds only the second, from
-    (C, 3) arrays.  Also kept: the exact-solution DoFs and the padded
-    global DoF indices with the stacked h2 and h1 projector coefficients
-    (rows 0-5 and 6-11), and what the energy norm sums: the stacked cell
-    forms and the edge-trace operator J with its penalty weights."""
+    (C, 3) arrays.  Also kept: the exact-solution DoFs, and what the energy
+    norm sums: the set-up's cell forms, whose elements hold the DoF indices,
+    the projectors and the geometry, and the edge-trace operator J with its
+    penalty weights."""
 
-    n_cells: int
-    h_max: float
-    grad_fit: np.ndarray        # (n_cells, 2, 3) ux and uy over 1, xi, eta
-    hess_mean: np.ndarray       # (n_cells, 3) cell means of uxx, uxy, uyy
-    gram: np.ndarray            # (n_cells, 3, 3) Gram matrices of 1, xi, eta
-    area: np.ndarray            # (n_cells,)
+    grad_fit: np.ndarray        # (C, 2, 3) ux and uy over 1, xi, eta
+    hess_mean: np.ndarray       # (C, 3) cell means of uxx, uxy, uyy
     grad_residual: float        # int |grad u - fit|^2 over the mesh
     hess_residual: float        # int |D^2 u - mean|^2 (Frobenius) over the mesh
-    inv_h: np.ndarray           # (n_cells,) reciprocal cell diameters
     exact_dofs: np.ndarray      # (n_dofs,) DoFs of the exact solution
-    dofs: np.ndarray            # (n_cells, N)
-    projectors: np.ndarray      # (n_cells, 12, N)
-    a: np.ndarray               # (n_cells, N, N) cell a-forms
-    b: np.ndarray               # (n_cells, N, N) cell b-forms
+    cell_forms: object          # the set-up's forms.CellForms
     jump: sp.csr_matrix         # (3 E, n_dofs) the edge-trace operator J
     weights: np.ndarray         # (3 E,) penalty weight of each row of J
 
 
-def build_error_data(mesh, cell_forms, traces, msol, exact=None):
+def build_error_data(mesh, cell_forms, traces, msol, exact):
     """Error data of one mesh, built once and shared by every eps, from its
-    :class:`~ipvem.forms.CellForms` and :class:`~ipvem.forms.EdgeTraces`.
-    ``exact``, if given, is ``msol.at`` of the fan-rule points."""
-    elements = cell_forms.elements
-    g, rule = elements.geometry, elements.fan_rule
-    exact = exact or msol.at(*rule.points.T)
-    n, w, xi, eta = mesh.n_cells, rule.weights, rule.xi, rule.eta
-    # the points run cell by cell, so each cell's sum is one reduceat segment;
-    # one component at a time, so no (Q, k) temporary is made
-    counts = np.bincount(rule.cell, minlength=n)
-    starts = np.cumsum(counts) - counts
+    :class:`~ipvem.forms.CellForms` and :class:`~ipvem.forms.EdgeTraces`;
+    ``exact`` is ``msol.at`` of the fan-rule points."""
+    elements, rule = cell_forms.elements, cell_forms.elements.fan_rule
+    w, xi, eta, counts = rule.weights, rule.xi, rule.eta, rule.counts
     # the rule is exact at degree 2: the Gram matrices of 1, xi, eta are the
     # leading block of the elements' mass matrices
     gram = elements.mass[:, :3, :3]
-    grad_fit, grad_residual = np.empty((n, 2, 3)), 0.0
+    grad_fit, grad_residual = np.empty((mesh.n_cells, 2, 3)), 0.0
     for k, u in enumerate((exact(1, 0), exact(0, 1))):
-        wu = w * u
-        moments = np.stack([np.add.reduceat(v, starts) for v in (wu, wu * xi, wu * eta)], axis=1)
-        fit = grad_fit[:, k] = np.linalg.solve(gram, moments[:, :, None])[:, :, 0]
+        fit = grad_fit[:, k] = np.linalg.solve(gram, rule.cell_moments(u, 1)[:, :, None])[:, :, 0]
         r = u - np.repeat(fit[:, 0], counts) - np.repeat(fit[:, 1], counts) * xi - np.repeat(fit[:, 2], counts) * eta
         grad_residual += dot(w, r**2)
-    hess_mean, hess_residual = np.empty((n, 3)), 0.0
+    hess_mean, hess_residual = np.empty((mesh.n_cells, 3)), 0.0
     for k, (u, weight) in enumerate(((exact(2, 0), 1.0), (exact(1, 1), 2.0), (exact(0, 2), 1.0))):
-        mean = hess_mean[:, k] = np.add.reduceat(w * u, starts) / g.area
+        mean = hess_mean[:, k] = rule.cell_moments(u, 0)[:, 0] / elements.geometry.area
         hess_residual += weight * dot(w, (u - np.repeat(mean, counts)) ** 2)
+    exact_dofs = interpolation_dofs(mesh, elements, msol, exact)
     return ErrorData(
-        n_cells=mesh.n_cells,
-        h_max=float(g.diameter.max()),
-        grad_fit=grad_fit,
-        hess_mean=hess_mean,
-        gram=gram,
-        area=g.area,
-        grad_residual=grad_residual,
-        hess_residual=hess_residual,
-        inv_h=1.0 / g.diameter,
-        exact_dofs=interpolation_dofs(mesh, elements, msol, exact),
-        dofs=elements.dofs,
-        projectors=np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1),
-        a=cell_forms.a,
-        b=cell_forms.b,
-        jump=traces.jump,
-        weights=traces.weights,
+        grad_fit, hess_mean, grad_residual, hess_residual, exact_dofs, cell_forms, traces.jump, traces.weights
     )
 
 
@@ -278,19 +247,20 @@ def _projection_errors(data, values):
     integral plus a Gram-weighted sum of squares over the cells: no
     quadrature point is visited.
     """
-    coeffs = np.einsum("ckn,cn->ck", data.projectors, values[data.dofs])
-    # columns 1-5 of each half become (c1, c2, 2 c3, c4, 2 c5) / h
-    coeffs *= np.tile([1.0, 1.0, 1.0, 2.0, 1.0, 2.0], 2) * data.inv_h[:, None]
+    elements = data.cell_forms.elements
+    g, local = elements.geometry, values[elements.dofs]
+    inv_h = 1.0 / g.diameter
+    # columns 1-5 of each polynomial become (c1, c2, 2 c3, c4, 2 c5) / h
+    scale = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 2.0]) * inv_h[:, None]
+    p2, p1 = (np.einsum("ckn,cn->ck", coeff, local) * scale for coeff in (elements.h2_coeff, elements.h1_coeff))
 
     def gradient_error_sq(c):
         d = data.grad_fit - c[:, _GRADIENT_COLUMNS]
-        return data.grad_residual + float(np.einsum("cki,cij,ckj->", d, data.gram, d))
+        return data.grad_residual + float(np.einsum("cki,cij,ckj->", d, elements.mass[:, :3, :3], d))
 
-    d = data.hess_mean - coeffs[:, 3:6] * data.inv_h[:, None]
-    h2_sq = data.hess_residual + dot(data.area, d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2)
-    h1_h2_sq = gradient_error_sq(coeffs[:, 1:6])
-    h1_h1_sq = gradient_error_sq(coeffs[:, 7:12])
-    return math.sqrt(h2_sq), math.sqrt(h1_h1_sq), math.sqrt(h1_h2_sq)
+    d = data.hess_mean - p2[:, 3:6] * inv_h[:, None]
+    h2_sq = data.hess_residual + dot(g.area, d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2)
+    return math.sqrt(h2_sq), math.sqrt(gradient_error_sq(p1[:, 1:6])), math.sqrt(gradient_error_sq(p2[:, 1:6]))
 
 
 def _cell_energy(forms, local):
@@ -325,13 +295,14 @@ def energy_error(data, solution):
     values = np.asarray(solution.values, dtype=float)
     proj = _projection_errors(data, values)
     delta = data.exact_dofs - values
-    local = delta[data.dofs]
-    h2_sq = _cell_energy(data.a, local) + _penalty_energy(data, delta)
-    h1_sq = _cell_energy(data.b, local)
+    forms = data.cell_forms
+    local = delta[forms.elements.dofs]
+    h2_sq = _cell_energy(forms.a, local) + _penalty_energy(data, delta)
+    h1_sq = _cell_energy(forms.b, local)
     return ErrorRecord(
         eps=eps,
-        n_cells=data.n_cells,
-        h_max=data.h_max,
+        n_cells=len(local),
+        h_max=float(forms.elements.geometry.diameter.max()),
         e_total=math.sqrt(eps**2 * h2_sq + h1_sq),
         h2_part=math.sqrt(h2_sq),
         h1_part=math.sqrt(h1_sq),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
-from ipvem import basis
+from ipvem import basis, mesh
 from ipvem.basis import SIMPSON, fan_quadrature, monomial_exponents, monomial_integrals, monomials, triangle_quadrature
 from ipvem.projectors import _DX, _DY
 
@@ -27,6 +27,12 @@ def fan_moments(stack, degree, order):
     """Fan-rule integrals of every scaled monomial on a one-cell stack."""
     rule = fan_quadrature(stack, order)
     return rule.cell_moments(np.ones(len(rule.weights)), degree)[0]
+
+
+def fan_test_geometry(request, mesh_name):
+    """The stacked geometry of the CVT-32 fixture or of a 3 x 3 uniform mesh."""
+    m = request.getfixturevalue("cvt32") if mesh_name == "cvt32" else mesh.generate_uniform_squares(3)
+    return m.stacked_geometry
 
 
 class TestDot:
@@ -221,10 +227,39 @@ class TestFanQuadrature:
 
     def test_points_belong_to_their_cells(self, cvt32):
         rule = fan_quadrature(cvt32.stacked_geometry, 8)
-        areas = np.bincount(rule.cell, weights=rule.weights, minlength=cvt32.n_cells)
+        cell = np.repeat(np.arange(cvt32.n_cells), rule.counts)
+        areas = np.bincount(cell, weights=rule.weights, minlength=cvt32.n_cells)
         assert np.allclose(areas, cvt32.stacked_geometry.area, rtol=1e-13)
-        centroids = np.column_stack([np.bincount(rule.cell, weights=rule.weights * x) for x in rule.points.T])
+        centroids = np.column_stack([np.bincount(cell, weights=rule.weights * x) for x in rule.points.T])
         assert np.allclose(centroids / areas[:, None], cvt32.stacked_geometry.centroid, rtol=1e-12)
+
+    @pytest.mark.parametrize("mesh_name", ["cvt32", "uniform3"])
+    def test_counts_and_starts_partition_the_points(self, request, mesh_name):
+        g = fan_test_geometry(request, mesh_name)
+        rule = fan_quadrature(g, 8)
+        assert np.array_equal(rule.counts, g.valence * len(triangle_quadrature(8)[1]))
+        assert rule.starts[0] == 0 and np.array_equal(rule.starts[1:], np.cumsum(rule.counts)[:-1])
+        assert rule.starts[-1] + rule.counts[-1] == len(rule.weights) == len(rule.xi) == len(rule.points)
+
+    @pytest.mark.parametrize("mesh_name", ["cvt32", "uniform3"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_cell_moments_match_a_per_cell_loop(self, request, mesh_name, degree):
+        # each cell's sum taken over the points of its own fan rule, one
+        # point and one monomial at a time
+        g = fan_test_geometry(request, mesh_name)
+
+        def f(x, y):
+            return np.exp(x) * np.cos(2.0 * y) + x * y
+
+        rule = fan_quadrature(g, 8)
+        got = rule.cell_moments(f(*rule.points.T), degree)
+        expected = np.zeros_like(got)
+        for c in range(len(g.area)):
+            for (x, y), w in zip(*polygon_rule(g, c, 8)):
+                xi, eta = (x - g.centroid[c, 0]) / g.diameter[c], (y - g.centroid[c, 1]) / g.diameter[c]
+                for k, (p, q) in enumerate(monomial_exponents(degree)):
+                    expected[c, k] += w * f(x, y) * xi**p * eta**q
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestPolyCoeffs:

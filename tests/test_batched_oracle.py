@@ -237,10 +237,10 @@ class TestBatchedKernelsMatchPerCellOracle:
         m, d, oracle = case
         data, parts = d.error_data, oracle["parts"]
         x = np.random.default_rng(5).standard_normal(d.dof_map.n_dofs)
-        local = x[data.dofs]
+        local = x[d.elements.dofs]
         for got, matrix in (
-            (verify._cell_energy(data.a, local), parts["a_only"]),
-            (verify._cell_energy(data.b, local), parts["grad"]),
+            (verify._cell_energy(data.cell_forms.a, local), parts["a_only"]),
+            (verify._cell_energy(data.cell_forms.b, local), parts["grad"]),
             (verify._penalty_energy(data, x), parts["j1"]),
         ):
             assert got == pytest.approx(x @ (matrix @ x), rel=TOL, abs=0.0)

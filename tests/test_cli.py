@@ -132,6 +132,31 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sizes", ""], "sizes must be comma-separated integers"),
+            (["--out-dir", ""], "out_dir must be a non-empty string"),
+        ],
+        ids=["empty-sizes", "empty-out-dir"],
+    )
+    def test_empty_study_flag_exits_bad_config(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        monkeypatch.setattr(mesh, "generate_uniform_squares", lambda n: built.append(n))
+        argv = ["study", "--mesh-kind", "uniform", "--eps", "1", "--sizes", "2", "--out-dir", "out", *argv]
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert built == [] and not list(tmp_path.iterdir())
+
+    def test_empty_out_dir_in_a_config_file_is_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mesh_kind": "uniform", "sizes": [2], "out_dir": ""}))
+        with pytest.raises(ConfigError, match="out_dir must be a non-empty string"):
+            load_config(str(path))
+
     def test_malformed_sizes_flag_exits_bad_config(self, tmp_path, capsys):
         assert main(["study", "--sizes", "32,abc", "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
@@ -389,14 +414,24 @@ class TestMain:
         m = mesh.import_mesh(out.read_text())
         assert m.n_cells == 16
 
+    def test_genmesh_uniform_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "mesh.txt"
+        assert main(["genmesh", "--kind", "uniform", "--cells", "16", "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"wrote {out}: 16 cells")
+        m = mesh.import_mesh(out.read_text())
+        assert (m.n_cells, m.n_vertices) == (16, 25)
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["--cells", "8", "--lloyd-iters", "-3"], "lloyd_iters"),
             (["--cells", "1"], "two generators"),
             (["--kind", "uniform", "--cells", "0"], "at least one cell"),
+            (["--kind", "uniform", "--cells", "2"], "square number of cells, got 2"),
+            (["--kind", "uniform", "--cells", "3"], "square number of cells, got 3"),
+            (["--kind", "uniform", "--cells", "10"], "square number of cells, got 10"),
         ],
-        ids=["negative-lloyd-iters", "one-cvt-cell", "zero-uniform-cells"],
+        ids=["negative-lloyd-iters", "one-cvt-cell", "zero-uniform-cells", "uniform-2", "uniform-3", "uniform-10"],
     )
     def test_genmesh_bad_input_exits_bad_config(self, tmp_path, capsys, argv, message):
         out = tmp_path / "mesh.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,14 @@ class TestEnergyError:
         fine = oracle_projection_errors(cvt32, d.elements, sol.values, msol, 2 * QUAD_ORDER)
         assert (rec.proj_h2, rec.proj_h1, rec.proj_h1_via_h2) == pytest.approx(fine, rel=1e-8)
 
+    def test_error_data_keeps_only_what_it_computes(self, cvt32):
+        # everything else is read from the set-up's own cell forms, not copied
+        d = cli.discretize(cvt32, example_solution(1))
+        assert [f.name for f in dataclasses.fields(verify.ErrorData)] == [
+            "grad_fit", "hess_mean", "grad_residual", "hess_residual", "exact_dofs", "cell_forms", "jump", "weights"
+        ]
+        assert d.error_data.cell_forms.elements is d.elements
+
     def test_eps_zero_gives_pure_gradient_error(self, cvt32):
         d, sol = solve_case(cvt32, 1e-3, example_solution(2))
         sol.eps = 0.0
@@ -261,7 +270,8 @@ def pointwise_projection_errors(d, msol, values):
     polynomials evaluated there against the exact partials."""
     rule, elements = d.elements.fan_rule, d.elements
     exact = msol.at(*rule.points.T)
-    w, cell, xi, eta = rule.weights, rule.cell, rule.xi, rule.eta
+    w, xi, eta = rule.weights, rule.xi, rule.eta
+    cell = np.repeat(np.arange(len(rule.counts)), rule.counts)
     inv_h = 1.0 / elements.geometry.diameter
     projectors = np.concatenate([elements.h2_coeff, elements.h1_coeff], axis=1)
     coeffs = np.einsum("ckn,cn->ck", projectors, values[elements.dofs])
