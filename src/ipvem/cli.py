@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -71,6 +72,8 @@ class StudyConfig:
             raise ConfigError(f"penalty constant must be a number, got {self.penalty_a!r}")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
+        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise ConfigError(f"out_dir {self.out_dir!r} exists and is not a directory")
         if not self.eps:
             raise ConfigError("eps list must not be empty")
         for e in self.eps:
@@ -171,9 +174,9 @@ class Discretization:
 
 def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
-    solution ``msol``, timing each stage.  The loads and the error data
-    share the exact partials at the elements' fan quadrature points; the band
-    factor at ``first_eps``, if given, runs beside them (``BandFactor.begin``)."""
+    solution ``msol``, timing each stage.  The loads and the error data share
+    the exact partials at the elements' fan quadrature points; the band factor
+    at ``first_eps``, if given, runs beside them and the error data's J."""
     clock = _StageClock()
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
@@ -320,8 +323,6 @@ def _report_record(rec):
 
 def write_outputs(output, out_dir=None):
     """Write the CSV table and the JSON report; returns their paths."""
-    import os
-
     out_dir = out_dir or output.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "study.csv")

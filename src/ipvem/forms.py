@@ -1,19 +1,18 @@
-"""Element-local discrete bilinear forms and the edge-trace operators of the
+"""Element-local discrete bilinear forms and the edge-trace terms of the
 interior penalty, for every element and edge at once.
 
 The Hessian-energy form pairs the consistency part through the h2 projector
 with a DoF-difference stabilization scaled by 1/h_K^2; the gradient form has
 the same structure with a dimensionless stabilization.  The edge terms come
-from two sparse operators on the global DoFs: the jump J of the normal
-derivative of the h1 projections, one row per edge and Simpson point (tail,
-midpoint, head), and the average A of their constant second normal
-derivatives, one row per edge.  A trace is linear along an edge at k = 2,
-so Simpson sums are exact: the penalty form is J^T diag(lam_e SIMPSON) J
-and the consistency pair j2 + j2^T has j2 = -A^T diag(h_e) S J, where S sums
-each edge's three rows with the Simpson weights.  Each form is exactly
-symmetric as made.  The stacked :class:`CellForms` and :class:`EdgeTraces`
-are the only interface to the assembly: an element's forms are its rows, an
-edge's terms its rows of J and A.
+from the traces of each side (a local edge of one element): the normal
+derivative of its h1 projections at the edge's tail, midpoint and head, and
+its constant second normal derivative.  A trace is linear along an edge at
+k = 2, so Simpson sums are exact: with the jump J (one row per edge and
+Simpson point) and average A (one row per edge) of the traces, the penalty
+form is J^T diag(lam_e SIMPSON) J and the consistency pair j2 + j2^T has
+j2 = -A^T diag(h_e) S J, S summing each edge's rows with the Simpson
+weights.  Both are sums of products of the sides' rows; J itself is built
+only for the energy norm.  Each form is exactly symmetric as made.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import ORDER, SIMPSON
-from .mesh import BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -88,45 +86,24 @@ def penalty_parameter(h_e, triangle_areas, config, k=ORDER):
     return scale / 4.0 * (1.0 / areas[0] + 1.0 / areas[-1])
 
 
-def _trace_operators(mesh, elements):
-    """Sparse jump and average operators of every edge, of shape (3 E, n)
-    and (E, n) on the n global DoFs, from each side (a local edge of one
-    element) of the edges.
-
-    Jump means left trace minus right trace and the average is the
-    arithmetic mean, both with the left cell's outward normal; on boundary
-    edges both reduce to the single trace.  The right cell's own normal is
-    the opposite one, so its trace enters with a plus sign, and it walks the
-    edge head to tail, so its points are reversed.  The polynomial c has the
-    second normal derivative 2 (nx^2 c3 + nx ny c4 + ny^2 c5) / h^2.
-    """
-    g = elements.geometry
-    shape = (mesh.n_edges, mesh.n_vertices + mesh.n_edges + mesh.n_cells)
-    c, j = np.nonzero(g.valid)
-    # one entry per side and own DoF column
-    side, col = np.nonzero(elements.dof_mask[c])
-    cs, js = c[side], j[side]
-    rs, cols = g.edge_ids[cs, js], elements.dofs[cs, col]
-    point = np.where(g.left[cs, js][:, None], [0, 1, 2], [2, 1, 0])
-    jump_values = elements.edge_normal_trace[cs, js, :, col].ravel()
-    jump = sp.csr_matrix(
-        (jump_values, ((3 * rs[:, None] + point).ravel(), np.repeat(cols, 3))), shape=(3 * shape[0], shape[1])
-    )
-    P = elements.h1_coeff[cs, :, col]
-    nx, ny = g.normals[cs, js, 0], g.normals[cs, js, 1]
-    second = 2.0 * (nx * nx * P[:, 3] + nx * ny * P[:, 4] + ny * ny * P[:, 5]) / g.diameter[cs] ** 2
-    second = np.where(mesh.edge_cells[rs, 1] != BOUNDARY, 0.5, 1.0) * second
-    return jump, sp.csr_matrix((second, (rs, cols)), shape=shape)
+def side_matrix(data, kept, columns, n):
+    """The rows ``data`` (S, r, N) of S sides as a CSR matrix of S r rows on
+    ``n`` columns, each side's in its ``columns`` (S, N) where ``kept``."""
+    kept = np.broadcast_to(kept[:, None], data.shape)
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=2))])
+    columns = np.broadcast_to(columns[:, None], data.shape)[kept]
+    return sp.csr_matrix((data[kept], columns, indptr), shape=(len(indptr) - 1, n))
 
 
 @dataclass(eq=False)
 class EdgeTraces:
-    """The edge-trace operators J (rows 3e + k: edge e at its tail, midpoint
-    and head) and A (row e) of one mesh on its global DoFs, with each edge's
-    penalty ``lam`` and length ``h``."""
+    """The edge-trace terms of one mesh: the stacked ``elements`` whose sides
+    carry the traces, each edge's left and right side (``sides``, the flat
+    index c P + j of the stacked geometry; a boundary edge's right side is
+    its left one), and each edge's penalty ``lam`` and length ``h``."""
 
-    jump: sp.csr_matrix         # (3 E, n_dofs)
-    average: sp.csr_matrix      # (E, n_dofs)
+    elements: object
+    sides: np.ndarray           # (2, E)
     lam: np.ndarray             # (E,)
     h: np.ndarray               # (E,)
 
@@ -136,18 +113,39 @@ class EdgeTraces:
         that the penalty energy of x is sum(weights * (J x)^2)."""
         return np.repeat(self.lam, 3) * np.tile(SIMPSON, len(self.lam))
 
-    def coupling(self, columns):
-        """The edge terms of the operator on the DoF columns ``columns`` (an
-        index array), in one exactly symmetric matrix: the penalty form K^T K
-        with K = diag(sqrt(weights)) J, plus the consistency pair j2 + j2^T
-        with j2 = -A^T diag(h_e) S J, where S sums each edge's three rows with
-        the Simpson weights.  Mirrored entries sum the same products in the
-        same order."""
-        jump, average = self.jump[:, columns], self.average[:, columns]
-        simpson = sp.kron(sp.identity(len(self.lam)), SIMPSON[None, :], format="csr")
-        k = sp.diags(np.sqrt(self.weights)) @ jump
-        j2 = -(average.T @ (sp.diags(self.h) @ (simpson @ jump)))
-        return k.T @ k + (j2 + j2.T)
+    @functools.cached_property
+    def jump(self):
+        """The jump operator J, (3 E, n_dofs): row 3e + k is edge e's left
+        minus right trace at its tail, midpoint and head (k = 0, 1, 2) with
+        the left cell's normal, so the right trace, of the opposite normal,
+        enters reversed with a plus sign; a boundary edge has one trace."""
+        elements, (left, right) = self.elements, self.sides
+        C, P, _, N = elements.edge_normal_trace.shape
+        trace, n = elements.edge_normal_trace.reshape(C * P, 3, N), elements.dofs.max() + 1
+        mask, dofs = elements.dof_mask[self.sides // P], elements.dofs[self.sides // P]
+        jump = side_matrix(trace[left], mask[0], dofs[0], n)
+        jump = jump + side_matrix(trace[right][:, ::-1], mask[1] & (left != right)[:, None], dofs[1], n)
+        jump.sort_indices()
+        return jump
+
+    def side_rows(self):
+        """(C, P, 5, N) every side's rows on its cell's DoF columns: its trace
+        at its own k-th point times sqrt(lam_e SIMPSON[k]) (k = 0, 1, 2), its
+        share of A (its second normal derivative 2 (nx^2 c3 + nx ny c4 +
+        ny^2 c5) / h^2, halved on an interior edge) and h_e times the Simpson
+        sum of its trace; padded sides are zero."""
+        g, trace, P = self.elements.geometry, self.elements.edge_normal_trace, self.elements.h1_coeff
+        per_side = np.zeros((3, trace.shape[0] * trace.shape[1]))  # lam, h and 2 x the share
+        for side in self.sides:
+            per_side[:, side] = self.lam, self.h, np.where(np.not_equal(*self.sides), 1.0, 2.0)
+        lam, h, share = per_side.reshape(3, *trace.shape[:2], 1)
+        nx, ny = g.normals[..., 0, None], g.normals[..., 1, None]
+        second = nx * nx * P[:, None, 3] + nx * ny * P[:, None, 4] + ny * ny * P[:, None, 5]
+        rows = np.empty(trace.shape[:2] + (5,) + trace.shape[3:])
+        rows[:, :, :3] = np.sqrt(lam * SIMPSON)[..., None] * trace
+        rows[:, :, 3] = share * (second / g.diameter[:, None, None] ** 2)
+        rows[:, :, 4] = h * np.einsum("k,cpkn->cpn", SIMPSON, trace)
+        return rows
 
 
 def build_edge_stencils(mesh, elements, penalty_a=2.0):
@@ -158,9 +156,8 @@ def build_edge_stencils(mesh, elements, penalty_a=2.0):
     config = PenaltyConfig(a=penalty_a, n_k=int(g.valence.max()))
     # every edge is the local edge of exactly one left side
     left, right = g.left, g.valid & ~g.left
-    h, areas = np.empty(mesh.n_edges), np.empty((2, mesh.n_edges))
-    h[g.edge_ids[left]] = g.edge_lengths[left]
-    areas[:, g.edge_ids[left]] = np.abs(g.fan_areas[left])
-    areas[1, g.edge_ids[right]] = np.abs(g.fan_areas[right])
-    lam = penalty_parameter(h, areas, config)
-    return EdgeTraces(*_trace_operators(mesh, elements), lam, h)
+    sides = np.empty((2, mesh.n_edges), dtype=np.intp)
+    sides[:, g.edge_ids[left]] = np.flatnonzero(left)
+    sides[1, g.edge_ids[right]] = np.flatnonzero(right)
+    h = g.edge_lengths.ravel()[sides[0]]
+    return EdgeTraces(elements, sides, penalty_parameter(h, np.abs(g.fan_areas.ravel()[sides]), config), h)

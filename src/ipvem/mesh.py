@@ -367,10 +367,10 @@ class _LloydTriangulation:
         if counts.min() < 3:
             raise MeshGenerationError("Voronoi cell with fewer than 3 corners")
         rel = xy - points[owner]
-        # corners sort by (owner, angle) as one integer key of owner and angle rank
+        # corners sort by (owner, angle rank) as one intp key: int32 owners would wrap from ~19 000 cells
         rank = np.empty(len(xy), dtype=np.intp)
         rank[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))] = np.arange(len(xy))
-        order = np.argsort(owner * len(xy) + rank)
+        order = np.argsort(owner.astype(np.intp) * len(xy) + rank)
         return xy[order], np.concatenate([[0], np.cumsum(counts)])
 
     def _points(self, points):

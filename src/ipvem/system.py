@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.linalg import cython_lapack, lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from . import forms
 from .basis import dot
 
 
@@ -82,35 +83,56 @@ class DiscreteSolution:
 
 
 def build_operator_parts(dof_map, cell_forms, traces):
-    """The :class:`FreeParts` of the operator, assembled on the free DoFs in
-    one scatter: the sorted keys row * n + column of every cell's (row,
-    column) pairs of free DoFs are merged into those of the edge coupling
-    (``traces.coupling``), with one ``np.bincount`` per part, so the Hessian
-    part ``hess`` (the a-form plus the edge coupling, the part multiplied by
-    eps^2) and ``grad`` (the b-form) are CSR matrices of one pattern.  Every
-    term is exactly symmetric and mirrored entries sum their cell terms, then
-    their edge term, in the same order, so both parts are exactly symmetric."""
+    """The :class:`FreeParts` of the operator on the free DoFs, in one
+    scatter: the sorted keys row * n + column of every cell's pairs of free
+    DoFs are merged into those of the cross edge terms (:func:`_edge_terms`),
+    with one ``np.bincount`` per part.  ``hess`` (the a-form, a copy of whose
+    blocks holds the own-side edge terms, plus the cross terms) and ``grad``
+    (the b-form) share one pattern.  Every term is exactly symmetric and
+    mirrored entries sum the same terms in the same order, so both are too."""
     elements = cell_forms.elements
     keep = elements.dof_mask & dof_map.free[elements.dofs]
     pair = keep[:, :, None] & keep[:, None, :]
     if cell_forms.a.shape != pair.shape or cell_forms.b.shape != pair.shape:
         raise ValueError("cell forms do not match the elements' DoF layout")
-    free = np.flatnonzero(dof_map.free)
-    n = len(free)
+    n = int(np.count_nonzero(dof_map.free))
     local = (np.cumsum(dof_map.free, dtype=np.int64) - 1)[elements.dofs]  # the column of each free DoF
-    edges = traces.coupling(free).tocsr()
-    edges.sum_duplicates()
+    own, edges = _edge_terms(traces, keep, local, n)
     # int64 keys: with scipy's int32 indices, row * n wraps above 46341 free DoFs
-    edge_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(edges.indptr)) + edges.indices
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(edges.indptr)) + edges.indices
     cell_keys, index = np.unique((local[:, :, None] * n + local[:, None, :])[pair], return_inverse=True)
-    at = np.searchsorted(edge_keys, cell_keys)
-    new = np.searchsorted(edge_keys, cell_keys, side="right") == at  # keys the coupling lacks
-    slots = np.insert(edge_keys, at[new], cell_keys[new])
+    at = np.searchsorted(keys, cell_keys)
+    new = np.append(keys, -1)[at] != cell_keys  # keys the edge terms lack
+    keys = np.insert(keys, at[new], cell_keys[new])  # every entry's key
     index = (at + np.cumsum(new) - new)[index]  # each cell term's slot
-    hess = np.bincount(index, weights=cell_forms.a[pair], minlength=len(slots)) + np.insert(edges.data, at[new], 0.0)
-    hess = sp.csr_matrix((hess, slots % n, np.searchsorted(slots, np.arange(n + 1) * n)), shape=(n, n))
-    grad = np.bincount(index, weights=cell_forms.b[pair], minlength=len(slots))
+    own += cell_forms.a
+    hess = np.insert(edges.data, at[new], 0.0)
+    hess += np.bincount(index, weights=own[pair], minlength=len(keys))
+    hess = sp.csr_matrix((hess, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+    grad = np.bincount(index, weights=cell_forms.b[pair], minlength=len(keys))
+    del own, edges, keys, index  # before the band layout's own transient
     return restrict(hess, _with_data(hess, grad), dof_map)
+
+
+def _edge_terms(traces, keep, local, n):
+    """The edge terms split by side: (C, N, N) own-side blocks and the cross
+    terms, canonical CSR on the ``n`` free DoFs (columns ``local`` where ``keep``).
+    With a side's rows Q = [K; a; s] (``traces.side_rows``) and
+    Q' = [K; -s; -a], a cell's block is the symmetrized Q^T Q' over its
+    sides, one batched product; the cross terms are Z + Z^T, Z = Q_L^T Q'_R
+    over the interior edges, the right side's K rows reversed."""
+    rows = traces.side_rows()
+    C, P, _, N = rows.shape
+    mirror = rows[:, :, [0, 1, 2, 4, 3]]
+    mirror[:, :, 3:] *= -1.0
+    own = np.swapaxes(rows.reshape(C, 5 * P, N), 1, 2) @ mirror.reshape(C, 5 * P, N)
+    own = 0.5 * (own + np.swapaxes(own, 1, 2))
+    left, right = traces.sides[:, np.not_equal(*traces.sides)]  # the interior edges' sides
+    q_left = forms.side_matrix(rows.reshape(C * P, 5, N)[left], keep[left // P], local[left // P], n)
+    right_rows = mirror.reshape(C * P, 5, N)[right][:, [2, 1, 0, 3, 4]]
+    q_right = forms.side_matrix(right_rows, keep[right // P], local[right // P], n)
+    z = (q_left.T @ q_right).tocsr()
+    return own, z + z.T
 
 
 def load_vector(elements, f):

@@ -207,8 +207,8 @@ class ErrorData:
 
 def build_error_data(mesh, cell_forms, traces, msol, exact):
     """Error data of one mesh, built once and shared by every eps, from its
-    :class:`~ipvem.forms.CellForms` and :class:`~ipvem.forms.EdgeTraces`;
-    ``exact`` is ``msol.at`` of the fan-rule points."""
+    :class:`~ipvem.forms.CellForms` and :class:`~ipvem.forms.EdgeTraces`, whose
+    J is built last, here; ``exact`` is ``msol.at`` of the fan-rule points."""
     elements, rule = cell_forms.elements, cell_forms.elements.fan_rule
     w, xi, eta, counts = rule.weights, rule.xi, rule.eta, rule.counts
     # the rule is exact at degree 2: the Gram matrices of 1, xi, eta are the

@@ -1,4 +1,3 @@
-import dataclasses
 import types
 
 import numpy as np
@@ -7,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from ipvem import forms, mesh, projectors, system
-from ipvem.basis import monomial_exponents, monomials, triangle_quadrature
+from ipvem.basis import SIMPSON, monomial_exponents, monomials, triangle_quadrature
 
 CVT_SEED = 7
 CVT_LLOYD = 100
@@ -135,24 +134,75 @@ def dofs_of_polynomial(g, c, coeffs):
 def operator_parts(d):
     """Test-local full-size operator parts of a discretization, the boundary
     DoFs included, each entry summed in the order the assembly sums it on the
-    free DoFs: the cell blocks and the edge coupling on all columns scattered
-    through one sorted key set, with one bincount per part: ``hess`` is the
-    a-form plus the edge coupling and ``grad`` the b-form."""
+    free DoFs: the cell blocks (the a-form plus the own-side edge terms) and
+    the cross edge terms on all columns, scattered through one sorted key set
+    with one bincount per part: ``hess`` is the a-form plus the edge terms and
+    ``grad`` the b-form."""
     cell_forms = forms.build_local_forms(d.elements)
     traces = forms.build_edge_stencils(d.mesh, d.elements)
     mask, dofs, n = d.elements.dof_mask, d.elements.dofs.astype(np.int64), d.dof_map.n_dofs
     pair = mask[:, :, None] & mask[:, None, :]
-    edges = traces.coupling(np.arange(n)).tocoo()
+    own, edges = system._edge_terms(traces, mask, dofs, n)
+    edges = edges.tocoo()
     keys = (dofs[:, :, None] * n + dofs[:, None, :])[pair]
     slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
     indptr = np.searchsorted(slots, np.arange(n + 1) * n)
-    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]), minlength=len(slots))
+    a = (cell_forms.a + own)[pair]
+    hess = np.bincount(index, weights=np.concatenate([a, edges.data]), minlength=len(slots))
     grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
 
     def matrix(data):
         return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
 
     return types.SimpleNamespace(hess=matrix(hess), grad=matrix(grad))
+
+
+def reference_operators(traces):
+    """Test-local reference (J, A) of ``traces``: the jump operator (3 E, n)
+    and the average operator (E, n) on the n global DoFs, as sparse matrices
+    built from each side (a local edge of one element) of the edges.
+
+    Jump means left trace minus right trace and the average is the
+    arithmetic mean, both with the left cell's outward normal; on boundary
+    edges both reduce to the single trace.  The right cell's own normal is
+    the opposite one, so its trace enters with a plus sign, and it walks the
+    edge head to tail, so its points are reversed.  The polynomial c has the
+    second normal derivative 2 (nx^2 c3 + nx ny c4 + ny^2 c5) / h^2.
+    """
+    elements = traces.elements
+    g = elements.geometry
+    shape = (len(traces.lam), elements.dofs.max() + 1)
+    interior = np.zeros(shape[0], dtype=bool)
+    interior[g.edge_ids[g.valid & ~g.left]] = True
+    c, j = np.nonzero(g.valid)
+    # one entry per side and own DoF column
+    side, col = np.nonzero(elements.dof_mask[c])
+    cs, js = c[side], j[side]
+    rs, cols = g.edge_ids[cs, js], elements.dofs[cs, col]
+    point = np.where(g.left[cs, js][:, None], [0, 1, 2], [2, 1, 0])
+    jump_values = elements.edge_normal_trace[cs, js, :, col].ravel()
+    jump = sp.csr_matrix(
+        (jump_values, ((3 * rs[:, None] + point).ravel(), np.repeat(cols, 3))), shape=(3 * shape[0], shape[1])
+    )
+    P = elements.h1_coeff[cs, :, col]
+    nx, ny = g.normals[cs, js, 0], g.normals[cs, js, 1]
+    second = 2.0 * (nx * nx * P[:, 3] + nx * ny * P[:, 4] + ny * ny * P[:, 5]) / g.diameter[cs] ** 2
+    second = np.where(interior[rs], 0.5, 1.0) * second
+    return jump, sp.csr_matrix((second, (rs, cols)), shape=shape)
+
+
+def reference_coupling(jump, average, lam, h):
+    """Test-local reference of the edge terms of the jump and average
+    operators ``jump`` (rows 3e + k) and ``average`` (row e) with the
+    penalties ``lam`` and lengths ``h``, by sparse products, in one exactly
+    symmetric matrix: the penalty form K^T K with
+    K = diag(sqrt(lam_e SIMPSON[k])) J, plus the consistency pair j2 + j2^T
+    with j2 = -A^T diag(h_e) S J, where S sums each edge's three rows with
+    the Simpson weights."""
+    simpson = sp.kron(sp.identity(len(lam)), SIMPSON[None, :], format="csr")
+    k = sp.diags(np.sqrt(np.repeat(lam, 3) * np.tile(SIMPSON, len(lam)))) @ jump
+    j2 = -(average.T @ (sp.diags(h) @ (simpson @ jump)))
+    return k.T @ k + (j2 + j2.T)
 
 
 def loops(m, per_corner=None):
@@ -177,15 +227,14 @@ def cell_dofs(m, c):
 
 def edge_coupling(traces, e, lam=None):
     """Dense (j1, j1 + j2 + j2^T) of edge ``e`` alone on the global DoFs,
-    from its rows of the stacked edge-trace operators; ``lam`` overrides its
-    penalty.  The penalty form j1 = J^T diag(weights) J is formed here, the
-    whole block by ``EdgeTraces.coupling``."""
+    from its rows of the reference operators (:func:`reference_operators`);
+    ``lam`` overrides its penalty.  The penalty form j1 = J^T diag(weights) J
+    is formed here, the whole block by :func:`reference_coupling`."""
     lam = traces.lam[[e]] if lam is None else np.array([lam], dtype=float)
-    edge = dataclasses.replace(
-        traces, jump=traces.jump[3 * e : 3 * e + 3], average=traces.average[[e]], lam=lam, h=traces.h[[e]]
-    )
-    jump = edge.jump.toarray()
-    return jump.T @ (edge.weights[:, None] * jump), edge.coupling(np.arange(jump.shape[1])).toarray()
+    jump, average = reference_operators(traces)
+    jump, average = jump[3 * e : 3 * e + 3], average[[e]]
+    dense, weights = jump.toarray(), np.repeat(lam, 3) * SIMPSON
+    return dense.T @ (weights[:, None] * dense), reference_coupling(jump, average, lam, traces.h[[e]]).toarray()
 
 
 def is_positive_definite(system):

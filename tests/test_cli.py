@@ -151,6 +151,19 @@ class TestConfigValidation:
         assert len(err.strip().splitlines()) == 1
         assert built == [] and not list(tmp_path.iterdir())
 
+    def test_out_dir_naming_a_file_exits_bad_config(self, tmp_path, capsys, monkeypatch):
+        # checked with the config: no mesh is built and nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        built = []
+        monkeypatch.setattr(mesh, "generate_uniform_squares", lambda n: built.append(n))
+        argv = ["study", "--mesh-kind", "uniform", "--eps", "1", "--sizes", "2,4", "--out-dir", "afile"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "exists and is not a directory" in err
+        assert len(err.strip().splitlines()) == 1
+        assert built == [] and (tmp_path / "afile").read_text() == ""
+
     def test_empty_out_dir_in_a_config_file_is_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mesh_kind": "uniform", "sizes": [2], "out_dir": ""}))

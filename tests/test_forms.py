@@ -7,7 +7,7 @@ from ipvem.forms import PenaltyConfig, build_edge_stencils, build_local_forms, p
 from ipvem.mesh import BOUNDARY
 from ipvem.projectors import build_elements
 
-from conftest import basis_at, derivatives, edge_coupling, local_edge, polygon_rule
+from conftest import basis_at, derivatives, edge_coupling, local_edge, polygon_rule, reference_operators
 
 
 def two_squares():
@@ -234,7 +234,9 @@ class TestEdgeStencil:
     def test_build_edge_stencils_counts(self, cvt32, cvt32_elements):
         traces = build_edge_stencils(cvt32, cvt32_elements, penalty_a=2.0)
         n_edges, n = cvt32.n_edges, system.number_dofs(cvt32).n_dofs
-        assert traces.jump.shape == (3 * n_edges, n) and traces.average.shape == (n_edges, n)
+        jump, average = reference_operators(traces)
+        assert traces.jump.shape == (3 * n_edges, n) and average.shape == (n_edges, n)
+        assert (traces.jump != jump).nnz == 0
         assert traces.lam.shape == traces.h.shape == (n_edges,) and np.all(traces.lam > 0.0)
         # each edge couples the DoFs of its own cells only
         for e in range(n_edges):

@@ -411,6 +411,24 @@ class TestRepairedLloydStep:
         assert tri.qhull_calls[-1] == 0 and len(tri.src) >= n_points + crossers
         assert_same_corner_sets(repaired, mesh._voronoi_cells_unit_square(points), 1e-12)
 
+    def test_corner_order_with_int32_owners_past_the_int32_key_range(self, monkeypatch):
+        # qhull's owners are int32: with n = 20000 cells of six corners each,
+        # owner * len(xy) passes 2^31, and the (owner, angle) key must not wrap
+        n, m = 20000, 6
+        points = np.random.default_rng(4).uniform(0.1, 0.9, size=(n, 2))
+        shuffle = np.random.default_rng(5).permutation(n * m)
+        angles = np.tile(np.arange(m) * 2.0 * np.pi / m - 3.0, n)[shuffle]
+        owner = np.repeat(np.arange(n, dtype=np.int32), m)[shuffle]
+        xy = points[owner] + 1e-5 * np.column_stack([np.cos(angles), np.sin(angles)])
+        assert int(owner.max()) * len(xy) > 2**31
+        tri = mesh._LloydTriangulation(n)
+        monkeypatch.setattr(tri, "_rebuild", lambda pts: (xy, owner))
+        corners, offsets = tri.cells(points)
+        assert np.array_equal(offsets, np.arange(n + 1) * m)
+        rel = (corners - np.repeat(points, m, axis=0)).reshape(n, m, 2)
+        assert np.allclose(np.hypot(rel[..., 0], rel[..., 1]), 1e-5)  # each cell's own corners
+        assert np.all(np.diff(np.arctan2(rel[..., 1], rel[..., 0]), axis=1) > 0.0)  # by angle
+
     @pytest.mark.parametrize("seed", [3, 7, 21])
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     def test_generate_cvt_matches_plain_qhull_steps(self, seed, n):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from ipvem import cli, forms, mesh, projectors, system, verify
 from ipvem.system import BandFactor, SolveError, SparseSystem, number_dofs, solve
 
-from conftest import is_positive_definite, operator_parts
+from conftest import is_positive_definite, operator_parts, reference_coupling, reference_operators
 
 # u = 0: zero forcing
 ZERO = verify.ManufacturedSolution("zero", lambda i, j, x, y: np.zeros_like(np.asarray(x, dtype=float)))
@@ -89,7 +89,7 @@ class TestAssemble:
         d = cli.discretize(m, ZERO)
         lf = forms.build_local_forms(d.elements)
         traces = forms.build_edge_stencils(m, d.elements)
-        zeroed = dataclasses.replace(traces, jump=0.0 * traces.jump, average=0.0 * traces.average)
+        zeroed = dataclasses.replace(traces, lam=0.0 * traces.lam, h=0.0 * traces.h)
         sys_zero = system.combine(system.build_operator_parts(d.dof_map, lf, zeroed), d.rhs2, 0.0)
         b_full = np.zeros((d.dof_map.n_dofs, d.dof_map.n_dofs))
         for cid, n in enumerate(d.elements.n_dofs):
@@ -186,19 +186,13 @@ class TestSolve:
         eps = 1e-2
         d = cli.discretize(cvt32, verify.example_solution(1))
         sol_a = d.solve(eps)
-        # permute the edge order of the edge-trace operators (cells are
-        # keyed by id, edges are not)
+        # permute the edge order of the edge-trace data (cells are keyed by
+        # id, edges are not)
         lf = forms.build_local_forms(d.elements)
         traces = forms.build_edge_stencils(cvt32, d.elements)
         rng = np.random.default_rng(3)
         order = rng.permutation(len(traces.lam))
-        permuted = dataclasses.replace(
-            traces,
-            jump=traces.jump[(3 * order[:, None] + np.arange(3)).ravel()],
-            average=traces.average[order],
-            lam=traces.lam[order],
-            h=traces.h[order],
-        )
+        permuted = dataclasses.replace(traces, sides=traces.sides[:, order], lam=traces.lam[order], h=traces.h[order])
         parts = system.build_operator_parts(d.dof_map, lf, permuted)
         sol_b = solve(system.combine(parts, eps**2 * d.rhs4 + d.rhs2, eps))
         scale = np.max(np.abs(sol_a.values))
@@ -615,7 +609,7 @@ class TestReduceOncePerMesh:
         assert np.shares_memory(parts.hess.indices, parts.grad.indices)
         assert np.shares_memory(parts.hess.indptr, parts.grad.indptr)
 
-    def test_scatter_keys_do_not_wrap_past_46341_free_dofs(self):
+    def test_scatter_keys_do_not_wrap_past_46341_free_dofs(self, monkeypatch):
         # row * n_free overflows int32 above 46341 free DoFs, the index type
         # of scipy's COO: an edge entry in the last rows must land there
         d = cli.discretize(mesh.generate_uniform_squares(2), ZERO)
@@ -624,12 +618,13 @@ class TestReduceOncePerMesh:
             d.dof_map, n_cells=d.dof_map.n_cells + extra, boundary=np.append(d.dof_map.boundary, np.zeros(extra, bool))
         )
 
-        class LastRowsCoupling:
-            def coupling(self, columns):
-                n = len(columns)
-                return sp.csr_matrix(([1.0, 1.0, 2.0], ([n - 2, n - 1, n - 1], [n - 1, n - 2, n - 1])), shape=(n, n))
+        def last_rows(traces, keep, local, n):  # no own-side terms, edge terms in the last two rows only
+            coupling = sp.csr_matrix(([1.0, 1.0, 2.0], ([n - 2, n - 1, n - 1], [n - 1, n - 2, n - 1])), shape=(n, n))
+            return 0.0, coupling
 
-        parts = system.build_operator_parts(dm, forms.build_local_forms(d.elements), LastRowsCoupling())
+        monkeypatch.setattr(system, "_edge_terms", last_rows)
+        cell_forms = forms.build_local_forms(d.elements)
+        parts = system.build_operator_parts(dm, cell_forms, forms.build_edge_stencils(d.mesh, d.elements))
         n = len(parts.free)
         assert n > 46341
         last = parts.hess[n - 2 :].tocoo()
@@ -653,9 +648,10 @@ class TestReduceOncePerMesh:
         assert np.array_equal(system.combine(parts, np.ones(3), eps).matrix.toarray(), eps**2 * hess + grad)
 
 
-def unique_scatter(dof_map, cell_forms, coupling):
-    """Test-local oracle of the free parts' keys and data: the cell terms,
-    then the coupling's entries, through one ``np.unique`` of all keys."""
+def unique_scatter(dof_map, cell_forms, coupling, own=0.0):
+    """Test-local oracle of the free parts' keys and data: the cell terms
+    (the a-form plus the own-side blocks ``own``), then the coupling's
+    entries, through one ``np.unique`` of all keys."""
     elements = cell_forms.elements
     keep = elements.dof_mask & dof_map.free[elements.dofs]
     pair = keep[:, :, None] & keep[:, None, :]
@@ -664,7 +660,7 @@ def unique_scatter(dof_map, cell_forms, coupling):
     edges = coupling.tocoo()
     keys = (local[:, :, None] * n + local[:, None, :])[pair]
     slots, index = np.unique(np.concatenate([keys, edges.row.astype(np.int64) * n + edges.col]), return_inverse=True)
-    hess = np.bincount(index, weights=np.concatenate([cell_forms.a[pair], edges.data]))
+    hess = np.bincount(index, weights=np.concatenate([(cell_forms.a + own)[pair], edges.data]))
     grad = np.bincount(index[: len(keys)], weights=cell_forms.b[pair], minlength=len(slots))
     return slots, hess, grad
 
@@ -672,27 +668,60 @@ def unique_scatter(dof_map, cell_forms, coupling):
 class TestMergedScatter:
     @pytest.mark.parametrize("drop", [False, True])
     def test_parts_match_a_unique_oracle(self, cvt64, monkeypatch, drop):
-        # with ``drop``, the coupling loses every entry whose row + column is
-        # a multiple of 3, among them keys that cells need: they are inserted
-        # into the coupling's keys
-        coupling, used = forms.EdgeTraces.coupling, []
+        # with ``drop``, the cross edge terms lose every entry whose row +
+        # column is a multiple of 3, among them keys that cells need: they
+        # are inserted into the coupling's keys
+        edge_terms, used = system._edge_terms, []
 
-        def dropped(traces, columns):
-            mat = coupling(traces, columns).tocoo()
+        def dropped(*args):
+            own, mat = edge_terms(*args)
+            mat = mat.tocoo()
             kept = (mat.row + mat.col) % 3 != 0 if drop else np.ones(mat.nnz, dtype=bool)
-            used.append(sp.csr_matrix((mat.data[kept], (mat.row[kept], mat.col[kept])), shape=mat.shape))
-            return used[-1]
+            used.append((own.copy(), sp.csr_matrix((mat.data[kept], (mat.row[kept], mat.col[kept])), shape=mat.shape)))
+            return own, used[-1][1]  # the assembly may add the a-form to ``own`` in place
 
-        monkeypatch.setattr(forms.EdgeTraces, "coupling", dropped)
+        monkeypatch.setattr(system, "_edge_terms", dropped)
         elements = projectors.build_elements(cvt64)
         dof_map, cell_forms = number_dofs(cvt64), forms.build_local_forms(elements)
         parts = system.build_operator_parts(dof_map, cell_forms, forms.build_edge_stencils(cvt64, elements))
-        slots, hess, grad = unique_scatter(dof_map, cell_forms, used[0])
+        own, coupling = used[0]
+        slots, hess, grad = unique_scatter(dof_map, cell_forms, coupling, own)
         n = parts.hess.shape[0]
-        assert (parts.hess.nnz > used[0].nnz) == drop
+        # no cross term pairs a cell's moment with itself: those keys are always inserted
+        assert (parts.hess.nnz - coupling.nnz > cvt64.n_cells) == drop
+        assert parts.hess.nnz - coupling.nnz >= cvt64.n_cells
         assert np.array_equal(np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(parts.hess.indptr)) + parts.hess.indices, slots)
         assert np.array_equal(parts.hess.data, hess)
         assert np.array_equal(parts.grad.data, grad)
+
+
+class TestSideSplit:
+    @pytest.mark.parametrize("kind", ["cvt64", "uniform4", "voronoi64"])
+    def test_free_parts_match_the_sparse_product_reference(self, request, kind):
+        # the edge terms split by side against the reference: the coupling
+        # K^T K + (j2 + j2^T) of the sparse J and A on the free columns,
+        # merged with the cell blocks through one np.unique: the same
+        # pattern, grad bit for bit and hess to a few roundings
+        m = {
+            "cvt64": lambda: request.getfixturevalue("cvt64"),
+            "uniform4": lambda: mesh.generate_uniform_squares(4),
+            "voronoi64": lambda: mesh.generate_cvt(64, seed=7, lloyd_iters=0),
+        }[kind]()
+        # a corner cell: two boundary edges, both sides of each its own
+        assert np.bincount(m.edge_cells[m.boundary_edge, 0]).max() >= 2
+        elements = projectors.build_elements(m)
+        dof_map, cell_forms = number_dofs(m), forms.build_local_forms(elements)
+        traces = forms.build_edge_stencils(m, elements)
+        parts = system.build_operator_parts(dof_map, cell_forms, traces)
+        free = np.flatnonzero(dof_map.free)
+        jump, average = reference_operators(traces)
+        coupling = reference_coupling(jump[:, free], average[:, free], traces.lam, traces.h)
+        slots, hess, grad = unique_scatter(dof_map, cell_forms, coupling)
+        n = len(free)
+        assert np.array_equal(parts.hess.indptr, np.searchsorted(slots, np.arange(n + 1) * n))
+        assert np.array_equal(parts.hess.indices, slots % n)
+        assert np.array_equal(parts.grad.data, grad)
+        assert np.max(np.abs(parts.hess.data - hess)) <= 1e-14 * np.max(np.abs(hess))
 
 
 def blas_threads():
