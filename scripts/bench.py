@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Stage timings of eps-sweep studies on CVT meshes, written to BENCH_<label>.json.
 
-For each mesh size: one ``cli.run_study`` of example 1 over the eps sweep
-1 down to 1e-10 on one CVT mesh (seed 7, 100 Lloyd steps), written by
+For each mesh size: one ``cli.run_study`` of an example (``--example``, 1
+by default) over a list of eps (``--eps``, by default the sweep 1 down to
+1e-10) on one CVT mesh (seed 7, 100 Lloyd steps), written by
 ``cli.write_outputs`` to a temporary directory.  The run is built from that
 ``report.json``: the study's mesh entry (``seconds`` of the stages mesh
 through error_data, ``delaunay_calls``, ``lloyd_flips``, ...), then
@@ -15,6 +16,7 @@ sweep unchanged.  Only the public API is used, so the same file runs
 against another checkout of the package:
 
     python3 scripts/bench.py --label cvt --sizes 32,128,512,2048
+    python3 scripts/bench.py --label singular --example 2 --eps 1e-10 --sizes 2048,8192
     PYTHONPATH=/path/to/other/src python3 scripts/bench.py --label other
 """
 
@@ -41,9 +43,9 @@ SEED = 7
 LLOYD_ITERS = 100
 
 
-def bench_size(n_cells):
-    """One study of the sweep on a CVT mesh of ``n_cells`` cells."""
-    config = cli.StudyConfig(example=EXAMPLE, eps=list(SWEEP), sizes=[n_cells], seed=SEED, lloyd_iters=LLOYD_ITERS)
+def bench_size(n_cells, example=EXAMPLE, eps_values=SWEEP):
+    """One study of example ``example`` at ``eps_values`` on a CVT mesh of ``n_cells`` cells."""
+    config = cli.StudyConfig(example=example, eps=list(eps_values), sizes=[n_cells], seed=SEED, lloyd_iters=LLOYD_ITERS)
     output = cli.run_study(config)
     with tempfile.TemporaryDirectory() as out_dir:
         _, report_path = cli.write_outputs(output, out_dir)
@@ -53,7 +55,7 @@ def bench_size(n_cells):
     if not report["meshes"]:
         raise RuntimeError(f"cvt-{n_cells}: {failed[None]}")
     sweep = []
-    for eps in SWEEP:
+    for eps in eps_values:
         # a failed eps has no record, only the failure's message
         records = report["records"][repr(eps)] or [{"error": failed[eps]}]
         sweep.append({"eps": eps, "error": None, **records[0]})
@@ -94,19 +96,22 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="output file is BENCH_<label>.json")
     parser.add_argument("--sizes", default="32,128,512,2048", help="comma-separated CVT cell counts")
     parser.add_argument("--out-dir", default=".", help="directory for the output file")
+    parser.add_argument("--example", type=int, default=EXAMPLE, help="manufactured solution id (1 or 2)")
+    parser.add_argument("--eps", default=",".join(map(repr, SWEEP)), help="comma-separated eps, largest first")
     args = parser.parse_args(argv)
+    sweep = tuple(float(s) for s in args.eps.split(","))
 
     payload = {
         "label": args.label,
-        "example": EXAMPLE,
-        "sweep_eps": SWEEP,
+        "example": args.example,
+        "sweep_eps": sweep,
         "seed": SEED,
         "lloyd_iters": LLOYD_ITERS,
         "provenance": provenance(),
         "runs": [],
     }
     for n in (int(s) for s in args.sizes.split(",")):
-        run = bench_size(n)
+        run = bench_size(n, args.example, sweep)
         payload["runs"].append(run)
         stages = " ".join(f"{k} {v:.3f}s" for k, v in run["seconds"].items())
         print(

@@ -72,8 +72,11 @@ class StudyConfig:
             raise ConfigError(f"penalty constant must be a number, got {self.penalty_a!r}")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
-        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
-            raise ConfigError(f"out_dir {self.out_dir!r} exists and is not a directory")
+        ancestor = os.path.abspath(self.out_dir)
+        while not os.path.exists(ancestor):  # the nearest existing ancestor: the root at the latest
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"out_dir {self.out_dir!r}: {ancestor!r} exists and is not a directory")
         if not self.eps:
             raise ConfigError("eps list must not be empty")
         for e in self.eps:
@@ -145,7 +148,7 @@ class Discretization:
     every eps costs one axpy on that pattern's data, one solve and one
     error evaluation from cell and edge arrays (``error_data``).
     ``seconds`` holds the wall time of each set-up stage.  Every system
-    of the mesh carries the factor of ``free_parts`` (see
+    of the mesh carries the factors of ``free_parts`` (see
     :func:`system.solve`).
     """
 
@@ -175,8 +178,9 @@ class Discretization:
 def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
     solution ``msol``, timing each stage.  The loads and the error data share
-    the exact partials at the elements' fan quadrature points; the band factor
-    at ``first_eps``, if given, runs beside them and the error data's J."""
+    the exact partials at the elements' fan quadrature points; the factor a
+    first solve at ``first_eps`` makes (:meth:`system.FreeParts.begin`), if
+    given, runs beside them and the error data's J."""
     clock = _StageClock()
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
@@ -188,7 +192,7 @@ def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
     clock.lap("operator_parts")
     try:
         if first_eps is not None:
-            free_parts.factor.begin(system.combine(free_parts, np.zeros(dof_map.n_dofs), first_eps).matrix, first_eps)
+            free_parts.begin(first_eps)
         exact = msol.at(*elements.fan_rule.points.T)
         rhs4 = system.load_vector(elements, verify.biharmonic(exact))
         rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
@@ -196,7 +200,7 @@ def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
         error_data = verify.build_error_data(mesh_obj, cell_forms, traces, msol, exact)
         clock.lap("error_data")
     except BaseException:
-        free_parts.factor.release()  # joins the factor begun beside, restoring the BLAS threads
+        free_parts.release()  # joins the factor begun beside, restoring the BLAS threads
         raise
     return Discretization(mesh_obj, elements, dof_map, free_parts, rhs4, rhs2, error_data, clock.seconds)
 
@@ -224,7 +228,7 @@ def run_study(config, progress=None):
     Each mesh is discretized once and the discretization is reused across
     the eps values; its set-up stages are timed into ``StudyOutput.meshes``
     and the last mesh's discretization is kept as ``StudyOutput.final``.
-    The factor a mesh's solves share is released after its last solve.
+    The factors a mesh's solves share are released after its last solve.
     """
     config.validate()
     msol = verify.example_solution(config.example)
@@ -273,7 +277,7 @@ def run_study(config, progress=None):
                 solution = system.solve(reduced)
                 if i == len(config.eps):
                     # no later solve on this mesh: free the factor before the error evaluation
-                    reduced.factor.release()
+                    disc.free_parts.release()
                 clock.lap("solve")
                 rec = disc.error(solution)
                 clock.lap("error")
@@ -292,7 +296,7 @@ def run_study(config, progress=None):
             )
             if progress:
                 progress(rows[-1])
-        disc.free_parts.factor.release()  # also after a failed last solve
+        disc.free_parts.release()  # also after a failed last solve
 
     report = verify.ConvergenceReport(records=records).finalize()
     return StudyOutput(

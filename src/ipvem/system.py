@@ -65,6 +65,8 @@ class SparseSystem:
     dof_map: GlobalDofMap
     free_indices: np.ndarray
     factor: BandFactor  # of ``matrix``'s pattern, shared by the mesh's systems
+    limit: BandFactor | None = None  # of the eps = 0 operator, shared too (see solve)
+    rho: float = math.inf  # eps^2 max_i hess_ii / grad_ii, the limit's contraction at eps
 
     @property
     def n_free(self):
@@ -151,14 +153,32 @@ class FreeParts:
     """The two parts of the operator on the free DoFs, exactly symmetric CSR
     matrices that share one pattern: ``hess`` and ``grad`` hold the same
     ``indptr`` and ``indices`` arrays, so their sum at each eps is one axpy
-    on the data.  ``factor`` is the :class:`BandFactor` of that pattern,
-    made once per mesh and carried by every system of it."""
+    on the data.  ``factor`` is the :class:`BandFactor` of that pattern and
+    ``limit`` the one of the eps = 0 operator ``grad`` on its own pattern,
+    the cell blocks without the cross-edge entries (whose ``grad`` values
+    are zeros).  Both are made once per mesh and carried by every system of
+    it; at most one holds a band.  ``ratio`` is max_i hess_ii / grad_ii."""
 
     hess: sp.csr_matrix
     grad: sp.csr_matrix
     free: np.ndarray
     dof_map: GlobalDofMap
     factor: BandFactor
+    limit: BandFactor
+    ratio: float
+
+    def begin(self, eps):
+        """Begin beside the caller the factor a first solve at ``eps`` makes:
+        the limit's where it serves ``eps`` (see :func:`solve`), else the full one."""
+        if eps**2 * self.ratio <= LIMIT_CONTRACTION:
+            self.limit.begin(self.limit.pattern, 0.0)
+        else:
+            self.factor.begin(_with_data(self.hess, (eps**2) * self.hess.data + self.grad.data), eps)
+
+    def release(self):
+        """Release both factors (:meth:`BandFactor.release`)."""
+        self.factor.release()
+        self.limit.release()
 
 
 def _with_data(mat, data):
@@ -170,13 +190,16 @@ def _with_data(mat, data):
 def restrict(hess, grad, dof_map):
     """The :class:`FreeParts` of the parts ``hess`` and ``grad``, CSR
     matrices on the free DoFs of ``dof_map`` that share one pattern, with
-    that pattern laid out for the band factor.  Done once per mesh; parts
-    of two patterns raise ``ValueError``."""
+    the factors of that pattern and of ``grad``'s nonzeros, laid out at their
+    first factor.  Done once per mesh; parts of two patterns raise ``ValueError``."""
     same = np.array_equal(hess.indptr, grad.indptr) and np.array_equal(hess.indices, grad.indices)
     if not (same and hess.format == grad.format == "csr"):
         raise ValueError("the operator parts must be CSR matrices of one pattern")
-    grad = _with_data(hess, grad.data)
-    return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, BandFactor.for_pattern(hess))
+    grad, keep, diagonal = _with_data(hess, grad.data), np.flatnonzero(grad.data), grad.diagonal()
+    limit = sp.csr_matrix((grad.data[keep], hess.indices[keep], np.searchsorted(keep, hess.indptr)), shape=hess.shape)
+    ratio = np.max(hess.diagonal() / diagonal, initial=0.0) if np.all(diagonal > 0.0) else math.inf
+    factors = BandFactor.for_pattern(hess), BandFactor.for_pattern(limit)
+    return FreeParts(hess, grad, np.flatnonzero(dof_map.free), dof_map, *factors, float(ratio))
 
 
 def combine(parts, rhs, eps):
@@ -191,6 +214,8 @@ def combine(parts, rhs, eps):
         dof_map=parts.dof_map,
         free_indices=parts.free,
         factor=parts.factor,
+        limit=parts.limit,
+        rho=eps**2 * parts.ratio,
     )
 
 
@@ -202,6 +227,8 @@ UNIT_ROUNDOFF = 2.0**-53
 #: the type the refinement accumulates the solution in: long double where it
 #: is wider than double (80-bit on x86-64), else double
 SOLUTION_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 2.0**-60 else np.float64
+#: the largest contraction rho(eps) at which the eps = 0 factor serves eps (see solve)
+LIMIT_CONTRACTION = 1e-3
 
 
 # glibc's malloc_trim, called with 0 before a mesh's band is allocated and when
@@ -243,11 +270,34 @@ def _dpbtrf(band):
     return info.value
 
 
+def _available_bytes():
+    """The memory the host reports as available (``MemAvailable`` in
+    ``/proc/meminfo``), in bytes; None where that cannot be read."""
+    with contextlib.suppress(OSError, ValueError, IndexError, StopIteration), open("/proc/meminfo") as fh:
+        return 1024 * int(next(line for line in fh if line.startswith("MemAvailable:")).split()[1])
+    return None
+
+
+def _band_layout(mat):
+    """The band layout of the CSR matrix ``mat``'s pattern (see
+    :class:`BandFactor`): ``order``, ``kd``, ``entries`` and ``slots``.  The
+    arrays are read as the CSC pattern of the transpose, the same pattern."""
+    n = mat.shape[0]
+    order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows, cols = rank[mat.indices], np.repeat(rank, np.diff(mat.indptr))
+    entries = np.flatnonzero(rows >= cols)
+    offsets = rows[entries] - cols[entries]
+    kd = int(offsets.max(initial=0))
+    return order, kd, entries, offsets + cols[entries] * (kd + 1)
+
+
 @dataclass(eq=False)
 class BandFactor:
     """The band Cholesky factor that the systems of one mesh share, kept with
-    the layout of their common symmetric pattern after a reverse
-    Cuthill-McKee reordering.
+    the layout of the symmetric pattern of ``pattern`` (a CSR matrix) after
+    a reverse Cuthill-McKee reordering, made at its first use (``layout``).
 
     Row and column ``order[i]`` of the matrix are row and column i of the
     permuted one, whose half-bandwidth is ``kd``.  ``entries`` indexes the
@@ -257,12 +307,10 @@ class BandFactor:
     A[i, j] sits in row i - j of column j, allocated at the first factor and
     refilled by every later one.  ``eps`` is the eps whose matrix ``band``
     factors (None while it factors none) and ``x`` the last solution on the
-    free DoFs, where a solve from the factor starts."""
+    free DoFs refined from it (None until a solve has), where a solve from
+    the factor starts."""
 
-    order: np.ndarray
-    kd: int
-    entries: np.ndarray
-    slots: np.ndarray
+    pattern: sp.csr_matrix
     band: np.ndarray | None = None
     eps: float | None = None
     x: np.ndarray | None = None
@@ -275,36 +323,37 @@ class BandFactor:
     def for_pattern(cls, mat):
         """The (empty) factor of the CSR matrix ``mat``'s pattern, which must
         be structurally symmetric and canonical (each entry stored once, in
-        sorted order); its arrays are read as the CSC pattern of its
-        transpose, which is the same pattern."""
+        sorted order)."""
         if not mat.has_canonical_format:
             raise ValueError("the band layout needs a canonical pattern: an entry stored twice would lose a term")
-        n = mat.shape[0]
-        order = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        rows, cols = rank[mat.indices], np.repeat(rank, np.diff(mat.indptr))
-        entries = np.flatnonzero(rows >= cols)
-        offsets = rows[entries] - cols[entries]
-        kd = int(offsets.max(initial=0))
-        return cls(order=order, kd=kd, entries=entries, slots=offsets + cols[entries] * (kd + 1))
+        return cls(mat)
+
+    layout = functools.cached_property(lambda self: _band_layout(self.pattern))
+    order, kd, entries, slots = (property(lambda self, i=i: self.layout[i]) for i in range(4))
 
     def factor(self, mat, eps, beside=False):
         """Factor the symmetric matrix ``mat`` of this pattern, the system's at
         ``eps``, in place: its lower-triangle entries are assigned into the
         zeroed band (the slots are distinct), allocated after trimming the heap
-        the first time, and :func:`_dpbtrf` factors it: with scipy's OpenBLAS
+        the first time if it fits in the available memory (else
+        :class:`SolveError`), and :func:`_dpbtrf` factors it: with scipy's OpenBLAS
         pinned to one thread where ``kd <= ONE_THREAD_KD``, set and restored on
         the calling thread, else with the caller's pool.  ``beside`` runs a
         one-thread factor on a second thread until :meth:`wait` joins it, and
-        leaves a wider one to the next solve.  A matrix that is not
-        positive definite raises :class:`SolveError` and leaves no factor held."""
+        leaves a wider one, or one that does not fit, to the next solve.  A
+        matrix that is not positive definite raises :class:`SolveError`;
+        either error leaves no factor held."""
         one_thread = self.kd <= ONE_THREAD_KD
         if beside and not one_thread:
             return
-        self.eps = None
+        self.eps = self.x = None
         if self.band is None:
             _MALLOC_TRIM(0)
+            need, have = 8 * (self.kd + 1) * len(self.order), _available_bytes()
+            if have is not None and need > have:
+                if beside:
+                    return
+                raise SolveError(f"the band needs {need} bytes, more than the {have} bytes available")
             self.band = np.zeros((self.kd + 1, len(self.order)), order="F")
         else:
             self.band.fill(0.0)
@@ -372,39 +421,61 @@ def solve(system):
     ``dpbtrf`` seconds (``factor_s``), if it ran beside (``factor_beside``)
     and the BLAS threads it ran with (``factor_threads``).
 
-    The systems of one mesh share their factor; a solve first joins a pending
-    one, and one made at its eps that no solve has refined from is its fresh
-    factor.  Else one held from an eps e0 >= eps is tried first, starting from
-    the mesh's last solution (eps continuation): with A = G + eps^2 H and
-    M = G + e0^2 H, the refinement's iteration matrix I - M^-1 A =
-    (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small when e0^2 H
+    The systems of one mesh share their factors; a solve first joins a
+    pending one, and one made at its eps that no solve has refined from is
+    its fresh factor.  Else one held from an eps e0 >= eps is tried first,
+    starting from the mesh's last solution (eps continuation): with A = G +
+    eps^2 H and M = G + e0^2 H, the refinement's iteration matrix I - M^-1 A
+    = (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small when e0^2 H
     is small against G.  The attempt is given up when :func:`_refine`
     projects that it cannot meet the target, and whenever it ends above the
-    target; the matrix is then factored afresh in the same band."""
-    mat, rhs, factor, made = system.matrix, system.rhs, system.factor, False
+    target.  Then, where the contraction rho = eps^2 max_i H_ii / G_ii (the
+    system's ``rho``, which estimates eps^2 lambda_max(G^-1 H)) is at most
+    :data:`LIMIT_CONTRACTION`, the limit factor of G alone on its own
+    pattern (``system.limit``, held or made afresh, starting from G^-1 b) is
+    tried the same way: ``factor_eps`` is then 0.0.  Else, or when that is
+    given up or its Cholesky fails, the matrix is factored afresh in the
+    full band.  Making one factor releases the other's band."""
+    mat, rhs, factor, limit = system.matrix, system.rhs, system.factor, system.limit
     factor.wait()
+    if limit is not None:
+        with contextlib.suppress(SolveError):  # a limit that failed beside is made no more
+            limit.wait()
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
+    used, made = factor, False
     if not np.any(rhs):
         x = np.zeros(len(rhs), dtype=SOLUTION_DTYPE)
         residual = 0.0
         diagnostics.update(backward_error=0.0, residual_floor=0.0, factor_eps=None, factor_nnz=0, bandwidth=None)
     else:
         mat_ld, refined = _with_data(mat, mat.data.astype(np.longdouble)), None
+        fresh = factor.x is None and factor.eps == system.eps
         if factor.x is not None and factor.eps is not None and factor.eps >= system.eps:
             refined = _refine(mat_ld, rhs, factor.x, factor, RESIDUAL_TARGET, accuracy=diagnostics, may_abort=True)
-        if made := refined is None:
-            if factor.x is not None or factor.eps != system.eps:
+        if refined is None and not fresh and limit is not None and system.rho <= LIMIT_CONTRACTION:
+            used = limit
+            with contextlib.suppress(SolveError):  # a limit Cholesky that fails falls back to the full one
+                if limit.eps is None:
+                    factor.release()
+                    limit.factor(limit.pattern, 0.0)
+                refined = _refine(mat_ld, rhs, limit.solve(rhs), limit, RESIDUAL_TARGET, accuracy=diagnostics,
+                                  may_abort=True)
+        if refined is None:
+            used = factor
+            if limit is not None:
+                limit.release()
+            if not fresh:
                 factor.factor(mat, system.eps)
             refined = _refine(mat_ld, rhs, factor.solve(rhs), factor, RESIDUAL_TARGET, accuracy=diagnostics)
-        diagnostics.update(factor_eps=factor.eps, factor_nnz=int(factor.band.size), bandwidth=factor.kd)
+        diagnostics.update(factor_eps=used.eps, factor_nnz=int(used.band.size), bandwidth=used.kd)
         x, residual, diagnostics["refine_steps"] = refined
-        factor.x = x
+        made, used.x = used.x is None, x
         if not np.isfinite(residual) or residual > RESIDUAL_TARGET:
             raise SolveError(f"relative residual {residual:.3e} above {RESIDUAL_TARGET:.1e}")
     values = np.zeros(system.dof_map.n_dofs, dtype=x.dtype)
     values[system.free_indices] = x
-    diagnostics.update(factor_s=factor.seconds if made else None, factor_beside=made and factor.beside)
-    diagnostics["factor_threads"] = factor.threads if made else None
+    diagnostics.update(factor_s=used.seconds if made else None, factor_beside=made and used.beside)
+    diagnostics["factor_threads"] = used.threads if made else None
     diagnostics["residual"] = residual
     return DiscreteSolution(values=values, eps=system.eps, residual=residual, diagnostics=diagnostics)
 

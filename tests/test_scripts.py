@@ -57,6 +57,19 @@ def test_bench_writes_every_documented_field(tmp_path, monkeypatch):
         assert {k: v for k, v in entry.items() if k not in ("eps", "error", "seconds", "factor_s")} == record
 
 
+def test_bench_times_the_deep_singular_study(tmp_path):
+    bench = load_script("bench")
+    argv = ["--label", "singular", "--example", "2", "--eps", "1e-10", "--sizes", "32", "--out-dir", str(tmp_path)]
+    assert bench.main(argv) == 0
+    payload = json.loads((tmp_path / "BENCH_singular.json").read_text())
+    assert payload["example"] == 2 and payload["sweep_eps"] == [1e-10]
+    ((entry,),) = [run["sweep"] for run in payload["runs"]]
+    assert entry["eps"] == 1e-10 and entry["error"] is None
+    assert entry["solve_residual"] <= system.RESIDUAL_TARGET
+    # the deep-singular solve is served by the eps = 0 limit factor begun beside the set-up
+    assert entry["factor_eps"] == 0.0 and entry["factor_beside"] is True
+
+
 def test_bench_provenance_ignores_a_repository_above_the_checkout(tmp_path, monkeypatch):
     outer = tmp_path / "outer"
     package = outer / "copy" / "src" / "ipvem"

@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import threading
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipvem import cli, forms, mesh, projectors, system, verify
 from ipvem.system import BandFactor, SolveError, SparseSystem, number_dofs, solve
@@ -31,8 +34,9 @@ def hand_built(mat, rhs):
 
 
 def fresh(sys_):
-    """``sys_`` with a new factor of its own, so that its solve factors afresh."""
-    return dataclasses.replace(sys_, factor=BandFactor.for_pattern(sys_.matrix))
+    """``sys_`` with a new factor of its own and no limit factor, so that its
+    solve factors afresh in the full band."""
+    return dataclasses.replace(sys_, factor=BandFactor.for_pattern(sys_.matrix), limit=None)
 
 
 class TestNumberDofs:
@@ -269,18 +273,20 @@ class TestSymmetricModeFactor:
 
 class TestBandLayout:
     def test_one_layout_per_mesh_in_an_eleven_eps_sweep(self, monkeypatch):
-        made, real = [], BandFactor.for_pattern
+        # each mesh lays out its full pattern and its limit pattern at most once
+        made, real = [], system._band_layout
 
-        def for_pattern(mat):
-            made.append(mat.shape)
+        def layout(mat):
+            made.append(mat)
             return real(mat)
 
-        monkeypatch.setattr(BandFactor, "for_pattern", for_pattern)
+        monkeypatch.setattr(system, "_band_layout", layout)
         eps = [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
         cfg = cli.StudyConfig(example=1, eps=eps, mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=20)
         out = cli.run_study(cfg)
         assert not out.failures
-        assert len(made) == 2
+        assert 2 <= len(made) <= 4 and len({id(mat) for mat in made}) == len(made)
+        assert sorted({mat.shape[0] for mat in made}) == [153, 329]
 
     def test_layout_places_every_lower_entry_in_the_band(self, cvt32):
         mat = cli.discretize(cvt32, verify.example_solution(1)).reduced(1e-3).matrix
@@ -368,17 +374,23 @@ class TestHeldFactor:
                 sol = d.solve(eps)
                 own = solve(fresh(d.reduced(eps)))
                 assert own.diagnostics["factor_eps"] == eps
-                assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps >= eps
+                # a held factor of an eps at or above this one, or the limit's where it serves
+                held = d.free_parts.factor if sol.diagnostics["factor_eps"] else d.free_parts.limit
+                assert sol.diagnostics["factor_eps"] == held.eps
+                assert held.eps >= eps or d.reduced(eps).rho <= system.LIMIT_CONTRACTION
                 assert sol.residual <= system.RESIDUAL_TARGET
-                assert sol.diagnostics["factor_nnz"] == own.diagnostics["factor_nnz"]
+                assert sol.diagnostics["factor_nnz"] == held.band.size
                 scale = np.max(np.abs(own.values))
                 assert np.max(np.abs(sol.values - own.values)) <= 1e-10 * scale
-            assert sol.diagnostics["factor_eps"] > SWEEP[-1]
+            assert sol.diagnostics["factor_eps"] != SWEEP[-1]
 
     def test_increasing_sweep_never_reuses(self, cvt32, cvt64):
+        # no factor of a smaller eps serves a larger one, bar the limit's where it serves
         for d in self.discretizations(cvt32, cvt64):
             for eps in SWEEP[::-1]:
-                assert d.solve(eps).diagnostics["factor_eps"] == d.free_parts.factor.eps == eps
+                limit = d.reduced(eps).rho <= system.LIMIT_CONTRACTION
+                held = d.free_parts.limit if limit else d.free_parts.factor
+                assert d.solve(eps).diagnostics["factor_eps"] == held.eps == (0.0 if limit else eps)
 
     def test_attempt_from_eps_one_aborts_after_one_correction(self, cvt32, cvt64, monkeypatch):
         # the eps of the factor each correction is computed with
@@ -399,9 +411,11 @@ class TestHeldFactor:
             assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps == 1e-3
             assert np.array_equal(sol.values, solve(fresh(d.reduced(1e-3))).values)
 
-    def test_continuation_spends_fewer_corrections(self, cvt64):
+    def test_continuation_spends_fewer_corrections(self, cvt64, monkeypatch):
         # the solves below the last fresh factor start from the previous
-        # eps's solution: fewer corrections in all than from M^-1 b
+        # eps's solution: fewer corrections in all than from M^-1 b (with no
+        # limit factor, which starts from G^-1 b)
+        monkeypatch.setattr(system, "LIMIT_CONTRACTION", 0.0)
         (d,) = self.discretizations(cvt64)
         for eps in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
             d.solve(eps)
@@ -418,10 +432,10 @@ class TestHeldFactor:
     def test_fresh_factors_of_a_mesh_share_one_band(self, cvt32):
         (d,) = self.discretizations(cvt32)
         factor, bands = d.free_parts.factor, []
-        for eps in SWEEP[::-1]:  # every solve factors afresh
-            d.solve(eps)
-            bands.append(factor.band)
-        assert all(band is factor.band for band in bands)
+        for eps in SWEEP[::-1]:  # every solve factors afresh, in the limit band or the full one
+            if d.solve(eps).diagnostics["factor_eps"]:
+                bands.append(factor.band)
+        assert len(bands) >= 2 and all(band is factor.band for band in bands)
         band = weakref.ref(factor.band)
         del bands
         factor.release()
@@ -432,7 +446,7 @@ class TestHeldFactor:
         made = []
 
         def factor(self, *args):
-            # each fresh factor is made in the band of the first
+            # each fresh factor is made in the band of the last, or once that is freed
             assert all(ref() is None or ref() is self.band for ref in made)
             real_factor(self, *args)
             made.append(weakref.ref(self.band))
@@ -441,12 +455,13 @@ class TestHeldFactor:
         (d,) = self.discretizations(cvt32)
         for eps in SWEEP + SWEEP[::-1]:
             d.solve(eps)
+            assert d.free_parts.factor.band is None or d.free_parts.limit.band is None
         # fresh factors from eps = 1 down to the first reused one, and again
         # above the reused factor's eps on the way back up
         assert len(made) >= 5
-        assert all(ref() is made[0]() for ref in made)
-        d.free_parts.factor.release()
-        assert made[-1]() is None
+        assert len({id(ref()) for ref in made if ref() is not None}) == 1
+        d.free_parts.release()
+        assert all(ref() is None for ref in made)
 
     def test_no_held_factor_no_reuse(self, cvt32):
         # systems with factors of their own neither reuse one nor touch the mesh's
@@ -454,6 +469,7 @@ class TestHeldFactor:
         for eps in SWEEP:
             assert solve(fresh(d.reduced(eps))).diagnostics["factor_eps"] == eps
         assert d.free_parts.factor.eps is None and d.free_parts.factor.band is None
+        assert d.free_parts.limit.eps is None and d.free_parts.limit.band is None
 
     def test_failed_factor_holds_no_eps(self, cvt32):
         # a system of the mesh's pattern that is not positive definite fails
@@ -472,6 +488,98 @@ class TestHeldFactor:
         assert sol.diagnostics["factor_eps"] == factor.eps == 1e-3
         assert sol.residual <= system.RESIDUAL_TARGET
         assert np.array_equal(sol.values, solve(fresh(d.reduced(1e-3))).values)
+
+
+class TestLimitFactor:
+    """The eps = 0 factor of ``grad`` alone on its own pattern, refined
+    against the full system wherever its contraction rho is within
+    ``system.LIMIT_CONTRACTION``."""
+
+    @staticmethod
+    def held_bands(parts):
+        return [f for f in (parts.factor, parts.limit) if f.band is not None]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(["uniform-2", "uniform-4", "cvt-16", "cvt-32"]),
+        st.lists(st.floats(-10.0, 0.0), min_size=1, max_size=6, unique=True),
+        st.integers(1, 2),
+    )
+    def test_any_eps_order_meets_the_target_and_matches_a_fresh_factor(self, name, exponents, example):
+        kind, n = name.split("-")
+        m = mesh.generate_uniform_squares(int(n)) if kind == "uniform" else mesh.generate_cvt(int(n), seed=3)
+        d = cli.discretize(m, verify.example_solution(example), first_eps=10.0 ** exponents[0])
+        for eps in 10.0 ** np.array(exponents):
+            sol = d.solve(eps)
+            assert sol.residual <= system.RESIDUAL_TARGET
+            assert len(self.held_bands(d.free_parts)) == 1
+            if sol.diagnostics["factor_eps"] == 0.0:
+                assert d.reduced(eps).rho <= system.LIMIT_CONTRACTION
+            own = solve(fresh(d.reduced(eps))).values
+            assert np.max(np.abs(sol.values - own)) <= 1e-10 * np.max(np.abs(own))
+        d.free_parts.release()
+        assert self.held_bands(d.free_parts) == []
+
+    def test_limit_study_never_lays_out_the_full_band(self, monkeypatch):
+        laid_out, real_layout = [], system._band_layout
+        discretized, real_discretize = [], cli.discretize
+        monkeypatch.setattr(system, "_band_layout", lambda mat: laid_out.append(mat) or real_layout(mat))
+        monkeypatch.setattr(cli, "discretize", lambda *a, **k: discretized.append(real_discretize(*a, **k))
+                            or discretized[-1])
+        cfg = cli.StudyConfig(example=2, eps=[1e-10], mesh_kind="cvt", sizes=[32, 64], seed=7, lloyd_iters=20)
+        out = cli.run_study(cfg)
+        assert not out.failures
+        assert all(rec.solve["factor_eps"] == 0.0 and rec.solve["factor_beside"] for rec in out.report.records[1e-10])
+        assert [id(mat) for mat in laid_out] == [id(d.free_parts.limit.pattern) for d in discretized]
+        assert not any("layout" in vars(d.free_parts.factor) for d in discretized)
+
+    def test_limit_band_is_narrower(self, cvt64):
+        d = cli.discretize(cvt64, verify.example_solution(2))
+        diag = d.solve(1e-10).diagnostics
+        assert diag["factor_eps"] == 0.0 and diag["refine_steps"] == 0
+        assert diag["bandwidth"] == d.free_parts.limit.kd < d.free_parts.factor.kd
+        assert d.free_parts.limit.pattern.nnz < d.free_parts.hess.nnz
+        assert np.array_equal(d.free_parts.limit.pattern.toarray(), d.free_parts.grad.toarray())
+
+    def test_failed_limit_cholesky_falls_back_to_the_full_factor(self, cvt32, monkeypatch):
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        real = system._dpbtrf
+        # a non-positive pivot in the limit's band only
+        monkeypatch.setattr(system, "_dpbtrf", lambda band: 1 if band is d.free_parts.limit.band else real(band))
+        sol = d.solve(1e-8)
+        assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps == 1e-8
+        assert sol.residual <= system.RESIDUAL_TARGET
+        assert d.free_parts.limit.band is d.free_parts.limit.eps is None
+        assert np.array_equal(sol.values, solve(fresh(d.reduced(1e-8))).values)
+
+    def test_aborted_limit_attempt_falls_back_to_the_full_factor(self, cvt32, monkeypatch):
+        # the limit tried far outside its bound cannot meet the target
+        monkeypatch.setattr(system, "LIMIT_CONTRACTION", math.inf)
+        d = cli.discretize(cvt32, verify.example_solution(1))
+        sol = d.solve(1.0)
+        assert sol.diagnostics["factor_eps"] == d.free_parts.factor.eps == 1.0
+        assert d.free_parts.limit.band is None
+
+    def test_band_that_does_not_fit_is_refused(self, cvt32, monkeypatch):
+        monkeypatch.setattr(system, "_available_bytes", lambda: 1000)
+        d = cli.discretize(cvt32, verify.example_solution(1), first_eps=1e-10)
+        for eps in (1e-10, 1.0):
+            with pytest.raises(SolveError, match=r"the band needs \d+ bytes, more than the 1000 bytes available"):
+                d.solve(eps)
+            assert self.held_bands(d.free_parts) == []
+            assert d.free_parts.factor.eps is d.free_parts.limit.eps is None
+
+    def test_band_guard_fails_one_mesh_of_a_study(self, monkeypatch):
+        # the available memory reads low while the second mesh is solved
+        current, real_discretize = [], cli.discretize
+        monkeypatch.setattr(cli, "discretize", lambda m, *a, **k: current.append(m.n_cells) or real_discretize(m, *a, **k))
+        monkeypatch.setattr(system, "_available_bytes", lambda: 0 if current[-1] == 64 else None)
+        cfg = cli.StudyConfig(example=1, eps=[1.0, 1e-10], mesh_kind="cvt", sizes=[32, 64, 128], seed=7, lloyd_iters=20)
+        out = cli.run_study(cfg)
+        assert [(f["mesh"], f["eps"]) for f in out.failures] == [("cvt-64", 1.0), ("cvt-64", 1e-10)]
+        assert all("SolveError('the band needs" in f["error"] for f in out.failures)
+        for recs in out.report.records.values():
+            assert [rec.n_cells for rec in recs] == [32, 128]
 
 
 class TestPositiveDefinite:
