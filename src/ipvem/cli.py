@@ -16,6 +16,7 @@ import numbers
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -147,8 +148,9 @@ class Discretization:
     on one shared pattern), and the load vector eps^2 * rhs4 + rhs2; so
     every eps costs one axpy on that pattern's data, one solve and one
     error evaluation from cell and edge arrays (``error_data``).
-    ``seconds`` holds the wall time of each set-up stage.  Every system
-    of the mesh carries the factors of ``free_parts`` (see
+    ``seconds`` holds the wall time of each set-up stage; ``loads``, built
+    beside ``forms_stencils`` and ``operator_parts``, overlaps them.  Every
+    system of the mesh carries the factors of ``free_parts`` (see
     :func:`system.solve`).
     """
 
@@ -175,28 +177,41 @@ class Discretization:
         return rec
 
 
+def _loads(elements, msol):
+    """The loads of :func:`discretize`'s second lane: the table of the exact
+    partials at the fan points, ``rhs4``, ``rhs2`` and the lane's wall seconds."""
+    start = time.perf_counter()
+    exact = msol.at(*elements.fan_rule.points.T)
+    rhs4 = system.load_vector(elements, verify.biharmonic(exact))
+    rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
+    return exact, rhs4, rhs2, time.perf_counter() - start
+
+
 def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
-    solution ``msol``, timing each stage.  The loads and the error data share
-    the exact partials at the elements' fan quadrature points; the factor a
-    first solve at ``first_eps`` makes (:meth:`system.FreeParts.begin`), if
-    given, runs beside them and the error data's J."""
+    solution ``msol``, timing each stage.  The loads (:func:`_loads`) are built
+    on a second thread beside the forms and the operator parts, and joined
+    before any factor begins (``loads_wait``: the seconds spent at the join).
+    The error data shares their table of the exact partials at the fan
+    points; the factor a first solve at ``first_eps`` makes
+    (:meth:`system.FreeParts.begin`), if given, runs beside it and its J."""
     clock = _StageClock()
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
-    dof_map = system.number_dofs(mesh_obj)
-    cell_forms = forms.build_local_forms(elements)
-    traces = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
-    clock.lap("forms_stencils")
-    free_parts = system.build_operator_parts(dof_map, cell_forms, traces)
-    clock.lap("operator_parts")
+    # the lane calls no scipy BLAS and is joined, on every exit, before the factor pins its threads
+    with ThreadPoolExecutor(1) as lane:
+        loads = lane.submit(_loads, elements, msol)
+        dof_map = system.number_dofs(mesh_obj)
+        cell_forms = forms.build_local_forms(elements)
+        traces = forms.build_edge_stencils(mesh_obj, elements, penalty_a)
+        clock.lap("forms_stencils")
+        free_parts = system.build_operator_parts(dof_map, cell_forms, traces)
+        clock.lap("operator_parts")
+        exact, rhs4, rhs2, clock.seconds["loads"] = loads.result()
+    clock.lap("loads_wait")
     try:
         if first_eps is not None:
             free_parts.begin(first_eps)
-        exact = msol.at(*elements.fan_rule.points.T)
-        rhs4 = system.load_vector(elements, verify.biharmonic(exact))
-        rhs2 = system.load_vector(elements, verify.neg_laplacian(exact))
-        clock.lap("loads")
         error_data = verify.build_error_data(mesh_obj, cell_forms, traces, msol, exact)
         clock.lap("error_data")
     except BaseException:

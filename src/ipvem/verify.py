@@ -96,21 +96,25 @@ def _example1_partial(i, j, x, y):
     return _example1_at(x, y)(i, j)
 
 
-def _sin_squared_deriv(n, x):
-    """n-th derivative of sin(pi x)^2 = (1 - cos(2 pi x))/2."""
+def _sin_squared_derivs(x):
+    """The n-th derivative of sin(pi x)^2 = (1 - cos(w x))/2, w = 2 pi, as a
+    function of n = 0..4.  For n >= 1 it is -(1/2) w^n cos(w x + n pi/2),
+    which cycles through sin, cos, -sin, -cos of w x times w^n / 2: orders
+    0, 1 and 2 are made once each, from sin(pi x), sin(w x) and cos(w x), and
+    kept; orders 3 and 4, -w^2 times orders 1 and 2, are made at each call."""
     x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.sin(math.pi * x) ** 2
     w = 2.0 * math.pi
-    # d/dx^n of -(1/2) cos(w x) = -(1/2) w^n cos(w x + n pi/2)
-    return -0.5 * w**n * np.cos(w * x + n * math.pi / 2.0)
+
+    @functools.cache
+    def low(n):
+        return np.sin(math.pi * x) ** 2 if n == 0 else 0.5 * w**n * (np.sin, np.cos)[n - 1](w * x)
+    return lambda n: low(n) if n < 3 else -(w**2) * low(n - 2)
 
 
 def _example2_at(x, y):
     """Example 2's partials at fixed points, each factor derivative
     evaluated once."""
-    gx = functools.cache(lambda i: _sin_squared_deriv(i, x))
-    gy = functools.cache(lambda j: _sin_squared_deriv(j, y))
+    gx, gy = _sin_squared_derivs(x), _sin_squared_derivs(y)
     return lambda i, j: gx(i) * gy(j)
 
 

@@ -233,7 +233,7 @@ class TestRunStudy:
                 # the limit's of its own pattern, which lacks the cross-edge entries
                 assert rec["factor_nnz"] >= ((rec["nnz"] + rec["n_free"]) // 2 if rec["factor_eps"] else rec["n_free"])
                 assert 0 <= rec["bandwidth"] < rec["n_free"]
-        stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "error_data"]
+        stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "loads_wait", "error_data"]
         assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
         assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]
         for entry in report["meshes"]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -980,27 +981,75 @@ class TestFactorBeside:
         assert sol.diagnostics["factor_eps"] == 1e-1 and sol.diagnostics["factor_beside"] is False
         assert sol.residual <= system.RESIDUAL_TARGET
 
-    def test_set_up_failure_joins_before_it_propagates(self, cvt32, monkeypatch):
-        begun, pinned, begin = [], [], BandFactor.begin
+    @staticmethod
+    def recording_begin(monkeypatch):
+        begun, begin = [], BandFactor.begin
 
-        def recording_begin(factor, *args):
+        def recording(factor, *args):
             begun.append(factor)
             begin(factor, *args)
 
+        monkeypatch.setattr(BandFactor, "begin", recording)
+        return begun
+
+    @staticmethod
+    def assert_study_records_the_failure(threads, blas):
+        # a study records the failure and leaves no thread and no pin behind
+        out = cli.run_study(cli.StudyConfig(example=1, eps=[1.0], mesh_kind="cvt", sizes=[32], lloyd_iters=20))
+        assert out.failures and out.failures[0]["eps"] is None
+        assert threading.active_count() == threads and blas_threads() == blas
+
+    def test_set_up_failure_joins_before_it_propagates(self, cvt32, monkeypatch):
+        # the loads fail on their lane, which runs beside the assembly, unpinned and not a daemon
+        lane = []
+
         def failing_load_vector(elements, f):
-            pinned.append(blas_threads())
+            lane.append((threading.current_thread(), blas_threads()))
             raise RuntimeError("loads failed")
 
         threads, blas = threading.active_count(), blas_threads()
-        monkeypatch.setattr(BandFactor, "begin", recording_begin)
+        begun = self.recording_begin(monkeypatch)
         monkeypatch.setattr(system, "load_vector", failing_load_vector)
         with pytest.raises(RuntimeError, match="loads failed"):
+            cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
+        ((thread, pinned),) = lane
+        assert thread is not threading.main_thread() and not thread.daemon and not thread.is_alive()
+        assert pinned == blas and begun == []
+        assert threading.active_count() == threads and blas_threads() == blas
+        self.assert_study_records_the_failure(threads, blas)
+
+    def test_assembly_failure_waits_for_the_lane(self, cvt32, monkeypatch):
+        lane, load_vector = [], system.load_vector
+
+        def slow_load_vector(elements, f):
+            lane.append(threading.current_thread())
+            time.sleep(0.2)  # still running when the assembly fails
+            return load_vector(elements, f)
+
+        def failing_operator_parts(*args):
+            raise RuntimeError("assembly failed")
+
+        threads = threading.active_count()
+        monkeypatch.setattr(system, "load_vector", slow_load_vector)
+        monkeypatch.setattr(system, "build_operator_parts", failing_operator_parts)
+        with pytest.raises(RuntimeError, match="assembly failed"):
+            cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
+        assert len(lane) == 2 and not lane[0].is_alive() and threading.active_count() == threads
+
+    def test_error_data_failure_joins_the_factor_before_it_propagates(self, cvt32, monkeypatch):
+        pinned = []
+
+        def failing_error_data(*args):
+            pinned.append(blas_threads())
+            raise RuntimeError("error data failed")
+
+        threads, blas = threading.active_count(), blas_threads()
+        begun = self.recording_begin(monkeypatch)
+        monkeypatch.setattr(verify, "build_error_data", failing_error_data)
+        with pytest.raises(RuntimeError, match="error data failed"):
             cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
         (factor,) = begun
         assert factor.pending is None and factor.band is None
         assert pinned == [None if blas is None else 1]
         assert threading.active_count() == threads and blas_threads() == blas
-        # a study records the failure and leaves no thread and no pin behind
-        out = cli.run_study(cli.StudyConfig(example=1, eps=[1.0], mesh_kind="cvt", sizes=[32], lloyd_iters=20))
-        assert out.failures and out.failures[0]["eps"] is None
-        assert threading.active_count() == threads and blas_threads() == blas
+        self.assert_study_records_the_failure(threads, blas)

@@ -82,6 +82,16 @@ class TestManufacturedSolutions:
                 want = msol.partial(i, j, x, y)
                 assert np.max(np.abs(exact(i, j) - want)) <= 5e-15 * np.max(np.abs(want))
 
+    def test_example2_factor_derivatives_match_the_shifted_cosine(self):
+        # one sin/cos pair per axis in place of one cosine per order: within
+        # a few ulps of the amplitude w^n / 2 of the closed form it replaced
+        x = np.random.default_rng(12).uniform(0.0, 1.0, 2000)
+        w, deriv = 2.0 * PI, verify._sin_squared_derivs(x)
+        assert np.array_equal(deriv(0), np.sin(PI * x) ** 2)
+        for n in range(1, 5):
+            old = -0.5 * w**n * np.cos(w * x + n * PI / 2.0)
+            assert np.max(np.abs(deriv(n) - old)) <= 8.0 * np.finfo(float).eps * 0.5 * w**n
+
     @pytest.mark.parametrize("which", [1, 2])
     def test_discretize_tabulates_the_fan_points_once(self, which, cvt32):
         # loads and error data share one table of the exact partials
