@@ -237,22 +237,35 @@ def _study_meshes(config):
     ]
 
 
-def run_study(config, progress=None):
+def run_study(config, progress=None, after_mesh=None):
     """Run the configured sweep; failures are recorded, not propagated.
 
     Each mesh is discretized once and the discretization is reused across
     the eps values; its set-up stages are timed into ``StudyOutput.meshes``
     and the last mesh's discretization is kept as ``StudyOutput.final``.
     The factors a mesh's solves share are released after its last solve.
+    ``progress`` is called with each row, and ``after_mesh``, if given, with
+    the output so far after each mesh (``ipvem study`` writes it there, so a
+    study killed during a mesh keeps every record finished before it).
     """
     config.validate()
     msol = verify.example_solution(config.example)
     records = {e: [] for e in config.eps}
     rows, failures, meshes = [], [], []
+    output = StudyOutput(config=config, report=None, rows=rows, failures=failures, meshes=meshes)
+
+    def report():
+        return verify.ConvergenceReport(records=records).finalize()
+
+    def mesh_done(disc):
+        output.final = disc
+        if after_mesh:
+            output.report = report()
+            after_mesh(output)
 
     for label, factory in _study_meshes(config):
         # release the previous mesh's discretization before building this one
-        disc = None
+        disc = output.final = None
         t0 = time.perf_counter()
         try:
             m = factory()
@@ -261,6 +274,7 @@ def run_study(config, progress=None):
         except Exception as exc:  # noqa: BLE001 - study must survive bad runs
             failures.append({"mesh": label, "eps": None, "error": repr(exc)})
             log.error("mesh stage failed for %s: %r", label, exc)
+            mesh_done(None)
             continue
         seconds = {"mesh": mesh_s, **disc.seconds}
         moves = m.lloyd_movement
@@ -312,11 +326,9 @@ def run_study(config, progress=None):
             if progress:
                 progress(rows[-1])
         disc.free_parts.release()  # also after a failed last solve
-
-    report = verify.ConvergenceReport(records=records).finalize()
-    return StudyOutput(
-        config=config, report=report, rows=rows, failures=failures, meshes=meshes, final=disc
-    )
+        mesh_done(disc)
+    output.report = report()
+    return output
 
 
 def _error_fields(rec):
@@ -504,9 +516,8 @@ def main(argv=None):
             f"({row['wall_ms']:.0f} ms)"
         )
 
-    output = run_study(config, progress=progress)
-    csv_path, report_path = write_outputs(output)
-    print(f"wrote {csv_path} and {report_path}")
+    output = run_study(config, progress=progress, after_mesh=write_outputs)
+    print(f"wrote {output.csv_path} and {output.report_path}")
     for failure in output.failures:
         print(f"FAILED {failure['mesh']} eps={failure['eps']}: {failure['error']}", file=sys.stderr)
     return output.exit_code

@@ -306,13 +306,12 @@ def _centroids(xy, offsets):
     return area, np.column_stack([cx, cy])
 
 
-def _circumcentres(corners):
-    """Circumcentre of every triangle of a (T, 3, 2) corner array, (T, 2)."""
-    a, b, c = np.moveaxis(corners, 1, 0)
-    b, c = b - a, c - a
-    bb, cc = (b**2).sum(axis=1), (c**2).sum(axis=1)
-    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+def _circumcentres(ax, ay, bx, by, cx, cy):
+    """Circumcentres of the triangles abc, as their two coordinate rows."""
+    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    d = 2.0 * (bx * cy - by * cx)
+    return ax + (cy * bb - by * cc) / d, ay + (bx * cc - cx * bb) / d
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -364,14 +363,14 @@ class _LloydTriangulation:
         self.flips.append(0)
         xy, owner = (self.simplices is not None and self._repair(points)) or self._rebuild(points)
         counts = np.bincount(owner, minlength=self.n)
-        if counts.min() < 3:
-            raise MeshGenerationError("Voronoi cell with fewer than 3 corners")
-        rel = xy - points[owner]
+        if (g := _first(counts < 3)) < self.n:
+            raise MeshGenerationError(f"Voronoi cell of generator {g} has {counts[g]} corners, fewer than 3", cell=g)
+        angle = np.arctan2(xy[:, 1] - points[:, 1][owner], xy[:, 0] - points[:, 0][owner])
         # corners sort by (owner, angle rank) as one intp key: int32 owners would wrap from ~19 000 cells
         rank = np.empty(len(xy), dtype=np.intp)
-        rank[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))] = np.arange(len(xy))
+        rank[np.argsort(angle)] = np.arange(len(xy))
         order = np.argsort(owner.astype(np.intp) * len(xy) + rank)
-        return xy[order], np.concatenate([[0], np.cumsum(counts)])
+        return np.vstack([xy[:, 0][order], xy[:, 1][order]]).T, np.concatenate([[0], np.cumsum(counts)])
 
     def _points(self, points):
         """Generators, ghosts and mirror images, in the triangulation's order."""
@@ -382,15 +381,18 @@ class _LloydTriangulation:
 
     def _corners(self):
         """Coordinates of the corners of every triangle, as six (T,) rows."""
-        return self.pts[self.simplices].transpose(1, 2, 0).reshape(6, -1)
+        (ax, bx, cx), (ay, by, cy) = (self.pts[:, i][self.simplices.T] for i in (0, 1))
+        return ax, ay, bx, by, cx, cy
 
     def _dual(self):
-        """Corners and owners of the generator cells, or None if one is off the square."""
+        """Corners (with contiguous columns) and owners of the generator cells,
+        or None if one is off the square."""
         flat = self.simplices.ravel()
         # flat entry k of the simplices is a corner of triangle k // 3
         mine = np.flatnonzero(flat < self.n)
-        xy = _circumcentres(self.pts[self.simplices])[mine // 3]
-        return (xy, flat[mine]) if np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)) else None
+        t = mine // 3
+        xy = np.vstack([row[t] for row in _circumcentres(*self._corners())])
+        return (xy.T, flat[mine]) if np.all((xy >= -SNAP_TOL) & (xy <= 1.0 + SNAP_TOL)) else None
 
     def _rebuild(self, points):
         """qhull on the generators, the ghosts and the images within ``reach``,
@@ -425,17 +427,18 @@ class _LloydTriangulation:
                 return None
             for p in range(len(self.pts) - len(src), len(self.pts)):
                 self._insert(p)
-            s, nb = self.simplices, self.neighbors
-            # every interior edge once, as (t, k): the edge of t opposite its corner k
-            t, k = np.divmod(np.flatnonzero(nb.ravel() > np.arange(nb.size) // 3), 3)
-            u = nb[t, k]
-            b, c = s[t, (k + 1) % 3], s[t, (k + 2) % 3]
+            s, nb = self.simplices.ravel(), self.neighbors.ravel()
+            # every interior edge once, as 3 t + k: the edge of t opposite its corner k
+            e = np.flatnonzero(nb > np.arange(nb.size) // 3)
+            k, u = e % 3, 3 * nb[e]
+            b, c = s[e - k + (k + 1) % 3], s[e - k + (k + 2) % 3]
             # u holds b, c and the corner d across the edge
-            quad = (s[t, k], b, c, s[u].sum(axis=1) - b - c)
-            fails = _incircle(*(self.pts[v, i] for v in quad for i in (0, 1)))
+            quad = (s[e], b, c, s[u] + s[u + 1] + s[u + 2] - b - c)
+            x, y = self.pts[:, 0], self.pts[:, 1]
+            fails = _incircle(*(w[v] for v in quad for w in (x, y)))
             if self.flips[-1] + np.count_nonzero(fails) > self.budget:
                 return None
-            stack = np.column_stack([t[fails], k[fails]]).tolist()
+            stack = np.column_stack(np.divmod(e[fails], 3)).tolist()
             while stack:
                 stack += self._flip(*stack.pop(), _incircle)
         except _RepairFailed:
@@ -469,19 +472,21 @@ class _LloydTriangulation:
         """Where ``test`` holds for a, b, c (t's corners from k) and d (across bc), give
         the quad a, b, d, c the diagonal ad, within ``budget``; returns edges to recheck."""
         s, nb = self.simplices, self.neighbors
-        u = int(nb[t, k])
+        nt = nb[t].tolist()
+        u = nt[k]
         if u < 0:
             return []
-        a, b, c = s[t, k], s[t, (k + 1) % 3], s[t, (k + 2) % 3]
-        j = nb[u].tolist().index(t)
+        st, nu = s[t].tolist(), nb[u].tolist()
+        a, b, c = st[k], st[(k + 1) % 3], st[(k + 2) % 3]
+        j = nu.index(t)
         d = s[u, j]
-        xy = self.pts[[a, b, c, d]].ravel().tolist()
+        xy = [w for v in (a, b, c, d) for w in self.pts[v].tolist()]
         if not test(*xy):
             return []
         self.flips[-1] += 1
         if self.flips[-1] > self.budget or not _convex(*xy):
             raise _RepairFailed
-        nt_b, nt_c, nu_c, nu_b = nb[t, (k + 1) % 3], nb[t, (k + 2) % 3], nb[u, (j + 1) % 3], nb[u, (j + 2) % 3]
+        nt_b, nt_c, nu_c, nu_b = nt[(k + 1) % 3], nt[(k + 2) % 3], nu[(j + 1) % 3], nu[(j + 2) % 3]
         s[t], s[u] = (a, b, d), (a, d, c)
         nb[t], nb[u] = (nu_c, u, nt_c), (nu_b, nt_b, t)
         _repoint(nb, nu_c, u, t)
@@ -560,8 +565,8 @@ def _cells_to_mesh(xy, offsets):
     # drop a corner merged into the next one of its own cell
     keep = canonical != canonical[_next_corner(offsets)]
     kept = np.add.reduceat(keep, offsets[:-1])
-    if kept.min() < 3:
-        raise MeshGenerationError("cell degenerated to fewer than 3 vertices")
+    if (c := _first(kept < 3)) < len(kept):
+        raise MeshGenerationError(f"cell of generator {c} degenerated to {kept[c]} vertices, fewer than 3", cell=c)
     return _build_mesh(vertices, canonical[keep], np.concatenate([[0], np.cumsum(kept)]))
 
 

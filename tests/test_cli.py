@@ -432,6 +432,39 @@ class TestMain:
         assert code == EXIT_OK
         assert (tmp_path / "study.csv").exists()
 
+    def test_outputs_are_written_after_each_mesh(self, tmp_path, monkeypatch):
+        # at each mesh's first row, study.csv and report.json hold every row before it
+        seen, checked = [], []
+        real_run_study = cli.run_study
+
+        def reading_run_study(config, progress=None, **kwargs):
+            def check(row):
+                if row["eps"] == config.eps[0]:
+                    csv_path = tmp_path / "study.csv"
+                    assert csv_path.exists() == bool(seen)
+                    if seen:
+                        lines = csv_path.read_text().splitlines()[1:]
+                        assert [line.split(",")[:4] for line in lines] == [
+                            [repr(r[c]) for c in ("example", "eps", "n_cells", "h_max")] for r in seen
+                        ]
+                        records = json.loads((tmp_path / "report.json").read_text())["records"]
+                        assert sum(map(len, records.values())) == len(seen)
+                        checked.append(row["n_cells"])
+                seen.append(row)
+                progress(row)
+
+            return real_run_study(config, progress=check, **kwargs)
+
+        monkeypatch.setattr(cli, "run_study", reading_run_study)
+        argv = ["study", "--example", "2", "--eps", "1", "--eps", "0.01", "--mesh-kind", "uniform"]
+        assert main([*argv, "--sizes", "2,4,8", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert checked == [16, 64]
+        assert len((tmp_path / "study.csv").read_text().splitlines()) == 1 + len(seen) == 7
+
+    def test_run_study_alone_writes_nothing(self, tmp_path):
+        run_study(tiny_config(out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
     def test_exit_bad_config(self, tmp_path):
         code = main(
             ["study", "--example", "9", "--mesh-kind", "uniform", "--sizes", "2", "--out-dir", str(tmp_path)]

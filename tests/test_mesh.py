@@ -369,6 +369,13 @@ class TestLloydStep:
         assert np.array_equal(m.vertices, xy[[0, 1, 2, 3, 5, 6]])
         assert [list(c) for c in loops(m)] == [[0, 1, 2, 3], [1, 4, 5, 2]]
 
+    def test_cell_merged_below_three_vertices_names_its_generator(self):
+        # generator 1's triangle has two corners closer than SNAP_TOL
+        xy = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.2, 0.2], [0.2 + 1e-12, 0.2], [0.3, 0.4]])
+        with pytest.raises(MeshGenerationError, match="cell of generator 1 degenerated to 2 vertices") as info:
+            mesh._cells_to_mesh(xy, np.array([0, 4, 7]))
+        assert info.value.cell == 1
+
 
 def assert_same_corner_sets(got, want, tol):
     """Two CSR pairs of cells equal as sets of corners, cell by cell, within ``tol``."""
@@ -428,6 +435,15 @@ class TestRepairedLloydStep:
         rel = (corners - np.repeat(points, m, axis=0)).reshape(n, m, 2)
         assert np.allclose(np.hypot(rel[..., 0], rel[..., 1]), 1e-5)  # each cell's own corners
         assert np.all(np.diff(np.arctan2(rel[..., 1], rel[..., 0]), axis=1) > 0.0)  # by angle
+
+    def test_cell_with_two_corners_names_its_generator(self, monkeypatch):
+        points = np.array([[0.25, 0.25], [0.5, 0.75], [0.75, 0.25]])
+        xy = np.repeat(points, [3, 2, 3], axis=0) + 0.01
+        tri = mesh._LloydTriangulation(3)
+        monkeypatch.setattr(tri, "_rebuild", lambda pts: (xy, np.array([0, 0, 0, 1, 1, 2, 2, 2], dtype=np.int32)))
+        with pytest.raises(MeshGenerationError, match="Voronoi cell of generator 1 has 2 corners") as info:
+            tri.cells(points)
+        assert info.value.cell == 1
 
     @pytest.mark.parametrize("seed", [3, 7, 21])
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
