@@ -6,7 +6,7 @@ by default) over a list of eps (``--eps``, by default the sweep 1 down to
 1e-10) on one CVT mesh (seed 7, 100 Lloyd steps), written by
 ``cli.write_outputs`` to a temporary directory.  The run is built from that
 ``report.json``: the study's mesh entry (``seconds`` of the stages mesh
-through error_data, ``loads_wait`` among them, ``delaunay_calls``,
+through factor_wait, ``loads_wait`` among them, ``delaunay_calls``,
 ``lloyd_flips``, ...), then ``sweep``, at each eps the study's record as
 written plus ``eps`` and ``error`` (the message of that eps's failure,
 else null), then

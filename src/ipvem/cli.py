@@ -9,6 +9,7 @@ flags, or both (flags win).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -99,8 +100,8 @@ class StudyConfig:
             smallest = {"cvt": 2, "uniform": 1}[self.mesh_kind]
             if self.sizes[0] < smallest:
                 raise ConfigError(f"{self.mesh_kind} sizes must be at least {smallest}, got {self.sizes[0]}")
-        if not self.penalty_a > 1.0:
-            raise ConfigError(f"penalty constant must exceed 1, got {self.penalty_a}")
+        if not 1.0 < self.penalty_a < math.inf:
+            raise ConfigError(f"penalty constant must be finite and exceed 1, got {self.penalty_a}")
         for name in ("example", "seed", "lloyd_iters"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
@@ -189,16 +190,16 @@ def _loads(elements, msol):
 
 def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
     """Build the :class:`Discretization` of ``mesh_obj`` for the manufactured
-    solution ``msol``, timing each stage.  The loads (:func:`_loads`) are built
-    on a second thread beside the forms and the operator parts, and joined
-    before any factor begins (``loads_wait``: the seconds spent at the join).
-    The error data shares their table of the exact partials at the fan
-    points; the factor a first solve at ``first_eps`` makes
-    (:meth:`system.FreeParts.begin`), if given, runs beside it and its J."""
+    solution ``msol``, timing each stage.  A second thread, the lane, builds
+    the loads (:func:`_loads`) beside the forms and the operator parts
+    (``loads_wait``: the wait for them), then the factor a first solve at
+    ``first_eps`` makes (:meth:`system.FreeParts.begin`), if given, beside the
+    error data, which shares the loads' table of the exact partials at the fan
+    points (``factor_wait``: the heap trim and the wait for the factor)."""
     clock = _StageClock()
     elements = projectors.build_elements(mesh_obj)
     clock.lap("elements")
-    # the lane calls no scipy BLAS and is joined, on every exit, before the factor pins its threads
+    # the loads call no scipy BLAS, the factor pins it only while it runs; the with block joins on every exit
     with ThreadPoolExecutor(1) as lane:
         loads = lane.submit(_loads, elements, msol)
         dof_map = system.number_dofs(mesh_obj)
@@ -208,15 +209,16 @@ def discretize(mesh_obj, msol, penalty_a=2.0, first_eps=None):
         free_parts = system.build_operator_parts(dof_map, cell_forms, traces)
         clock.lap("operator_parts")
         exact, rhs4, rhs2, clock.seconds["loads"] = loads.result()
-    clock.lap("loads_wait")
-    try:
-        if first_eps is not None:
-            free_parts.begin(first_eps)
+        clock.lap("loads_wait")
+        first = None if first_eps is None else free_parts.begin(first_eps, lane)
         error_data = verify.build_error_data(mesh_obj, cell_forms, traces, msol, exact)
         clock.lap("error_data")
-    except BaseException:
-        free_parts.release()  # joins the factor begun beside, restoring the BLAS threads
-        raise
+        del loads, exact, cell_forms, traces  # free the set-up's temporaries for the trim
+        if first is not None:
+            system.MALLOC_TRIM(0)  # beside the factor's end
+            with contextlib.suppress(system.SolveError):  # it holds no eps: the first solve makes it again
+                first.result()
+    clock.lap("factor_wait")
     return Discretization(mesh_obj, elements, dof_map, free_parts, rhs4, rhs2, error_data, clock.seconds)
 
 

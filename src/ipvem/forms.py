@@ -34,8 +34,8 @@ class PenaltyConfig:
     n_k: int
 
     def __post_init__(self):
-        if not self.a > 1.0:
-            raise ValueError(f"penalty constant a must exceed 1, got {self.a}")
+        if not 1.0 < self.a < np.inf:
+            raise ValueError(f"penalty constant a must be finite and exceed 1, got {self.a}")
         if self.n_k < 3:
             raise ValueError("max edges per cell must be at least 3")
 

@@ -366,10 +366,10 @@ class _LloydTriangulation:
         if (g := _first(counts < 3)) < self.n:
             raise MeshGenerationError(f"Voronoi cell of generator {g} has {counts[g]} corners, fewer than 3", cell=g)
         angle = np.arctan2(xy[:, 1] - points[:, 1][owner], xy[:, 0] - points[:, 0][owner])
-        # corners sort by (owner, angle rank) as one intp key: int32 owners would wrap from ~19 000 cells
+        # corners sort by (owner, angle rank) as one intp key: an int32 key would wrap from ~19 000 cells
         rank = np.empty(len(xy), dtype=np.intp)
         rank[np.argsort(angle)] = np.arange(len(xy))
-        order = np.argsort(owner.astype(np.intp) * len(xy) + rank)
+        order = np.argsort(owner.astype(np.intp, copy=False) * len(xy) + rank)
         return np.vstack([xy[:, 0][order], xy[:, 1][order]]).T, np.concatenate([[0], np.cumsum(counts)])
 
     def _points(self, points):
@@ -404,7 +404,8 @@ class _LloydTriangulation:
             self.pts = self._points(points)
             tri = Delaunay(self.pts)
             self.qhull_calls[-1] += 1
-            self.simplices, self.neighbors = tri.simplices, tri.neighbors
+            # in intp, which repairs keep: numpy gathers by int32 indices about 3x slower
+            self.simplices, self.neighbors = tri.simplices.astype(np.intp), tri.neighbors.astype(np.intp)
             if (found := self._dual()) is not None:
                 break
             if self.reach >= 1.0:
@@ -503,8 +504,8 @@ class _LloydTriangulation:
             raise _RepairFailed
         t, t1, t2 = int(holds[0]), len(self.simplices), len(self.simplices) + 1
         (a, b, c), (na, nb, nc) = self.simplices[t].tolist(), self.neighbors[t].tolist()
-        self.simplices = np.vstack([self.simplices, [(b, c, p), (c, a, p)]])
-        self.neighbors = np.vstack([self.neighbors, [(t2, t, na), (t, t1, nb)]])
+        self.simplices = np.vstack([self.simplices, np.array([(b, c, p), (c, a, p)], self.simplices.dtype)])
+        self.neighbors = np.vstack([self.neighbors, np.array([(t2, t, na), (t, t1, nb)], self.neighbors.dtype)])
         self.simplices[t], self.neighbors[t] = (a, b, p), (t1, t2, nc)
         _repoint(self.neighbors, na, t, t1)
         _repoint(self.neighbors, nb, t, t2)

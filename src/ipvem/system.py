@@ -12,7 +12,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -167,13 +166,19 @@ class FreeParts:
     limit: BandFactor
     ratio: float
 
-    def begin(self, eps):
-        """Begin beside the caller the factor a first solve at ``eps`` makes:
-        the limit's where it serves ``eps`` (see :func:`solve`), else the full one."""
-        if eps**2 * self.ratio <= LIMIT_CONTRACTION:
-            self.limit.begin(self.limit.pattern, 0.0)
-        else:
-            self.factor.begin(_with_data(self.hess, (eps**2) * self.hess.data + self.grad.data), eps)
+    def begin(self, eps, lane):
+        """Submit to ``lane`` (an executor) the factor a first solve at ``eps``
+        makes: the limit's where it serves ``eps`` (see :func:`solve`), else
+        the full one.  Returns the lane's Future, or None where that band is
+        wider than :data:`ONE_THREAD_KD` or does not fit (the first solve
+        then makes the factor)."""
+        limit = eps**2 * self.ratio <= LIMIT_CONTRACTION
+        factor = self.limit if limit else self.factor
+        if factor.kd <= ONE_THREAD_KD:
+            mat = factor.pattern if limit else _with_data(self.hess, (eps**2) * self.hess.data + self.grad.data)
+            with contextlib.suppress(SolveError):  # the band does not fit
+                return factor.factor(mat, 0.0 if limit else eps, lane)
+        return None
 
     def release(self):
         """Release both factors (:meth:`BandFactor.release`)."""
@@ -231,14 +236,15 @@ SOLUTION_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 2.0**-60 else np
 LIMIT_CONTRACTION = 1e-3
 
 
-# glibc's malloc_trim, called with 0 before a mesh's band is allocated and when
-# a factor run beside the set-up is joined: glibc keeps freed temporaries
-# resident, and the band, a fresh mapping, cannot reuse them (the join's trim
-# lowers peak RSS by 2.4% at CVT-512, 1.1% at 2048); a no-op where libc has none
+# glibc's malloc_trim, called with 0 before a mesh's band is allocated and
+# when cli.discretize joins a factor made beside the set-up: glibc keeps freed
+# temporaries resident, and the band, a fresh mapping, cannot reuse them (the
+# join's trim lowers peak RSS by 2.4% at CVT-512, 1.1% at 2048); a no-op where
+# libc has none
 try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = lambda pad: 0  # noqa: E731
+    MALLOC_TRIM = lambda pad: 0  # noqa: E731
 
 # the getter and setter of scipy's OpenBLAS thread count (process-wide); no-ops where it has none
 try:
@@ -315,9 +321,8 @@ class BandFactor:
     eps: float | None = None
     x: np.ndarray | None = None
     seconds: float | None = None  # of the dpbtrf call that made the factor
-    beside: bool = False  # whether that call ran beside the caller (see begin)
+    beside: bool = False  # whether that call ran on a lane beside the caller (see FreeParts.begin)
     threads: int | None = None  # the BLAS threads it ran with (None where the count cannot be read)
-    pending: tuple | None = None  # a factor begun beside, until wait joins it
 
     @classmethod
     def for_pattern(cls, mat):
@@ -331,66 +336,47 @@ class BandFactor:
     layout = functools.cached_property(lambda self: _band_layout(self.pattern))
     order, kd, entries, slots = (property(lambda self, i=i: self.layout[i]) for i in range(4))
 
-    def factor(self, mat, eps, beside=False):
+    def factor(self, mat, eps, lane=None):
         """Factor the symmetric matrix ``mat`` of this pattern, the system's at
         ``eps``, in place: its lower-triangle entries are assigned into the
         zeroed band (the slots are distinct), allocated after trimming the heap
         the first time if it fits in the available memory (else
         :class:`SolveError`), and :func:`_dpbtrf` factors it: with scipy's OpenBLAS
-        pinned to one thread where ``kd <= ONE_THREAD_KD``, set and restored on
-        the calling thread, else with the caller's pool.  ``beside`` runs a
-        one-thread factor on a second thread until :meth:`wait` joins it, and
-        leaves a wider one, or one that does not fit, to the next solve.  A
-        matrix that is not positive definite raises :class:`SolveError`;
-        either error leaves no factor held."""
-        one_thread = self.kd <= ONE_THREAD_KD
-        if beside and not one_thread:
-            return
+        pinned to one thread where ``kd <= ONE_THREAD_KD``, else with the
+        caller's pool.  The band and the gather of ``mat``'s entries are made
+        on the calling thread; the fill, the pin and the factor run inline, or
+        on ``lane`` (an executor, whose Future is returned) if given.  A matrix
+        that is not positive definite raises :class:`SolveError`; either error
+        leaves no factor held."""
         self.eps = self.x = None
         if self.band is None:
-            _MALLOC_TRIM(0)
+            MALLOC_TRIM(0)
             need, have = 8 * (self.kd + 1) * len(self.order), _available_bytes()
             if have is not None and need > have:
-                if beside:
-                    return
                 raise SolveError(f"the band needs {need} bytes, more than the {have} bytes available")
             self.band = np.zeros((self.kd + 1, len(self.order)), order="F")
         else:
             self.band.fill(0.0)
-        values, outcome = mat.data[self.entries], []
+        values, caller = mat.data[self.entries], _BLAS_THREADS[0]()
+        self.threads = 1 if self.kd <= ONE_THREAD_KD and caller is not None else caller
+        self.beside = lane is not None
 
         def run():  # allocates no array
             self.band.reshape(-1, order="F")[self.slots] = values
-            start = time.perf_counter()
-            outcome.append((_dpbtrf(self.band), time.perf_counter() - start))
-        caller = _BLAS_THREADS[0]()
-        self.threads = 1 if one_thread and caller is not None else caller
-        self.pending = threading.Thread(target=run, daemon=True), outcome, eps, caller, beside
-        if self.threads != caller:  # pin
-            _BLAS_THREADS[1](self.threads)
-        if beside:
-            return self.pending[0].start()
-        run()
-        self.wait()
-
-    begin = functools.partialmethod(factor, beside=True)  # factor beside the caller; each solve joins it first
-
-    def wait(self):
-        """Join a pending factor and restore the BLAS threads; a failed factor raises :class:`SolveError`."""
-        if self.pending is None:
-            return
-        (worker, outcome, eps, caller, self.beside), self.pending = self.pending, None
-        if worker.ident is not None:
-            worker.join()
-        if self.threads != caller:  # undo the pin
-            _BLAS_THREADS[1](caller)
-        if self.beside:  # trim the freed temporaries of the work done beside
-            _MALLOC_TRIM(0)
-        info, self.seconds = outcome[0] if outcome else (-1, None)  # none: the thread raised
-        if info:
-            pivot = f"pivot {info} of {len(self.order)} (row {self.order[info - 1]})" if info > 0 else f"info {info}"
-            raise SolveError(f"matrix is not positive definite: Cholesky {pivot} is not positive")
-        self.eps = eps
+            if self.threads != caller:  # pin
+                _BLAS_THREADS[1](self.threads)
+            try:
+                start = time.perf_counter()
+                info = _dpbtrf(self.band)
+                self.seconds = time.perf_counter() - start
+            finally:
+                if self.threads != caller:  # undo the pin
+                    _BLAS_THREADS[1](caller)
+            if info:
+                at = f"pivot {info} of {len(self.order)} (row {self.order[info - 1]})" if info > 0 else f"info {info}"
+                raise SolveError(f"matrix is not positive definite: Cholesky {at} is not positive")
+            self.eps = eps
+        return run() if lane is None else lane.submit(run)
 
     def solve(self, rhs):
         x, _ = lapack.dpbtrs(self.band, rhs[self.order], lower=1, overwrite_b=1)
@@ -399,9 +385,7 @@ class BandFactor:
         return out
 
     def release(self):
-        """Join a pending factor; drop the band, its eps and the last solution; the layout stays."""
-        with contextlib.suppress(SolveError):
-            self.wait()
+        """Drop the band, its eps and the last solution; the layout stays."""
         self.band = self.eps = self.x = None
 
 
@@ -421,13 +405,13 @@ def solve(system):
     ``dpbtrf`` seconds (``factor_s``), if it ran beside (``factor_beside``)
     and the BLAS threads it ran with (``factor_threads``).
 
-    The systems of one mesh share their factors; a solve first joins a
-    pending one, and one made at its eps that no solve has refined from is
-    its fresh factor.  Else one held from an eps e0 >= eps is tried first,
-    starting from the mesh's last solution (eps continuation): with A = G +
-    eps^2 H and M = G + e0^2 H, the refinement's iteration matrix I - M^-1 A
-    = (e0^2 - eps^2) M^-1 H has its eigenvalues in [0, 1), small when e0^2 H
-    is small against G.  The attempt is given up when :func:`_refine`
+    The systems of one mesh share their factors; one made at its eps that
+    no solve has refined from (such as the one :meth:`FreeParts.begin`
+    makes beside the set-up) is its fresh factor.  Else one held from an eps
+    e0 >= eps is tried first, starting from the mesh's last solution (eps
+    continuation): with A = G + eps^2 H and M = G + e0^2 H, the
+    refinement's iteration matrix I - M^-1 A = (e0^2 - eps^2) M^-1 H has its
+    eigenvalues in [0, 1), small when e0^2 H is small against G.  The attempt is given up when :func:`_refine`
     projects that it cannot meet the target, and whenever it ends above the
     target.  Then, where the contraction rho = eps^2 max_i H_ii / G_ii (the
     system's ``rho``, which estimates eps^2 lambda_max(G^-1 H)) is at most
@@ -437,10 +421,6 @@ def solve(system):
     given up or its Cholesky fails, the matrix is factored afresh in the
     full band.  Making one factor releases the other's band."""
     mat, rhs, factor, limit = system.matrix, system.rhs, system.factor, system.limit
-    factor.wait()
-    if limit is not None:
-        with contextlib.suppress(SolveError):  # a limit that failed beside is made no more
-            limit.wait()
     diagnostics = {"method": "band-cholesky", "refine_steps": 0, "n_free": system.n_free, "nnz": int(mat.nnz)}
     used, made = factor, False
     if not np.any(rhs):

@@ -63,8 +63,9 @@ class TestConfigValidation:
         assert f"{kind} sizes must be at least" in capsys.readouterr().err and not out.exists()
 
     def test_penalty_constant(self):
-        with pytest.raises(ConfigError):
-            tiny_config(penalty_a=1.0).validate()
+        for penalty_a in (1.0, np.inf):
+            with pytest.raises(ConfigError):
+                tiny_config(penalty_a=penalty_a).validate()
 
     def test_order_must_be_two(self, tmp_path):
         # the order is fixed at k = 2, the cell quadrature order at
@@ -179,6 +180,16 @@ class TestConfigValidation:
         # a new directory below a new one still passes
         assert load_config(None, {"out_dir": "new/sub"}).out_dir == "new/sub"
 
+    def test_infinite_penalty_constant_exits_bad_config(self, tmp_path, capsys, monkeypatch):
+        # refused with the config, before any mesh is built
+        built = []
+        monkeypatch.setattr(mesh, "generate_cvt", lambda *args, **kwargs: built.append(args))
+        argv = ["study", "--eps", "1", "--sizes", "16", "--penalty-a", "inf", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "penalty constant must be finite" in err
+        assert built == [] and not list(tmp_path.iterdir())
+
     def test_empty_out_dir_in_a_config_file_is_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mesh_kind": "uniform", "sizes": [2], "out_dir": ""}))
@@ -233,7 +244,7 @@ class TestRunStudy:
                 # the limit's of its own pattern, which lacks the cross-edge entries
                 assert rec["factor_nnz"] >= ((rec["nnz"] + rec["n_free"]) // 2 if rec["factor_eps"] else rec["n_free"])
                 assert 0 <= rec["bandwidth"] < rec["n_free"]
-        stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "loads_wait", "error_data"]
+        stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "loads_wait", "error_data", "factor_wait"]
         assert [entry["label"] for entry in report["meshes"]] == ["uniform-2", "uniform-4"]
         assert [entry["n_cells"] for entry in report["meshes"]] == [4, 16]
         for entry in report["meshes"]:

@@ -161,8 +161,9 @@ class TestPenaltyParameter:
         assert lam1 == pytest.approx(lam2, rel=1e-14)
 
     def test_invalid_constant_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(a=1.0, n_k=4)
+        for a in (1.0, np.inf):
+            with pytest.raises(ValueError):
+                PenaltyConfig(a=a, n_k=4)
 
     def test_degenerate_triangle_rejected(self):
         config = PenaltyConfig(a=2.0, n_k=4)

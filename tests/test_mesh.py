@@ -418,6 +418,17 @@ class TestRepairedLloydStep:
         assert tri.qhull_calls[-1] == 0 and len(tri.src) >= n_points + crossers
         assert_same_corner_sets(repaired, mesh._voronoi_cells_unit_square(points), 1e-12)
 
+    def test_repairs_keep_the_rebuilt_index_dtype(self):
+        # an image insert builds its rows in the arrays' own dtype (generate_cvt's stream at 512 cells, seed 7)
+        points = np.random.default_rng(7).uniform(0.05, 0.95, size=(512, 2))
+        tri, inserted = mesh._LloydTriangulation(512), []
+        for _ in range(10):
+            n_points = 0 if tri.simplices is None else len(tri.src)
+            _, points = mesh._centroids(*tri.cells(points))
+            inserted.append(tri.qhull_calls[-1] == 0 and len(tri.src) > n_points)
+            assert tri.simplices.dtype == tri.neighbors.dtype == np.intp
+        assert any(inserted)
+
     def test_corner_order_with_int32_owners_past_the_int32_key_range(self, monkeypatch):
         # qhull's owners are int32: with n = 20000 cells of six corners each,
         # owner * len(xy) passes 2^31, and the (owner, angle) key must not wrap

@@ -1,6 +1,10 @@
 """The records of the seed-7 reference studies, pinned to the checked-in
 ``reference_records.json`` far tighter than the acceptance criteria's factor
 of two: a change that is meant to keep the records must keep them here.
+The studies run on the pinned meshes of ``meshes/`` (imported, not
+generated), so a change to the Lloyd arithmetic meets the generator gate of
+``test_reference_meshes.py``, which also pins the meshes' qhull calls and
+flips, and not this one.
 
 A change that moves a field by design regenerates the file with
 
@@ -18,14 +22,20 @@ import pytest
 from ipvem import cli, system
 
 PATH = Path(__file__).with_name("reference_records.json")
-CVT = {"mesh_kind": "cvt", "seed": 7, "lloyd_iters": 100}
+
+
+def cvt(*sizes):
+    """The study keys of the pinned seed-7 CVT meshes (100 Lloyd steps) of ``sizes`` cells."""
+    return {"mesh_kind": "files", "mesh_files": [str(PATH.with_name("meshes") / f"cvt{n}_seed7.txt") for n in sizes]}
+
+
 STUDIES = {
     # the paper's table: example 1, six eps, CVT 32..512
-    "reference": {"example": 1, "eps": [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5], "sizes": [32, 64, 128, 256, 512], **CVT},
+    "reference": {"example": 1, "eps": [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5], **cvt(32, 64, 128, 256, 512)},
     # the deep-singular study: example 2 at eps = 1e-10
-    "deep_singular": {"example": 2, "eps": [1e-10], "sizes": [32, 64, 128, 256, 512], **CVT},
+    "deep_singular": {"example": 2, "eps": [1e-10], **cvt(32, 64, 128, 256, 512)},
     # eleven eps on one mesh, most of them solved from a held factor
-    "sweep_512": {"example": 1, "eps": [10.0**-k for k in range(11)], "sizes": [512], **CVT},
+    "sweep_512": {"example": 1, "eps": [10.0**-k for k in range(11)], **cvt(512)},
 }
 #: relative tolerance of each float field; every other field must be equal
 RELATIVE = {
@@ -40,7 +50,6 @@ def records_of(name):
     out = cli.run_study(cli.StudyConfig(**STUDIES[name]))
     assert not out.failures
     return {
-        "meshes": [{k: m[k] for k in ("label", "delaunay_calls", "lloyd_flips")} for m in out.meshes],
         "records": {
             repr(eps): [{k: rec[k] for k in EXACT + list(RELATIVE)} for rec in map(cli._report_record, recs)]
             for eps, recs in out.report.records.items()
@@ -52,7 +61,6 @@ def records_of(name):
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_records_match_the_reference(name):
     expected, got = json.loads(PATH.read_text())[name], records_of(name)
-    assert got["meshes"] == expected["meshes"]
     assert got["records"].keys() == expected["records"].keys()
     for eps, recs in expected["records"].items():
         assert len(got["records"][eps]) == len(recs)

@@ -38,7 +38,7 @@ def test_bench_writes_every_documented_field(tmp_path, monkeypatch):
     assert payload["label"] == "smoke" and len(payload["runs"]) == 1
     run = payload["runs"][0]
     assert run["n_cells"] == 32
-    stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "loads_wait", "error_data"]
+    stages = ["mesh", "elements", "forms_stencils", "operator_parts", "loads", "loads_wait", "error_data", "factor_wait"]
     assert list(run["seconds"]) == stages
     assert {"delaunay_calls", "lloyd_flips", "peak_rss_mb", "sweep_solve_s", "sweep_error_s"} <= set(run)
     assert [entry["eps"] for entry in run["sweep"]] == list(bench.SWEEP) and len(bench.SWEEP) == 11

@@ -874,9 +874,10 @@ class TestThreadsByBandWidth:
 
     def test_narrow_band_factors_on_one_thread(self, cvt32, monkeypatch, two_blas_threads):
         seen = self.recording_dpbtrf(monkeypatch)
-        d = cli.discretize(cvt32, verify.example_solution(1))
-        monkeypatch.setattr(system, "ONE_THREAD_KD", d.free_parts.factor.kd)
-        d.free_parts.factor.begin(d.reduced(SWEEP[0]).matrix, SWEEP[0])
+        kd = cli.discretize(cvt32, verify.example_solution(1)).free_parts.factor.kd
+        monkeypatch.setattr(system, "ONE_THREAD_KD", kd)  # the widest band that factors beside the set-up
+        d = cli.discretize(cvt32, verify.example_solution(1), first_eps=SWEEP[0])
+        assert seen == [1] and blas_threads() == two_blas_threads
         diagnostics = self.sweep(d, two_blas_threads)
         made = [diag for diag in diagnostics if diag["factor_s"] is not None]
         assert made[0] is diagnostics[0] and made[0]["factor_beside"] is True
@@ -890,9 +891,8 @@ class TestThreadsByBandWidth:
         monkeypatch.setattr(system, "ONE_THREAD_KD", 0)
         threads = threading.active_count()
         d = cli.discretize(cvt32, verify.example_solution(1), first_eps=SWEEP[0])
-        factor = d.free_parts.factor
-        assert threading.active_count() == threads
-        assert factor.pending is None and factor.band is None and seen == []
+        assert threading.active_count() == threads and seen == []
+        assert d.free_parts.factor.band is None and d.free_parts.limit.band is None
         diagnostics = self.sweep(d, two_blas_threads)
         made = [diag for diag in diagnostics if diag["factor_s"] is not None]
         assert made[0] is diagnostics[0] and not any(diag["factor_beside"] for diag in diagnostics)
@@ -945,12 +945,12 @@ class TestFactorBeside:
             assert rec.solve["refine_steps"] == sync.diagnostics["refine_steps"]
             assert rec.e_total == pytest.approx(d.error(sync).e_total, rel=1e-10)
 
-    def test_pending_factor_is_not_factored_again(self, cvt32, monkeypatch):
+    def test_factor_made_beside_is_not_factored_again(self, cvt32, monkeypatch):
         calls = self.counting_dpbtrf(monkeypatch)
         d = cli.discretize(cvt32, verify.example_solution(1), first_eps=1e-3)
-        assert d.free_parts.factor.pending is not None
+        assert len(calls) == 1  # joined before the set-up returns
         sol = d.solve(1e-3)
-        assert len(calls) == 1 and d.free_parts.factor.pending is None
+        assert len(calls) == 1
         assert sol.diagnostics["factor_eps"] == 1e-3 and sol.diagnostics["factor_beside"] is True
         assert sol.residual <= system.RESIDUAL_TARGET
         # a second solve at the same eps refines from the held factor
@@ -958,39 +958,53 @@ class TestFactorBeside:
         assert len(calls) == 1 and again.diagnostics["factor_s"] is None
         assert again.diagnostics["factor_beside"] is False
 
-    def test_failed_pending_factor_holds_no_eps(self, cvt32):
-        d = cli.discretize(cvt32, verify.example_solution(1))
-        factor = d.free_parts.factor
-        bad = d.reduced(1e-2).matrix.copy()
-        bad.data *= -1.0
-        factor.begin(bad, 1e-2)
-        with pytest.raises(SolveError, match="not positive definite"):
-            d.solve(1e-2)
-        assert factor.eps is None and factor.pending is None
-        sol = d.solve(1e-3)
-        assert sol.diagnostics["factor_eps"] == factor.eps == 1e-3
-        assert sol.residual <= system.RESIDUAL_TARGET
+    def test_failed_first_factor_fails_only_its_eps(self, monkeypatch):
+        # the first eps's Cholesky fails beside the set-up and again in its
+        # solve; the study records that eps's SolveError, and the next eps solves
+        lanes, real = [], system._dpbtrf
 
-    def test_zero_first_load_leaves_the_next_eps_solving(self, cvt32):
+        def failing_first_eps(band):
+            lanes.append(threading.current_thread())
+            return 1 if len(lanes) <= 2 else real(band)
+
+        threads, blas = threading.active_count(), blas_threads()
+        monkeypatch.setattr(system, "_dpbtrf", failing_first_eps)
+        cfg = cli.StudyConfig(example=1, eps=[1e-2, 1e-3], mesh_kind="cvt", sizes=[32], lloyd_iters=20)
+        out = cli.run_study(cfg)
+        (failure,) = out.failures
+        assert failure["eps"] == 1e-2 and "not positive definite" in failure["error"]
+        (rec,) = out.report.records[1e-3]
+        assert rec.solve["factor_eps"] == 1e-3 and rec.solve["factor_beside"] is False
+        assert rec.solve["residual"] <= system.RESIDUAL_TARGET
+        assert len(lanes) == 3 and lanes[0] is not threading.main_thread() and not lanes[0].is_alive()
+        assert lanes[1:] == [threading.main_thread()] * 2
+        assert threading.active_count() == threads and blas_threads() == blas
+
+    def test_first_factor_failure_joins_before_it_propagates(self, cvt32, monkeypatch):
+        # an exception raised in the factor's own call comes out of the set-up,
+        # with the lane joined and the BLAS pin undone
+        pinned = []
+
+        def failing_dpbtrf(band):
+            pinned.append(blas_threads())
+            raise RuntimeError("dpbtrf failed")
+
+        threads, blas = threading.active_count(), blas_threads()
+        monkeypatch.setattr(system, "_dpbtrf", failing_dpbtrf)
+        with pytest.raises(RuntimeError, match="dpbtrf failed"):
+            cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
+        assert pinned == [None if blas is None else 1]
+        assert threading.active_count() == threads and blas_threads() == blas
+
+    def test_zero_first_load_leaves_the_next_eps_solving(self, cvt32, monkeypatch):
+        calls = self.counting_dpbtrf(monkeypatch)
         d = cli.discretize(cvt32, ZERO, first_eps=1.0)
         first = d.solve(1.0)
-        assert first.residual == 0.0 and first.diagnostics["factor_s"] is None
-        assert d.free_parts.factor.pending is None and d.free_parts.factor.eps == 1.0
+        assert first.residual == 0.0 and first.diagnostics["factor_s"] is None and len(calls) == 1
         rhs = system.load_vector(d.elements, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         sol = solve(system.combine(d.free_parts, rhs, 1e-1))
         assert sol.diagnostics["factor_eps"] == 1e-1 and sol.diagnostics["factor_beside"] is False
-        assert sol.residual <= system.RESIDUAL_TARGET
-
-    @staticmethod
-    def recording_begin(monkeypatch):
-        begun, begin = [], BandFactor.begin
-
-        def recording(factor, *args):
-            begun.append(factor)
-            begin(factor, *args)
-
-        monkeypatch.setattr(BandFactor, "begin", recording)
-        return begun
+        assert sol.residual <= system.RESIDUAL_TARGET and len(calls) == 2
 
     @staticmethod
     def assert_study_records_the_failure(threads, blas):
@@ -1008,13 +1022,13 @@ class TestFactorBeside:
             raise RuntimeError("loads failed")
 
         threads, blas = threading.active_count(), blas_threads()
-        begun = self.recording_begin(monkeypatch)
+        calls = self.counting_dpbtrf(monkeypatch)
         monkeypatch.setattr(system, "load_vector", failing_load_vector)
         with pytest.raises(RuntimeError, match="loads failed"):
             cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
         ((thread, pinned),) = lane
         assert thread is not threading.main_thread() and not thread.daemon and not thread.is_alive()
-        assert pinned == blas and begun == []
+        assert pinned == blas and calls == []
         assert threading.active_count() == threads and blas_threads() == blas
         self.assert_study_records_the_failure(threads, blas)
 
@@ -1037,19 +1051,22 @@ class TestFactorBeside:
         assert len(lane) == 2 and not lane[0].is_alive() and threading.active_count() == threads
 
     def test_error_data_failure_joins_the_factor_before_it_propagates(self, cvt32, monkeypatch):
-        pinned = []
+        lanes, real = [], system._dpbtrf
+
+        def recording_dpbtrf(band):
+            lanes.append((threading.current_thread(), blas_threads()))
+            return real(band)
 
         def failing_error_data(*args):
-            pinned.append(blas_threads())
             raise RuntimeError("error data failed")
 
         threads, blas = threading.active_count(), blas_threads()
-        begun = self.recording_begin(monkeypatch)
+        monkeypatch.setattr(system, "_dpbtrf", recording_dpbtrf)
         monkeypatch.setattr(verify, "build_error_data", failing_error_data)
         with pytest.raises(RuntimeError, match="error data failed"):
             cli.discretize(cvt32, verify.example_solution(1), first_eps=1.0)
-        (factor,) = begun
-        assert factor.pending is None and factor.band is None
-        assert pinned == [None if blas is None else 1]
+        ((thread, pinned),) = lanes
+        assert thread is not threading.main_thread() and not thread.is_alive()
+        assert pinned == (None if blas is None else 1)
         assert threading.active_count() == threads and blas_threads() == blas
         self.assert_study_records_the_failure(threads, blas)
